@@ -23,7 +23,8 @@ recorded facts.  INCONCLUSIVE is an honest third verdict.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from functools import cache
 from itertools import combinations
 
 from .autgroup import (
@@ -121,24 +122,42 @@ class _Budget:
             raise _BudgetExceeded
 
 
+def _plain(value):
+    """JSON form of a record field: tuples become lists, records dicts."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.to_dict() if isinstance(value, _Record) else value
+
+
+class _Record:
+    """Dict form of a frozen dataclass, derived from its fields: tuple
+    fields are stored as JSON lists, and a field's metadata may name a
+    "load" function that rebuilds it from JSON instead."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        kwargs = {}
+        for f in fields(cls):
+            # annotations are strings under "from __future__ import annotations"
+            load = f.metadata.get("load", tuple if f.type == "tuple" else None)
+            kwargs[f.name] = data[f.name] if load is None else load(data[f.name])
+        return cls(**kwargs)
+
+
 @dataclass(frozen=True)
-class Application:
+class Application(_Record):
     """One successful rule application; m is None for whole-graph rules."""
 
     rule: str
     m: int | None
-    params: dict
-
-    def to_dict(self) -> dict:
-        return {"rule": self.rule, "m": self.m, "params": self.params}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Application":
-        return cls(rule=data["rule"], m=data["m"], params=dict(data["params"]))
+    params: dict = field(metadata={"load": dict})
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     label: str
     n: int
     degree: int | None
@@ -152,32 +171,15 @@ class Certificate:
     kb_reason: str | None
     certified: tuple
     open_classes: tuple
-    applications: tuple
-    generators: tuple
+    applications: tuple = field(
+        metadata={"load": lambda apps: tuple(Application.from_dict(a) for a in apps)}
+    )
+    generators: tuple = field(metadata={"load": lambda gens: tuple(tuple(p) for p in gens)})
     notes: tuple
     graph6: str
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "label": self.label,
-            "n": self.n,
-            "degree": self.degree,
-            "diameter": self.diameter,
-            "girth": self.girth,
-            "array": self.array,
-            "mode": self.mode,
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "kb_verdict": self.kb_verdict,
-            "kb_reason": self.kb_reason,
-            "certified": list(self.certified),
-            "open_classes": list(self.open_classes),
-            "applications": [a.to_dict() for a in self.applications],
-            "generators": [list(p) for p in self.generators],
-            "notes": list(self.notes),
-            "graph6": self.graph6,
-        }
+        return {"format_version": FORMAT_VERSION, **super().to_dict()}
 
     def to_json(self) -> str:
         # single line, suitable for batch logs
@@ -185,27 +187,10 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":
-        if data.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported certificate format: {data.get('format_version')!r}")
-        return cls(
-            label=data["label"],
-            n=data["n"],
-            degree=data["degree"],
-            diameter=data["diameter"],
-            girth=data["girth"],
-            array=data["array"],
-            mode=data["mode"],
-            verdict=data["verdict"],
-            reason=data["reason"],
-            kb_verdict=data["kb_verdict"],
-            kb_reason=data["kb_reason"],
-            certified=tuple(data["certified"]),
-            open_classes=tuple(data["open_classes"]),
-            applications=tuple(Application.from_dict(a) for a in data["applications"]),
-            generators=tuple(tuple(p) for p in data["generators"]),
-            notes=tuple(data["notes"]),
-            graph6=data["graph6"],
-        )
+        version = data.get("format_version") if isinstance(data, dict) else None
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported certificate format: {version!r}")
+        return super().from_dict(data)
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
@@ -321,25 +306,20 @@ def _cubic_step_variant(arr: IntersectionArray, m: int, gir: int | None) -> str 
     return None
 
 
-def _pivot_filter(dd, m: int, j: int, l: int, pivots) -> list:
-    """Vertices at distance m from l whose distances to every pivot agree
-    with j's.  The pivot rule succeeds when this is exactly [j]."""
-    out = []
-    for p in dd.at_distance(l, m):
-        if all(dd.d(p, q) == dd.d(j, q) for q in pivots):
-            out.append(p)
-    return out
-
-
-def _witness_valid(dd, m: int, j: int, l: int, p: int, q: int) -> bool:
+def _witness_valid(dd, m: int, j: int, l: int, p: int, q: int, bud=None) -> bool:
     """The witness q kills rival p for the pair (j, l): q separates j from
     p, and l is the only vertex at distance d(q,l) from q lying at distance
-    m from both j and p."""
+    m from both j and p.  The engine passes its budget, charged 2 for the
+    separation test and 2 per sphere vertex for the count."""
+    if bud is not None:
+        bud.spend(2)
     if dd.d(j, q) == dd.d(q, p):
         return False
-    s = dd.d(q, l)
+    sphere = dd.at_distance(q, dd.d(q, l))
+    if bud is not None:
+        bud.spend(2 * len(sphere))
     count = 0
-    for x in dd.at_distance(q, s):
+    for x in sphere:
         if dd.d(x, j) == m and dd.d(x, p) == m:
             count += 1
             if count > 1:
@@ -347,57 +327,63 @@ def _witness_valid(dd, m: int, j: int, l: int, p: int, q: int) -> bool:
     return count == 1
 
 
+# The pair rules are one argument: the partner j of l is pinned among the
+# rivals (the other vertices at distance m from l) by pivots, vertices in
+# certified classes from l whose distances tell a rival from j, and by
+# witnesses, which kill single rivals.  Each rule records these fields:
+# orbit params carry them as keys after "pair", all-pairs assignments are
+# [j, l, *fields].
+_PAIR_FIELDS = {
+    RULE_PIVOT: ("pivots",),
+    RULE_KRIT: ("witnesses",),
+    RULE_PIVOT_KRIT: ("pivots", "witnesses"),
+}
+
+# pivot-set sizes each pair rule tries, in order
+_PIVOT_SIZES = {RULE_PIVOT: (1, 2, 3), RULE_KRIT: (), RULE_PIVOT_KRIT: (0, 1, 2, 3)}
+
+
 # ------------------------------------------------------------- the engine
 
 
-def _find_pivots(dd, m, j, l, certified, bud):
-    others = [p for p in dd.at_distance(l, m) if p != j]
+def _pair_search(dd, m, j, l, certified, bud, rule) -> dict | None:
+    """Pivots and witnesses pinning j as l's partner under a pair rule.
+
+    Where the rule allows witnesses, each rival first gets its smallest
+    witness.  Then the first pivot set, by size and then in lexicographic
+    order, that separates j from every rival without a witness is taken,
+    and the rivals it leaves are recorded with their witnesses.
+    """
     n = len(dd.dist)
+    rivals = [p for p in dd.at_distance(l, m) if p != j]
+    witness = {}
+    if "witnesses" in _PAIR_FIELDS[rule]:
+        for p in rivals:
+            witness[p] = next(
+                (q for q in range(n) if _witness_valid(dd, m, j, l, p, q, bud)), None
+            )
+    unkilled = [p for p in rivals if witness.get(p) is None]
+    if rule == RULE_PIVOT:
+        bud.spend(n)  # the pivot-only rule pays for its eligible list
+
+    def pinned(pivots):
+        left = [
+            p
+            for p in rivals
+            if witness.get(p) is not None and all(dd.d(p, q) == dd.d(j, q) for q in pivots)
+        ]
+        return {"pivots": list(pivots), "witnesses": [[p, witness[p]] for p in left]}
+
+    sizes = _PIVOT_SIZES[rule]
+    if not unkilled and 0 not in sizes:
+        return pinned(())
     eligible = [q for q in range(n) if dd.d(q, l) in certified]
-    bud.spend(n)
-    if not others:
-        return ()
-    for size in (1, 2, 3):
+    for size in sizes:
         for pivots in combinations(eligible, size):
-            bud.spend(2 * size * len(others) + 1)
-            if not any(
-                all(dd.d(p, q) == dd.d(j, q) for q in pivots) for p in others
-            ):
-                return pivots
+            bud.spend(2 * size * len(rivals) + 1)
+            if not any(all(dd.d(p, q) == dd.d(j, q) for q in pivots) for p in unkilled):
+                return pinned(pivots)
     return None
-
-
-def _krit_analyze(dd, m, j, l, bud):
-    """Per rival p, the smallest witness q that kills it; rivals with no
-    witness are collected separately."""
-    n = len(dd.dist)
-    witnesses = []
-    unwitnessed = []
-    for p in dd.at_distance(l, m):
-        if p == j:
-            continue
-        found = None
-        for q in range(n):
-            bud.spend(2)
-            if dd.d(j, q) == dd.d(q, p):
-                continue
-            s = dd.d(q, l)
-            sphere = dd.at_distance(q, s)
-            bud.spend(2 * len(sphere))
-            count = 0
-            for x in sphere:
-                if dd.d(x, j) == m and dd.d(x, p) == m:
-                    count += 1
-                    if count > 1:
-                        break
-            if count == 1:
-                found = q
-                break
-        if found is None:
-            unwitnessed.append(p)
-        else:
-            witnesses.append((p, found))
-    return witnesses, unwitnessed
 
 
 def _coverage_pairs(dd, m: int, mode: str) -> list:
@@ -407,20 +393,15 @@ def _coverage_pairs(dd, m: int, mode: str) -> list:
     return pairs
 
 
-def _pair_params(mode: str, assignments: list, fields) -> dict:
-    """Parameter block for a pair-quantified rule.
-
-    assignments: list of (j, l, payload...) tuples, payload named by fields.
-    """
+def _pair_params(mode: str, rule: str, found: list) -> dict:
+    """Parameter block of a pair rule from its (j, l, pinned) list."""
+    names = _PAIR_FIELDS[rule]
     if mode == "orbit":
-        j, l, *payload = assignments[0]
-        params = {"coverage": "orbit", "pair": [j, l]}
-        for name, value in zip(fields, payload):
-            params[name] = value
-        return params
+        ((j, l, pinned),) = found
+        return {"coverage": "orbit", "pair": [j, l], **{k: pinned[k] for k in names}}
     return {
         "coverage": "all-pairs",
-        "assignments": [[j, l, *payload] for j, l, *payload in assignments],
+        "assignments": [[j, l, *(pinned[k] for k in names)] for j, l, pinned in found],
     }
 
 
@@ -517,51 +498,13 @@ def certify(
     apps: list = []
 
     def pair_rule(rule_id, m, bud):
-        assignments = []
+        found = []
         for j, l in _coverage_pairs(dd, m, resolved):
-            if rule_id == RULE_PIVOT:
-                pivots = _find_pivots(dd, m, j, l, certified, bud)
-                if pivots is None:
-                    return None
-                assignments.append((j, l, list(pivots)))
-            elif rule_id == RULE_KRIT:
-                witnesses, unwitnessed = _krit_analyze(dd, m, j, l, bud)
-                if unwitnessed:
-                    return None
-                assignments.append((j, l, [list(w) for w in witnesses]))
-            else:  # RULE_PIVOT_KRIT
-                witnesses, unwitnessed = _krit_analyze(dd, m, j, l, bud)
-                dead = set(unwitnessed)
-                by_rival = dict(witnesses)
-                n = g.n
-                eligible = [q for q in range(n) if dd.d(q, l) in certified]
-                others = [p for p in dd.at_distance(l, m) if p != j]
-                chosen = None
-                for size in (0, 1, 2, 3):
-                    for pivots in combinations(eligible, size):
-                        bud.spend(2 * size * len(others) + 1)
-                        survivors = [
-                            p
-                            for p in others
-                            if all(dd.d(p, q) == dd.d(j, q) for q in pivots)
-                        ]
-                        if not (dead & set(survivors)):
-                            chosen = (pivots, survivors)
-                            break
-                    if chosen:
-                        break
-                if chosen is None:
-                    return None
-                pivots, survivors = chosen
-                assignments.append(
-                    (j, l, list(pivots), [[p, by_rival[p]] for p in survivors])
-                )
-        fields = {
-            RULE_PIVOT: ("pivots",),
-            RULE_KRIT: ("witnesses",),
-            RULE_PIVOT_KRIT: ("pivots", "witnesses"),
-        }[rule_id]
-        return Application(rule_id, m, _pair_params(resolved, assignments, fields))
+            pinned = _pair_search(dd, m, j, l, certified, bud, rule_id)
+            if pinned is None:
+                return None
+            found.append((j, l, pinned))
+        return Application(rule_id, m, _pair_params(resolved, rule_id, found))
 
     def searches(m, candidates):
         bud = _Budget(search_budget)
@@ -729,6 +672,9 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
     gens = cert.generators
     gens_verified = False
     certified: set = set()
+    # computed at most once per audit, and only for rules that read them
+    lazy_girth = cache(lambda: girth(g))
+    lazy_array = cache(lambda: intersection_array(g, dd))
 
     for index, app in enumerate(cert.applications, start=1):
         where = f"application {index} ({app.rule}, m={app.m})"
@@ -739,7 +685,7 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
             certified.update(range(1, diam + 1))
             continue
         m = app.m
-        if not isinstance(m, int) or not (1 <= m <= diam):
+        if not _is_int(m) or not (1 <= m <= diam):
             return fail(f"{where}: class out of range")
         if m in certified:
             return fail(f"{where}: class {m} certified twice")
@@ -748,14 +694,16 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
             if not gens:
                 return fail(f"{where}: orbit coverage claimed but no generators recorded")
             for p in gens:
-                if not is_automorphism(g, p):
+                if not (all(_is_vertex(x, g.n) for x in p) and is_automorphism(g, p)):
                     return fail(f"{where}: recorded generator is not an automorphism")
             gens_verified = True
-        result = _audit_application(app, g, dd, certified, gens)
+        result = _audit_application(app, g, dd, certified, gens, lazy_girth, lazy_array)
         if not result.ok:
             return fail(f"{where}: {result.failure}")
         certified.add(m)
 
+    if not all(_is_int(c) for c in (*cert.certified, *cert.open_classes)):
+        return fail("class lists must hold integers")
     if sorted(certified) != sorted(cert.certified):
         return fail("certified class list does not match the applications")
     expected_open = tuple(m for m in range(1, diam + 1) if m not in certified)
@@ -817,44 +765,103 @@ def _audit_complement(app: Application, g: Graph) -> AuditResult:
     return AuditResult(True)
 
 
-def _class_pairs_for_audit(app, dd, m, gens):
-    """The (pair, claim) list an application must prove, or an error string.
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
+
+def _is_vertex(x, n: int) -> bool:
+    return _is_int(x) and 0 <= x < n
+
+
+def _pair_claims(app, dd, m, gens):
+    """The (j, l, payload) list a pair rule must prove, or an error string.
+
+    Each payload maps the rule's _PAIR_FIELDS to their recorded values.
     Orbit coverage: the recorded pair's orbit under the recorded generators
     must be the whole distance class; only the recorded pair is checked.
     All-pairs coverage: the recorded assignments must list every ordered
-    pair of the class exactly once.
+    pair of the class.
     """
-    coverage = app.params.get("coverage")
-    class_pairs = set(dd.pairs_at_distance(m))
+    names = _PAIR_FIELDS[app.rule]
+    params = app.params
+    coverage = params.get("coverage")
+    n = len(dd.dist)
     if coverage == "orbit":
-        pair = app.params.get("pair")
+        keys = {"coverage", "pair", *names}
+        pair = params.get("pair")
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             return "orbit coverage without a representative pair"
-        j, l = pair
-        if (j, l) not in class_pairs:
-            return f"representative pair {pair} is not at distance {m}"
-        n = len(dd.dist)
-        if pair_orbit(n, gens, (j, l)) != class_pairs:
-            return "recorded generators do not map the representative onto the class"
-        return [(j, l, app.params)]
-    if coverage == "all-pairs":
-        assignments = app.params.get("assignments")
-        if not isinstance(assignments, list):
+        entries = [[*pair, *(params.get(k) for k in names)]]
+    elif coverage == "all-pairs":
+        keys = {"coverage", "assignments"}
+        entries = params.get("assignments")
+        if not isinstance(entries, list):
             return "all-pairs coverage without assignments"
-        seen = set()
-        out = []
-        for entry in assignments:
-            j, l = entry[0], entry[1]
-            seen.add((j, l))
-            out.append((j, l, entry))
-        if seen != class_pairs:
-            return "assignments do not cover the distance class"
-        return out
-    return f"unknown coverage {coverage!r}"
+    else:
+        return f"unknown coverage {coverage!r}"
+    if set(params) != keys:
+        return f"parameters {sorted(params)} are not {sorted(keys)}"
+    claims = []
+    for entry in entries:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2 + len(names)):
+            return f"assignment {entry!r} is not [j, l, {', '.join(names)}]"
+        j, l, *values = entry
+        if not (_is_vertex(j, n) and _is_vertex(l, n)):
+            return f"pair {[j, l]!r} is not a pair of vertices"
+        claims.append((j, l, dict(zip(names, values))))
+    class_pairs = set(dd.pairs_at_distance(m))
+    covered = {(j, l) for j, l, _ in claims}
+    if coverage == "all-pairs":
+        return claims if covered == class_pairs else "assignments do not cover the distance class"
+    if not covered <= class_pairs:
+        return f"representative pair {pair} is not at distance {m}"
+    if pair_orbit(n, gens, covered.pop()) != class_pairs:
+        return "recorded generators do not map the representative onto the class"
+    return claims
 
 
-def _audit_application(app, g: Graph, dd, certified, gens) -> AuditResult:
+def _replay_pair(dd, m, j, l, payload, certified) -> str | None:
+    """Why the recorded pivots and witnesses fail to pin j as l's partner,
+    or None when they do: every pivot lies in a certified class from l,
+    and the rivals the pivots leave are exactly the witnessed ones."""
+    n = len(dd.dist)
+    pivots = payload.get("pivots", [])
+    witnesses = payload.get("witnesses", [])
+    if not (
+        isinstance(pivots, (list, tuple))
+        and len(pivots) <= 3
+        and all(_is_vertex(q, n) for q in pivots)
+    ):
+        return "pivots are not a list of at most 3 vertices"
+    if not (
+        isinstance(witnesses, (list, tuple))
+        and all(
+            isinstance(w, (list, tuple)) and len(w) == 2 and all(_is_vertex(x, n) for x in w)
+            for w in witnesses
+        )
+    ):
+        return "witnesses are not a list of [rival, witness] vertex pairs"
+    for q in pivots:
+        t = dd.d(q, l)
+        if t not in certified:
+            return f"pivot {q} is at distance {t} from l, class {t} not certified"
+    left = {
+        p
+        for p in dd.at_distance(l, m)
+        if p != j and all(dd.d(p, q) == dd.d(j, q) for q in pivots)
+    }
+    witnessed = {p for p, _ in witnesses}
+    if witnessed != left:
+        return f"pivots leave rivals {sorted(left)} but witnesses cover {sorted(witnessed)}"
+    for p, q in witnesses:
+        if not _witness_valid(dd, m, j, l, p, q):
+            return f"witness {q} does not kill rival {p}"
+    return None
+
+
+def _audit_application(
+    app, g: Graph, dd, certified, gens, lazy_girth, lazy_array
+) -> AuditResult:
     def fail(msg):
         return AuditResult(False, msg)
 
@@ -863,7 +870,7 @@ def _audit_application(app, g: Graph, dd, certified, gens) -> AuditResult:
     params = app.params
 
     if rule == RULE_GIRTH5:
-        gir = girth(g)
+        gir = lazy_girth()
         if m != 1:
             return fail("certifies class 1 only")
         if gir is None or gir < 5:
@@ -897,7 +904,7 @@ def _audit_application(app, g: Graph, dd, certified, gens) -> AuditResult:
             return fail("certifies class 2 only")
         if g.regular_degree() != 3:
             return fail("graph is not cubic")
-        gir = girth(g)
+        gir = lazy_girth()
         if gir is None or gir < 5:
             return fail(f"girth is {gir}, not at least 5")
         if 1 not in certified:
@@ -905,7 +912,7 @@ def _audit_application(app, g: Graph, dd, certified, gens) -> AuditResult:
         return AuditResult(True)
 
     if rule == RULE_ARRAY_STEP:
-        arr = intersection_array(g, dd)
+        arr = lazy_array()
         if not arr:
             return fail(f"graph is not distance-regular ({arr.reason})")
         if (m - 1) not in certified:
@@ -919,7 +926,7 @@ def _audit_application(app, g: Graph, dd, certified, gens) -> AuditResult:
             "b": c2 == 1 and b1 + 2 == b0,
             "c": c2 == 2 and m == 2 and b1 + 3 == b0,
         }
-        if variant not in conditions:
+        if not isinstance(variant, str) or variant not in conditions:
             return fail(f"unknown variant {variant!r}")
         if not conditions[variant]:
             return fail(f"variant {variant} condition fails for array {arr}")
@@ -929,7 +936,7 @@ def _audit_application(app, g: Graph, dd, certified, gens) -> AuditResult:
         return AuditResult(True)
 
     if rule == RULE_CUBIC_STEP:
-        arr = intersection_array(g, dd)
+        arr = lazy_array()
         if not arr:
             return fail(f"graph is not distance-regular ({arr.reason})")
         if arr.degree != 3:
@@ -942,7 +949,7 @@ def _audit_application(app, g: Graph, dd, certified, gens) -> AuditResult:
             if arr.b_at(m - 1) != 1:
                 return fail(f"b_{m - 1} = {arr.b_at(m - 1)}, not 1")
         elif variant == "ii":
-            gir = girth(g)
+            gir = lazy_girth()
             if arr.b_at(m - 1) != 2 or arr.b_at(m) != 1 or arr.c_at(m) != 1:
                 return fail(f"variant ii conditions fail for array {arr}")
             if gir is None or gir < 2 * m:
@@ -957,83 +964,17 @@ def _audit_application(app, g: Graph, dd, certified, gens) -> AuditResult:
                 return fail(f"vertex {v} has {dd.kseq[v][m]} vertices at distance {m}")
         return AuditResult(True)
 
-    if rule in (RULE_PIVOT, RULE_KRIT, RULE_PIVOT_KRIT):
-        located = _class_pairs_for_audit(app, dd, m, gens)
-        if isinstance(located, str):
-            return fail(located)
-        for j, l, payload in located:
-            result = _audit_pair_claim(rule, dd, m, j, l, payload, certified)
-            if not result.ok:
-                return fail(f"pair ({j},{l}): {result.failure}")
+    if isinstance(rule, str) and rule in _PAIR_FIELDS:
+        claims = _pair_claims(app, dd, m, gens)
+        if isinstance(claims, str):
+            return fail(claims)
+        for j, l, payload in claims:
+            failure = _replay_pair(dd, m, j, l, payload, certified)
+            if failure is not None:
+                return fail(f"pair ({j},{l}): {failure}")
         return AuditResult(True)
 
     if rule == RULE_KNOWN:
         return fail("knowledge-base facts are valid only in HAS_QSYM certificates")
 
     return fail(f"unknown rule {rule!r}")
-
-
-def _payload_field(payload, name: str, orbit_index: int):
-    """Field access for both coverage encodings: orbit params store named
-    keys, all-pairs assignments store positional entries [j, l, ...]."""
-    if isinstance(payload, dict):
-        return payload.get(name)
-    return payload[orbit_index] if len(payload) > orbit_index else None
-
-
-def _audit_pair_claim(rule, dd, m, j, l, payload, certified) -> AuditResult:
-    def fail(msg):
-        return AuditResult(False, msg)
-
-    if dd.d(j, l) != m:
-        return fail(f"pair is at distance {dd.d(j, l)}, not {m}")
-    rivals = [p for p in dd.at_distance(l, m) if p != j]
-
-    if rule == RULE_PIVOT:
-        pivots = _payload_field(payload, "pivots", 2)
-        if not isinstance(pivots, (list, tuple)) or len(pivots) > 3:
-            return fail("pivot set missing or larger than 3")
-        if pivots == [] and rivals:
-            return fail("empty pivot set with rivals present")
-        for q in pivots:
-            t = dd.d(q, l)
-            if t not in certified:
-                return fail(f"pivot {q} is at distance {t} from l, class {t} not certified")
-        survivors = _pivot_filter(dd, m, j, l, pivots)
-        if survivors != [j]:
-            return fail(f"pivot profile leaves {survivors}, not exactly [{j}]")
-        return AuditResult(True)
-
-    if rule == RULE_KRIT:
-        witnesses = _payload_field(payload, "witnesses", 2)
-        if not isinstance(witnesses, list):
-            return fail("witness list missing")
-        recorded = {p for p, _ in witnesses}
-        if recorded != set(rivals):
-            return fail("witness list does not cover every rival exactly")
-        for p, q in witnesses:
-            if not _witness_valid(dd, m, j, l, p, q):
-                return fail(f"witness {q} does not kill rival {p}")
-        return AuditResult(True)
-
-    if rule == RULE_PIVOT_KRIT:
-        pivots = _payload_field(payload, "pivots", 2)
-        witnesses = _payload_field(payload, "witnesses", 3)
-        if not isinstance(pivots, (list, tuple)) or len(pivots) > 3:
-            return fail("pivot set missing or larger than 3")
-        if not isinstance(witnesses, list):
-            return fail("witness list missing")
-        for q in pivots:
-            t = dd.d(q, l)
-            if t not in certified:
-                return fail(f"pivot {q} is at distance {t} from l, class {t} not certified")
-        survivors = [p for p in _pivot_filter(dd, m, j, l, pivots) if p != j]
-        recorded = {p for p, _ in witnesses}
-        if recorded != set(survivors):
-            return fail("witnesses do not cover exactly the surviving rivals")
-        for p, q in witnesses:
-            if not _witness_valid(dd, m, j, l, p, q):
-                return fail(f"witness {q} does not kill rival {p}")
-        return AuditResult(True)
-
-    return fail(f"unknown pair rule {rule!r}")

@@ -165,13 +165,17 @@ def _cmd_audit(parser, args) -> int:
     try:
         with open(args.certificate) as f:
             cert = Certificate.from_json(f.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         parser.error(f"cannot load certificate: {exc}")
     if args.family or args.path:
         g, _ = _load_graph(parser, args)
     else:
-        # no graph supplied: replay against the one the certificate names
-        g = from_graph6(cert.graph6)
+        # no graph supplied: replay against the one the certificate names;
+        # str() turns a wrongly typed field into a decoding error
+        try:
+            g = from_graph6(str(cert.graph6))
+        except ValueError as exc:
+            parser.error(f"cannot load certificate: {exc}")
     result = audit(cert, g)
     if args.format == "json":
         _emit(args, json.dumps({"ok": result.ok, "failure": result.failure}))

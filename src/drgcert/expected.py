@@ -37,16 +37,13 @@ class GraphRow:
 
 @dataclass(frozen=True)
 class FamilyRow:
-    """One parametric family row, with sample parameters small enough to
-    rebuild and recheck quickly."""
+    """One parametric family row."""
 
     key: str
     label: str
     parameter: str
     aut_name: str
     quantum_group: str
-    verdict_text: str
-    samples: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -58,9 +55,6 @@ class ExpectedTables:
 
     def graph(self, key: str) -> GraphRow:
         return self.graphs[key]
-
-    def family(self, key: str) -> FamilyRow:
-        return self.families[key]
 
     def cubic_rows(self) -> list[GraphRow]:
         return [self.graphs[k] for k in self.cubic_keys]
@@ -100,8 +94,6 @@ def load_tables() -> ExpectedTables:
             parameter=v["parameter"],
             aut_name=v["aut_name"],
             quantum_group=v["quantum_group"],
-            verdict_text=v["verdict_text"],
-            samples=tuple(v["samples"]),
         )
         for k, v in raw["families"].items()
     }

@@ -260,16 +260,6 @@ def odd_graph(k: int) -> Graph:
     return kneser_graph(2 * k - 1, k - 1)
 
 
-def subset_labels(n: int, k: int) -> tuple[str, ...]:
-    """Vertex labels for johnson/kneser/odd graphs, matching their vertex
-    order: the k-subsets of {0..n-1} in lexicographic order."""
-    return tuple("{" + ",".join(map(str, c)) + "}" for c in combinations(range(n), k))
-
-
-def word_labels(d: int, q: int) -> tuple[str, ...]:
-    return tuple("".join(map(str, w)) for w in product(range(q), repeat=d))
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -9,11 +9,10 @@ when they happen to be isomorphic to a recognized graph.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .expected import HAS_QSYM, NO_QSYM, UNKNOWN, load_tables
-from .families import FamilySpec, parse_family
+from .families import FamilySpec, _canonical_name, parse_family
 
 
 @dataclass(frozen=True)
@@ -44,8 +43,7 @@ def verdict_for(spec: FamilySpec | str | None) -> QsymFact:
         if text.lower().startswith("named:"):
             # some recorded graphs have facts but no constructor, so the
             # record lookup must not insist on a buildable name
-            name = re.sub(r"[\s\-]+", "_", text.split(":", 1)[1].strip().lower())
-            key = f"named:{name}"
+            key = f"named:{_canonical_name(text.split(':', 1)[1])}"
             if key in tables.graphs:
                 rec = tables.graphs[key]
                 qg = rec.quantum_group if rec.quantum_group != "?" else None

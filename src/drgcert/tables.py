@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 from .autgroup import automorphism_group
-from .certify import INCONCLUSIVE, audit, certify
+from .certify import INCONCLUSIVE, _Record, audit, certify
 from .drg import IntersectionArray, intersection_array
 from .expected import HAS_QSYM, NO_QSYM, UNKNOWN, FamilyRow, GraphRow, load_tables
 from .families import build
@@ -115,7 +115,7 @@ _FAMILY_CHECKS = {
 
 
 @dataclass(frozen=True)
-class RowReport:
+class RowReport(_Record):
     key: str
     label: str
     order: int
@@ -136,34 +136,9 @@ class RowReport:
     def ok(self) -> bool:
         return not self.problems
 
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "label": self.label,
-            "order": self.order,
-            "order_computed": self.order_computed,
-            "array": self.array,
-            "array_computed": self.array_computed,
-            "aut_name": self.aut_name,
-            "aut_order": self.aut_order,
-            "aut_order_source": self.aut_order_source,
-            "aut_order_computed": self.aut_order_computed,
-            "quantum_group": self.quantum_group,
-            "verdict": self.verdict,
-            "engine_verdict": self.engine_verdict,
-            "verdict_status": self.verdict_status,
-            "problems": list(self.problems),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RowReport":
-        kwargs = dict(data)
-        kwargs["problems"] = tuple(kwargs["problems"])
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(_Record):
     key: str
     label: str
     checked: tuple
@@ -172,23 +147,6 @@ class FamilyReport:
     @property
     def ok(self) -> bool:
         return not self.problems
-
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "label": self.label,
-            "checked": list(self.checked),
-            "problems": list(self.problems),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FamilyReport":
-        return cls(
-            key=data["key"],
-            label=data["label"],
-            checked=tuple(data["checked"]),
-            problems=tuple(data["problems"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,18 @@
 """Rule engine and audit: chains, coverage modes, tampering, transfers."""
 
+import hashlib
+import importlib
 import json
 
 import pytest
 
 from drgcert.certify import (
+    DEFAULT_SEARCH_BUDGET,
     INCONCLUSIVE,
     Application,
     Certificate,
+    _Budget,
+    _pair_search,
     audit,
     certify,
     certify_via_complement,
@@ -15,8 +20,11 @@ from drgcert.certify import (
 )
 from drgcert.expected import HAS_QSYM, NO_QSYM, UNKNOWN
 from drgcert.families import build
-from drgcert.graph import DisconnectedGraphError, Graph, complement
+from drgcert.graph import DisconnectedGraphError, Graph, complement, distances
 from drgcert.io import to_graph6
+
+# the package re-exports the function certify under the module's name
+certify_module = importlib.import_module("drgcert.certify")
 
 
 def rule_chain(cert):
@@ -275,6 +283,32 @@ def test_text_rendering_mentions_everything():
     assert "graph6:" in text
 
 
+# sha256 of to_json(), recorded before the three pair-rule searches were
+# merged into one; the merged search must emit the same bytes
+CERTIFICATE_DIGESTS = [
+    ("named:foster", {}, "214ff176d123087a8a0b5dce81b600accccc4beee9dc49220c56bfea2dbe75ee"),
+    ("named:foster", {"mode": "all-pairs"}, "321acf33616283208413e1c20a9f97918e2aa814ee53ae8b513c1154893b258d"),
+    ("named:biggs_smith", {}, "322701f8f2acd01eac83dfd77cf56a91747d51919b6fba683000ee144826380b"),
+    ("named:biggs_smith", {"mode": "all-pairs"}, "6c5cebcca70adb546d0ecfe3ce3fe336e8db97f716409887b69524e96bca8e6e"),
+    ("hamming:3:3", {}, "86128820f455a9559b74f82e0d77c909558df7871ce5a270ded41158612b060a"),
+    ("hamming:3:3", {"mode": "all-pairs"}, "c09f6a065c901af7660d48f8df49996866774bc752fcea4fb2448120bd2131f7"),
+    ("paley:17", {}, "892029519a3a9661e50daca6d369def27ca20c2d5b0fc6f74f07232f6797c8bc"),
+    ("paley:17", {"mode": "all-pairs"}, "51741f016a385b58832bf379b1abe2ce7aa157df1d61b25238c596a66d040d05"),
+    ("named:hoffman_singleton", {}, "405106fbb68788d413206e9abae37cd4882076bebe72b0b602c2d5cbdd32a2b7"),
+    ("paley:13", {"search_budget": 10}, "b42948bf236ec3b4fab6343f22a92966d3e4ec6c8a59748be8eab83924760600"),
+    ("paley:13", {"mode": "all-pairs"}, "00ae93e77bc01a5d2dc7f18834112b1b682a42c198b07731a8814e20002f91d0"),
+    ("hamming:2:3", {"mode": "all-pairs"}, "a19017bf74c06c4c4c577e9a87d056aabd8d8ba669c7034354616f5e662532d4"),
+    ("named:coxeter", {}, "fe74f4a19c9b1656b6df9b42bb93589741d0f7f18ed77f9db110f7416e06c601"),
+    ("johnson:6:3", {}, "4c91c0ff83161e33908726494e7d30ea638248e65780806f8f99b14c4451f6ba"),
+]
+
+
+@pytest.mark.parametrize("key,options,digest", CERTIFICATE_DIGESTS)
+def test_certificate_bytes_pinned(key, options, digest):
+    cert = certify(build(key), family=key, **options)
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == digest
+
+
 def test_format_version_checked():
     cert = certify(build("complete:3"))
     data = cert.to_dict()
@@ -390,6 +424,14 @@ def test_audit_rejects_tampered_generators():
     assert not result
 
 
+def test_audit_fails_on_malformed_generators():
+    g = build("hamming:3:3")
+    data = certify(g, family="hamming:3:3").to_dict()
+    data["generators"] = [["a"] * 27]
+    result = audit(Certificate.from_dict(data), g)
+    assert not result and "generator" in result.failure
+
+
 def test_application_params_not_trusted():
     # recorded scalars must match recomputed values
     g = build("named:petersen")
@@ -398,6 +440,119 @@ def test_application_params_not_trusted():
     data["applications"][0]["params"]["girth"] = 6
     result = audit(Certificate.from_dict(data), g)
     assert not result and "girth" in result.failure
+
+
+def test_pivot_witness_application_replays():
+    # no graph in the tables needs pivot-witness, so class 2 of H(3,3) is
+    # re-proved with it: pivot 1 separates j=0 from every rival of l=4
+    # except 2, 10 and 19, which are killed by witnesses
+    g = build("hamming:3:3")
+    pinned = _pair_search(
+        distances(g), 2, 0, 4, {1}, _Budget(DEFAULT_SEARCH_BUDGET), "pivot-witness"
+    )
+    assert pinned == {"pivots": [1], "witnesses": [[2, 3], [10, 5], [19, 5]]}
+    data = certify(g, family="hamming:3:3").to_dict()
+    app = data["applications"][1]
+    assert (app["rule"], app["m"]) == ("pivot-intersection", 2)
+    app["rule"] = "pivot-witness"
+    app["params"] = {"coverage": "orbit", "pair": [0, 4], **pinned}
+    assert audit(Certificate.from_dict(data), g)
+
+    app["params"]["pivots"] = []
+    result = audit(Certificate.from_dict(data), g)
+    assert not result and "rivals" in result.failure
+    for drop in range(3):
+        app["params"]["pivots"] = [1]
+        app["params"]["witnesses"] = [w for i, w in enumerate(pinned["witnesses"]) if i != drop]
+        result = audit(Certificate.from_dict(data), g)
+        assert not result and "rivals" in result.failure
+
+
+def _cut_to_j(assignments):
+    assignments[0] = assignments[0][:1]
+
+
+def _pivot_not_a_vertex(assignments):
+    assignments[0][2][0] = "a"
+
+
+def _witness_without_witness(assignments):
+    assignments[0][2][0] = assignments[0][2][0][:1]
+
+
+def _trailing_element(assignments):
+    assignments[0].append([])
+
+
+@pytest.mark.parametrize(
+    "key,index,tamper",
+    [
+        ("hamming:3:3", 1, _cut_to_j),
+        ("hamming:3:3", 1, _pivot_not_a_vertex),
+        ("paley:17", 0, _witness_without_witness),
+        ("hamming:3:3", 1, _trailing_element),
+        ("paley:17", 0, _trailing_element),
+    ],
+)
+def test_audit_fails_on_malformed_pair_payload(key, index, tamper):
+    g = build(key)
+    data = certify(g, family=key, mode="all-pairs").to_dict()
+    tamper(data["applications"][index]["params"]["assignments"])
+    result = audit(Certificate.from_dict(data), g)
+    assert not result and result.failure
+
+
+def _class_one_as_true(data):
+    data["applications"][0]["m"] = True
+
+
+def _certified_true(data):
+    data["certified"][0] = True
+
+
+def _open_true(data):
+    data["open_classes"][0] = True
+
+
+@pytest.mark.parametrize(
+    "key,options,tamper",
+    [
+        ("named:petersen", {}, _class_one_as_true),
+        ("named:petersen", {}, _certified_true),
+        ("paley:13", {"search_budget": 10}, _open_true),
+    ],
+)
+def test_audit_rejects_bool_for_class(key, options, tamper):
+    # True == 1 in Python, so a bool must be refused explicitly
+    g = build(key)
+    data = certify(g, family=key, **options).to_dict()
+    tamper(data)
+    assert not audit(Certificate.from_dict(data), g)
+
+
+def test_audit_computes_invariants_lazily(monkeypatch):
+    calls = {"girth": 0, "array": 0}
+    girth, array = certify_module.girth, certify_module.intersection_array
+
+    def counted_girth(g):
+        calls["girth"] += 1
+        return girth(g)
+
+    def counted_array(g, dd=None):
+        calls["array"] += 1
+        return array(g, dd)
+
+    foster = build("named:foster")
+    cert = certify(foster, family="named:foster")
+    paley = build("paley:29")
+    open_cert = certify(paley, family="paley:29")
+    assert open_cert.applications == ()
+    monkeypatch.setattr(certify_module, "girth", counted_girth)
+    monkeypatch.setattr(certify_module, "intersection_array", counted_array)
+    assert audit(cert, foster)
+    assert calls == {"girth": 1, "array": 1}
+    assert audit(open_cert, paley)
+    assert calls == {"girth": 1, "array": 1}
 
 
 # ---------------------------------------------------- complement transfer

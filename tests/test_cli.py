@@ -139,6 +139,20 @@ def test_audit_tampered_exits_one(tmp_path, capsys):
     assert json.loads(out)["ok"] is False
 
 
+@pytest.mark.parametrize("field", ["applications", "graph6"])
+def test_audit_wrongly_typed_field_is_usage_error(tmp_path, capsys, field):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "certify", "--family", "named:petersen", "--format", "json",
+        "--out", str(cert_path))
+    data = json.loads(cert_path.read_text())
+    data[field] = 5
+    cert_path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as err:
+        main(["audit", str(cert_path)])
+    assert err.value.code == 2
+    assert "cannot load certificate" in capsys.readouterr().err
+
+
 def test_tables_which_1(capsys):
     code, out = run(capsys, "tables", "--which", "1")
     assert code == 0
