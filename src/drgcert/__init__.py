@@ -11,6 +11,7 @@ from .autgroup import (
     AutGroup,
     SearchBudgetExceeded,
     are_isomorphic,
+    automorphism_generators,
     automorphism_group,
     is_distance_transitive,
     schreier_sims_order,
@@ -80,6 +81,7 @@ __all__ = [
     "UNKNOWN",
     "are_isomorphic",
     "audit",
+    "automorphism_generators",
     "automorphism_group",
     "bipartite_complement",
     "build",

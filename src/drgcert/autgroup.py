@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graph import Graph
 
 Perm = tuple[int, ...]
@@ -40,14 +38,6 @@ def _inv(a: Perm) -> Perm:
     return tuple(out)
 
 
-def _adjacency(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n), dtype=np.int8)
-    for u, v in g.edges:
-        a[u, v] = 1
-        a[v, u] = 1
-    return a
-
-
 def is_automorphism(g: Graph, perm: Perm) -> bool:
     """Brute-force check, independent of the search machinery."""
     if len(perm) != g.n or sorted(perm) != list(range(g.n)):
@@ -61,16 +51,30 @@ def is_automorphism(g: Graph, perm: Perm) -> bool:
 # ------------------------------------------------------------- refinement
 
 
-def _refine(a: np.ndarray, cells: list[list[int]]) -> list[list[int]]:
+def _refine(adj: list, cells: list[list[int]]) -> tuple[list[list[int]], tuple]:
     """Refine to an equitable partition: every vertex of a cell has the
     same number of neighbors in every cell.  Splitting is driven only by
-    those counts, so the procedure commutes with relabeling."""
+    those counts, so the procedure commutes with relabeling.
+
+    Each round splits every cell by the vertices' counts of neighbors in
+    each current cell, the parts in increasing order of the count vector.
+    A vertex's vector is kept sparse, as the negated cell indices of its
+    neighbors in increasing cell order; tuples of those compare exactly as
+    the dense count vectors do (at the first cell where two counts differ,
+    the smaller count runs into a later cell, or the end, first).  Returns
+    the cells and the fixpoint's invariant: for each cell its size and the
+    vector its vertices share.
+    """
     cells = [c for c in cells if c]
+    cell_of = [0] * len(adj)
+
+    def vector(v: int) -> tuple:
+        return tuple(sorted(map(cell_of.__getitem__, adj[v]), reverse=True))
+
     while True:
-        indicator = np.zeros((len(cells), a.shape[0]), dtype=np.int8)
         for i, c in enumerate(cells):
-            indicator[i, c] = 1
-        counts = a @ indicator.T  # counts[v, i] = neighbors of v in cell i
+            for v in c:
+                cell_of[v] = -i
         new_cells: list[list[int]] = []
         changed = False
         for c in cells:
@@ -79,7 +83,7 @@ def _refine(a: np.ndarray, cells: list[list[int]]) -> list[list[int]]:
                 continue
             groups: dict[tuple, list[int]] = {}
             for v in c:
-                groups.setdefault(tuple(counts[v]), []).append(v)
+                groups.setdefault(vector(v), []).append(v)
             if len(groups) == 1:
                 new_cells.append(c)
             else:
@@ -88,23 +92,15 @@ def _refine(a: np.ndarray, cells: list[list[int]]) -> list[list[int]]:
                     new_cells.append(groups[sig])
         cells = new_cells
         if not changed:
-            return cells
-
-
-def _invariant(a: np.ndarray, cells: list[list[int]]) -> tuple:
-    """Label-invariant signature of an equitable partition: for each cell
-    its size and its constant count vector into every cell."""
-    indicator = np.zeros((len(cells), a.shape[0]), dtype=np.int8)
-    for i, c in enumerate(cells):
-        indicator[i, c] = 1
-    counts = a @ indicator.T
-    return tuple((len(c), tuple(counts[c[0]])) for c in cells)
+            return cells, tuple((len(c), vector(c[0])) for c in cells)
 
 
 # ----------------------------------------------------------------- search
 
 
-def _search_generators(a: np.ndarray, n: int, node_budget: int) -> list[Perm]:
+def _search_generators(g: Graph, node_budget: int) -> list[Perm]:
+    n = g.n
+    adj = [g.neighbors(v) for v in range(n)]
     if n <= 1:
         return []
     ident = tuple(range(n))
@@ -137,11 +133,10 @@ def _search_generators(a: np.ndarray, n: int, node_budget: int) -> list[Perm]:
                     frontier.append(w)
         return v in reach
 
-    def descend(cells: list[list[int]], depth: int, prefix: tuple[int, ...]) -> None:
+    def descend(cells: list[list[int]], inv: tuple, depth: int, prefix: tuple[int, ...]) -> None:
         nodes[0] += 1
         if nodes[0] > node_budget:
             raise SearchBudgetExceeded(f"automorphism search exceeded {node_budget} nodes")
-        inv = _invariant(a, cells)
         if depth in guide:
             if inv != guide[depth]:
                 return
@@ -157,7 +152,7 @@ def _search_generators(a: np.ndarray, n: int, node_budget: int) -> list[Perm]:
             for src, dst in zip(first_leaf[0], leaf):
                 sigma[src] = dst
             perm = tuple(sigma)
-            if perm != ident and np.array_equal(a[np.ix_(perm, perm)], a):
+            if perm != ident and all(perm[v] in adj[perm[u]] for u, v in g.edges):
                 generators.append(perm)
             return
         cell = cells[ti]
@@ -168,9 +163,9 @@ def _search_generators(a: np.ndarray, n: int, node_budget: int) -> list[Perm]:
             done.append(v)
             rest = [u for u in cell if u != v]
             child = cells[:ti] + [[v], rest] + cells[ti + 1 :]
-            descend(_refine(a, child), depth + 1, prefix + (v,))
+            descend(*_refine(adj, child), depth + 1, prefix + (v,))
 
-    descend(_refine(a, [list(range(n))]), 0, ())
+    descend(*_refine(adj, [list(range(n))]), 0, ())
     return generators
 
 
@@ -276,9 +271,15 @@ class AutGroup:
     order: int
 
 
+def automorphism_generators(
+    g: Graph, node_budget: int = DEFAULT_NODE_BUDGET
+) -> tuple[Perm, ...]:
+    """Generators of the automorphism group, without its order."""
+    return tuple(_search_generators(g, node_budget))
+
+
 def automorphism_group(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> AutGroup:
-    a = _adjacency(g)
-    gens = _search_generators(a, g.n, node_budget)
+    gens = _search_generators(g, node_budget)
     order = schreier_sims_order(g.n, gens)
     return AutGroup(n=g.n, generators=tuple(gens), order=order)
 
@@ -320,20 +321,23 @@ def pair_orbit(
     return seen
 
 
-def is_distance_transitive(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
+def is_distance_transitive(
+    g: Graph, node_budget: int = DEFAULT_NODE_BUDGET, *, aut: AutGroup | None = None
+) -> bool:
     """True when for every distance m the ordered pairs at distance m form
-    a single orbit of the automorphism group."""
+    a single orbit of the automorphism group.  A group already computed
+    for g may be passed as aut; otherwise only its generators are searched."""
     from .graph import distances
 
     dd = distances(g)
     if not dd.connected:
         return False
-    aut = automorphism_group(g, node_budget)
+    gens = aut.generators if aut else automorphism_generators(g, node_budget)
     for m in range(1, dd.diameter + 1):
         pairs = dd.pairs_at_distance(m)
         if not pairs:
             continue
-        if pair_orbit(g.n, aut.generators, pairs[0]) != set(pairs):
+        if pair_orbit(g.n, gens, pairs[0]) != set(pairs):
             return False
     return True
 
@@ -348,8 +352,7 @@ def _connected_isomorphic(g: Graph, h: Graph, node_budget: int) -> bool:
     shift = g.n
     edges = list(g.edges) + [(u + shift, v + shift) for u, v in h.edges]
     union = Graph(g.n + h.n, edges)
-    a = _adjacency(union)
-    gens = _search_generators(a, union.n, node_budget)
+    gens = _search_generators(union, node_budget)
     for v in sorted(
         x for orbit in vertex_orbits(union.n, gens) if 0 in orbit for x in orbit
     ):

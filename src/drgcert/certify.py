@@ -29,9 +29,10 @@ from itertools import combinations
 
 from .autgroup import (
     DEFAULT_NODE_BUDGET,
+    AutGroup,
     SearchBudgetExceeded,
     are_isomorphic,
-    automorphism_group,
+    automorphism_generators,
     is_automorphism,
     pair_orbit,
 )
@@ -123,9 +124,12 @@ class _Budget:
 
 
 def _plain(value):
-    """JSON form of a record field: tuples become lists, records dicts."""
-    if isinstance(value, tuple):
+    """JSON form of a record field, sharing no mutable part with it: tuples
+    and lists become new lists, dicts new dicts, records dicts."""
+    if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
     return value.to_dict() if isinstance(value, _Record) else value
 
 
@@ -153,7 +157,7 @@ class Application(_Record):
 
     rule: str
     m: int | None
-    params: dict = field(metadata={"load": dict})
+    params: dict = field(metadata={"load": lambda params: _plain(dict(params))})
 
 
 @dataclass(frozen=True)
@@ -413,13 +417,18 @@ def certify(
     mode: str = "auto",
     search_budget: int = DEFAULT_SEARCH_BUDGET,
     node_budget: int = DEFAULT_NODE_BUDGET,
+    aut: AutGroup | None = None,
 ) -> Certificate:
     """Certify absence of quantum symmetry for a connected graph.
 
     When a family spec is supplied, the knowledge base is consulted first:
     a recorded HAS_QSYM fact short-circuits the rule engine, and any other
-    recorded verdict is carried in the certificate for comparison.
+    recorded verdict is carried in the certificate for comparison.  An
+    automorphism group already computed for g may be passed as aut; without
+    one, orbit coverage searches the generators itself.
     """
+    if aut is not None and aut.n != g.n:
+        raise ValueError(f"automorphism group acts on {aut.n} points, graph has {g.n}")
     if not is_connected(g):
         raise DisconnectedGraphError("certification requires a connected graph")
     if mode not in ("auto", "orbit", "all-pairs"):
@@ -475,9 +484,9 @@ def certify(
         resolved = "all-pairs"
     else:
         try:
-            aut = automorphism_group(g, node_budget)
+            generators = aut.generators if aut else automorphism_generators(g, node_budget)
             transitive = all(
-                pair_orbit(g.n, aut.generators, dd.pairs_at_distance(m)[0])
+                pair_orbit(g.n, generators, dd.pairs_at_distance(m)[0])
                 == set(dd.pairs_at_distance(m))
                 for m in range(1, diam + 1)
             )
@@ -488,7 +497,6 @@ def certify(
             notes.append("automorphism search budget exceeded; all-pairs coverage")
         if transitive:
             resolved = "orbit"
-            generators = aut.generators
         elif mode == "orbit":
             raise ValueError("orbit mode requires a distance-transitive graph")
         else:
@@ -665,7 +673,7 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
         return fail(f"diameter mismatch: certificate says {cert.diameter}, graph has {diam}")
 
     if cert.verdict == HAS_QSYM:
-        return _audit_has_qsym(cert, g)
+        return _audit_has_qsym(cert, g, diam)
     if cert.verdict not in (NO_QSYM, INCONCLUSIVE):
         return fail(f"unknown verdict {cert.verdict!r}")
 
@@ -718,10 +726,19 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
     return AuditResult(True)
 
 
-def _audit_has_qsym(cert: Certificate, g: Graph) -> AuditResult:
+def _audit_has_qsym(cert: Certificate, g: Graph, diam: int) -> AuditResult:
     def fail(msg):
         return AuditResult(False, msg)
 
+    if cert.certified:
+        return fail("HAS_QSYM certifies no class")
+    if not (
+        all(_is_int(c) for c in cert.open_classes)
+        and tuple(cert.open_classes) == tuple(range(1, diam + 1))
+    ):
+        return fail(f"HAS_QSYM leaves every class 1..{diam} open")
+    if cert.generators:
+        return fail("HAS_QSYM records no generators")
     if len(cert.applications) != 1 or cert.applications[0].rule != RULE_KNOWN:
         return fail("HAS_QSYM requires exactly one knowledge-base application")
     params = cert.applications[0].params
@@ -820,6 +837,19 @@ def _pair_claims(app, dd, m, gens):
     return claims
 
 
+def _recorded(params, actual: dict) -> AuditResult:
+    """Accept a structural rule's recorded params only when they are exactly
+    the recomputed values, of the same type: a bool never stands for 1."""
+    if set(params) != set(actual):
+        return AuditResult(False, f"parameters {sorted(params)} are not {sorted(actual)}")
+    for key, value in actual.items():
+        if type(params[key]) is not type(value) or params[key] != value:
+            return AuditResult(
+                False, f"recorded {key}={params[key]!r} differs from actual {value!r}"
+            )
+    return AuditResult(True)
+
+
 def _replay_pair(dd, m, j, l, payload, certified) -> str | None:
     """Why the recorded pivots and witnesses fail to pin j as l's partner,
     or None when they do: every pivot lies in a certified class from l,
@@ -875,9 +905,7 @@ def _audit_application(
             return fail("certifies class 1 only")
         if gir is None or gir < 5:
             return fail(f"girth is {gir}, not at least 5")
-        if params.get("girth") != gir:
-            return fail(f"recorded girth {params.get('girth')} differs from actual {gir}")
-        return AuditResult(True)
+        return _recorded(params, {"girth": gir})
 
     if rule == RULE_ONE_COMMON:
         if m != 1:
@@ -885,7 +913,7 @@ def _audit_application(
         for u, v in sorted(g.edges):
             if len(common_neighbors(g, u, v)) != 1:
                 return fail(f"adjacent pair ({u},{v}) has {len(common_neighbors(g, u, v))} common neighbors")
-        return AuditResult(True)
+        return _recorded(params, {"common_neighbors": 1})
 
     if rule == RULE_TWO_COMMON:
         if m != 1:
@@ -897,7 +925,7 @@ def _audit_application(
             for v in range(u + 1, g.n):
                 if dd.d(u, v) in (1, 2) and len(common_neighbors(g, u, v)) != 2:
                     return fail(f"pair ({u},{v}) at distance {dd.d(u, v)} has {len(common_neighbors(g, u, v))} common neighbors")
-        return AuditResult(True)
+        return _recorded(params, {"clique_number": 3, "common_neighbors": 2})
 
     if rule == RULE_CUBIC_D2:
         if m != 2:
@@ -909,7 +937,7 @@ def _audit_application(
             return fail(f"girth is {gir}, not at least 5")
         if 1 not in certified:
             return fail("class 1 not certified before this application")
-        return AuditResult(True)
+        return _recorded(params, {"degree": 3, "girth": gir})
 
     if rule == RULE_ARRAY_STEP:
         arr = lazy_array()
@@ -930,10 +958,9 @@ def _audit_application(
             return fail(f"unknown variant {variant!r}")
         if not conditions[variant]:
             return fail(f"variant {variant} condition fails for array {arr}")
-        for key, actual in (("b0", b0), ("b1", b1), ("c2", c2), ("c_m", arr.c_at(m))):
-            if params.get(key) != actual:
-                return fail(f"recorded {key}={params.get(key)} differs from actual {actual}")
-        return AuditResult(True)
+        return _recorded(
+            params, {"variant": variant, "b0": b0, "b1": b1, "c2": c2, "c_m": arr.c_at(m)}
+        )
 
     if rule == RULE_CUBIC_STEP:
         arr = lazy_array()
@@ -948,21 +975,23 @@ def _audit_application(
         if variant == "i":
             if arr.b_at(m - 1) != 1:
                 return fail(f"b_{m - 1} = {arr.b_at(m - 1)}, not 1")
-        elif variant == "ii":
+            return _recorded(params, {"variant": "i", "b_prev": 1})
+        if variant == "ii":
             gir = lazy_girth()
             if arr.b_at(m - 1) != 2 or arr.b_at(m) != 1 or arr.c_at(m) != 1:
                 return fail(f"variant ii conditions fail for array {arr}")
             if gir is None or gir < 2 * m:
                 return fail(f"girth {gir} is below 2m = {2 * m}")
-        else:
-            return fail(f"unknown variant {variant!r}")
-        return AuditResult(True)
+            return _recorded(
+                params, {"variant": "ii", "b_prev": 2, "b_m": 1, "c_m": 1, "girth": gir}
+            )
+        return fail(f"unknown variant {variant!r}")
 
     if rule == RULE_UNIQUE_FAR:
         for v in range(g.n):
             if dd.kseq[v][m] != 1:
                 return fail(f"vertex {v} has {dd.kseq[v][m]} vertices at distance {m}")
-        return AuditResult(True)
+        return _recorded(params, {"count": 1})
 
     if isinstance(rule, str) and rule in _PAIR_FIELDS:
         claims = _pair_claims(app, dd, m, gens)

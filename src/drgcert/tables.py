@@ -261,9 +261,11 @@ def reproduce_row(row: GraphRow, *, with_aut: bool = True, with_certify: bool = 
     if array_computed != row.array:
         problems.append(f"array: computed {array_computed}, table says {row.array}")
 
+    aut = None
     aut_order_computed = None
     if with_aut and g.n <= AUT_RECOMPUTE_CAP:
-        aut_order_computed = automorphism_group(g).order
+        aut = automorphism_group(g)
+        aut_order_computed = aut.order
         if row.aut_order is not None and aut_order_computed != row.aut_order:
             problems.append(
                 f"aut order: computed {aut_order_computed}, table says {row.aut_order}"
@@ -272,7 +274,7 @@ def reproduce_row(row: GraphRow, *, with_aut: bool = True, with_certify: bool = 
     engine_verdict = None
     status = "skipped"
     if with_certify:
-        cert = certify(g, family=row.key)
+        cert = certify(g, family=row.key, aut=aut)
         engine_verdict = cert.verdict
         checked = audit(cert, g)
         if not checked:

@@ -1,13 +1,20 @@
 """Automorphism groups, group order, distance-transitivity, isomorphism."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import drgcert
 from drgcert.autgroup import (
     SearchBudgetExceeded,
+    _refine,
     are_isomorphic,
+    automorphism_generators,
     automorphism_group,
     is_automorphism,
     is_distance_transitive,
@@ -145,3 +152,46 @@ def test_node_budget_raises():
     g = build("named:biggs_smith")
     with pytest.raises(SearchBudgetExceeded):
         automorphism_group(g, node_budget=10)
+
+
+def _is_equitable(g, cells):
+    cell_of = {v: i for i, c in enumerate(cells) for v in c}
+    for c in cells:
+        vectors = {
+            tuple(sum(cell_of[w] == i for w in g.neighbors(v)) for i in range(len(cells)))
+            for v in c
+        }
+        if len(vectors) != 1:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("spec", ["complete:200", "complete_bipartite:130"])
+def test_refine_equitable_at_high_degree(spec):
+    # neighbor counts of 128 and more, which a narrow integer type wraps
+    g = build(spec)
+    adj = [g.neighbors(v) for v in range(g.n)]
+    for start in ([list(range(g.n))], [[0], list(range(1, g.n))]):
+        cells, _ = _refine(adj, start)
+        assert sorted(v for c in cells for v in c) == list(range(g.n))
+        assert _is_equitable(g, cells)
+
+
+def test_refine_orders_parts_by_true_counts():
+    # the star's leaves (1 neighbor) come before its centre (130)
+    star = Graph(131, [(0, v) for v in range(1, 131)])
+    cells, _ = _refine([star.neighbors(v) for v in range(131)], [list(range(131))])
+    assert cells == [list(range(1, 131)), [0]]
+
+
+@pytest.mark.parametrize("spec", ["named:foster", "named:hoffman_singleton", "paley:17"])
+def test_generators_only_search_matches_group(spec):
+    g = build(spec)
+    assert automorphism_generators(g) == automorphism_group(g).generators
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(drgcert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, drgcert.cli; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from drgcert.autgroup import automorphism_group
 from drgcert.certify import (
     DEFAULT_SEARCH_BUDGET,
     INCONCLUSIVE,
@@ -440,6 +441,62 @@ def test_application_params_not_trusted():
     data["applications"][0]["params"]["girth"] = 6
     result = audit(Certificate.from_dict(data), g)
     assert not result and "girth" in result.failure
+
+
+def test_audit_has_qsym_checks_class_lists_and_generators():
+    g = build("cube:3")
+    cert = certify(g, family="cube:3")
+    assert cert.verdict == HAS_QSYM and audit(cert, g)
+    for edit in (
+        {"certified": [1, 2, 3], "open_classes": []},
+        {"certified": [1]},
+        {"open_classes": [1, 2]},
+        {"open_classes": [True, 2, 3]},
+        {"generators": [list(range(8))]},
+    ):
+        data = cert.to_dict()
+        data.update(edit)
+        assert not audit(Certificate.from_dict(data), g), edit
+
+
+@pytest.mark.parametrize(
+    "spec, index, key",
+    [
+        ("named:line_petersen", 0, "common_neighbors"),
+        ("named:petersen", 1, "degree"),
+        ("named:petersen", 1, "girth"),
+    ],
+)
+@pytest.mark.parametrize("value", [1_000_000, True, "", {}])
+def test_audit_checks_recorded_params(spec, index, key, value):
+    g = build(spec)
+    data = certify(g, family=spec).to_dict()
+    assert key in data["applications"][index]["params"]
+    data["applications"][index]["params"][key] = value
+    assert not audit(Certificate.from_dict(data), g)
+    data["applications"][index]["params"] = {}
+    assert not audit(Certificate.from_dict(data), g)
+
+
+def test_to_dict_shares_nothing_with_certificate():
+    g = build("named:line_petersen")
+    cert = certify(g, family="named:line_petersen")
+    text = cert.to_json()
+    data = cert.to_dict()
+    data["applications"][0]["params"]["common_neighbors"] = 6
+    data["applications"][1]["params"]["pivots"].append(0)
+    assert cert.to_json() == text and audit(cert, g)
+    # and a certificate read from a dict keeps no part of it
+    data = cert.to_dict()
+    loaded = Certificate.from_dict(data)
+    data["applications"][1]["params"]["pivots"].append(0)
+    assert loaded.to_json() == text and audit(loaded, g)
+
+
+def test_certify_rejects_group_on_other_points():
+    g = build("named:petersen")
+    with pytest.raises(ValueError, match="acts on 14 points"):
+        certify(g, aut=automorphism_group(build("named:heawood")))
 
 
 def test_pivot_witness_application_replays():

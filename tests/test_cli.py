@@ -4,9 +4,12 @@ import json
 
 import pytest
 
+from drgcert import autgroup
 from drgcert.cli import main
+from drgcert.expected import load_tables
 from drgcert.families import build
 from drgcert.io import to_graph6, write_graph
+from drgcert.tables import reproduce_row
 
 
 def run(capsys, *argv):
@@ -192,3 +195,25 @@ def test_budget_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "budget" in err
+
+
+def test_each_command_searches_aut_once(capsys, monkeypatch):
+    calls = []
+    search = autgroup._search_generators
+
+    def counting(g, node_budget):
+        calls.append(g.n)
+        return search(g, node_budget)
+
+    monkeypatch.setattr(autgroup, "_search_generators", counting)
+    for argv in (
+        ("analyze", "--family", "named:petersen"),
+        ("certify", "--family", "named:petersen"),
+    ):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert calls == [10], argv
+    row = load_tables().graphs["named:petersen"]
+    calls.clear()
+    reproduce_row(row)
+    assert calls == [10]
