@@ -36,8 +36,8 @@ from .autgroup import (
     is_automorphism,
     pair_orbit,
 )
-from .drg import IntersectionArray, intersection_array
-from .expected import HAS_QSYM, NO_QSYM, UNKNOWN
+from .drg import intersection_array
+from .expected import HAS_QSYM, NO_QSYM
 from .families import FamilySpec, build, parse_family
 from .graph import (
     DisconnectedGraphError,
@@ -71,38 +71,6 @@ RULE_KRIT = "distance-witness"
 RULE_PIVOT_KRIT = "pivot-witness"
 RULE_KNOWN = "known-quantum-symmetry"
 RULE_COMPLEMENT = "complement-transfer"
-
-RULE_STATEMENTS = {
-    RULE_GIRTH5: "girth at least five certifies the adjacency class",
-    RULE_ONE_COMMON: "every adjacent pair has exactly one common neighbor",
-    RULE_TWO_COMMON: (
-        "clique number three with exactly two common neighbors for every "
-        "pair at distance one or two"
-    ),
-    RULE_CUBIC_D2: "cubic graph of girth at least five, adjacency class certified",
-    RULE_ARRAY_STEP: (
-        "intersection-array step from class m-1 to class m "
-        "(variant a: c_2=1 and b_1+1=b_0; b: c_2=1 and b_1+2=b_0; "
-        "c: c_2=2, m=2 and b_1+3=b_0; all with c_m >= 2)"
-    ),
-    RULE_CUBIC_STEP: (
-        "cubic intersection-array step (variant i: b_{m-1}=1; "
-        "variant ii: b_{m-1}=2, b_m=c_m=1, girth >= 2m)"
-    ),
-    RULE_UNIQUE_FAR: "every vertex has exactly one vertex at distance m",
-    RULE_PIVOT: (
-        "pivot vertices with certified classes pin the representative as the "
-        "unique vertex of the class with its distance profile"
-    ),
-    RULE_KRIT: (
-        "for every rival p a witness q separates p from j while pinning l as "
-        "the unique vertex at the witnessed distances"
-    ),
-    RULE_PIVOT_KRIT: "pivot profile filter plus witnesses for the surviving rivals",
-    RULE_KNOWN: "recorded fact from the knowledge base",
-    RULE_COMPLEMENT: "quantum symmetry of a graph and its complement coincide",
-}
-
 
 class _BudgetExceeded(Exception):
     pass
@@ -257,57 +225,119 @@ class AuditResult:
 
 # ------------------------------------------------------------ rule checks
 #
-# Each _holds function is a plain enumeration of the rule's precondition,
-# shared between the engine and the audit for the distance-free rules.
+# Each structural rule is one function (inv, m, certified) -> params | None:
+# the params an application of the rule to class m records, given the
+# classes already certified, or None when its precondition fails.  The
+# engine records what it returns; the audit calls it again on its own
+# invariants and compares.
 
 
-def _one_common_holds(g: Graph) -> bool:
-    return all(len(common_neighbors(g, u, v)) == 1 for u, v in g.edges)
+class _Invariants:
+    """A graph and its distances, with the girth and the intersection array
+    computed on first use.  Each certify or audit run builds its own."""
+
+    def __init__(self, g: Graph, dd):
+        self.g = g
+        self.dd = dd
+        self.girth = cache(lambda: girth(g))
+        self.array = cache(lambda: intersection_array(g, dd))
 
 
-def _two_common_holds(g: Graph, dd) -> bool:
-    if clique_number(g) != 3:
-        return False
-    for u in range(g.n):
-        row = dd.dist[u]
-        for v in range(u + 1, g.n):
-            if row[v] in (1, 2) and len(common_neighbors(g, u, v)) != 2:
-                return False
-    return True
+def _at_least(gir: int | None, bound: int) -> bool:
+    return gir is not None and gir >= bound
 
 
-def _unique_far_holds(dd, m: int) -> bool:
-    return all(kv[m] == 1 for kv in dd.kseq)
-
-
-def _array_step_variant(arr: IntersectionArray, m: int) -> str | None:
-    """First matching variant label for a step to class m, or None."""
-    if arr.diameter < 2 or arr.c_at(m) < 2:
-        return None
-    b0, b1, c2 = arr.b[0], arr.b[1], arr.c_at(2)
-    if c2 == 1 and b1 + 1 == b0:
-        return "a"
-    if c2 == 1 and b1 + 2 == b0:
-        return "b"
-    if c2 == 2 and m == 2 and b1 + 3 == b0:
-        return "c"
+def _girth5(inv: _Invariants, m: int, certified) -> dict | None:
+    """Girth at least five certifies the adjacency class."""
+    if m == 1 and _at_least(inv.girth(), 5):
+        return {"girth": inv.girth()}
     return None
 
 
-def _cubic_step_variant(arr: IntersectionArray, m: int, gir: int | None) -> str | None:
-    if arr.degree != 3:
+def _one_common(inv: _Invariants, m: int, certified) -> dict | None:
+    """Every adjacent pair has exactly one common neighbor: class 1."""
+    g = inv.g
+    if m == 1 and all(len(common_neighbors(g, u, v)) == 1 for u, v in g.edges):
+        return {"common_neighbors": 1}
+    return None
+
+
+def _two_common(inv: _Invariants, m: int, certified) -> dict | None:
+    """Clique number three, and exactly two common neighbors for every pair
+    at distance one or two: class 1."""
+    g, dist = inv.g, inv.dd.dist
+    if m != 1 or clique_number(g) != 3:
+        return None
+    if all(
+        len(common_neighbors(g, u, v)) == 2
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if dist[u][v] in (1, 2)
+    ):
+        return {"clique_number": 3, "common_neighbors": 2}
+    return None
+
+
+def _cubic_d2(inv: _Invariants, m: int, certified) -> dict | None:
+    """A cubic graph of girth at least five with class 1 certified: class 2."""
+    if m == 2 and inv.g.regular_degree() == 3 and 1 in certified and _at_least(inv.girth(), 5):
+        return {"degree": 3, "girth": inv.girth()}
+    return None
+
+
+def _array_step(inv: _Invariants, m: int, certified) -> dict | None:
+    """Intersection-array step from a certified class m-1 to class m, all
+    variants with c_m >= 2: variant a: c_2 = 1 and b_1 + 1 = b_0; b: c_2 = 1
+    and b_1 + 2 = b_0; c: c_2 = 2, m = 2 and b_1 + 3 = b_0."""
+    arr = inv.array() if (m - 1) in certified else None
+    if not arr or arr.c_at(m) < 2:
+        return None
+    b0, b1, c2 = arr.b[0], arr.b[1], arr.c_at(2)
+    if c2 == 1 and b1 + 1 == b0:
+        variant = "a"
+    elif c2 == 1 and b1 + 2 == b0:
+        variant = "b"
+    elif c2 == 2 and m == 2 and b1 + 3 == b0:
+        variant = "c"
+    else:
+        return None
+    return {"variant": variant, "b0": b0, "b1": b1, "c2": c2, "c_m": arr.c_at(m)}
+
+
+def _cubic_step(inv: _Invariants, m: int, certified) -> dict | None:
+    """Cubic intersection-array step with classes 1..m-1 certified: variant
+    i: b_{m-1} = 1; variant ii: b_{m-1} = 2, b_m = c_m = 1 and girth >= 2m."""
+    arr = inv.array() if all(i in certified for i in range(1, m)) else None
+    if not arr or arr.degree != 3:
         return None
     if arr.b_at(m - 1) == 1:
-        return "i"
+        return {"variant": "i", "b_prev": 1}
     if (
         arr.b_at(m - 1) == 2
         and arr.b_at(m) == 1
         and arr.c_at(m) == 1
-        and gir is not None
-        and gir >= 2 * m
+        and _at_least(inv.girth(), 2 * m)
     ):
-        return "ii"
+        return {"variant": "ii", "b_prev": 2, "b_m": 1, "c_m": 1, "girth": inv.girth()}
     return None
+
+
+def _unique_far(inv: _Invariants, m: int, certified) -> dict | None:
+    """Every vertex has exactly one vertex at distance m."""
+    if all(kv[m] == 1 for kv in inv.dd.kseq):
+        return {"count": 1}
+    return None
+
+
+_STRUCTURAL = {
+    RULE_GIRTH5: _girth5,
+    RULE_ONE_COMMON: _one_common,
+    RULE_TWO_COMMON: _two_common,
+    RULE_CUBIC_D2: _cubic_d2,
+    RULE_ARRAY_STEP: _array_step,
+    RULE_CUBIC_STEP: _cubic_step,
+    RULE_UNIQUE_FAR: _unique_far,
+}
 
 
 def _witness_valid(dd, m: int, j: int, l: int, p: int, q: int, bud=None) -> bool:
@@ -345,6 +375,14 @@ _PAIR_FIELDS = {
 
 # pivot-set sizes each pair rule tries, in order
 _PIVOT_SIZES = {RULE_PIVOT: (1, 2, 3), RULE_KRIT: (), RULE_PIVOT_KRIT: (0, 1, 2, 3)}
+
+# (structural rules, pair rules) the engine tries, in order, on class 1
+# and on each class beyond it
+_CLASS_ONE_RULES = ((RULE_GIRTH5, RULE_ONE_COMMON, RULE_TWO_COMMON), (RULE_KRIT,))
+_FAR_CLASS_RULES = (
+    (RULE_ARRAY_STEP, RULE_CUBIC_D2, RULE_CUBIC_STEP, RULE_UNIQUE_FAR),
+    (RULE_PIVOT, RULE_KRIT, RULE_PIVOT_KRIT),
+)
 
 
 # ------------------------------------------------------------- the engine
@@ -435,21 +473,22 @@ def certify(
         raise ValueError(f"unknown coverage mode {mode!r}")
 
     spec = parse_family(family) if isinstance(family, str) else family
+    if spec is not None and build(spec) != g:
+        raise ValueError(f"graph is not the {spec.key()} graph its family names")
     fact = verdict_for(spec) if spec is not None else UNKNOWN_FACT
     if label is None:
         label = spec.label() if spec is not None else f"graph on {g.n} vertices"
 
     dd = distances(g)
     diam = dd.diameter
-    gir = girth(g)
-    arr = intersection_array(g, dd)
-    arr = arr if arr else None
+    inv = _Invariants(g, dd)
+    arr = inv.array()
     base = {
         "label": label,
         "n": g.n,
         "degree": g.regular_degree(),
         "diameter": diam,
-        "girth": gir,
+        "girth": inv.girth(),
         "array": str(arr) if arr else None,
         "graph6": to_graph6(g),
         "kb_verdict": fact.verdict,
@@ -529,53 +568,16 @@ def certify(
                 return app
         return None
 
-    # class 1: structural rules, then the witness search
-    if diam >= 1:
-        app = None
-        if gir is not None and gir >= 5:
-            app = Application(RULE_GIRTH5, 1, {"girth": gir})
-        elif _one_common_holds(g):
-            app = Application(RULE_ONE_COMMON, 1, {"common_neighbors": 1})
-        elif _two_common_holds(g, dd):
-            app = Application(RULE_TWO_COMMON, 1, {"clique_number": 3, "common_neighbors": 2})
-        else:
-            app = searches(1, (RULE_KRIT,))
-        if app is not None:
-            apps.append(app)
-            certified.add(1)
+    def structural(m, rules):
+        for rule_id in rules:
+            params = _STRUCTURAL[rule_id](inv, m, certified)
+            if params is not None:
+                return Application(rule_id, m, params)
+        return None
 
-    for m in range(2, diam + 1):
-        app = None
-        variant = _array_step_variant(arr, m) if arr and (m - 1) in certified else None
-        if variant is not None:
-            app = Application(
-                RULE_ARRAY_STEP,
-                m,
-                {
-                    "variant": variant,
-                    "b0": arr.b[0],
-                    "b1": arr.b[1],
-                    "c2": arr.c_at(2),
-                    "c_m": arr.c_at(m),
-                },
-            )
-        if app is None and m == 2 and g.regular_degree() == 3:
-            if gir is not None and gir >= 5 and 1 in certified:
-                app = Application(RULE_CUBIC_D2, 2, {"degree": 3, "girth": gir})
-        if app is None and arr and all(i in certified for i in range(1, m)):
-            cv = _cubic_step_variant(arr, m, gir)
-            if cv == "i":
-                app = Application(RULE_CUBIC_STEP, m, {"variant": "i", "b_prev": 1})
-            elif cv == "ii":
-                app = Application(
-                    RULE_CUBIC_STEP,
-                    m,
-                    {"variant": "ii", "b_prev": 2, "b_m": 1, "c_m": 1, "girth": gir},
-                )
-        if app is None and _unique_far_holds(dd, m):
-            app = Application(RULE_UNIQUE_FAR, m, {"count": 1})
-        if app is None:
-            app = searches(m, (RULE_PIVOT, RULE_KRIT, RULE_PIVOT_KRIT))
+    for m in range(1, diam + 1):
+        rules, pair_rules = _CLASS_ONE_RULES if m == 1 else _FAR_CLASS_RULES
+        app = structural(m, rules) or searches(m, pair_rules)
         if app is not None:
             apps.append(app)
             certified.add(m)
@@ -651,8 +653,10 @@ def certify_via_complement(g: Graph, *, label: str | None = None, **options) -> 
 def audit(cert: Certificate, g: Graph) -> AuditResult:
     """Re-verify every claim of a certificate from the graph alone.
 
-    Replays the applications in order, enumerating each rule's
-    precondition in full, and checks the bookkeeping that connects the
+    Replays the applications in order, on distances, girth and array
+    computed here: a structural rule's function must return exactly the
+    recorded params, and a pair rule's pivots and witnesses must pin every
+    covered pair.  Then checks the bookkeeping that connects the
     applications to the verdict.  Returns a falsy result naming the first
     failure.
     """
@@ -669,20 +673,20 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
 
     dd = distances(g)
     diam = dd.diameter
-    if cert.diameter != diam:
+    if not _is_int(cert.diameter) or cert.diameter != diam:
         return fail(f"diameter mismatch: certificate says {cert.diameter}, graph has {diam}")
 
     if cert.verdict == HAS_QSYM:
         return _audit_has_qsym(cert, g, diam)
     if cert.verdict not in (NO_QSYM, INCONCLUSIVE):
         return fail(f"unknown verdict {cert.verdict!r}")
+    if cert.mode not in ("orbit", "all-pairs"):
+        return fail(f"coverage mode {cert.mode!r} is neither orbit nor all-pairs")
 
     gens = cert.generators
     gens_verified = False
     certified: set = set()
-    # computed at most once per audit, and only for rules that read them
-    lazy_girth = cache(lambda: girth(g))
-    lazy_array = cache(lambda: intersection_array(g, dd))
+    inv = _Invariants(g, dd)
 
     for index, app in enumerate(cert.applications, start=1):
         where = f"application {index} ({app.rule}, m={app.m})"
@@ -698,6 +702,8 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
         if m in certified:
             return fail(f"{where}: class {m} certified twice")
         coverage = app.params.get("coverage")
+        if coverage is not None and coverage != cert.mode:
+            return fail(f"{where}: {coverage!r} coverage in a {cert.mode} certificate")
         if coverage == "orbit" and not gens_verified:
             if not gens:
                 return fail(f"{where}: orbit coverage claimed but no generators recorded")
@@ -705,10 +711,13 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
                 if not (all(_is_vertex(x, g.n) for x in p) and is_automorphism(g, p)):
                     return fail(f"{where}: recorded generator is not an automorphism")
             gens_verified = True
-        result = _audit_application(app, g, dd, certified, gens, lazy_girth, lazy_array)
+        result = _audit_application(app, inv, certified, gens)
         if not result.ok:
             return fail(f"{where}: {result.failure}")
         certified.add(m)
+
+    if gens and not gens_verified:
+        return fail("generators recorded but no application uses orbit coverage")
 
     if not all(_is_int(c) for c in (*cert.certified, *cert.open_classes)):
         return fail("class lists must hold integers")
@@ -723,13 +732,15 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
         return fail("verdict INCONCLUSIVE but every class is certified")
     if cert.verdict == NO_QSYM and cert.kb_verdict == HAS_QSYM:
         return fail("verdict NO_QSYM contradicts a recorded quantum symmetry fact")
-    return AuditResult(True)
+    return _recorded({"degree": cert.degree}, {"degree": g.regular_degree()})
 
 
 def _audit_has_qsym(cert: Certificate, g: Graph, diam: int) -> AuditResult:
     def fail(msg):
         return AuditResult(False, msg)
 
+    if cert.mode != "knowledge-base":
+        return fail(f"HAS_QSYM comes from the knowledge base, not {cert.mode!r} coverage")
     if cert.certified:
         return fail("HAS_QSYM certifies no class")
     if not (
@@ -741,6 +752,8 @@ def _audit_has_qsym(cert: Certificate, g: Graph, diam: int) -> AuditResult:
         return fail("HAS_QSYM records no generators")
     if len(cert.applications) != 1 or cert.applications[0].rule != RULE_KNOWN:
         return fail("HAS_QSYM requires exactly one knowledge-base application")
+    if cert.applications[0].m is not None:
+        return fail("the knowledge-base application certifies no class")
     params = cert.applications[0].params
     key = params.get("family")
     if not isinstance(key, str):
@@ -751,13 +764,18 @@ def _audit_has_qsym(cert: Certificate, g: Graph, diam: int) -> AuditResult:
         return fail(f"unknown family {key!r}: {exc}")
     if fact.verdict != HAS_QSYM:
         return fail(f"knowledge base does not record quantum symmetry for {key}")
+    recorded = _recorded(
+        params, {"family": key, "reason": fact.reason, "quantum_group": fact.quantum_group}
+    )
+    if not recorded.ok:
+        return recorded
     try:
         reference = build(key)
     except ValueError as exc:
         return fail(f"family {key!r} cannot be rebuilt: {exc}")
     if not are_isomorphic(reference, g):
         return fail(f"graph is not isomorphic to {key}")
-    return AuditResult(True)
+    return _recorded({"degree": cert.degree}, {"degree": g.regular_degree()})
 
 
 def _audit_complement(app: Application, g: Graph) -> AuditResult:
@@ -838,8 +856,8 @@ def _pair_claims(app, dd, m, gens):
 
 
 def _recorded(params, actual: dict) -> AuditResult:
-    """Accept a structural rule's recorded params only when they are exactly
-    the recomputed values, of the same type: a bool never stands for 1."""
+    """Accept recorded values only when they are exactly the recomputed
+    ones, of the same type: a bool never stands for 1."""
     if set(params) != set(actual):
         return AuditResult(False, f"parameters {sorted(params)} are not {sorted(actual)}")
     for key, value in actual.items():
@@ -889,121 +907,26 @@ def _replay_pair(dd, m, j, l, payload, certified) -> str | None:
     return None
 
 
-def _audit_application(
-    app, g: Graph, dd, certified, gens, lazy_girth, lazy_array
-) -> AuditResult:
-    def fail(msg):
-        return AuditResult(False, msg)
-
-    m = app.m
-    rule = app.rule
-    params = app.params
-
-    if rule == RULE_GIRTH5:
-        gir = lazy_girth()
-        if m != 1:
-            return fail("certifies class 1 only")
-        if gir is None or gir < 5:
-            return fail(f"girth is {gir}, not at least 5")
-        return _recorded(params, {"girth": gir})
-
-    if rule == RULE_ONE_COMMON:
-        if m != 1:
-            return fail("certifies class 1 only")
-        for u, v in sorted(g.edges):
-            if len(common_neighbors(g, u, v)) != 1:
-                return fail(f"adjacent pair ({u},{v}) has {len(common_neighbors(g, u, v))} common neighbors")
-        return _recorded(params, {"common_neighbors": 1})
-
-    if rule == RULE_TWO_COMMON:
-        if m != 1:
-            return fail("certifies class 1 only")
-        cn = clique_number(g)
-        if cn != 3:
-            return fail(f"clique number is {cn}, not 3")
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if dd.d(u, v) in (1, 2) and len(common_neighbors(g, u, v)) != 2:
-                    return fail(f"pair ({u},{v}) at distance {dd.d(u, v)} has {len(common_neighbors(g, u, v))} common neighbors")
-        return _recorded(params, {"clique_number": 3, "common_neighbors": 2})
-
-    if rule == RULE_CUBIC_D2:
-        if m != 2:
-            return fail("certifies class 2 only")
-        if g.regular_degree() != 3:
-            return fail("graph is not cubic")
-        gir = lazy_girth()
-        if gir is None or gir < 5:
-            return fail(f"girth is {gir}, not at least 5")
-        if 1 not in certified:
-            return fail("class 1 not certified before this application")
-        return _recorded(params, {"degree": 3, "girth": gir})
-
-    if rule == RULE_ARRAY_STEP:
-        arr = lazy_array()
-        if not arr:
-            return fail(f"graph is not distance-regular ({arr.reason})")
-        if (m - 1) not in certified:
-            return fail(f"class {m - 1} not certified before this application")
-        if arr.c_at(m) < 2:
-            return fail(f"c_{m} = {arr.c_at(m)} is below 2")
-        variant = params.get("variant")
-        b0, b1, c2 = arr.b[0], arr.b[1], arr.c_at(2)
-        conditions = {
-            "a": c2 == 1 and b1 + 1 == b0,
-            "b": c2 == 1 and b1 + 2 == b0,
-            "c": c2 == 2 and m == 2 and b1 + 3 == b0,
-        }
-        if not isinstance(variant, str) or variant not in conditions:
-            return fail(f"unknown variant {variant!r}")
-        if not conditions[variant]:
-            return fail(f"variant {variant} condition fails for array {arr}")
-        return _recorded(
-            params, {"variant": variant, "b0": b0, "b1": b1, "c2": c2, "c_m": arr.c_at(m)}
-        )
-
-    if rule == RULE_CUBIC_STEP:
-        arr = lazy_array()
-        if not arr:
-            return fail(f"graph is not distance-regular ({arr.reason})")
-        if arr.degree != 3:
-            return fail("graph is not cubic")
-        missing = [i for i in range(1, m) if i not in certified]
-        if missing:
-            return fail(f"classes {missing} not certified before this application")
-        variant = params.get("variant")
-        if variant == "i":
-            if arr.b_at(m - 1) != 1:
-                return fail(f"b_{m - 1} = {arr.b_at(m - 1)}, not 1")
-            return _recorded(params, {"variant": "i", "b_prev": 1})
-        if variant == "ii":
-            gir = lazy_girth()
-            if arr.b_at(m - 1) != 2 or arr.b_at(m) != 1 or arr.c_at(m) != 1:
-                return fail(f"variant ii conditions fail for array {arr}")
-            if gir is None or gir < 2 * m:
-                return fail(f"girth {gir} is below 2m = {2 * m}")
-            return _recorded(
-                params, {"variant": "ii", "b_prev": 2, "b_m": 1, "c_m": 1, "girth": gir}
-            )
-        return fail(f"unknown variant {variant!r}")
-
-    if rule == RULE_UNIQUE_FAR:
-        for v in range(g.n):
-            if dd.kseq[v][m] != 1:
-                return fail(f"vertex {v} has {dd.kseq[v][m]} vertices at distance {m}")
-        return _recorded(params, {"count": 1})
+def _audit_application(app, inv: _Invariants, certified, gens) -> AuditResult:
+    m, rule, params = app.m, app.rule, app.params
+    check = _STRUCTURAL.get(rule) if isinstance(rule, str) else None
+    if check is not None:
+        actual = check(inv, m, certified)
+        if actual is None:
+            return AuditResult(False, f"{rule} does not hold for class {m}")
+        return _recorded(params, actual)
 
     if isinstance(rule, str) and rule in _PAIR_FIELDS:
-        claims = _pair_claims(app, dd, m, gens)
+        claims = _pair_claims(app, inv.dd, m, gens)
         if isinstance(claims, str):
-            return fail(claims)
+            return AuditResult(False, claims)
         for j, l, payload in claims:
-            failure = _replay_pair(dd, m, j, l, payload, certified)
+            failure = _replay_pair(inv.dd, m, j, l, payload, certified)
             if failure is not None:
-                return fail(f"pair ({j},{l}): {failure}")
+                return AuditResult(False, f"pair ({j},{l}): {failure}")
         return AuditResult(True)
 
     if rule == RULE_KNOWN:
-        return fail("knowledge-base facts are valid only in HAS_QSYM certificates")
+        return AuditResult(False, "knowledge-base facts are valid only in HAS_QSYM certificates")
 
-    return fail(f"unknown rule {rule!r}")
+    return AuditResult(False, f"unknown rule {rule!r}")

@@ -493,6 +493,118 @@ def test_to_dict_shares_nothing_with_certificate():
     assert loaded.to_json() == text and audit(loaded, g)
 
 
+@pytest.mark.parametrize(
+    "key,path,value",
+    [
+        ("named:petersen", ("degree",), 4),
+        ("named:petersen", ("degree",), None),
+        ("cube:3", ("degree",), 4),
+        ("complete:3", ("diameter",), True),
+        ("hamming:3:3", ("mode",), "all-pairs"),
+        ("hamming:3:3", ("mode",), "knowledge-base"),
+        ("named:petersen", ("mode",), "sideways"),
+        ("cube:3", ("mode",), "orbit"),
+        ("named:petersen", ("generators",), [["x"]]),
+        ("named:petersen", ("generators",), [[1, 0, *range(2, 10)]]),
+        ("cube:3", ("applications", 0, "m"), 2),
+        ("cube:3", ("applications", 0, "params", "reason"), 2),
+        ("cube:3", ("applications", 0, "params", "quantum_group"), {}),
+    ],
+)
+def test_audit_checks_degree_mode_generators_and_fact(key, path, value):
+    g = build(key)
+    data = certify(g, family=key).to_dict()
+    *steps, last = path
+    target = data
+    for step in steps:
+        target = target[step]
+    assert last in target
+    target[last] = value
+    assert not audit(Certificate.from_dict(data), g)
+
+
+def test_certify_binds_family_to_graph():
+    # a family's recorded fact must never be attached to another graph
+    with pytest.raises(ValueError, match="complete:4"):
+        certify(build("named:petersen"), family="complete:4")
+    with pytest.raises(ValueError, match="named:shrikhande"):
+        certify(build("hamming:2:4"), family="named:shrikhande")
+
+
+# Structural applications of these certificates use every structural rule
+# and every array-step and cubic-step variant.
+DECISION_SOURCES = (
+    "named:petersen",
+    "named:heawood",
+    "named:line_petersen",
+    "named:icosahedron",
+    "named:shrikhande",
+    "named:dodecahedron",
+    "named:coxeter",
+    "paley:9",
+    "named:biggs_smith",
+    "johnson:6:3",
+)
+STRUCTURAL_RULES = (
+    "girth-at-least-5",
+    "one-common-neighbor",
+    "two-common-neighbors",
+    "cubic-distance-two",
+    "array-step",
+    "cubic-step",
+    "unique-at-distance",
+)
+VARIANTS = ("a", "b", "c", "i", "ii")
+
+
+def _structural_mutants(apps):
+    """Application lists with one structural application changed: each int
+    param + 1, each other variant letter, m - 1 and m + 1, each other
+    structural rule id, and the application moved ahead of its predecessor."""
+    for i, app in enumerate(apps):
+        if app["rule"] not in STRUCTURAL_RULES:
+            continue
+        params = app["params"]
+        edits = [("params", {**params, k: v + 1}) for k, v in params.items() if type(v) is int]
+        if "variant" in params:
+            others = [x for x in VARIANTS if x != params["variant"]]
+            edits += [("params", {**params, "variant": x}) for x in others]
+        edits += [("m", app["m"] + step) for step in (-1, 1)]
+        edits += [("rule", rule) for rule in STRUCTURAL_RULES if rule != app["rule"]]
+        for name, value in edits:
+            yield [*apps[:i], {**app, name: value}, *apps[i + 1 :]]
+        if i > 0:
+            yield [*apps[: i - 1], app, apps[i - 1], *apps[i + 1 :]]
+
+
+def test_structural_audit_decisions_pinned():
+    # the audit's accept/reject bits on the mutants, recorded before the
+    # structural rules became one function shared by engine and audit; the
+    # class lists and verdict are rewritten to match each mutant, so the
+    # replayed applications alone decide
+    used, bits = set(), []
+    for key in DECISION_SOURCES:
+        g = build(key)
+        data = certify(g, family=key).to_dict()
+        used |= {(a["rule"], a["params"].get("variant")) for a in data["applications"]}
+        for apps in _structural_mutants(data["applications"]):
+            certified = sorted({a["m"] for a in apps})
+            open_classes = [m for m in range(1, data["diameter"] + 1) if m not in certified]
+            mutant = {
+                **data,
+                "applications": apps,
+                "certified": certified,
+                "open_classes": open_classes,
+                "verdict": INCONCLUSIVE if open_classes else NO_QSYM,
+            }
+            bits.append("1" if audit(Certificate.from_dict(mutant), g) else "0")
+    assert {rule for rule, _ in used} >= set(STRUCTURAL_RULES)
+    assert {variant for _, variant in used} >= set(VARIANTS)
+    assert (len(bits), bits.count("1")) == (369, 1)
+    digest = hashlib.sha256("".join(bits).encode()).hexdigest()
+    assert digest == "bae2ccde3bbd540fabd3abe24b773ff6e83e4592a83af67f5a87b1e84d93187b"
+
+
 def test_certify_rejects_group_on_other_points():
     g = build("named:petersen")
     with pytest.raises(ValueError, match="acts on 14 points"):
