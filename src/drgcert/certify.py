@@ -31,13 +31,12 @@ from .autgroup import (
     DEFAULT_NODE_BUDGET,
     AutGroup,
     SearchBudgetExceeded,
-    are_isomorphic,
     automorphism_generators,
     is_automorphism,
     pair_orbit,
 )
 from .drg import intersection_array
-from .expected import HAS_QSYM, NO_QSYM
+from .expected import HAS_QSYM, NO_QSYM, UNKNOWN
 from .families import FamilySpec, build, parse_family
 from .graph import (
     DisconnectedGraphError,
@@ -50,7 +49,7 @@ from .graph import (
     is_connected,
 )
 from .io import to_graph6
-from .knowledge import UNKNOWN_FACT, verdict_for
+from .knowledge import UNKNOWN_FACT, QsymFact, verdict_for
 
 INCONCLUSIVE = "INCONCLUSIVE"
 
@@ -482,40 +481,8 @@ def certify(
     dd = distances(g)
     diam = dd.diameter
     inv = _Invariants(g, dd)
-    arr = inv.array()
-    base = {
-        "label": label,
-        "n": g.n,
-        "degree": g.regular_degree(),
-        "diameter": diam,
-        "girth": inv.girth(),
-        "array": str(arr) if arr else None,
-        "graph6": to_graph6(g),
-        "kb_verdict": fact.verdict,
-        "kb_reason": fact.reason,
-    }
-
     if fact.verdict == HAS_QSYM:
-        app = Application(
-            RULE_KNOWN,
-            None,
-            {
-                "family": spec.key(),
-                "reason": fact.reason,
-                "quantum_group": fact.quantum_group,
-            },
-        )
-        return Certificate(
-            mode="knowledge-base",
-            verdict=HAS_QSYM,
-            reason=fact.reason,
-            certified=(),
-            open_classes=tuple(range(1, diam + 1)),
-            applications=(app,),
-            generators=(),
-            notes=(),
-            **base,
-        )
+        return _known(inv, spec.key(), fact, label)
 
     notes: list = []
     generators: tuple = ()
@@ -594,7 +561,44 @@ def certify(
         applications=tuple(apps),
         generators=generators if uses_orbit else (),
         notes=tuple(notes),
-        **base,
+        **_header(inv, label, fact),
+    )
+
+
+def _header(inv: _Invariants, label: str, fact: QsymFact) -> dict:
+    """The certificate fields that describe the graph and its recorded fact."""
+    arr = inv.array()
+    return {
+        "label": label,
+        "n": inv.g.n,
+        "degree": inv.g.regular_degree(),
+        "diameter": inv.dd.diameter,
+        "girth": inv.girth(),
+        "array": str(arr) if arr else None,
+        "graph6": to_graph6(inv.g),
+        "kb_verdict": fact.verdict,
+        "kb_reason": fact.reason,
+    }
+
+
+def _known(inv: _Invariants, key: str, fact: QsymFact, label: str) -> Certificate:
+    """The HAS_QSYM certificate of family key's recorded fact: it certifies
+    no class and rests on the one knowledge-base application."""
+    app = Application(
+        RULE_KNOWN,
+        None,
+        {"family": key, "reason": fact.reason, "quantum_group": fact.quantum_group},
+    )
+    return Certificate(
+        mode="knowledge-base",
+        verdict=HAS_QSYM,
+        reason=fact.reason,
+        certified=(),
+        open_classes=tuple(range(1, inv.dd.diameter + 1)),
+        applications=(app,),
+        generators=(),
+        notes=(),
+        **_header(inv, label, fact),
     )
 
 
@@ -612,30 +616,18 @@ def transfer_certificate(cert: Certificate, g: Graph, label: str | None = None) 
         raise ValueError("complement transfer requires a NO_QSYM certificate")
     if cert.graph6 != to_graph6(comp):
         raise ValueError("certificate does not describe the complement of this graph")
-    dd = distances(g)
-    diam = dd.diameter
-    gir = girth(g)
-    arr = intersection_array(g, dd)
-    arr = arr if arr else None
+    inv = _Invariants(g, distances(g))
     app = Application(RULE_COMPLEMENT, None, {"complement": cert.to_dict()})
     return Certificate(
-        label=label or f"complement of {cert.label}",
-        n=g.n,
-        degree=g.regular_degree(),
-        diameter=diam,
-        girth=gir,
-        array=str(arr) if arr else None,
         mode=cert.mode,
         verdict=NO_QSYM,
         reason=None,
-        kb_verdict=UNKNOWN_FACT.verdict,
-        kb_reason=UNKNOWN_FACT.reason,
-        certified=tuple(range(1, diam + 1)),
+        certified=tuple(range(1, inv.dd.diameter + 1)),
         open_classes=(),
         applications=(app,),
         generators=(),
         notes=(),
-        graph6=to_graph6(g),
+        **_header(inv, label or f"complement of {cert.label}", UNKNOWN_FACT),
     )
 
 
@@ -677,7 +669,7 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
         return fail(f"diameter mismatch: certificate says {cert.diameter}, graph has {diam}")
 
     if cert.verdict == HAS_QSYM:
-        return _audit_has_qsym(cert, g, diam)
+        return _audit_has_qsym(cert, g, dd)
     if cert.verdict not in (NO_QSYM, INCONCLUSIVE):
         return fail(f"unknown verdict {cert.verdict!r}")
     if cert.mode not in ("orbit", "all-pairs"):
@@ -730,52 +722,45 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
         return fail(f"verdict NO_QSYM but classes {list(expected_open)} are unverified")
     if cert.verdict == INCONCLUSIVE and not expected_open:
         return fail("verdict INCONCLUSIVE but every class is certified")
-    if cert.verdict == NO_QSYM and cert.kb_verdict == HAS_QSYM:
-        return fail("verdict NO_QSYM contradicts a recorded quantum symmetry fact")
+    if cert.kb_verdict not in (NO_QSYM, UNKNOWN):
+        # a recorded HAS_QSYM fact yields a knowledge-base certificate instead
+        return fail(f"kb_verdict {cert.kb_verdict!r} is neither NO_QSYM nor UNKNOWN")
     return _recorded({"degree": cert.degree}, {"degree": g.regular_degree()})
 
 
-def _audit_has_qsym(cert: Certificate, g: Graph, diam: int) -> AuditResult:
+def _audit_has_qsym(cert: Certificate, g: Graph, dd) -> AuditResult:
+    """Accept a HAS_QSYM certificate only when it is, label aside, the one
+    certify writes for the graph its family's constructor builds."""
+
     def fail(msg):
         return AuditResult(False, msg)
 
-    if cert.mode != "knowledge-base":
-        return fail(f"HAS_QSYM comes from the knowledge base, not {cert.mode!r} coverage")
-    if cert.certified:
-        return fail("HAS_QSYM certifies no class")
-    if not (
-        all(_is_int(c) for c in cert.open_classes)
-        and tuple(cert.open_classes) == tuple(range(1, diam + 1))
-    ):
-        return fail(f"HAS_QSYM leaves every class 1..{diam} open")
-    if cert.generators:
-        return fail("HAS_QSYM records no generators")
-    if len(cert.applications) != 1 or cert.applications[0].rule != RULE_KNOWN:
-        return fail("HAS_QSYM requires exactly one knowledge-base application")
-    if cert.applications[0].m is not None:
-        return fail("the knowledge-base application certifies no class")
-    params = cert.applications[0].params
-    key = params.get("family")
+    apps = cert.applications
+    key = apps[0].params.get("family") if len(apps) == 1 else None
     if not isinstance(key, str):
-        return fail("knowledge-base application lacks a family")
+        return fail("HAS_QSYM requires exactly one knowledge-base application naming a family")
     try:
-        fact = verdict_for(key)
-    except ValueError as exc:
-        return fail(f"unknown family {key!r}: {exc}")
-    if fact.verdict != HAS_QSYM:
-        return fail(f"knowledge base does not record quantum symmetry for {key}")
-    recorded = _recorded(
-        params, {"family": key, "reason": fact.reason, "quantum_group": fact.quantum_group}
-    )
-    if not recorded.ok:
-        return recorded
-    try:
-        reference = build(key)
+        spec = parse_family(key)
+        fact = verdict_for(spec)
+        built = build(spec)
     except ValueError as exc:
         return fail(f"family {key!r} cannot be rebuilt: {exc}")
-    if not are_isomorphic(reference, g):
-        return fail(f"graph is not isomorphic to {key}")
-    return _recorded({"degree": cert.degree}, {"degree": g.regular_degree()})
+    if fact.verdict != HAS_QSYM:
+        return fail(f"knowledge base does not record quantum symmetry for {key}")
+    if built != g:
+        return fail(
+            f"graph is not the {spec.key()} graph as built; an isomorphic copy is not accepted"
+        )
+    given = cert.to_dict()
+    known = _known(_Invariants(g, dd), spec.key(), fact, cert.label).to_dict()
+    differ = [
+        name
+        for name in known
+        if json.dumps(given[name], sort_keys=True) != json.dumps(known[name], sort_keys=True)
+    ]
+    if differ:
+        return fail(f"fields {differ} differ from the {spec.key()} knowledge-base certificate")
+    return AuditResult(True)
 
 
 def _audit_complement(app: Application, g: Graph) -> AuditResult:

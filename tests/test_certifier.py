@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from drgcert.autgroup import automorphism_group
+from drgcert import autgroup
+from drgcert.autgroup import are_isomorphic, automorphism_group
 from drgcert.certify import (
     DEFAULT_SEARCH_BUDGET,
     INCONCLUSIVE,
@@ -285,7 +286,9 @@ def test_text_rendering_mentions_everything():
 
 
 # sha256 of to_json(), recorded before the three pair-rule searches were
-# merged into one; the merged search must emit the same bytes
+# merged into one and, for the last four (HAS_QSYM), before the header and
+# the knowledge-base certificate got one writer each; both must emit the
+# same bytes
 CERTIFICATE_DIGESTS = [
     ("named:foster", {}, "214ff176d123087a8a0b5dce81b600accccc4beee9dc49220c56bfea2dbe75ee"),
     ("named:foster", {"mode": "all-pairs"}, "321acf33616283208413e1c20a9f97918e2aa814ee53ae8b513c1154893b258d"),
@@ -301,6 +304,10 @@ CERTIFICATE_DIGESTS = [
     ("hamming:2:3", {"mode": "all-pairs"}, "a19017bf74c06c4c4c577e9a87d056aabd8d8ba669c7034354616f5e662532d4"),
     ("named:coxeter", {}, "fe74f4a19c9b1656b6df9b42bb93589741d0f7f18ed77f9db110f7416e06c601"),
     ("johnson:6:3", {}, "4c91c0ff83161e33908726494e7d30ea638248e65780806f8f99b14c4451f6ba"),
+    ("cube:3", {}, "4c2bb4bf1c091b16c505c48e5895fb8b3f2e2bc904d64d0559ce15e91d189429"),
+    ("complete:12", {}, "bcd5047350a31384f6e49acb765fe36aa4a7b9c8cda25a3f94cf3ce73e285796"),
+    ("hamming:3:4", {}, "495148e12e01b9c7e2b94f56c8776be296cd84051b302dffbe1f99683a147647"),
+    ("named:clebsch", {}, "4b512718921349994fc11cee6754fec46e241016ef63456b2b1719915f69974f"),
 ]
 
 
@@ -509,6 +516,15 @@ def test_to_dict_shares_nothing_with_certificate():
         ("cube:3", ("applications", 0, "m"), 2),
         ("cube:3", ("applications", 0, "params", "reason"), 2),
         ("cube:3", ("applications", 0, "params", "quantum_group"), {}),
+        ("cube:3", ("reason",), "made up"),
+        ("cube:3", ("kb_verdict",), "UNKNOWN"),
+        ("cube:3", ("kb_reason",), "made up"),
+        ("cube:3", ("girth",), 6),
+        ("cube:3", ("array",), "{3,2;1,2}"),
+        ("cube:3", ("notes",), ["made up"]),
+        ("johnson:6:3", ("kb_verdict",), "HAS_QSYM"),
+        ("johnson:6:3", ("kb_verdict",), "maybe"),
+        ("named:petersen", ("kb_verdict",), "maybe"),
     ],
 )
 def test_audit_checks_degree_mode_generators_and_fact(key, path, value):
@@ -521,6 +537,48 @@ def test_audit_checks_degree_mode_generators_and_fact(key, path, value):
     assert last in target
     target[last] = value
     assert not audit(Certificate.from_dict(data), g)
+
+
+def test_audit_refuses_relabelled_family_member():
+    # certify attaches a family's fact only to the graph as built, and the
+    # audit binds it by the same test: an isomorphic copy is refused
+    g = build("cube:3")
+    swap = [1, 0, *range(2, 8)]
+    copy = Graph(8, [(swap[u], swap[v]) for u, v in g.edges])
+    assert copy != g and are_isomorphic(copy, g)
+    with pytest.raises(ValueError, match="cube:3"):
+        certify(copy, family="cube:3")
+    data = certify(g, family="cube:3").to_dict()
+    data["graph6"] = to_graph6(copy)
+    result = audit(Certificate.from_dict(data), copy)
+    assert not result and "isomorphic" in result.failure
+
+
+def test_audit_searches_nothing(monkeypatch):
+    keys = (
+        "complete:16",
+        "complete_bipartite:10",
+        "crown:20",
+        # the HAS_QSYM graphs of the allpairs_kb benchmark workload
+        "hamming:3:4",
+        "crown:10",
+        "complete:12",
+        "complete_bipartite:8",
+        "cube:5",
+        "named:clebsch",
+    )
+    certs = [(build(key), certify(build(key), family=key)) for key in keys]
+    assert {cert.verdict for _, cert in certs} == {HAS_QSYM}
+    g = build("hamming:3:3")
+    certs.append((g, certify(g, family="hamming:3:3", mode="orbit")))
+
+    def no_search(g, node_budget):
+        raise AssertionError("the audit searched for automorphisms")
+
+    monkeypatch.setattr(autgroup, "_search_generators", no_search)
+    for g, cert in certs:
+        result = audit(cert, g)
+        assert result, (cert.label, result.failure)
 
 
 def test_certify_binds_family_to_graph():
@@ -731,6 +789,9 @@ def test_complement_transfer():
     j52 = build("johnson:5:2")
     cert = certify_via_complement(j52)
     assert cert.verdict == NO_QSYM
+    # sha256 of to_json(), recorded before the header got one writer
+    digest = "3cad69034e19f9a3f160b6a9eaa924ea7dd571c7ce0de318174b6b4540adfc6f"
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == digest
     assert cert.applications[0].rule == "complement-transfer"
     assert audit(cert, j52)
 
