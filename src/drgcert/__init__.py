@@ -10,11 +10,8 @@ an independent audit.
 from .autgroup import (
     AutGroup,
     SearchBudgetExceeded,
-    are_isomorphic,
-    automorphism_generators,
     automorphism_group,
     is_distance_transitive,
-    schreier_sims_order,
     vertex_orbits,
 )
 from .certify import (
@@ -79,9 +76,7 @@ __all__ = [
     "SrgParams",
     "TablesReport",
     "UNKNOWN",
-    "are_isomorphic",
     "audit",
-    "automorphism_generators",
     "automorphism_group",
     "bipartite_complement",
     "build",
@@ -109,7 +104,6 @@ __all__ = [
     "parse_family",
     "read_graph",
     "reproduce_tables",
-    "schreier_sims_order",
     "srg_params",
     "to_edge_text",
     "to_graph6",

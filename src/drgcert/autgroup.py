@@ -4,9 +4,10 @@ The search individualizes vertices inside an equitable partition
 refinement, prunes branches whose refinement invariant differs from the
 invariant along the first root-to-leaf path, and prunes candidate
 vertices lying in the orbit of an already explored sibling under the
-generators found so far.  The order of the generated group is computed
-with a deterministic Schreier-Sims stabilizer chain, verified level by
-level, so the reported order is exact.
+generators found so far.  The first root-to-leaf path is a base and the
+generators found are a strong generating set for it, so the exact group
+order and distance-transitivity are read off orbits of the generators;
+no stabilizer chain is built.
 
 Permutations are tuples p of length n with p[i] the image of i.
 """
@@ -14,8 +15,9 @@ Permutations are tuples p of length n with p[i] the image of i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
-from .graph import Graph
+from .graph import DistanceData, Graph, distances
 
 Perm = tuple[int, ...]
 
@@ -24,18 +26,6 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 class SearchBudgetExceeded(RuntimeError):
     """Raised when the automorphism search exceeds its node budget."""
-
-
-def _mul(a: Perm, b: Perm) -> Perm:
-    # (a*b)(x) = a(b(x))
-    return tuple(a[x] for x in b)
-
-
-def _inv(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, v in enumerate(a):
-        out[v] = i
-    return tuple(out)
 
 
 def is_automorphism(g: Graph, perm: Perm) -> bool:
@@ -98,15 +88,32 @@ def _refine(adj: list, cells: list[list[int]]) -> tuple[list[list[int]], tuple]:
 # ----------------------------------------------------------------- search
 
 
-def _search_generators(g: Graph, node_budget: int) -> list[Perm]:
+def _orbit(generators, prefix: tuple[int, ...], starts) -> set[int]:
+    """Orbit of the vertices starts under the generators that fix every
+    vertex of prefix."""
+    fixing = [s for s in generators if all(s[p] == p for p in prefix)]
+    reach = set(starts)
+    frontier = list(reach)
+    while frontier:
+        u = frontier.pop()
+        for s in fixing:
+            w = s[u]
+            if w not in reach:
+                reach.add(w)
+                frontier.append(w)
+    return reach
+
+
+def _search_generators(g: Graph, node_budget: int) -> tuple[list[Perm], tuple[int, ...]]:
+    """Generators found by the search, and the base: the vertices
+    individualized along the first root-to-leaf path."""
     n = g.n
     adj = [g.neighbors(v) for v in range(n)]
-    if n <= 1:
-        return []
     ident = tuple(range(n))
     generators: list[Perm] = []
     guide: dict[int, tuple] = {}
-    first_leaf: list[Perm | None] = [None]
+    first_leaf: Perm | None = None
+    base: tuple[int, ...] = ()
     nodes = [0]
 
     def target_index(cells: list[list[int]]) -> int | None:
@@ -116,24 +123,8 @@ def _search_generators(g: Graph, node_budget: int) -> list[Perm]:
                 best = i
         return best
 
-    def orbit_covered(v: int, done: list[int], prefix: tuple[int, ...]) -> bool:
-        fixing = [s for s in generators if all(s[p] == p for p in prefix)]
-        if not fixing:
-            return False
-        reach = set(done)
-        frontier = list(done)
-        while frontier:
-            u = frontier.pop()
-            for s in fixing:
-                w = s[u]
-                if w not in reach:
-                    if w == v:
-                        return True
-                    reach.add(w)
-                    frontier.append(w)
-        return v in reach
-
     def descend(cells: list[list[int]], inv: tuple, depth: int, prefix: tuple[int, ...]) -> None:
+        nonlocal first_leaf, base
         nodes[0] += 1
         if nodes[0] > node_budget:
             raise SearchBudgetExceeded(f"automorphism search exceeded {node_budget} nodes")
@@ -145,11 +136,11 @@ def _search_generators(g: Graph, node_budget: int) -> list[Perm]:
         ti = target_index(cells)
         if ti is None:
             leaf = tuple(c[0] for c in cells)
-            if first_leaf[0] is None:
-                first_leaf[0] = leaf
+            if first_leaf is None:
+                first_leaf, base = leaf, prefix
                 return
             sigma = [0] * n
-            for src, dst in zip(first_leaf[0], leaf):
+            for src, dst in zip(first_leaf, leaf):
                 sigma[src] = dst
             perm = tuple(sigma)
             if perm != ident and all(perm[v] in adj[perm[u]] for u, v in g.edges):
@@ -157,8 +148,12 @@ def _search_generators(g: Graph, node_budget: int) -> list[Perm]:
             return
         cell = cells[ti]
         done: list[int] = []
+        # a subset of the orbit of done, recomputed only when it misses
+        covered: set[int] = set()
         for v in sorted(cell):
-            if done and orbit_covered(v, done, prefix):
+            if done and v not in covered:
+                covered = _orbit(generators, prefix, done)
+            if v in covered:
                 continue
             done.append(v)
             rest = [u for u in cell if u != v]
@@ -166,97 +161,7 @@ def _search_generators(g: Graph, node_budget: int) -> list[Perm]:
             descend(*_refine(adj, child), depth + 1, prefix + (v,))
 
     descend(*_refine(adj, [list(range(n))]), 0, ())
-    return generators
-
-
-# ------------------------------------------------------------ group order
-
-
-def schreier_sims_order(n: int, generators: list[Perm]) -> int:
-    """Exact order of the group generated by the given permutations, via a
-    stabilizer chain verified with the Schreier condition at every level."""
-    ident = tuple(range(n))
-    gens = [tuple(g) for g in generators if tuple(g) != ident]
-    if not gens:
-        return 1
-
-    base: list[int] = []
-    levels: list[list[Perm]] = []  # levels[i]: strong gens fixing base[:i]
-    trans: list[dict[int, Perm]] = []
-
-    def smallest_moved(p: Perm) -> int:
-        return min(i for i in range(n) if p[i] != i)
-
-    def add_base_point(b: int) -> None:
-        base.append(b)
-        levels.append([])
-        trans.append({b: ident})
-
-    def close_orbit(i: int) -> None:
-        t = {base[i]: ident}
-        frontier = [base[i]]
-        while frontier:
-            p = frontier.pop()
-            tp = t[p]
-            for s in levels[i]:
-                q = s[p]
-                if q not in t:
-                    t[q] = _mul(s, tp)
-                    frontier.append(q)
-        trans[i] = t
-
-    def strip(p: Perm, start: int) -> tuple[Perm, int]:
-        lvl = start
-        while lvl < len(base):
-            img = p[base[lvl]]
-            if img not in trans[lvl]:
-                return p, lvl
-            p = _mul(_inv(trans[lvl][img]), p)
-            lvl += 1
-        return p, lvl
-
-    for g in gens:
-        i = 0
-        while i < len(base) and g[base[i]] == base[i]:
-            i += 1
-        if i == len(base):
-            add_base_point(smallest_moved(g))
-        for k in range(i + 1):
-            levels[k].append(g)
-    for i in range(len(base)):
-        close_orbit(i)
-
-    # verify the Schreier condition bottom-up, adding residues as new
-    # strong generators until every level is complete
-    i = len(base) - 1
-    while i >= 0:
-        restart = False
-        for p, tp in list(trans[i].items()):
-            for s in levels[i]:
-                rep = trans[i][s[p]]
-                schreier = _mul(_inv(rep), _mul(s, tp))
-                if schreier == ident:
-                    continue
-                h, j = strip(schreier, i + 1)
-                if h == ident:
-                    continue
-                if j == len(base):
-                    add_base_point(smallest_moved(h))
-                for k in range(i + 1, j + 1):
-                    levels[k].append(h)
-                    close_orbit(k)
-                i = j
-                restart = True
-                break
-            if restart:
-                break
-        if not restart:
-            i -= 1
-
-    order = 1
-    for t in trans:
-        order *= len(t)
-    return order
+    return generators, base
 
 
 # -------------------------------------------------------------- public api
@@ -264,44 +169,49 @@ def schreier_sims_order(n: int, generators: list[Perm]) -> int:
 
 @dataclass(frozen=True)
 class AutGroup:
-    """Generators and exact order of a graph's automorphism group."""
+    """Generators, base and exact order of a graph's automorphism group.
+
+    The generators that fix base[:i] pointwise generate the stabilizer of
+    base[:i] in the group, for every i.
+    """
 
     n: int
     generators: tuple[Perm, ...]
+    base: tuple[int, ...]
     order: int
 
 
-def automorphism_generators(
-    g: Graph, node_budget: int = DEFAULT_NODE_BUDGET
-) -> tuple[Perm, ...]:
-    """Generators of the automorphism group, without its order."""
-    return tuple(_search_generators(g, node_budget))
-
-
 def automorphism_group(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> AutGroup:
-    gens = _search_generators(g, node_budget)
-    order = schreier_sims_order(g.n, gens)
-    return AutGroup(n=g.n, generators=tuple(gens), order=order)
+    """The automorphism group, read off one search tree.
+
+    The order is the product over i of the orbit length of base[i] under
+    the generators fixing base[:i].  It is exact because those generators
+    generate G_i, the pointwise stabilizer of base[:i] (McKay and Piperno,
+    arXiv:1301.1493).  By induction from the leaf up, let the generators
+    fixing base[:i+1] generate G_{i+1}, and let w be in the G_i-orbit of
+    base[i].  At the first path's node for base[:i], the child w is either
+    pruned, as the image of an explored child in the same orbit under
+    generators fixing base[:i], or explored.  An explored subtree holds an
+    image of the first leaf under G_i, and the search of a subtree reaches
+    such a leaf whenever one is there, since a child pruned below it is
+    the image of an explored sibling; the leaf yields a generator fixing
+    base[:i] that maps base[i] to w.  So the generators fixing base[:i]
+    reach the whole G_i-orbit of base[i] and generate its stabilizer
+    G_{i+1}, hence generate G_i.
+    """
+    gens, base = _search_generators(g, node_budget)
+    order = prod(len(_orbit(gens, base[:i], [b])) for i, b in enumerate(base))
+    return AutGroup(n=g.n, generators=tuple(gens), base=base, order=order)
 
 
 def vertex_orbits(n: int, generators: list[Perm] | tuple[Perm, ...]) -> list[list[int]]:
-    seen = [False] * n
-    orbits = []
+    orbits: list[list[int]] = []
+    seen: set[int] = set()
     for v in range(n):
-        if seen[v]:
-            continue
-        orbit = [v]
-        seen[v] = True
-        frontier = [v]
-        while frontier:
-            u = frontier.pop()
-            for s in generators:
-                w = s[u]
-                if not seen[w]:
-                    seen[w] = True
-                    orbit.append(w)
-                    frontier.append(w)
-        orbits.append(sorted(orbit))
+        if v not in seen:
+            orbit = _orbit(generators, (), [v])
+            seen |= orbit
+            orbits.append(sorted(orbit))
     return orbits
 
 
@@ -322,89 +232,33 @@ def pair_orbit(
 
 
 def is_distance_transitive(
-    g: Graph, node_budget: int = DEFAULT_NODE_BUDGET, *, aut: AutGroup | None = None
+    g: Graph,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    *,
+    aut: AutGroup | None = None,
+    dd: DistanceData | None = None,
 ) -> bool:
     """True when for every distance m the ordered pairs at distance m form
-    a single orbit of the automorphism group.  A group already computed
-    for g may be passed as aut; otherwise only its generators are searched."""
-    from .graph import distances
+    a single orbit of the automorphism group.  A group and distances
+    already computed for g may be passed as aut and dd.
 
-    dd = distances(g)
+    A connected graph on n >= 2 vertices is distance-transitive exactly
+    when its group is transitive on vertices and the stabilizer of one
+    vertex b is transitive on every sphere around b.  The stabilizer of
+    b = base[0] is generated by the generators that fix b.
+    """
+    if dd is None:
+        dd = distances(g)
     if not dd.connected:
         return False
-    gens = aut.generators if aut else automorphism_generators(g, node_budget)
-    for m in range(1, dd.diameter + 1):
-        pairs = dd.pairs_at_distance(m)
-        if not pairs:
-            continue
-        if pair_orbit(g.n, gens, pairs[0]) != set(pairs):
-            return False
-    return True
-
-
-def _connected_isomorphic(g: Graph, h: Graph, node_budget: int) -> bool:
-    if g.n != h.n or g.num_edges != h.num_edges:
+    if g.n <= 1:
+        return True
+    if aut is None:
+        aut = automorphism_group(g, node_budget)
+    if not aut.base:  # the root partition is discrete: only the identity
         return False
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return False
-    # search the disjoint union: the two sides fuse into one orbit exactly
-    # when the components are isomorphic
-    shift = g.n
-    edges = list(g.edges) + [(u + shift, v + shift) for u, v in h.edges]
-    union = Graph(g.n + h.n, edges)
-    gens = _search_generators(union, node_budget)
-    for v in sorted(
-        x for orbit in vertex_orbits(union.n, gens) if 0 in orbit for x in orbit
-    ):
-        if v >= shift:
-            return True
-    return False
-
-
-def are_isomorphic(g: Graph, h: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    from .graph import is_connected
-
-    if g.n != h.n or g.num_edges != h.num_edges:
-        return False
-    if is_connected(g) and is_connected(h):
-        return _connected_isomorphic(g, h, node_budget)
-    return _components_isomorphic(g, h, node_budget)
-
-
-def _components(g: Graph) -> list[Graph]:
-    seen = [False] * g.n
-    out = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        comp = [root]
-        seen[root] = True
-        frontier = [root]
-        while frontier:
-            u = frontier.pop()
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    frontier.append(w)
-        comp.sort()
-        relabel = {v: i for i, v in enumerate(comp)}
-        edges = [(relabel[u], relabel[v]) for u, v in g.edges if u in relabel]
-        out.append(Graph(len(comp), edges))
-    return out
-
-
-def _components_isomorphic(g: Graph, h: Graph, node_budget: int) -> bool:
-    gs = sorted(_components(g), key=lambda c: (c.n, c.num_edges))
-    hs = sorted(_components(h), key=lambda c: (c.n, c.num_edges))
-    if [(c.n, c.num_edges) for c in gs] != [(c.n, c.num_edges) for c in hs]:
-        return False
-    remaining = list(hs)
-    for comp in gs:
-        for i, cand in enumerate(remaining):
-            if _connected_isomorphic(comp, cand, node_budget):
-                del remaining[i]
-                break
-        else:
-            return False
-    return True
+    b = aut.base[0]
+    return len(_orbit(aut.generators, (), [b])) == g.n and all(
+        len(_orbit(aut.generators, (b,), sphere[:1])) == len(sphere)
+        for sphere in dd.spheres[b]
+    )

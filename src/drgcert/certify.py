@@ -31,13 +31,14 @@ from .autgroup import (
     DEFAULT_NODE_BUDGET,
     AutGroup,
     SearchBudgetExceeded,
-    automorphism_generators,
+    automorphism_group,
     is_automorphism,
+    is_distance_transitive,
     pair_orbit,
 )
 from .drg import intersection_array
 from .expected import HAS_QSYM, NO_QSYM, UNKNOWN
-from .families import FamilySpec, build, parse_family
+from .families import FamilySpec, build, parse_family, vertex_count
 from .graph import (
     DisconnectedGraphError,
     Graph,
@@ -462,7 +463,7 @@ def certify(
     a recorded HAS_QSYM fact short-circuits the rule engine, and any other
     recorded verdict is carried in the certificate for comparison.  An
     automorphism group already computed for g may be passed as aut; without
-    one, orbit coverage searches the generators itself.
+    one, orbit coverage searches the group itself.
     """
     if aut is not None and aut.n != g.n:
         raise ValueError(f"automorphism group acts on {aut.n} points, graph has {g.n}")
@@ -472,7 +473,7 @@ def certify(
         raise ValueError(f"unknown coverage mode {mode!r}")
 
     spec = parse_family(family) if isinstance(family, str) else family
-    if spec is not None and build(spec) != g:
+    if spec is not None and (vertex_count(spec) != g.n or build(spec) != g):
         raise ValueError(f"graph is not the {spec.key()} graph its family names")
     fact = verdict_for(spec) if spec is not None else UNKNOWN_FACT
     if label is None:
@@ -490,12 +491,9 @@ def certify(
         resolved = "all-pairs"
     else:
         try:
-            generators = aut.generators if aut else automorphism_generators(g, node_budget)
-            transitive = all(
-                pair_orbit(g.n, generators, dd.pairs_at_distance(m)[0])
-                == set(dd.pairs_at_distance(m))
-                for m in range(1, diam + 1)
-            )
+            aut = aut or automorphism_group(g, node_budget)
+            generators = aut.generators
+            transitive = is_distance_transitive(g, aut=aut, dd=dd)
         except SearchBudgetExceeded:
             if mode == "orbit":
                 raise
@@ -742,12 +740,16 @@ def _audit_has_qsym(cert: Certificate, g: Graph, dd) -> AuditResult:
     try:
         spec = parse_family(key)
         fact = verdict_for(spec)
-        built = build(spec)
+        count = vertex_count(spec)
     except ValueError as exc:
         return fail(f"family {key!r} cannot be rebuilt: {exc}")
     if fact.verdict != HAS_QSYM:
         return fail(f"knowledge base does not record quantum symmetry for {key}")
-    if built != g:
+    # compared before building, so a certificate cannot make the audit
+    # allocate a graph larger than the one it is given
+    if count != g.n:
+        return fail(f"{spec.key()} does not have the graph's {g.n} vertices")
+    if build(spec) != g:
         return fail(
             f"graph is not the {spec.key()} graph as built; an isomorphic copy is not accepted"
         )

@@ -104,7 +104,7 @@ def _cmd_analyze(parser, args) -> int:
     budget = args.budget or DEFAULT_NODE_BUDGET
     try:
         aut = automorphism_group(g, budget)
-        transitive = is_distance_transitive(g, budget, aut=aut) if connected else False
+        transitive = is_distance_transitive(g, aut=aut, dd=dd)
     except SearchBudgetExceeded:
         print("automorphism search exceeded the node budget", file=sys.stderr)
         return EXIT_BUDGET

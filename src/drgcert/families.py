@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations, product
+from math import comb
 
 from .drg import IntersectionArray, intersection_array
 from .graph import (
@@ -157,6 +158,27 @@ def build(spec: FamilySpec | str) -> Graph:
     if isinstance(spec, str):
         spec = parse_family(spec)
     return _build_cached(spec.key())
+
+
+def vertex_count(spec: FamilySpec | str) -> int:
+    """The number of vertices of build(spec), in closed form: nothing is
+    built, so a size can be checked before a graph is allocated."""
+    if isinstance(spec, str):
+        spec = parse_family(spec)
+    f, p = spec.family, spec.params
+    if f == "named":
+        return _NAMED[spec.name].order
+    if f in ("complete", "cycle", "paley"):
+        return p[0]
+    if f in ("complete_bipartite", "crown"):
+        return 2 * p[0]
+    if f == "cube":
+        return 2 ** p[0]
+    if f == "hamming":
+        return p[1] ** p[0]
+    if f == "odd":
+        return comb(2 * p[0] - 1, p[0] - 1)
+    return comb(p[0], p[1])  # johnson, kneser
 
 
 def label_for(spec: FamilySpec | str) -> str:

@@ -3,13 +3,16 @@
 Everything here is deliberately written with different algorithms than
 the package: Floyd-Warshall instead of BFS, explicit cycle enumeration
 instead of cross-edge detection, full permutation filtering instead of
-refinement search.  Slow is fine; these run on small graphs only.
+refinement search, a Schreier-Sims chain instead of the search tree's
+base.  Slow is fine; these run on small graphs only.  are_isomorphic is
+the exception: it calls the package's search (see its docstring).
 """
 
 from itertools import combinations, permutations
 from random import Random
 
-from drgcert.graph import Graph
+from drgcert.autgroup import DEFAULT_NODE_BUDGET, automorphism_group, vertex_orbits
+from drgcert.graph import Graph, is_connected
 
 INF = float("inf")
 
@@ -123,3 +126,173 @@ def random_connected_graph(rng: Random, n: int) -> Graph:
                     stack.append(w)
         if len(seen) == n:
             return g
+
+
+def _mul(a, b):
+    # (a*b)(x) = a(b(x))
+    return tuple(a[x] for x in b)
+
+
+def _inv(a):
+    out = [0] * len(a)
+    for i, v in enumerate(a):
+        out[v] = i
+    return tuple(out)
+
+
+def schreier_sims_order(n: int, generators) -> int:
+    """Exact order of the group generated by the given permutations, via a
+    stabilizer chain verified with the Schreier condition at every level.
+
+    Independent of the package's search: it takes any generating set and
+    chooses its own base, where the package reads the order off the base
+    and generators of its search tree."""
+    ident = tuple(range(n))
+    gens = [tuple(g) for g in generators if tuple(g) != ident]
+    if not gens:
+        return 1
+
+    base: list[int] = []
+    levels: list[list] = []  # levels[i]: strong gens fixing base[:i]
+    trans: list[dict] = []
+
+    def smallest_moved(p) -> int:
+        return min(i for i in range(n) if p[i] != i)
+
+    def add_base_point(b: int) -> None:
+        base.append(b)
+        levels.append([])
+        trans.append({b: ident})
+
+    def close_orbit(i: int) -> None:
+        t = {base[i]: ident}
+        frontier = [base[i]]
+        while frontier:
+            p = frontier.pop()
+            tp = t[p]
+            for s in levels[i]:
+                q = s[p]
+                if q not in t:
+                    t[q] = _mul(s, tp)
+                    frontier.append(q)
+        trans[i] = t
+
+    def strip(p, start: int):
+        lvl = start
+        while lvl < len(base):
+            img = p[base[lvl]]
+            if img not in trans[lvl]:
+                return p, lvl
+            p = _mul(_inv(trans[lvl][img]), p)
+            lvl += 1
+        return p, lvl
+
+    for g in gens:
+        i = 0
+        while i < len(base) and g[base[i]] == base[i]:
+            i += 1
+        if i == len(base):
+            add_base_point(smallest_moved(g))
+        for k in range(i + 1):
+            levels[k].append(g)
+    for i in range(len(base)):
+        close_orbit(i)
+
+    # verify the Schreier condition bottom-up, adding residues as new
+    # strong generators until every level is complete
+    i = len(base) - 1
+    while i >= 0:
+        restart = False
+        for p, tp in list(trans[i].items()):
+            for s in levels[i]:
+                rep = trans[i][s[p]]
+                schreier = _mul(_inv(rep), _mul(s, tp))
+                if schreier == ident:
+                    continue
+                h, j = strip(schreier, i + 1)
+                if h == ident:
+                    continue
+                if j == len(base):
+                    add_base_point(smallest_moved(h))
+                for k in range(i + 1, j + 1):
+                    levels[k].append(h)
+                    close_orbit(k)
+                i = j
+                restart = True
+                break
+            if restart:
+                break
+        if not restart:
+            i -= 1
+
+    order = 1
+    for t in trans:
+        order *= len(t)
+    return order
+
+
+def are_isomorphic(g: Graph, h: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
+    """Isomorphism by searching the automorphisms of the disjoint union.
+
+    Unlike the other oracles this calls the package's generator search
+    (through automorphism_group), so it is a reference for the family
+    constructors, not an independent check of the search itself."""
+    if g.n != h.n or g.num_edges != h.num_edges:
+        return False
+    if is_connected(g) and is_connected(h):
+        return _connected_isomorphic(g, h, node_budget)
+    return _components_isomorphic(g, h, node_budget)
+
+
+def _connected_isomorphic(g: Graph, h: Graph, node_budget: int) -> bool:
+    if g.n != h.n or g.num_edges != h.num_edges:
+        return False
+    if sorted(g.degrees()) != sorted(h.degrees()):
+        return False
+    # search the disjoint union: the two sides fuse into one orbit exactly
+    # when the components are isomorphic
+    shift = g.n
+    edges = list(g.edges) + [(u + shift, v + shift) for u, v in h.edges]
+    union = Graph(g.n + h.n, edges)
+    gens = automorphism_group(union, node_budget).generators
+    orbit = next(o for o in vertex_orbits(union.n, gens) if 0 in o)
+    return any(v >= shift for v in orbit)
+
+
+def _components(g: Graph) -> list[Graph]:
+    seen = [False] * g.n
+    out = []
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        comp = [root]
+        seen[root] = True
+        frontier = [root]
+        while frontier:
+            u = frontier.pop()
+            for w in g.neighbors(u):
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    frontier.append(w)
+        comp.sort()
+        relabel = {v: i for i, v in enumerate(comp)}
+        edges = [(relabel[u], relabel[v]) for u, v in g.edges if u in relabel]
+        out.append(Graph(len(comp), edges))
+    return out
+
+
+def _components_isomorphic(g: Graph, h: Graph, node_budget: int) -> bool:
+    gs = sorted(_components(g), key=lambda c: (c.n, c.num_edges))
+    hs = sorted(_components(h), key=lambda c: (c.n, c.num_edges))
+    if [(c.n, c.num_edges) for c in gs] != [(c.n, c.num_edges) for c in hs]:
+        return False
+    remaining = list(hs)
+    for comp in gs:
+        for i, cand in enumerate(remaining):
+            if _connected_isomorphic(comp, cand, node_budget):
+                del remaining[i]
+                break
+        else:
+            return False
+    return True

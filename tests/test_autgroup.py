@@ -13,18 +13,21 @@ import drgcert
 from drgcert.autgroup import (
     SearchBudgetExceeded,
     _refine,
-    are_isomorphic,
-    automorphism_generators,
     automorphism_group,
     is_automorphism,
     is_distance_transitive,
     pair_orbit,
-    schreier_sims_order,
     vertex_orbits,
 )
+from drgcert.expected import load_tables
 from drgcert.families import build
-from drgcert.graph import Graph
-from oracles import brute_automorphism_count, random_connected_graph
+from drgcert.graph import Graph, complement, distances, line_graph
+from oracles import (
+    are_isomorphic,
+    brute_automorphism_count,
+    random_connected_graph,
+    schreier_sims_order,
+)
 
 
 def test_small_known_orders():
@@ -154,6 +157,65 @@ def test_node_budget_raises():
         automorphism_group(g, node_budget=10)
 
 
+# the graphs of the benchmark workloads (perfbench/run.py)
+BENCHMARK_GRAPHS = (
+    "named:foster", "named:biggs_smith", "named:hoffman_singleton", "odd:5", "hamming:4:3",
+    "paley:89", "paley:101", "paley:109", "kneser:10:2", "johnson:10:2",
+    "paley:17", "hamming:3:3", "hamming:3:4", "crown:10", "complete:12",
+    "complete_bipartite:8", "cube:5", "named:clebsch",
+)
+ORACLE_SEED = 606001
+
+
+def _oracle_inputs():
+    """(label, graph): the catalogue graphs of the benchmark and the tables;
+    seeded random graphs on at most 14 vertices with their complements,
+    line graphs and two-copy disjoint unions; seeded circulants, which are
+    vertex-transitive; and the graphs on one and two vertices."""
+    tables = load_tables()
+    rows = [row.key for row in tables.cubic_rows() + tables.small_rows()]
+    for key in dict.fromkeys(BENCHMARK_GRAPHS + tuple(rows)):
+        yield key, build(key)
+    rng = Random(ORACLE_SEED)
+    for i in range(150):
+        g = random_connected_graph(rng, rng.randint(2, 14))
+        union = Graph(2 * g.n, list(g.edges) + [(u + g.n, v + g.n) for u, v in g.edges])
+        yield f"random {i}", g
+        yield f"complement of random {i}", complement(g)
+        yield f"line graph of random {i}", line_graph(g)
+        yield f"two copies of random {i}", union
+    for i in range(60):
+        n = rng.randint(3, 14)
+        steps = {s for s in range(1, n) if rng.random() < 0.4} or {1}
+        edges = {tuple(sorted((v, (v + s) % n))) for v in range(n) for s in steps}
+        yield f"circulant {i}", Graph(n, sorted(edges))
+    yield "K_1", Graph(1)
+    yield "K_2", Graph(2, [(0, 1)])
+
+
+def test_search_tree_order_and_transitivity_match_oracles():
+    # the order read off the base against an independent stabilizer chain,
+    # and the stabilizer-of-base[0] test against the pair-orbit definition
+    transitive = set()
+    for label, g in _oracle_inputs():
+        aut = automorphism_group(g)
+        assert aut.order == schreier_sims_order(g.n, aut.generators), label
+        dd = distances(g)
+        by_pairs = dd.connected and all(
+            pair_orbit(g.n, aut.generators, pairs[0]) == set(pairs)
+            for pairs in map(dd.pairs_at_distance, range(1, dd.diameter + 1))
+        )
+        assert is_distance_transitive(g, aut=aut, dd=dd) == by_pairs, label
+        if by_pairs:
+            transitive.add(label)
+    assert {"named:hoffman_singleton", "odd:5", "K_1", "K_2"} <= transitive
+    assert "named:shrikhande" not in transitive
+    assert not any(label.startswith("two copies") for label in transitive)
+    # the seed must reach transitive and non-transitive circulants
+    circulants = [label for label in transitive if label.startswith("circulant")]
+    assert 0 < len(circulants) < 60
+
+
 def _is_equitable(g, cells):
     cell_of = {v: i for i, c in enumerate(cells) for v in c}
     for c in cells:
@@ -182,12 +244,6 @@ def test_refine_orders_parts_by_true_counts():
     star = Graph(131, [(0, v) for v in range(1, 131)])
     cells, _ = _refine([star.neighbors(v) for v in range(131)], [list(range(131))])
     assert cells == [list(range(1, 131)), [0]]
-
-
-@pytest.mark.parametrize("spec", ["named:foster", "named:hoffman_singleton", "paley:17"])
-def test_generators_only_search_matches_group(spec):
-    g = build(spec)
-    assert automorphism_generators(g) == automorphism_group(g).generators
 
 
 def test_cli_import_does_not_load_numpy():

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from drgcert import autgroup
-from drgcert.autgroup import are_isomorphic, automorphism_group
+from drgcert.autgroup import automorphism_group
 from drgcert.certify import (
     DEFAULT_SEARCH_BUDGET,
     INCONCLUSIVE,
@@ -24,6 +24,7 @@ from drgcert.expected import HAS_QSYM, NO_QSYM, UNKNOWN
 from drgcert.families import build
 from drgcert.graph import DisconnectedGraphError, Graph, complement, distances
 from drgcert.io import to_graph6
+from oracles import are_isomorphic
 
 # the package re-exports the function certify under the module's name
 certify_module = importlib.import_module("drgcert.certify")
@@ -552,6 +553,27 @@ def test_audit_refuses_relabelled_family_member():
     data["graph6"] = to_graph6(copy)
     result = audit(Certificate.from_dict(data), copy)
     assert not result and "isomorphic" in result.failure
+
+
+def test_family_size_checked_before_build(monkeypatch):
+    # a certificate naming a larger family must fail before that family is
+    # built, and certify refuses such a family the same way
+    from drgcert import families
+
+    g = build("cube:3")
+    data = certify(g, family="cube:3").to_dict()
+
+    def no_build(key):
+        raise AssertionError(f"built {key}")
+
+    monkeypatch.setattr(families, "_build_cached", no_build)
+    # cube:20000 has a vertex count too long to print as a decimal
+    for key in ("complete:1200", "cube:20000"):
+        data["applications"][0]["params"]["family"] = key
+        result = audit(Certificate.from_dict(data), g)
+        assert not result and "8 vertices" in result.failure, key
+        with pytest.raises(ValueError, match=key):
+            certify(g, family=key)
 
 
 def test_audit_searches_nothing(monkeypatch):

@@ -128,7 +128,7 @@ def test_srg_params():
 
 def test_same_srg_params_different_graphs():
     # Shrikhande and the 4x4 rook's graph share parameters but differ
-    from drgcert.autgroup import are_isomorphic
+    from oracles import are_isomorphic
 
     a = build("named:shrikhande")
     b = build("hamming:2:4")

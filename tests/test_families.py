@@ -4,9 +4,16 @@ from math import comb
 
 import pytest
 
-from drgcert.autgroup import are_isomorphic
-from drgcert.families import FamilySpec, build, label_for, list_named, parse_family
+from drgcert.families import (
+    FamilySpec,
+    build,
+    label_for,
+    list_named,
+    parse_family,
+    vertex_count,
+)
 from drgcert.graph import complement, distances, girth, line_graph
+from oracles import are_isomorphic
 
 
 def test_parse_roundtrip():
@@ -130,3 +137,14 @@ def test_labels():
     assert "H(2,4)" in label_for("hamming:2:4")
     spec = FamilySpec("complete", (4,))
     assert label_for(spec) == label_for("complete:4")
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["complete:1", "complete:7", "cycle:5", "complete_bipartite:4", "crown:5", "cube:1",
+     "cube:4", "hamming:3:1", "hamming:2:5", "hamming:3:3", "johnson:6:3", "johnson:7:1",
+     "kneser:7:3", "kneser:6:2", "odd:2", "odd:4", "paley:13", "paley:25"]
+    + [f"named:{name}" for name in list_named()],
+)
+def test_vertex_count_matches_build(key):
+    assert vertex_count(key) == build(key).n
