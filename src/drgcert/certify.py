@@ -37,8 +37,8 @@ from .autgroup import (
     pair_orbit,
 )
 from .drg import intersection_array
-from .expected import HAS_QSYM, NO_QSYM, UNKNOWN
-from .families import FamilySpec, build, parse_family, vertex_count
+from .expected import HAS_QSYM, NO_QSYM
+from .families import FamilySpec, build, has_order, parse_family
 from .graph import (
     DisconnectedGraphError,
     Graph,
@@ -54,7 +54,7 @@ from .knowledge import UNKNOWN_FACT, QsymFact, verdict_for
 
 INCONCLUSIVE = "INCONCLUSIVE"
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # distance lookups allowed per class for the witness searches
 DEFAULT_SEARCH_BUDGET = 100_000_000
@@ -101,6 +101,10 @@ def _plain(value):
     return value.to_dict() if isinstance(value, _Record) else value
 
 
+# JSON type of each field annotation; a bool is never accepted for an int
+_JSON_TYPES = {"str": str, "int": int, "None": type(None), "dict": dict, "tuple": list}
+
+
 class _Record:
     """Dict form of a frozen dataclass, derived from its fields: tuple
     fields are stored as JSON lists, and a field's metadata may name a
@@ -111,12 +115,29 @@ class _Record:
 
     @classmethod
     def from_dict(cls, data: dict):
+        """The record a JSON object holds: exactly the fields' keys, each of
+        its annotation's JSON type.  Raises ValueError naming the field."""
+        names = [f.name for f in fields(cls)]
+        if not isinstance(data, dict) or set(data) != set(names):
+            keys = sorted(data) if isinstance(data, dict) else type(data).__name__
+            raise ValueError(f"{cls.__name__} has fields {names}, got {keys}")
         kwargs = {}
         for f in fields(cls):
+            value = data[f.name]
             # annotations are strings under "from __future__ import annotations"
+            types = tuple(_JSON_TYPES[t] for t in f.type.split(" | "))
+            if isinstance(value, bool) or not isinstance(value, types):
+                kind = type(value).__name__
+                raise ValueError(f"{cls.__name__}.{f.name} is {kind}, not {f.type}")
             load = f.metadata.get("load", tuple if f.type == "tuple" else None)
-            kwargs[f.name] = data[f.name] if load is None else load(data[f.name])
+            kwargs[f.name] = value if load is None else load(value)
         return cls(**kwargs)
+
+
+def _load_generators(gens: list) -> tuple:
+    if not all(isinstance(p, list) for p in gens):
+        raise ValueError("Certificate.generators holds a permutation that is not a list")
+    return tuple(tuple(p) for p in gens)
 
 
 @dataclass(frozen=True)
@@ -134,19 +155,15 @@ class Certificate(_Record):
     n: int
     degree: int | None
     diameter: int
-    girth: int | None
-    array: str | None
+    family: str | None  # the family key certify was given; it fixes the recorded fact
     mode: str  # "orbit" | "all-pairs" | "knowledge-base"
     verdict: str
-    reason: str | None
-    kb_verdict: str
-    kb_reason: str | None
     certified: tuple
     open_classes: tuple
     applications: tuple = field(
         metadata={"load": lambda apps: tuple(Application.from_dict(a) for a in apps)}
     )
-    generators: tuple = field(metadata={"load": lambda gens: tuple(tuple(p) for p in gens)})
+    generators: tuple = field(metadata={"load": _load_generators})
     notes: tuple
     graph6: str
 
@@ -162,7 +179,7 @@ class Certificate(_Record):
         version = data.get("format_version") if isinstance(data, dict) else None
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported certificate format: {version!r}")
-        return super().from_dict(data)
+        return super().from_dict({k: v for k, v in data.items() if k != "format_version"})
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
@@ -174,28 +191,18 @@ class Certificate(_Record):
         if self.degree is not None:
             lines.append(f"  degree: {self.degree}")
         lines.append(f"  diameter: {self.diameter}")
-        if self.girth is not None:
-            lines.append(f"  girth: {self.girth}")
-        if self.array is not None:
-            lines.append(f"  intersection array: {self.array}")
         lines.append(f"  coverage: {self.mode}")
         lines.append(f"  verdict: {self.verdict}")
-        if self.reason:
-            lines.append(f"  reason: {self.reason}")
-        kb = self.kb_verdict
-        if self.kb_reason:
-            kb += f" ({self.kb_reason})"
-        lines.append(f"  knowledge base: {kb}")
+        fact = verdict_for(self.family)
+        lines.append(f"  knowledge base: {fact.verdict} ({fact.reason})")
         if self.applications:
             lines.append("  applications:")
             for i, app in enumerate(self.applications, start=1):
                 where = f"class {app.m}" if app.m is not None else "whole graph"
                 params = _render_params(app.params)
                 lines.append(f"    {i}. {app.rule}  {where}  {params}".rstrip())
-        if self.open_classes:
-            lines.append(f"  open classes: {', '.join(str(m) for m in self.open_classes)}")
-        else:
-            lines.append("  open classes: none")
+        open_classes = ", ".join(str(m) for m in self.open_classes) or "none"
+        lines.append(f"  open classes: {open_classes}")
         if self.generators:
             lines.append(f"  generators recorded: {len(self.generators)}")
         for note in self.notes:
@@ -459,11 +466,12 @@ def certify(
 ) -> Certificate:
     """Certify absence of quantum symmetry for a connected graph.
 
-    When a family spec is supplied, the knowledge base is consulted first:
-    a recorded HAS_QSYM fact short-circuits the rule engine, and any other
-    recorded verdict is carried in the certificate for comparison.  An
-    automorphism group already computed for g may be passed as aut; without
-    one, orbit coverage searches the group itself.
+    When a family spec is supplied, g must be its graph as built, and the
+    certificate records the family's key: a recorded HAS_QSYM fact
+    short-circuits the rule engine, and any other recorded verdict is read
+    from the key when the certificate is shown.  An automorphism group
+    already computed for g may be passed as aut; without one, orbit
+    coverage searches the group itself.
     """
     if aut is not None and aut.n != g.n:
         raise ValueError(f"automorphism group acts on {aut.n} points, graph has {g.n}")
@@ -472,18 +480,17 @@ def certify(
     if mode not in ("auto", "orbit", "all-pairs"):
         raise ValueError(f"unknown coverage mode {mode!r}")
 
-    spec = parse_family(family) if isinstance(family, str) else family
-    if spec is not None and (vertex_count(spec) != g.n or build(spec) != g):
-        raise ValueError(f"graph is not the {spec.key()} graph its family names")
-    fact = verdict_for(spec) if spec is not None else UNKNOWN_FACT
+    key = family.key() if isinstance(family, FamilySpec) else family
+    spec, fact = _bind(key, g) if key is not None else (None, UNKNOWN_FACT)
     if label is None:
         label = spec.label() if spec is not None else f"graph on {g.n} vertices"
 
     dd = distances(g)
     diam = dd.diameter
-    inv = _Invariants(g, dd)
+    header = _header(g, dd, label, spec.key() if spec is not None else None)
     if fact.verdict == HAS_QSYM:
-        return _known(inv, spec.key(), fact, label)
+        return _known(header)
+    inv = _Invariants(g, dd)
 
     notes: list = []
     generators: tuple = ()
@@ -553,50 +560,55 @@ def certify(
     return Certificate(
         mode=resolved,
         verdict=verdict,
-        reason=None,
         certified=tuple(sorted(certified)),
         open_classes=open_classes,
         applications=tuple(apps),
         generators=generators if uses_orbit else (),
         notes=tuple(notes),
-        **_header(inv, label, fact),
+        **header,
     )
 
 
-def _header(inv: _Invariants, label: str, fact: QsymFact) -> dict:
-    """The certificate fields that describe the graph and its recorded fact."""
-    arr = inv.array()
+def _bind(key: str, g: Graph) -> tuple[FamilySpec, QsymFact]:
+    """The spec and recorded fact of the family key names, once g is its
+    graph as built (labelled equality); raises ValueError otherwise.  The
+    closed-form order is compared first, so no work grows with a parameter
+    of the family beyond the size of g."""
+    if not has_order(key, g.n):
+        raise ValueError(f"{key} does not have the graph's {g.n} vertices")
+    spec = parse_family(key)
+    if build(spec) != g:
+        raise ValueError(
+            f"graph is not the {spec.key()} graph as built; an isomorphic copy is not accepted"
+        )
+    return spec, verdict_for(spec)
+
+
+def _header(g: Graph, dd, label: str, family: str | None) -> dict:
+    """The certificate fields that describe the graph and name its family."""
     return {
         "label": label,
-        "n": inv.g.n,
-        "degree": inv.g.regular_degree(),
-        "diameter": inv.dd.diameter,
-        "girth": inv.girth(),
-        "array": str(arr) if arr else None,
-        "graph6": to_graph6(inv.g),
-        "kb_verdict": fact.verdict,
-        "kb_reason": fact.reason,
+        "n": g.n,
+        "degree": g.regular_degree(),
+        "diameter": dd.diameter,
+        "family": family,
+        "graph6": to_graph6(g),
     }
 
 
-def _known(inv: _Invariants, key: str, fact: QsymFact, label: str) -> Certificate:
-    """The HAS_QSYM certificate of family key's recorded fact: it certifies
-    no class and rests on the one knowledge-base application."""
-    app = Application(
-        RULE_KNOWN,
-        None,
-        {"family": key, "reason": fact.reason, "quantum_group": fact.quantum_group},
-    )
+def _known(header: dict) -> Certificate:
+    """The HAS_QSYM certificate of the header family's recorded fact: it
+    certifies no class and rests on the one knowledge-base application,
+    whose family, reason and quantum group all come from the key."""
     return Certificate(
         mode="knowledge-base",
         verdict=HAS_QSYM,
-        reason=fact.reason,
         certified=(),
-        open_classes=tuple(range(1, inv.dd.diameter + 1)),
-        applications=(app,),
+        open_classes=tuple(range(1, header["diameter"] + 1)),
+        applications=(Application(RULE_KNOWN, None, {}),),
         generators=(),
         notes=(),
-        **_header(inv, label, fact),
+        **header,
     )
 
 
@@ -614,18 +626,17 @@ def transfer_certificate(cert: Certificate, g: Graph, label: str | None = None) 
         raise ValueError("complement transfer requires a NO_QSYM certificate")
     if cert.graph6 != to_graph6(comp):
         raise ValueError("certificate does not describe the complement of this graph")
-    inv = _Invariants(g, distances(g))
+    dd = distances(g)
     app = Application(RULE_COMPLEMENT, None, {"complement": cert.to_dict()})
     return Certificate(
         mode=cert.mode,
         verdict=NO_QSYM,
-        reason=None,
-        certified=tuple(range(1, inv.dd.diameter + 1)),
+        certified=tuple(range(1, dd.diameter + 1)),
         open_classes=(),
         applications=(app,),
         generators=(),
         notes=(),
-        **_header(inv, label or f"complement of {cert.label}", UNKNOWN_FACT),
+        **_header(g, dd, label or f"complement of {cert.label}", None),
     )
 
 
@@ -643,12 +654,15 @@ def certify_via_complement(g: Graph, *, label: str | None = None, **options) -> 
 def audit(cert: Certificate, g: Graph) -> AuditResult:
     """Re-verify every claim of a certificate from the graph alone.
 
-    Replays the applications in order, on distances, girth and array
-    computed here: a structural rule's function must return exactly the
-    recorded params, and a pair rule's pivots and witnesses must pin every
-    covered pair.  Then checks the bookkeeping that connects the
-    applications to the verdict.  Returns a falsy result naming the first
-    failure.
+    A recorded family must be written as its canonical key and build g,
+    by the same binding certify applies.  When it records quantum symmetry,
+    or the certificate claims it, the certificate must be, label aside,
+    the knowledge-base one certify writes.  Otherwise the applications are
+    replayed in order, on distances, girth and array computed here: a
+    structural rule's function must return exactly the recorded params, and
+    a pair rule's pivots and witnesses must pin every covered pair.  Then
+    the bookkeeping that connects the applications to the verdict is
+    checked.  Returns a falsy result naming the first failure.
     """
 
     def fail(msg: str) -> AuditResult:
@@ -663,11 +677,30 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
 
     dd = distances(g)
     diam = dd.diameter
-    if not _is_int(cert.diameter) or cert.diameter != diam:
+    if cert.diameter != diam:
         return fail(f"diameter mismatch: certificate says {cert.diameter}, graph has {diam}")
 
-    if cert.verdict == HAS_QSYM:
-        return _audit_has_qsym(cert, g, dd)
+    fact = UNKNOWN_FACT
+    if cert.family is not None:
+        try:
+            spec, fact = _bind(cert.family, g)
+        except ValueError as exc:
+            return fail(f"family {cert.family!r} does not bind to the graph: {exc}")
+        if spec.key() != cert.family:
+            return fail(f"family {cert.family!r} is not written as its key {spec.key()!r}")
+    if HAS_QSYM in (cert.verdict, fact.verdict):
+        if fact.verdict != HAS_QSYM:
+            return fail(f"knowledge base does not record quantum symmetry for {cert.family}")
+        given = cert.to_dict()
+        known = _known(_header(g, dd, cert.label, cert.family)).to_dict()
+        differ = [
+            name
+            for name in known
+            if json.dumps(given[name], sort_keys=True) != json.dumps(known[name], sort_keys=True)
+        ]
+        if differ:
+            return fail(f"fields {differ} differ from the {cert.family} knowledge-base certificate")
+        return AuditResult(True)
     if cert.verdict not in (NO_QSYM, INCONCLUSIVE):
         return fail(f"unknown verdict {cert.verdict!r}")
     if cert.mode not in ("orbit", "all-pairs"):
@@ -681,13 +714,13 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
     for index, app in enumerate(cert.applications, start=1):
         where = f"application {index} ({app.rule}, m={app.m})"
         if app.rule == RULE_COMPLEMENT:
-            result = _audit_complement(app, g)
-            if not result.ok:
-                return fail(f"{where}: {result.failure}")
+            failure = _complement_failure(app, g)
+            if failure is not None:
+                return fail(f"{where}: {failure}")
             certified.update(range(1, diam + 1))
             continue
         m = app.m
-        if not _is_int(m) or not (1 <= m <= diam):
+        if m is None or not 1 <= m <= diam:
             return fail(f"{where}: class out of range")
         if m in certified:
             return fail(f"{where}: class {m} certified twice")
@@ -711,7 +744,7 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
 
     if not all(_is_int(c) for c in (*cert.certified, *cert.open_classes)):
         return fail("class lists must hold integers")
-    if sorted(certified) != sorted(cert.certified):
+    if list(cert.certified) != sorted(certified):
         return fail("certified class list does not match the applications")
     expected_open = tuple(m for m in range(1, diam + 1) if m not in certified)
     if tuple(cert.open_classes) != expected_open:
@@ -720,71 +753,23 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
         return fail(f"verdict NO_QSYM but classes {list(expected_open)} are unverified")
     if cert.verdict == INCONCLUSIVE and not expected_open:
         return fail("verdict INCONCLUSIVE but every class is certified")
-    if cert.kb_verdict not in (NO_QSYM, UNKNOWN):
-        # a recorded HAS_QSYM fact yields a knowledge-base certificate instead
-        return fail(f"kb_verdict {cert.kb_verdict!r} is neither NO_QSYM nor UNKNOWN")
-    return _recorded({"degree": cert.degree}, {"degree": g.regular_degree()})
+    degree = g.regular_degree()
+    if cert.degree != degree:
+        return fail(f"degree mismatch: certificate says {cert.degree}, graph has {degree}")
+    return AuditResult(True)
 
 
-def _audit_has_qsym(cert: Certificate, g: Graph, dd) -> AuditResult:
-    """Accept a HAS_QSYM certificate only when it is, label aside, the one
-    certify writes for the graph its family's constructor builds."""
-
-    def fail(msg):
-        return AuditResult(False, msg)
-
-    apps = cert.applications
-    key = apps[0].params.get("family") if len(apps) == 1 else None
-    if not isinstance(key, str):
-        return fail("HAS_QSYM requires exactly one knowledge-base application naming a family")
+def _complement_failure(app: Application, g: Graph) -> str | None:
+    """Why the embedded certificate fails to be a NO_QSYM certificate of
+    complement(g) that passes its audit, or None."""
     try:
-        spec = parse_family(key)
-        fact = verdict_for(spec)
-        count = vertex_count(spec)
+        inner = Certificate.from_dict(app.params.get("complement"))
     except ValueError as exc:
-        return fail(f"family {key!r} cannot be rebuilt: {exc}")
-    if fact.verdict != HAS_QSYM:
-        return fail(f"knowledge base does not record quantum symmetry for {key}")
-    # compared before building, so a certificate cannot make the audit
-    # allocate a graph larger than the one it is given
-    if count != g.n:
-        return fail(f"{spec.key()} does not have the graph's {g.n} vertices")
-    if build(spec) != g:
-        return fail(
-            f"graph is not the {spec.key()} graph as built; an isomorphic copy is not accepted"
-        )
-    given = cert.to_dict()
-    known = _known(_Invariants(g, dd), spec.key(), fact, cert.label).to_dict()
-    differ = [
-        name
-        for name in known
-        if json.dumps(given[name], sort_keys=True) != json.dumps(known[name], sort_keys=True)
-    ]
-    if differ:
-        return fail(f"fields {differ} differ from the {spec.key()} knowledge-base certificate")
-    return AuditResult(True)
-
-
-def _audit_complement(app: Application, g: Graph) -> AuditResult:
-    def fail(msg):
-        return AuditResult(False, msg)
-
-    data = app.params.get("complement")
-    if not isinstance(data, dict):
-        return fail("no embedded complement certificate")
-    try:
-        inner = Certificate.from_dict(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        return fail(f"embedded certificate malformed: {exc}")
-    comp = complement(g)
+        return f"embedded certificate malformed: {exc}"
     if inner.verdict != NO_QSYM:
-        return fail("embedded complement certificate is not NO_QSYM")
-    if inner.graph6 != to_graph6(comp):
-        return fail("embedded certificate does not describe the complement")
-    result = audit(inner, comp)
-    if not result.ok:
-        return fail(f"embedded certificate fails audit: {result.failure}")
-    return AuditResult(True)
+        return "embedded complement certificate is not NO_QSYM"
+    result = audit(inner, complement(g))
+    return None if result.ok else f"embedded certificate fails audit: {result.failure}"
 
 
 def _is_int(x) -> bool:
@@ -896,14 +881,14 @@ def _replay_pair(dd, m, j, l, payload, certified) -> str | None:
 
 def _audit_application(app, inv: _Invariants, certified, gens) -> AuditResult:
     m, rule, params = app.m, app.rule, app.params
-    check = _STRUCTURAL.get(rule) if isinstance(rule, str) else None
+    check = _STRUCTURAL.get(rule)
     if check is not None:
         actual = check(inv, m, certified)
         if actual is None:
             return AuditResult(False, f"{rule} does not hold for class {m}")
         return _recorded(params, actual)
 
-    if isinstance(rule, str) and rule in _PAIR_FIELDS:
+    if rule in _PAIR_FIELDS:
         claims = _pair_claims(app, inv.dd, m, gens)
         if isinstance(claims, str):
             return AuditResult(False, claims)

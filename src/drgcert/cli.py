@@ -165,15 +165,14 @@ def _cmd_audit(parser, args) -> int:
     try:
         with open(args.certificate) as f:
             cert = Certificate.from_json(f.read())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         parser.error(f"cannot load certificate: {exc}")
     if args.family or args.path:
         g, _ = _load_graph(parser, args)
     else:
-        # no graph supplied: replay against the one the certificate names;
-        # str() turns a wrongly typed field into a decoding error
+        # no graph supplied: replay against the one the certificate names
         try:
-            g = from_graph6(str(cert.graph6))
+            g = from_graph6(cert.graph6)
         except ValueError as exc:
             parser.error(f"cannot load certificate: {exc}")
     result = audit(cert, g)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations, product
-from math import comb
+from math import comb, isqrt
 
 from .drg import IntersectionArray, intersection_array
 from .graph import (
@@ -100,6 +100,15 @@ class FamilySpec:
 
 def parse_family(text: str) -> FamilySpec:
     """Parse a spec string like "hamming:2:4" or "named:heawood"."""
+    spec = _parse(text)
+    if spec.family == "paley":
+        _paley_prime(spec.params[0])
+    return spec
+
+
+def _parse(text: str) -> FamilySpec:
+    """The spec a string names, with every parameter check but the Paley
+    order's, which takes time growing with q: parse_family adds it."""
     parts = text.strip().split(":")
     family = parts[0].strip().lower()
     if family == "named":
@@ -149,8 +158,6 @@ def _validate_params(spec: FamilySpec) -> None:
         raise ValueError("kneser:n:k needs k >= 1 and n >= 2k")
     if f == "odd" and p[0] < 2:
         raise ValueError("odd:k needs k >= 2")
-    if f == "paley":
-        _paley_field(p[0])
 
 
 def build(spec: FamilySpec | str) -> Graph:
@@ -160,25 +167,32 @@ def build(spec: FamilySpec | str) -> Graph:
     return _build_cached(spec.key())
 
 
-def vertex_count(spec: FamilySpec | str) -> int:
-    """The number of vertices of build(spec), in closed form: nothing is
-    built, so a size can be checked before a graph is allocated."""
+def has_order(spec: FamilySpec | str, n: int) -> bool:
+    """Whether build(spec) has n vertices, decided in closed form with work
+    bounded by the size of n: a spec string is parsed without the Paley
+    order check, and a parameter too large to match is refused before any
+    power or binomial is evaluated.  Nothing is built."""
     if isinstance(spec, str):
-        spec = parse_family(spec)
+        spec = _parse(spec)
     f, p = spec.family, spec.params
     if f == "named":
-        return _NAMED[spec.name].order
+        return _NAMED[spec.name].order == n
     if f in ("complete", "cycle", "paley"):
-        return p[0]
+        return p[0] == n
     if f in ("complete_bipartite", "crown"):
-        return 2 * p[0]
+        return 2 * p[0] == n
     if f == "cube":
-        return 2 ** p[0]
+        return p[0] < n.bit_length() and 2 ** p[0] == n
     if f == "hamming":
-        return p[1] ** p[0]
+        # H(d,1) is one vertex; otherwise q <= q^d and 2^d <= q^d
+        d, q = p
+        return n == 1 if q == 1 else q <= n and d < n.bit_length() and q**d == n
     if f == "odd":
-        return comb(2 * p[0] - 1, p[0] - 1)
-    return comb(p[0], p[1])  # johnson, kneser
+        # C(2k-1, k-1) >= 2^(k-1)
+        return p[0] <= n.bit_length() and comb(2 * p[0] - 1, p[0] - 1) == n
+    # johnson, kneser: C(m, k) >= m and C(m, k) >= 2^k for 1 <= k <= m/2
+    m, k = p[0], min(p[1], p[0] - p[1])
+    return m <= n and k < n.bit_length() and comb(m, k) == n
 
 
 def label_for(spec: FamilySpec | str) -> str:
@@ -293,27 +307,27 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _paley_field(q: int):
-    """Return (p, elements, mul) for GF(q), q an odd prime or the square of
-    an odd prime with q = 1 mod 4.  Elements are pairs (a, b) = a + b*x."""
+def _paley_prime(q: int) -> int:
+    """The prime p of GF(q) for a Paley order q: q itself when q is a prime
+    with q = 1 mod 4, or the odd prime whose square q is."""
     if _is_prime(q):
         if q % 4 != 1:
             raise ValueError(f"paley:q needs q = 1 mod 4, got {q}")
-        p = q
-        elements = [(a, 0) for a in range(q)]
-
-        def mul(u, v):
-            return ((u[0] * v[0]) % p, 0)
-
-        return p, elements, mul
-    root = round(q**0.5)
+        return q
+    root = isqrt(q) if q > 0 else 0
     if root * root != q or not _is_prime(root) or root == 2:
         raise ValueError(f"paley:q needs q an odd prime or its square, got {q}")
-    p = root
+    return root
+
+
+def _paley_field(q: int):
+    """Return (p, elements, mul) for GF(q), q a valid Paley order.
+    Elements are pairs (a, b) = a + b*x, with b = 0 when q = p."""
+    p = _paley_prime(q)
     # GF(p^2) = Z_p[x] / (x^2 - r) with r the smallest non-residue mod p
     residues = {(a * a) % p for a in range(1, p)}
     r = next(a for a in range(2, p) if a not in residues)
-    elements = [(a, b) for b in range(p) for a in range(p)]
+    elements = [(a, b) for b in range(q // p) for a in range(p)]
 
     def mul(u, v):
         a1, b1 = u

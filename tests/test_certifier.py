@@ -20,10 +20,12 @@ from drgcert.certify import (
     certify_via_complement,
     transfer_certificate,
 )
+from drgcert.drg import intersection_array
 from drgcert.expected import HAS_QSYM, NO_QSYM, UNKNOWN
 from drgcert.families import build
-from drgcert.graph import DisconnectedGraphError, Graph, complement, distances
+from drgcert.graph import DisconnectedGraphError, Graph, complement, distances, girth
 from drgcert.io import to_graph6
+from drgcert.knowledge import verdict_for
 from oracles import are_isomorphic
 
 # the package re-exports the function certify under the module's name
@@ -159,14 +161,15 @@ def test_hoffman_singleton_partial():
     cert = certify(g, family="named:hoffman_singleton")
     assert 1 in cert.certified
     assert cert.verdict in (NO_QSYM, INCONCLUSIVE)
-    assert cert.kb_verdict == NO_QSYM
+    assert cert.family == "named:hoffman_singleton"
+    assert verdict_for(cert.family).verdict == NO_QSYM
     assert audit(cert, g)
 
 
 def test_johnson_6_3_reports_open_question():
     g = build("johnson:6:3")
     cert = certify(g, family="johnson:6:3")
-    assert cert.kb_verdict == UNKNOWN
+    assert cert.family == "johnson:6:3" and verdict_for(cert.family).verdict == UNKNOWN
     assert cert.verdict != HAS_QSYM
     assert 3 in cert.certified  # antipodal class has a unique far vertex
     assert audit(cert, g)
@@ -192,7 +195,7 @@ def test_no_family_means_no_has_verdict():
     g = build("hamming:2:4")
     cert = certify(g)
     assert cert.verdict == INCONCLUSIVE
-    assert cert.kb_verdict == UNKNOWN
+    assert cert.family is None
     assert audit(cert, g)
 
 
@@ -286,10 +289,10 @@ def test_text_rendering_mentions_everything():
     assert "graph6:" in text
 
 
-# sha256 of to_json(), recorded before the three pair-rule searches were
-# merged into one and, for the last four (HAS_QSYM), before the header and
-# the knowledge-base certificate got one writer each; both must emit the
-# same bytes
+# sha256 of to_json() in format 1, recorded before the three pair-rule
+# searches were merged into one and, for the last four (HAS_QSYM), before
+# the header and the knowledge-base certificate got one writer each; both
+# must emit the same bytes
 CERTIFICATE_DIGESTS = [
     ("named:foster", {}, "214ff176d123087a8a0b5dce81b600accccc4beee9dc49220c56bfea2dbe75ee"),
     ("named:foster", {"mode": "all-pairs"}, "321acf33616283208413e1c20a9f97918e2aa814ee53ae8b513c1154893b258d"),
@@ -312,10 +315,86 @@ CERTIFICATE_DIGESTS = [
 ]
 
 
+# sha256 of to_json() in format 2 for each format-1 digest above, recorded
+# when the format changed
+FORMAT_2_DIGESTS = {
+    "214ff176d123087a8a0b5dce81b600accccc4beee9dc49220c56bfea2dbe75ee":
+        "c56903068bee096e26c0e47108a37e495ac3c6fc32107e00af0dcec74f99949a",
+    "321acf33616283208413e1c20a9f97918e2aa814ee53ae8b513c1154893b258d":
+        "9d7c45cb77b0f2d71d84127f8494eb633bd67ac6d878be0c56130fcc54d8eb29",
+    "322701f8f2acd01eac83dfd77cf56a91747d51919b6fba683000ee144826380b":
+        "5c238cc8890eefcb6d24bcc8abadfc9945c0ac0cee76db00e086366b0526184d",
+    "6c5cebcca70adb546d0ecfe3ce3fe336e8db97f716409887b69524e96bca8e6e":
+        "c97bea1a5da428f253bcdbc8e3ff8562bd2d8a15fbd42082ffd2d493f0eaf731",
+    "86128820f455a9559b74f82e0d77c909558df7871ce5a270ded41158612b060a":
+        "e20090f7ae0e19c80ce1846cfd18c521d4ff818c653e1ebb4303ff564ec03e11",
+    "c09f6a065c901af7660d48f8df49996866774bc752fcea4fb2448120bd2131f7":
+        "0d2b40f119ee229b91aee9d848f4879336a6c8deb72c3f93f57bbfe89612b985",
+    "892029519a3a9661e50daca6d369def27ca20c2d5b0fc6f74f07232f6797c8bc":
+        "d0a4abbd3dcd48053f5ad1851dbe4d06f70228417f2c48e2e3f09f25e066f1f6",
+    "51741f016a385b58832bf379b1abe2ce7aa157df1d61b25238c596a66d040d05":
+        "7027aaead28968c483a2b65c75de679089350bd0cd89619007d4e1080a7441bd",
+    "405106fbb68788d413206e9abae37cd4882076bebe72b0b602c2d5cbdd32a2b7":
+        "20a24debff6f60dad4eca0e2f2a7da20f0e5a6b3f4fd8523aafddf8aea6f86fb",
+    "b42948bf236ec3b4fab6343f22a92966d3e4ec6c8a59748be8eab83924760600":
+        "7ed7b75951b7f83b962720f65a07be4e1a16f3fcb96022878ef7664fd5115803",
+    "00ae93e77bc01a5d2dc7f18834112b1b682a42c198b07731a8814e20002f91d0":
+        "80b35ccc0823d2192ebc9aee0b08ee4318903bb9edc4cf9194f45e0073688df1",
+    "a19017bf74c06c4c4c577e9a87d056aabd8d8ba669c7034354616f5e662532d4":
+        "85295e0642a5ac950fdf4f59268b5c30075ff6480961421015e9ed8d70814e77",
+    "fe74f4a19c9b1656b6df9b42bb93589741d0f7f18ed77f9db110f7416e06c601":
+        "c6f30359ba90d98ee8dc714d55b25b13d0a395dc82db3b9a89d5cfd645a89c08",
+    "4c91c0ff83161e33908726494e7d30ea638248e65780806f8f99b14c4451f6ba":
+        "85165718cbece8c503e4db3a7b39b62560f48af9640f4299468104b52745a78d",
+    "4c2bb4bf1c091b16c505c48e5895fb8b3f2e2bc904d64d0559ce15e91d189429":
+        "53a6672f6cb404c73fac96acc90c85e0233cd7b2d745f6b807ba01a2997d159d",
+    "bcd5047350a31384f6e49acb765fe36aa4a7b9c8cda25a3f94cf3ce73e285796":
+        "c11838d75b6d5e44cdcad4123ade1dcdbb37ade7c6cd7dd08104ea8f3ab20a82",
+    "495148e12e01b9c7e2b94f56c8776be296cd84051b302dffbe1f99683a147647":
+        "2e16778481aa17c45e09b4be4e409cbfbce0422a81e46aeecabb0c4d04d4f79c",
+    "4b512718921349994fc11cee6754fec46e241016ef63456b2b1719915f69974f":
+        "71ca6526abe0279cafbf9799747ff32ab91535784761aea94901e901081b2adc",
+}
+
+FORMAT_1_KEYS = (
+    "format_version", "label", "n", "degree", "diameter", "girth", "array", "mode",
+    "verdict", "reason", "kb_verdict", "kb_reason", "certified", "open_classes",
+    "applications", "generators", "notes", "graph6",
+)
+
+
+def _format_1(cert, g):
+    """The format-1 dict of a certificate: the header girth and array
+    recomputed from g; reason, kb_verdict, kb_reason and the knowledge-base
+    params read from its family's recorded fact; no family."""
+    data = cert.to_dict()
+    fact = verdict_for(data.pop("family"))
+    for app in data["applications"]:
+        if app["rule"] == "known-quantum-symmetry":
+            app["params"] = {
+                "family": cert.family, "reason": fact.reason, "quantum_group": fact.quantum_group
+            }
+    arr = intersection_array(g)
+    data.update(
+        format_version=1,
+        girth=girth(g),
+        array=str(arr) if arr else None,
+        reason=fact.reason if cert.verdict == HAS_QSYM else None,
+        kb_verdict=fact.verdict,
+        kb_reason=fact.reason,
+    )
+    return {key: data[key] for key in FORMAT_1_KEYS}
+
+
 @pytest.mark.parametrize("key,options,digest", CERTIFICATE_DIGESTS)
 def test_certificate_bytes_pinned(key, options, digest):
-    cert = certify(build(key), family=key, **options)
-    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == digest
+    # format 2 records the family and drops five fields that are functions
+    # of it or of the graph: put back, they give the format-1 bytes
+    g = build(key)
+    cert = certify(g, family=key, **options)
+    widened = json.dumps(_format_1(cert, g), separators=(",", ":"))
+    assert hashlib.sha256(widened.encode()).hexdigest() == digest
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == FORMAT_2_DIGESTS[digest]
 
 
 def test_format_version_checked():
@@ -417,8 +496,7 @@ def test_audit_rejects_no_qsym_on_quantum_graph():
     data = donor.to_dict()
     data["graph6"] = to_graph6(rook)
     data["label"] = "counterfeit"
-    data["kb_verdict"] = UNKNOWN
-    data["kb_reason"] = None
+    data["family"] = None
     result = audit(Certificate.from_dict(data), rook)
     assert not result
 
@@ -515,17 +593,25 @@ def test_to_dict_shares_nothing_with_certificate():
         ("named:petersen", ("generators",), [["x"]]),
         ("named:petersen", ("generators",), [[1, 0, *range(2, 10)]]),
         ("cube:3", ("applications", 0, "m"), 2),
+        # keys added to the knowledge-base params, which are empty
         ("cube:3", ("applications", 0, "params", "reason"), 2),
         ("cube:3", ("applications", 0, "params", "quantum_group"), {}),
-        ("cube:3", ("reason",), "made up"),
-        ("cube:3", ("kb_verdict",), "UNKNOWN"),
-        ("cube:3", ("kb_reason",), "made up"),
-        ("cube:3", ("girth",), 6),
-        ("cube:3", ("array",), "{3,2;1,2}"),
+        ("cube:3", ("family",), "made up"),
+        ("cube:3", ("verdict",), "UNKNOWN"),
+        ("cube:3", ("applications", 0, "rule"), "made up"),
+        ("cube:3", ("diameter",), 6),
+        ("cube:3", ("graph6",), "{3,2;1,2}"),
         ("cube:3", ("notes",), ["made up"]),
-        ("johnson:6:3", ("kb_verdict",), "HAS_QSYM"),
-        ("johnson:6:3", ("kb_verdict",), "maybe"),
-        ("named:petersen", ("kb_verdict",), "maybe"),
+        ("johnson:6:3", ("verdict",), "HAS_QSYM"),
+        ("johnson:6:3", ("verdict",), "maybe"),
+        ("named:petersen", ("family",), "maybe"),
+        ("cube:3", ("family",), "cube:4"),
+        ("cube:3", ("family",), "Cube:3"),
+        ("cube:3", ("family",), "complete:8"),
+        ("cube:3", ("family",), None),
+        ("named:petersen", ("family",), "named:Petersen"),
+        ("named:petersen", ("family",), "johnson:5:2"),
+        ("named:petersen", ("family",), "complete:10"),
     ],
 )
 def test_audit_checks_degree_mode_generators_and_fact(key, path, value):
@@ -535,9 +621,19 @@ def test_audit_checks_degree_mode_generators_and_fact(key, path, value):
     target = data
     for step in steps:
         target = target[step]
-    assert last in target
+    # only a params dict may gain a key: the schema refuses any other
+    assert last in target or steps[-1:] == ["params"], path
     target[last] = value
-    assert not audit(Certificate.from_dict(data), g)
+    assert _rejected(data, g)
+
+
+def _rejected(data, g) -> bool:
+    """Whether a certificate dict fails to load or fails its audit."""
+    try:
+        cert = Certificate.from_dict(data)
+    except ValueError:
+        return True
+    return not audit(cert, g)
 
 
 def test_audit_refuses_relabelled_family_member():
@@ -569,7 +665,7 @@ def test_family_size_checked_before_build(monkeypatch):
     monkeypatch.setattr(families, "_build_cached", no_build)
     # cube:20000 has a vertex count too long to print as a decimal
     for key in ("complete:1200", "cube:20000"):
-        data["applications"][0]["params"]["family"] = key
+        data["family"] = key
         result = audit(Certificate.from_dict(data), g)
         assert not result and "8 vertices" in result.failure, key
         with pytest.raises(ValueError, match=key):
@@ -776,7 +872,7 @@ def test_audit_rejects_bool_for_class(key, options, tamper):
     g = build(key)
     data = certify(g, family=key, **options).to_dict()
     tamper(data)
-    assert not audit(Certificate.from_dict(data), g)
+    assert _rejected(data, g)
 
 
 def test_audit_computes_invariants_lazily(monkeypatch):
@@ -811,8 +907,8 @@ def test_complement_transfer():
     j52 = build("johnson:5:2")
     cert = certify_via_complement(j52)
     assert cert.verdict == NO_QSYM
-    # sha256 of to_json(), recorded before the header got one writer
-    digest = "3cad69034e19f9a3f160b6a9eaa924ea7dd571c7ce0de318174b6b4540adfc6f"
+    # sha256 of to_json() in format 2, recorded when the format changed
+    digest = "55e1fba1a4ab8c8ac96424fa4c958bc0a286dd6855e5994edd0c01bb4785aae0"
     assert hashlib.sha256(cert.to_json().encode()).hexdigest() == digest
     assert cert.applications[0].rule == "complement-transfer"
     assert audit(cert, j52)

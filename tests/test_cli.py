@@ -142,7 +142,7 @@ def test_audit_tampered_exits_one(tmp_path, capsys):
     assert json.loads(out)["ok"] is False
 
 
-@pytest.mark.parametrize("field", ["applications", "graph6"])
+@pytest.mark.parametrize("field", ["applications", "graph6", "family"])
 def test_audit_wrongly_typed_field_is_usage_error(tmp_path, capsys, field):
     cert_path = tmp_path / "cert.json"
     run(capsys, "certify", "--family", "named:petersen", "--format", "json",

@@ -1,5 +1,6 @@
 """Family constructors: orders, degrees, and frozen graph identities."""
 
+import tracemalloc
 from math import comb
 
 import pytest
@@ -9,8 +10,8 @@ from drgcert.families import (
     build,
     label_for,
     list_named,
+    has_order,
     parse_family,
-    vertex_count,
 )
 from drgcert.graph import complement, distances, girth, line_graph
 from oracles import are_isomorphic
@@ -147,4 +148,34 @@ def test_labels():
     + [f"named:{name}" for name in list_named()],
 )
 def test_vertex_count_matches_build(key):
-    assert vertex_count(key) == build(key).n
+    n = build(key).n
+    assert has_order(key, n) and not has_order(key, n - 1) and not has_order(key, n + 1)
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["cube:200000000", "hamming:200000000:2", "hamming:3:200000000", "odd:200000000",
+     "johnson:400000000:200000000", "kneser:400000000:200000000", "paley:1000000000000037",
+     "complete:200000000"],
+)
+def test_has_order_refuses_huge_parameters_cheaply(key, monkeypatch):
+    # each closed form would take seconds or gigabytes to evaluate here;
+    # the Paley order check is not needed to refuse the size
+    from drgcert import families
+
+    def no_check(*args):
+        raise AssertionError("checked the Paley order")
+
+    monkeypatch.setattr(families, "_is_prime", no_check)
+    tracemalloc.start()
+    try:
+        assert not has_order(key, 1_000)
+        assert tracemalloc.get_traced_memory()[1] < 100_000
+    finally:
+        tracemalloc.stop()
+
+
+def test_paley_rejects_nonpositive_orders():
+    for bad in ("paley:0", "paley:-5", "paley:1"):
+        with pytest.raises(ValueError):
+            parse_family(bad)
