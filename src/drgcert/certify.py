@@ -435,13 +435,6 @@ def _pair_search(dd, m, j, l, certified, bud, rule) -> dict | None:
     return None
 
 
-def _coverage_pairs(dd, m: int, mode: str) -> list:
-    pairs = dd.pairs_at_distance(m)
-    if mode == "orbit":
-        return pairs[:1]
-    return pairs
-
-
 def _pair_params(mode: str, rule: str, found: list) -> dict:
     """Parameter block of a pair rule from its (j, l, pinned) list."""
     names = _PAIR_FIELDS[rule]
@@ -517,8 +510,8 @@ def certify(
     apps: list = []
 
     def pair_rule(rule_id, m, bud):
-        found = []
-        for j, l in _coverage_pairs(dd, m, resolved):
+        found, pairs = [], dd.pairs_at_distance(m)
+        for j, l in pairs[:1] if resolved == "orbit" else pairs:
             pinned = _pair_search(dd, m, j, l, certified, bud, rule_id)
             if pinned is None:
                 return None
@@ -663,12 +656,16 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
     a pair rule's pivots and witnesses must pin every covered pair.  Then
     the bookkeeping that connects the applications to the verdict is
     checked.  Returns a falsy result naming the first failure.
+
+    A certificate built in Python skips from_dict's schema, so every
+    integer the audit compares is refused when it is a bool (True == 1);
+    the other fields are trusted to have the types from_dict enforces.
     """
 
     def fail(msg: str) -> AuditResult:
         return AuditResult(False, msg)
 
-    if cert.n != g.n:
+    if not _is_int(cert.n) or cert.n != g.n:
         return fail(f"vertex count mismatch: certificate says {cert.n}, graph has {g.n}")
     if cert.graph6 != to_graph6(g):
         return fail("graph6 string does not match the graph")
@@ -677,7 +674,7 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
 
     dd = distances(g)
     diam = dd.diameter
-    if cert.diameter != diam:
+    if not _is_int(cert.diameter) or cert.diameter != diam:
         return fail(f"diameter mismatch: certificate says {cert.diameter}, graph has {diam}")
 
     fact = UNKNOWN_FACT
@@ -720,7 +717,7 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
             certified.update(range(1, diam + 1))
             continue
         m = app.m
-        if m is None or not 1 <= m <= diam:
+        if not _is_int(m) or not 1 <= m <= diam:
             return fail(f"{where}: class out of range")
         if m in certified:
             return fail(f"{where}: class {m} certified twice")
@@ -754,7 +751,7 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
     if cert.verdict == INCONCLUSIVE and not expected_open:
         return fail("verdict INCONCLUSIVE but every class is certified")
     degree = g.regular_degree()
-    if cert.degree != degree:
+    if cert.degree != degree or isinstance(cert.degree, bool):
         return fail(f"degree mismatch: certificate says {cert.degree}, graph has {degree}")
     return AuditResult(True)
 

@@ -258,6 +258,8 @@ def crown_graph(n: int) -> Graph:
 def hamming_graph(d: int, q: int) -> Graph:
     """H(d,q): words of length d over q letters, adjacent when they differ
     in exactly one coordinate."""
+    if q == 1:  # one vertex whatever d, its word never spelled out
+        return from_edge_list(1, [])
     words = list(product(range(q), repeat=d))
     index = {w: i for i, w in enumerate(words)}
     edges = []

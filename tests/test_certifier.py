@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -289,10 +290,8 @@ def test_text_rendering_mentions_everything():
     assert "graph6:" in text
 
 
-# sha256 of to_json() in format 1, recorded before the three pair-rule
-# searches were merged into one and, for the last four (HAS_QSYM), before
-# the header and the knowledge-base certificate got one writer each; both
-# must emit the same bytes
+# the certificates whose to_json() bytes are pinned, each with the sha256
+# it had in format 1, which names the test; no code writes format 1 now
 CERTIFICATE_DIGESTS = [
     ("named:foster", {}, "214ff176d123087a8a0b5dce81b600accccc4beee9dc49220c56bfea2dbe75ee"),
     ("named:foster", {"mode": "all-pairs"}, "321acf33616283208413e1c20a9f97918e2aa814ee53ae8b513c1154893b258d"),
@@ -316,7 +315,8 @@ CERTIFICATE_DIGESTS = [
 
 
 # sha256 of to_json() in format 2 for each format-1 digest above, recorded
-# when the format changed
+# once when the format changed, after a check that each format-2 dict was
+# the format-1 one less the five dropped fields and plus the family
 FORMAT_2_DIGESTS = {
     "214ff176d123087a8a0b5dce81b600accccc4beee9dc49220c56bfea2dbe75ee":
         "c56903068bee096e26c0e47108a37e495ac3c6fc32107e00af0dcec74f99949a",
@@ -356,44 +356,10 @@ FORMAT_2_DIGESTS = {
         "71ca6526abe0279cafbf9799747ff32ab91535784761aea94901e901081b2adc",
 }
 
-FORMAT_1_KEYS = (
-    "format_version", "label", "n", "degree", "diameter", "girth", "array", "mode",
-    "verdict", "reason", "kb_verdict", "kb_reason", "certified", "open_classes",
-    "applications", "generators", "notes", "graph6",
-)
-
-
-def _format_1(cert, g):
-    """The format-1 dict of a certificate: the header girth and array
-    recomputed from g; reason, kb_verdict, kb_reason and the knowledge-base
-    params read from its family's recorded fact; no family."""
-    data = cert.to_dict()
-    fact = verdict_for(data.pop("family"))
-    for app in data["applications"]:
-        if app["rule"] == "known-quantum-symmetry":
-            app["params"] = {
-                "family": cert.family, "reason": fact.reason, "quantum_group": fact.quantum_group
-            }
-    arr = intersection_array(g)
-    data.update(
-        format_version=1,
-        girth=girth(g),
-        array=str(arr) if arr else None,
-        reason=fact.reason if cert.verdict == HAS_QSYM else None,
-        kb_verdict=fact.verdict,
-        kb_reason=fact.reason,
-    )
-    return {key: data[key] for key in FORMAT_1_KEYS}
-
 
 @pytest.mark.parametrize("key,options,digest", CERTIFICATE_DIGESTS)
 def test_certificate_bytes_pinned(key, options, digest):
-    # format 2 records the family and drops five fields that are functions
-    # of it or of the graph: put back, they give the format-1 bytes
-    g = build(key)
-    cert = certify(g, family=key, **options)
-    widened = json.dumps(_format_1(cert, g), separators=(",", ":"))
-    assert hashlib.sha256(widened.encode()).hexdigest() == digest
+    cert = certify(build(key), family=key, **options)
     assert hashlib.sha256(cert.to_json().encode()).hexdigest() == FORMAT_2_DIGESTS[digest]
 
 
@@ -847,16 +813,29 @@ def test_audit_fails_on_malformed_pair_payload(key, index, tamper):
     assert not result and result.failure
 
 
-def _class_one_as_true(data):
-    data["applications"][0]["m"] = True
+def _class_one_as_true(cert):
+    first = replace(cert.applications[0], m=True)
+    return replace(cert, applications=(first, *cert.applications[1:]))
 
 
-def _certified_true(data):
-    data["certified"][0] = True
+def _certified_true(cert):
+    return replace(cert, certified=(True, *cert.certified[1:]))
 
 
-def _open_true(data):
-    data["open_classes"][0] = True
+def _open_true(cert):
+    return replace(cert, open_classes=(True, *cert.open_classes[1:]))
+
+
+def _n_true(cert):
+    return replace(cert, n=True)
+
+
+def _degree_true(cert):
+    return replace(cert, degree=True)
+
+
+def _diameter_true(cert):
+    return replace(cert, diameter=True)
 
 
 @pytest.mark.parametrize(
@@ -865,14 +844,20 @@ def _open_true(data):
         ("named:petersen", {}, _class_one_as_true),
         ("named:petersen", {}, _certified_true),
         ("paley:13", {"search_budget": 10}, _open_true),
+        ("complete:1", {}, _n_true),
+        ("complete:2", {}, _degree_true),
+        ("complete:3", {}, _diameter_true),
     ],
 )
 def test_audit_rejects_bool_for_class(key, options, tamper):
-    # True == 1 in Python, so a bool must be refused explicitly
+    # True == 1 in Python, so a bool must be refused explicitly, by the
+    # audit itself for a certificate built in Python and again on load
     g = build(key)
-    data = certify(g, family=key, **options).to_dict()
-    tamper(data)
-    assert _rejected(data, g)
+    cert = certify(g, family=key, **options)
+    assert audit(cert, g)
+    tampered = tamper(cert)
+    assert not audit(tampered, g)
+    assert _rejected(tampered.to_dict(), g)
 
 
 def test_audit_computes_invariants_lazily(monkeypatch):

@@ -156,7 +156,7 @@ def test_vertex_count_matches_build(key):
     "key",
     ["cube:200000000", "hamming:200000000:2", "hamming:3:200000000", "odd:200000000",
      "johnson:400000000:200000000", "kneser:400000000:200000000", "paley:1000000000000037",
-     "complete:200000000"],
+     "complete:200000000", "hamming:1000000000:1"],
 )
 def test_has_order_refuses_huge_parameters_cheaply(key, monkeypatch):
     # each closed form would take seconds or gigabytes to evaluate here;

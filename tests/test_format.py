@@ -11,6 +11,7 @@ import pytest
 from drgcert import families
 from drgcert.certify import FORMAT_VERSION, Application, Certificate, audit, certify
 from drgcert.families import build, parse_family
+from drgcert.graph import Graph
 
 # ------------------------------------------------------------------ schema
 
@@ -151,6 +152,25 @@ def test_family_binding_is_bounded_by_the_graph(key, monkeypatch):
     finally:
         tracemalloc.stop()
     assert not result and "8 vertices" in result.failure
+    assert peak < 1_000_000
+
+
+def test_one_vertex_hamming_family_binds_in_constant_space():
+    # H(d,1) is the one-vertex graph for every d, so the order comparison
+    # cannot bound d: the build must not grow with it.  A d of a million
+    # keeps a regression to a few megabytes, still over the bound
+    g = Graph(1)
+    key = "hamming:1000000:1"
+    data = certify(g).to_dict()
+    data["family"] = key
+    tracemalloc.start()
+    try:
+        result = audit(Certificate.from_dict(data), g)
+        cert = certify(g, family=key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result and cert.family == key and audit(cert, g)
     assert peak < 1_000_000
 
 
