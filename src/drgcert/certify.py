@@ -9,11 +9,12 @@ classically, provided its stated preconditions hold in the graph.  The
 engine records every successful rule application in a certificate that
 an independent auditor re-verifies from the graph alone.
 
-Rules that quantify over vertex pairs run in one of two coverage modes.
-In orbit mode, legal only when the automorphism group is transitive on
-the ordered pairs of every distance class, the representative pair per
-class is checked and the group generators are recorded for the auditor.
-In all-pairs mode every ordered pair of the class is checked outright.
+Rules that quantify over vertex pairs check the least ordered pair of
+each orbit of a group of automorphisms on the distance class, and the
+certificate records the group's generators for the auditor: one pair per
+class on a distance-transitive graph, every pair under the trivial group.
+A proof at (j, l) carries over to (s(j), s(l)) for every automorphism s,
+because s induces an automorphism of C(Qut(G)) mapping u_jl to u_s(j)s(l).
 
 The engine never concludes that a graph does have quantum symmetry from
 rule failure; positive verdicts come only from the knowledge base of
@@ -33,8 +34,8 @@ from .autgroup import (
     SearchBudgetExceeded,
     automorphism_group,
     is_automorphism,
-    is_distance_transitive,
     pair_orbit,
+    vertex_orbits,
 )
 from .drg import intersection_array
 from .expected import HAS_QSYM, NO_QSYM
@@ -54,7 +55,7 @@ from .knowledge import UNKNOWN_FACT, QsymFact, verdict_for
 
 INCONCLUSIVE = "INCONCLUSIVE"
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # distance lookups allowed per class for the witness searches
 DEFAULT_SEARCH_BUDGET = 100_000_000
@@ -156,7 +157,6 @@ class Certificate(_Record):
     degree: int | None
     diameter: int
     family: str | None  # the family key certify was given; it fixes the recorded fact
-    mode: str  # "orbit" | "all-pairs" | "knowledge-base"
     verdict: str
     certified: tuple
     open_classes: tuple
@@ -191,7 +191,6 @@ class Certificate(_Record):
         if self.degree is not None:
             lines.append(f"  degree: {self.degree}")
         lines.append(f"  diameter: {self.diameter}")
-        lines.append(f"  coverage: {self.mode}")
         lines.append(f"  verdict: {self.verdict}")
         fact = verdict_for(self.family)
         lines.append(f"  knowledge base: {fact.verdict} ({fact.reason})")
@@ -371,9 +370,8 @@ def _witness_valid(dd, m: int, j: int, l: int, p: int, q: int, bud=None) -> bool
 # The pair rules are one argument: the partner j of l is pinned among the
 # rivals (the other vertices at distance m from l) by pivots, vertices in
 # certified classes from l whose distances tell a rival from j, and by
-# witnesses, which kill single rivals.  Each rule records these fields:
-# orbit params carry them as keys after "pair", all-pairs assignments are
-# [j, l, *fields].
+# witnesses, which kill single rivals.  Each rule records these fields as
+# [j, l, *fields], one entry per covered pair, under the key "pairs".
 _PAIR_FIELDS = {
     RULE_PIVOT: ("pivots",),
     RULE_KRIT: ("witnesses",),
@@ -435,16 +433,22 @@ def _pair_search(dd, m, j, l, certified, bud, rule) -> dict | None:
     return None
 
 
-def _pair_params(mode: str, rule: str, found: list) -> dict:
-    """Parameter block of a pair rule from its (j, l, pinned) list."""
-    names = _PAIR_FIELDS[rule]
-    if mode == "orbit":
-        ((j, l, pinned),) = found
-        return {"coverage": "orbit", "pair": [j, l], **{k: pinned[k] for k in names}}
-    return {
-        "coverage": "all-pairs",
-        "assignments": [[j, l, *(pinned[k] for k in names)] for j, l, pinned in found],
-    }
+def _covered_pairs(g: Graph, dd, aut: AutGroup | None):
+    """(pairs, generators): pairs(m) lists the least ordered pair of each
+    orbit of the group the generators generate on class m, in increasing
+    order.
+
+    The searched group is used when it is transitive on vertices and its
+    base starts at vertex 0, as it does on a vertex-transitive graph: each
+    orbit on a class then holds pairs (0, x), those x form one orbit of the
+    stabilizer of 0 on the sphere S_m(0), and the generators fixing 0
+    generate that stabilizer.  Otherwise the group is trivial."""
+    if aut is None or aut.base[:1] != (0,) or len(vertex_orbits(g.n, aut.generators)) != 1:
+        return dd.pairs_at_distance, ()
+    covered: dict = {}
+    for orbit in vertex_orbits(g.n, [s for s in aut.generators if s[0] == 0]):
+        covered.setdefault(dd.d(0, orbit[0]), []).append((0, orbit[0]))
+    return covered.__getitem__, aut.generators
 
 
 def certify(
@@ -463,14 +467,14 @@ def certify(
     certificate records the family's key: a recorded HAS_QSYM fact
     short-circuits the rule engine, and any other recorded verdict is read
     from the key when the certificate is shown.  An automorphism group
-    already computed for g may be passed as aut; without one, orbit
-    coverage searches the group itself.
+    already computed for g may be passed as aut; without one, mode "auto"
+    searches the group itself, and mode "all-pairs" uses no group.
     """
     if aut is not None and aut.n != g.n:
         raise ValueError(f"automorphism group acts on {aut.n} points, graph has {g.n}")
     if not is_connected(g):
         raise DisconnectedGraphError("certification requires a connected graph")
-    if mode not in ("auto", "orbit", "all-pairs"):
+    if mode not in ("auto", "all-pairs"):
         raise ValueError(f"unknown coverage mode {mode!r}")
 
     key = family.key() if isinstance(family, FamilySpec) else family
@@ -486,37 +490,26 @@ def certify(
     inv = _Invariants(g, dd)
 
     notes: list = []
-    generators: tuple = ()
     if mode == "all-pairs":
-        resolved = "all-pairs"
-    else:
+        aut = None
+    elif aut is None:
         try:
-            aut = aut or automorphism_group(g, node_budget)
-            generators = aut.generators
-            transitive = is_distance_transitive(g, aut=aut, dd=dd)
+            aut = automorphism_group(g, node_budget)
         except SearchBudgetExceeded:
-            if mode == "orbit":
-                raise
-            transitive = False
             notes.append("automorphism search budget exceeded; all-pairs coverage")
-        if transitive:
-            resolved = "orbit"
-        elif mode == "orbit":
-            raise ValueError("orbit mode requires a distance-transitive graph")
-        else:
-            resolved = "all-pairs"
+    covered, generators = _covered_pairs(g, dd, aut)
 
     certified: set = set()
     apps: list = []
 
     def pair_rule(rule_id, m, bud):
-        found, pairs = [], dd.pairs_at_distance(m)
-        for j, l in pairs[:1] if resolved == "orbit" else pairs:
+        found = []
+        for j, l in covered(m):
             pinned = _pair_search(dd, m, j, l, certified, bud, rule_id)
             if pinned is None:
                 return None
-            found.append((j, l, pinned))
-        return Application(rule_id, m, _pair_params(resolved, rule_id, found))
+            found.append([j, l, *(pinned[k] for k in _PAIR_FIELDS[rule_id])])
+        return Application(rule_id, m, {"pairs": found})
 
     def searches(m, candidates):
         bud = _Budget(search_budget)
@@ -549,14 +542,13 @@ def certify(
 
     open_classes = tuple(m for m in range(1, diam + 1) if m not in certified)
     verdict = NO_QSYM if not open_classes else INCONCLUSIVE
-    uses_orbit = any(a.params.get("coverage") == "orbit" for a in apps)
+    uses_pairs = any(a.rule in _PAIR_FIELDS for a in apps)
     return Certificate(
-        mode=resolved,
         verdict=verdict,
         certified=tuple(sorted(certified)),
         open_classes=open_classes,
         applications=tuple(apps),
-        generators=generators if uses_orbit else (),
+        generators=generators if uses_pairs else (),
         notes=tuple(notes),
         **header,
     )
@@ -594,7 +586,6 @@ def _known(header: dict) -> Certificate:
     certifies no class and rests on the one knowledge-base application,
     whose family, reason and quantum group all come from the key."""
     return Certificate(
-        mode="knowledge-base",
         verdict=HAS_QSYM,
         certified=(),
         open_classes=tuple(range(1, header["diameter"] + 1)),
@@ -622,7 +613,6 @@ def transfer_certificate(cert: Certificate, g: Graph, label: str | None = None) 
     dd = distances(g)
     app = Application(RULE_COMPLEMENT, None, {"complement": cert.to_dict()})
     return Certificate(
-        mode=cert.mode,
         verdict=NO_QSYM,
         certified=tuple(range(1, dd.diameter + 1)),
         open_classes=(),
@@ -653,9 +643,11 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
     the knowledge-base one certify writes.  Otherwise the applications are
     replayed in order, on distances, girth and array computed here: a
     structural rule's function must return exactly the recorded params, and
-    a pair rule's pivots and witnesses must pin every covered pair.  Then
-    the bookkeeping that connects the applications to the verdict is
-    checked.  Returns a falsy result naming the first failure.
+    a pair rule's pivots and witnesses must pin every recorded pair, the
+    least pair of each orbit of the recorded generators, which must be
+    automorphisms, on the class.  Then the bookkeeping that connects the
+    applications to the verdict is checked.  Returns a falsy result naming
+    the first failure.
 
     A certificate built in Python skips from_dict's schema, so every
     integer the audit compares is refused when it is a bool (True == 1);
@@ -700,11 +692,13 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
         return AuditResult(True)
     if cert.verdict not in (NO_QSYM, INCONCLUSIVE):
         return fail(f"unknown verdict {cert.verdict!r}")
-    if cert.mode not in ("orbit", "all-pairs"):
-        return fail(f"coverage mode {cert.mode!r} is neither orbit nor all-pairs")
 
     gens = cert.generators
-    gens_verified = False
+    if gens and not any(app.rule in _PAIR_FIELDS for app in cert.applications):
+        return fail("generators recorded but no pair application uses them")
+    for p in gens:
+        if not (all(_is_vertex(x, g.n) for x in p) and is_automorphism(g, p)):
+            return fail("recorded generator is not an automorphism")
     certified: set = set()
     inv = _Invariants(g, dd)
 
@@ -721,23 +715,10 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
             return fail(f"{where}: class out of range")
         if m in certified:
             return fail(f"{where}: class {m} certified twice")
-        coverage = app.params.get("coverage")
-        if coverage is not None and coverage != cert.mode:
-            return fail(f"{where}: {coverage!r} coverage in a {cert.mode} certificate")
-        if coverage == "orbit" and not gens_verified:
-            if not gens:
-                return fail(f"{where}: orbit coverage claimed but no generators recorded")
-            for p in gens:
-                if not (all(_is_vertex(x, g.n) for x in p) and is_automorphism(g, p)):
-                    return fail(f"{where}: recorded generator is not an automorphism")
-            gens_verified = True
         result = _audit_application(app, inv, certified, gens)
         if not result.ok:
             return fail(f"{where}: {result.failure}")
         certified.add(m)
-
-    if gens and not gens_verified:
-        return fail("generators recorded but no application uses orbit coverage")
 
     if not all(_is_int(c) for c in (*cert.certified, *cert.open_classes)):
         return fail("class lists must hold integers")
@@ -780,47 +761,32 @@ def _is_vertex(x, n: int) -> bool:
 def _pair_claims(app, dd, m, gens):
     """The (j, l, payload) list a pair rule must prove, or an error string.
 
-    Each payload maps the rule's _PAIR_FIELDS to their recorded values.
-    Orbit coverage: the recorded pair's orbit under the recorded generators
-    must be the whole distance class; only the recorded pair is checked.
-    All-pairs coverage: the recorded assignments must list every ordered
-    pair of the class.
+    The recorded pairs must be the least ordered pair of each orbit of the
+    recorded generators on the distance class, in increasing order: every
+    pair of the class when no generators are recorded.  Each payload maps
+    the rule's _PAIR_FIELDS to the values recorded after its pair.
     """
     names = _PAIR_FIELDS[app.rule]
-    params = app.params
-    coverage = params.get("coverage")
+    entries = app.params.get("pairs")
+    if set(app.params) != {"pairs"} or not isinstance(entries, list):
+        return f"parameters {sorted(app.params)} are not ['pairs'] holding a list"
     n = len(dd.dist)
-    if coverage == "orbit":
-        keys = {"coverage", "pair", *names}
-        pair = params.get("pair")
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            return "orbit coverage without a representative pair"
-        entries = [[*pair, *(params.get(k) for k in names)]]
-    elif coverage == "all-pairs":
-        keys = {"coverage", "assignments"}
-        entries = params.get("assignments")
-        if not isinstance(entries, list):
-            return "all-pairs coverage without assignments"
-    else:
-        return f"unknown coverage {coverage!r}"
-    if set(params) != keys:
-        return f"parameters {sorted(params)} are not {sorted(keys)}"
     claims = []
     for entry in entries:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2 + len(names)):
-            return f"assignment {entry!r} is not [j, l, {', '.join(names)}]"
+            return f"entry {entry!r} is not [j, l, {', '.join(names)}]"
         j, l, *values = entry
         if not (_is_vertex(j, n) and _is_vertex(l, n)):
             return f"pair {[j, l]!r} is not a pair of vertices"
         claims.append((j, l, dict(zip(names, values))))
-    class_pairs = set(dd.pairs_at_distance(m))
-    covered = {(j, l) for j, l, _ in claims}
-    if coverage == "all-pairs":
-        return claims if covered == class_pairs else "assignments do not cover the distance class"
-    if not covered <= class_pairs:
-        return f"representative pair {pair} is not at distance {m}"
-    if pair_orbit(n, gens, covered.pop()) != class_pairs:
-        return "recorded generators do not map the representative onto the class"
+    # the pairs come in increasing order, so each new orbit starts at its least
+    least, seen = [], set()
+    for pair in dd.pairs_at_distance(m):
+        if pair not in seen:
+            least.append(pair)
+            seen |= pair_orbit(n, gens, pair)
+    if [(j, l) for j, l, _ in claims] != least:
+        return f"recorded pairs are not the least pair of each orbit on class {m}"
     return claims
 
 

@@ -36,6 +36,13 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def _add_graph_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("path", nargs="?", help="graph file; omit when using --family")
     p.add_argument("--family", metavar="SPEC", help='family spec such as "hamming:2:4"')
@@ -101,9 +108,8 @@ def _cmd_analyze(parser, args) -> int:
     dd = distances(g)
     connected = dd.connected
     arr = intersection_array(g, dd) if connected else None
-    budget = args.budget or DEFAULT_NODE_BUDGET
     try:
-        aut = automorphism_group(g, budget)
+        aut = automorphism_group(g, args.budget)
         transitive = is_distance_transitive(g, aut=aut, dd=dd)
     except SearchBudgetExceeded:
         print("automorphism search exceeded the node budget", file=sys.stderr)
@@ -140,15 +146,7 @@ def _cmd_analyze(parser, args) -> int:
 def _cmd_certify(parser, args) -> int:
     g, family = _load_graph(parser, args)
     try:
-        cert = certify(
-            g,
-            family=family,
-            mode=args.mode,
-            search_budget=args.budget or DEFAULT_SEARCH_BUDGET,
-        )
-    except SearchBudgetExceeded:
-        print("automorphism search exceeded the node budget", file=sys.stderr)
-        return EXIT_BUDGET
+        cert = certify(g, family=family, mode=args.mode, search_budget=args.budget)
     except (ValueError, DisconnectedGraphError) as exc:
         parser.error(str(exc))
     _emit(args, cert.to_json() if args.format == "json" else cert.to_text())
@@ -199,14 +197,26 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("analyze", help="basic invariants of a graph")
     _add_graph_input(p)
-    p.add_argument("--budget", type=int, metavar="N", help="automorphism search node budget")
+    p.add_argument(
+        "--budget",
+        type=nonnegative_int,
+        default=DEFAULT_NODE_BUDGET,
+        metavar="N",
+        help="automorphism search node budget",
+    )
     _add_output_flags(p)
     p.set_defaults(run=_cmd_analyze)
 
     p = sub.add_parser("certify", help="run the quantum symmetry certifier")
     _add_graph_input(p)
-    p.add_argument("--mode", choices=("auto", "orbit", "all-pairs"), default="auto")
-    p.add_argument("--budget", type=int, metavar="N", help="distance lookups allowed per class")
+    p.add_argument("--mode", choices=("auto", "all-pairs"), default="auto")
+    p.add_argument(
+        "--budget",
+        type=nonnegative_int,
+        default=DEFAULT_SEARCH_BUDGET,
+        metavar="N",
+        help="distance lookups allowed per class",
+    )
     _add_output_flags(p)
     p.set_defaults(run=_cmd_certify)
 

@@ -1,4 +1,4 @@
-"""Rule engine and audit: chains, coverage modes, tampering, transfers."""
+"""Rule engine and audit: chains, pair coverage, tampering, transfers."""
 
 import hashlib
 import importlib
@@ -22,9 +22,17 @@ from drgcert.certify import (
     transfer_certificate,
 )
 from drgcert.drg import intersection_array
-from drgcert.expected import HAS_QSYM, NO_QSYM, UNKNOWN
+from drgcert.expected import HAS_QSYM, NO_QSYM, UNKNOWN, load_tables
 from drgcert.families import build
-from drgcert.graph import DisconnectedGraphError, Graph, complement, distances, girth
+from drgcert.graph import (
+    DisconnectedGraphError,
+    Graph,
+    cartesian_product,
+    complement,
+    distances,
+    girth,
+    line_graph,
+)
 from drgcert.io import to_graph6
 from drgcert.knowledge import verdict_for
 from oracles import are_isomorphic
@@ -115,7 +123,6 @@ def test_icosahedron_chain():
 
 def test_shrikhande_chain():
     cert = certified_ok("named:shrikhande")
-    assert cert.mode == "all-pairs"
     assert rule_chain(cert) == [("two-common-neighbors", 1), ("array-step", 2)]
     assert variant_chain(cert) == [("array-step", 2, "c")]
 
@@ -184,7 +191,6 @@ def test_knowledge_base_short_circuit():
         g = build(key)
         cert = certify(g, family=key)
         assert cert.verdict == HAS_QSYM
-        assert cert.mode == "knowledge-base"
         assert len(cert.applications) == 1
         assert cert.applications[0].rule == "known-quantum-symmetry"
         assert audit(cert, g), key
@@ -228,30 +234,178 @@ def test_four_cycle_stays_open():
     assert audit(cert, c4)
 
 
+# graphs with quantum symmetry; the table rows recorded HAS_QSYM are added
+QUANTUM_GRAPHS = (
+    [f"complete:{n}" for n in range(4, 9)]
+    + [f"complete_bipartite:{n}" for n in range(2, 7)]
+    + [f"crown:{n}" for n in range(4, 8)]
+    + [f"cube:{d}" for d in range(2, 6)]
+    + ["hamming:2:4", "hamming:3:4", "named:clebsch", "cycle:4"]
+)
+
+
+def test_engine_never_proves_a_quantum_graph_classical():
+    # the soundness gate: with the knowledge base bypassed, no rule chain
+    # may reach NO_QSYM on a graph that has quantum symmetry
+    rows = [row.key for row in load_tables().graphs.values() if row.verdict == HAS_QSYM]
+    assert rows
+    for key in dict.fromkeys(QUANTUM_GRAPHS + rows):
+        g = build(key)
+        for mode in ("auto", "all-pairs"):
+            cert = certify(g, mode=mode)
+            assert cert.verdict == INCONCLUSIVE, (key, mode)
+            assert audit(cert, g), (key, mode)
+
+
 def test_disconnected_rejected():
     with pytest.raises(DisconnectedGraphError):
         certify(Graph(4, [(0, 1), (2, 3)]))
 
 
-# -------------------------------------------------------- coverage modes
+# ---------------------------------------------------------- pair coverage
 
 
 def test_orbit_mode_refused_without_transitivity():
+    # "auto" and "all-pairs" are the only modes: auto covers one pair per
+    # orbit of the group on any vertex-transitive graph, so there is no
+    # separate orbit mode left to refuse
     with pytest.raises(ValueError):
         certify(build("named:shrikhande"), mode="orbit")
     with pytest.raises(ValueError):
         certify(build("named:petersen"), mode="sideways")
 
 
+def pair_counts(cert):
+    return [len(a.params["pairs"]) for a in cert.applications if "pairs" in a.params]
+
+
 def test_forced_all_pairs_matches_orbit_verdict():
+    # on a distance-transitive graph auto records one pair per class with
+    # the generators, all-pairs every ordered pair and no generators
     g = build("paley:13")
-    orbit = certify(g, family="paley:13")
+    auto = certify(g, family="paley:13")
     allp = certify(g, family="paley:13", mode="all-pairs")
-    assert orbit.mode == "orbit" and allp.mode == "all-pairs"
-    assert orbit.verdict == allp.verdict == NO_QSYM
-    assert audit(orbit, g) and audit(allp, g)
-    # all-pairs certificates carry no generators
-    assert allp.generators == ()
+    assert auto.verdict == allp.verdict == NO_QSYM
+    assert rule_chain(auto) == rule_chain(allp)
+    assert audit(auto, g) and audit(allp, g)
+    assert pair_counts(auto) == [1, 1] and auto.generators
+    assert pair_counts(allp) == [78, 78] and allp.generators == ()
+
+
+# vertex-transitive graphs that are not distance-transitive
+VERTEX_TRANSITIVE = {
+    "K2xK3": cartesian_product(build("complete:2"), build("complete:3")),
+    "C5xC5": cartesian_product(build("cycle:5"), build("cycle:5")),
+    "K3xShrikhande": cartesian_product(build("complete:3"), build("named:shrikhande")),
+    "L(Q3)": line_graph(build("cube:3")),
+    "L(dodecahedron)": line_graph(build("named:dodecahedron")),
+    "K2xPetersen": cartesian_product(build("complete:2"), build("named:petersen")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_TRANSITIVE))
+def test_orbit_representatives_agree_with_all_pairs(name):
+    # one pair per orbit proves what every pair proves: same verdict, same
+    # classes, same rule chain, and both certificates pass the audit
+    g = VERTEX_TRANSITIVE[name]
+    auto = certify(g)
+    allp = certify(g, mode="all-pairs")
+    assert (auto.verdict, auto.certified, rule_chain(auto)) == (
+        allp.verdict,
+        allp.certified,
+        rule_chain(allp),
+    )
+    assert audit(auto, g) and audit(allp, g)
+    assert max(pair_counts(auto)) > 1 and auto.generators
+    assert sum(pair_counts(auto)) < sum(pair_counts(allp))
+
+
+def test_shrikhande_square_certified():
+    # Shrikhande x Shrikhande is vertex-transitive but not distance-
+    # transitive; with every pair covered, the search budget runs out on
+    # classes 3 and 4, with one pair per orbit it does not
+    shrikhande = build("named:shrikhande")
+    g = cartesian_product(shrikhande, shrikhande)
+    cert = certify(g)
+    assert cert.verdict == NO_QSYM
+    assert rule_chain(cert)[2:] == [("pivot-intersection", 3), ("pivot-intersection", 4)]
+    assert pair_counts(cert) == [2, 3]
+    assert audit(cert, g)
+
+
+def _k3_shrikhande_cert():
+    g = VERTEX_TRANSITIVE["K3xShrikhande"]
+    data = certify(g).to_dict()
+    # classes 1-3 record 2, 3 and 2 pairs, the least of each orbit
+    assert [len(a["params"]["pairs"]) for a in data["applications"]] == [2, 3, 2]
+    return g, data
+
+
+def _pairs_of_class_2(data):
+    return data["applications"][1]["params"]["pairs"]
+
+
+def _orbit_mate(data):
+    """A copy of class 2's first entry (0, l, ...) moved to (0, s(l)) by a
+    generator s that fixes 0 and moves l: a larger pair of l's orbit."""
+    entry = _pairs_of_class_2(data)[0]
+    s = next(s for s in data["generators"] if s[0] == 0 and s[entry[1]] != entry[1])
+    return [0, s[entry[1]], *entry[2:]]
+
+
+def _not_least_in_orbit(data):
+    _pairs_of_class_2(data)[0] = _orbit_mate(data)
+    _pairs_of_class_2(data).sort()
+
+
+def _two_from_one_orbit(data):
+    _pairs_of_class_2(data).append(_orbit_mate(data))
+    _pairs_of_class_2(data).sort()
+
+
+def _orbit_missing(data):
+    del _pairs_of_class_2(data)[-1]
+
+
+def _out_of_order(data):
+    _pairs_of_class_2(data).reverse()
+
+
+def _coverage_key(data):
+    data["applications"][1]["params"]["coverage"] = "orbit"
+
+
+def _generators_without_pair_application(data):
+    data.update(applications=[], certified=[], open_classes=[1, 2, 3], verdict=INCONCLUSIVE)
+    # without the generators this certificate passes
+    g = VERTEX_TRANSITIVE["K3xShrikhande"]
+    assert audit(Certificate.from_dict({**data, "generators": []}), g)
+
+
+def _generator_not_an_automorphism(data):
+    perm = list(range(48))
+    perm[0], perm[1] = perm[1], perm[0]
+    data["generators"].append(perm)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _not_least_in_orbit,
+        _two_from_one_orbit,
+        _orbit_missing,
+        _out_of_order,
+        _coverage_key,
+        _generators_without_pair_application,
+        _generator_not_an_automorphism,
+    ],
+)
+def test_audit_checks_recorded_pairs(tamper):
+    g, data = _k3_shrikhande_cert()
+    assert audit(Certificate.from_dict(data), g)
+    tamper(data)
+    result = audit(Certificate.from_dict(data), g)
+    assert not result and result.failure
 
 
 def test_orbit_generators_recorded_only_when_used():
@@ -314,53 +468,54 @@ CERTIFICATE_DIGESTS = [
 ]
 
 
-# sha256 of to_json() in format 2 for each format-1 digest above, recorded
-# once when the format changed, after a check that each format-2 dict was
-# the format-1 one less the five dropped fields and plus the family
-FORMAT_2_DIGESTS = {
+# sha256 of to_json() in format 3 for each format-1 digest above, recorded
+# once when the format changed, after a check that each format-3 dict was
+# the format-2 one less "mode", with each pair application's params
+# rewritten to the one "pairs" list
+PINNED_DIGESTS = {
     "214ff176d123087a8a0b5dce81b600accccc4beee9dc49220c56bfea2dbe75ee":
-        "c56903068bee096e26c0e47108a37e495ac3c6fc32107e00af0dcec74f99949a",
+        "4545f62a505787d6e0a7266ed1596b481c5ad6d08a4509909a2b1a0cbb70159e",
     "321acf33616283208413e1c20a9f97918e2aa814ee53ae8b513c1154893b258d":
-        "9d7c45cb77b0f2d71d84127f8494eb633bd67ac6d878be0c56130fcc54d8eb29",
+        "4d42ef655d3123b1fba8646e6355ca3971a46a97d05997d232a0af103fad6277",
     "322701f8f2acd01eac83dfd77cf56a91747d51919b6fba683000ee144826380b":
-        "5c238cc8890eefcb6d24bcc8abadfc9945c0ac0cee76db00e086366b0526184d",
+        "71f1d924f094628cc1b054f3a216eb2a7d24c4b54db1100e57abf10956c22e36",
     "6c5cebcca70adb546d0ecfe3ce3fe336e8db97f716409887b69524e96bca8e6e":
-        "c97bea1a5da428f253bcdbc8e3ff8562bd2d8a15fbd42082ffd2d493f0eaf731",
+        "b3c62bc1bae4a8e6984d9d0de781192394a149bf48c01854f2d0d37648a18334",
     "86128820f455a9559b74f82e0d77c909558df7871ce5a270ded41158612b060a":
-        "e20090f7ae0e19c80ce1846cfd18c521d4ff818c653e1ebb4303ff564ec03e11",
+        "d92950f3546bd1cf07f61d7bdbdda86d9bcc76441d7544f8778a0cf49323dcb6",
     "c09f6a065c901af7660d48f8df49996866774bc752fcea4fb2448120bd2131f7":
-        "0d2b40f119ee229b91aee9d848f4879336a6c8deb72c3f93f57bbfe89612b985",
+        "6d86ceb56b459ea62d68308830784a5727e9725d7dbd9d794421180c0f0a0197",
     "892029519a3a9661e50daca6d369def27ca20c2d5b0fc6f74f07232f6797c8bc":
-        "d0a4abbd3dcd48053f5ad1851dbe4d06f70228417f2c48e2e3f09f25e066f1f6",
+        "328356c8bc9a821c13d14fce178da57aaf91e65aabd9d917db9e863c129c40e0",
     "51741f016a385b58832bf379b1abe2ce7aa157df1d61b25238c596a66d040d05":
-        "7027aaead28968c483a2b65c75de679089350bd0cd89619007d4e1080a7441bd",
+        "2a5edb5b57e9b9469b1412f6cc4241b4cbabd279f7932281c2b5681633a852fb",
     "405106fbb68788d413206e9abae37cd4882076bebe72b0b602c2d5cbdd32a2b7":
-        "20a24debff6f60dad4eca0e2f2a7da20f0e5a6b3f4fd8523aafddf8aea6f86fb",
+        "464af498d48b5debbaf72d0aabbb0faf60cc349f81bdf1033e9afb7cb8d7432e",
     "b42948bf236ec3b4fab6343f22a92966d3e4ec6c8a59748be8eab83924760600":
-        "7ed7b75951b7f83b962720f65a07be4e1a16f3fcb96022878ef7664fd5115803",
+        "3bec6aec62386e57751c1465f3247906a470cf2c55a5d2f20b02fcd5efe8cf14",
     "00ae93e77bc01a5d2dc7f18834112b1b682a42c198b07731a8814e20002f91d0":
-        "80b35ccc0823d2192ebc9aee0b08ee4318903bb9edc4cf9194f45e0073688df1",
+        "cd93eb460ff745342470a4e089f56c73e256db589dc510609b2b976fb6a83501",
     "a19017bf74c06c4c4c577e9a87d056aabd8d8ba669c7034354616f5e662532d4":
-        "85295e0642a5ac950fdf4f59268b5c30075ff6480961421015e9ed8d70814e77",
+        "8a4a88c235695ad2989d59cf362ecb93d5c5c5cd98462bd3aadeb1d0bae74689",
     "fe74f4a19c9b1656b6df9b42bb93589741d0f7f18ed77f9db110f7416e06c601":
-        "c6f30359ba90d98ee8dc714d55b25b13d0a395dc82db3b9a89d5cfd645a89c08",
+        "ac95663be021929a9d00c60c5f453998a21154c465cfcbec30a6035cf4dc4e0e",
     "4c91c0ff83161e33908726494e7d30ea638248e65780806f8f99b14c4451f6ba":
-        "85165718cbece8c503e4db3a7b39b62560f48af9640f4299468104b52745a78d",
+        "0d930c6dea79bd21c594f9b4fba7a6ee81bed17c82277ec68eb61a9ec1f53392",
     "4c2bb4bf1c091b16c505c48e5895fb8b3f2e2bc904d64d0559ce15e91d189429":
-        "53a6672f6cb404c73fac96acc90c85e0233cd7b2d745f6b807ba01a2997d159d",
+        "44c7b85fbf9f57ca11850a45ba19f54a0ff917aac7b48e76571b123e74789fef",
     "bcd5047350a31384f6e49acb765fe36aa4a7b9c8cda25a3f94cf3ce73e285796":
-        "c11838d75b6d5e44cdcad4123ade1dcdbb37ade7c6cd7dd08104ea8f3ab20a82",
+        "8e81cb1fe34eee06bf37d31b989ef0443da379c7256a1dd69fd0d73eda423ada",
     "495148e12e01b9c7e2b94f56c8776be296cd84051b302dffbe1f99683a147647":
-        "2e16778481aa17c45e09b4be4e409cbfbce0422a81e46aeecabb0c4d04d4f79c",
+        "774aef3730effbffb7072d8d0cad6401f73c4cf2a7c04a452715f9f0ca123301",
     "4b512718921349994fc11cee6754fec46e241016ef63456b2b1719915f69974f":
-        "71ca6526abe0279cafbf9799747ff32ab91535784761aea94901e901081b2adc",
+        "33fc2f5b5eefd576cbc1591a3df3325c6293e5ecd512da7e6263968a52e3db0a",
 }
 
 
 @pytest.mark.parametrize("key,options,digest", CERTIFICATE_DIGESTS)
 def test_certificate_bytes_pinned(key, options, digest):
     cert = certify(build(key), family=key, **options)
-    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == FORMAT_2_DIGESTS[digest]
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == PINNED_DIGESTS[digest]
 
 
 def test_format_version_checked():
@@ -389,7 +544,7 @@ def test_audit_rejects_tampered_pivot():
     data = cert.to_dict()
     app = data["applications"][1]
     assert app["rule"] == "pivot-intersection"
-    app["params"]["pivots"] = [app["params"]["pivots"][0]]
+    del app["params"]["pairs"][0][2][1:]
     assert not audit(Certificate.from_dict(data), g)
 
 
@@ -424,11 +579,11 @@ def test_audit_rejects_forged_witness():
     assert data["applications"][0]["rule"] == "distance-witness"
     # replace a witness by a vertex that fails the separation requirement,
     # which no valid witness may do
-    j, _l = params["pair"]
-    p = params["witnesses"][0][0]
+    j, _l, witnesses = params["pairs"][0]
+    p = witnesses[0][0]
     dist = floyd_warshall(g)
     forged = next(q for q in range(g.n) if dist[j][q] == dist[q][p])
-    params["witnesses"][0][1] = forged
+    witnesses[0][1] = forged
     result = audit(Certificate.from_dict(data), g)
     assert not result and "witness" in result.failure
 
@@ -536,12 +691,12 @@ def test_to_dict_shares_nothing_with_certificate():
     text = cert.to_json()
     data = cert.to_dict()
     data["applications"][0]["params"]["common_neighbors"] = 6
-    data["applications"][1]["params"]["pivots"].append(0)
+    data["applications"][1]["params"]["pairs"][0][2].append(0)
     assert cert.to_json() == text and audit(cert, g)
     # and a certificate read from a dict keeps no part of it
     data = cert.to_dict()
     loaded = Certificate.from_dict(data)
-    data["applications"][1]["params"]["pivots"].append(0)
+    data["applications"][1]["params"]["pairs"][0][2].append(0)
     assert loaded.to_json() == text and audit(loaded, g)
 
 
@@ -552,10 +707,11 @@ def test_to_dict_shares_nothing_with_certificate():
         ("named:petersen", ("degree",), None),
         ("cube:3", ("degree",), 4),
         ("complete:3", ("diameter",), True),
-        ("hamming:3:3", ("mode",), "all-pairs"),
-        ("hamming:3:3", ("mode",), "knowledge-base"),
-        ("named:petersen", ("mode",), "sideways"),
-        ("cube:3", ("mode",), "orbit"),
+        # format 3 records no coverage mode, in no params dict
+        ("hamming:3:3", ("applications", 1, "params", "coverage"), "all-pairs"),
+        ("hamming:3:3", ("applications", 1, "params", "mode"), "knowledge-base"),
+        ("named:petersen", ("applications", 0, "params", "coverage"), "sideways"),
+        ("cube:3", ("applications", 0, "params", "coverage"), "orbit"),
         ("named:petersen", ("generators",), [["x"]]),
         ("named:petersen", ("generators",), [[1, 0, *range(2, 10)]]),
         ("cube:3", ("applications", 0, "m"), 2),
@@ -654,7 +810,7 @@ def test_audit_searches_nothing(monkeypatch):
     certs = [(build(key), certify(build(key), family=key)) for key in keys]
     assert {cert.verdict for _, cert in certs} == {HAS_QSYM}
     g = build("hamming:3:3")
-    certs.append((g, certify(g, family="hamming:3:3", mode="orbit")))
+    certs.append((g, certify(g, family="hamming:3:3")))
 
     def no_search(g, node_budget):
         raise AssertionError("the audit searched for automorphisms")
@@ -766,33 +922,34 @@ def test_pivot_witness_application_replays():
     app = data["applications"][1]
     assert (app["rule"], app["m"]) == ("pivot-intersection", 2)
     app["rule"] = "pivot-witness"
-    app["params"] = {"coverage": "orbit", "pair": [0, 4], **pinned}
+    entry = [0, 4, pinned["pivots"], pinned["witnesses"]]
+    app["params"] = {"pairs": [entry]}
     assert audit(Certificate.from_dict(data), g)
 
-    app["params"]["pivots"] = []
+    entry[2] = []
     result = audit(Certificate.from_dict(data), g)
     assert not result and "rivals" in result.failure
     for drop in range(3):
-        app["params"]["pivots"] = [1]
-        app["params"]["witnesses"] = [w for i, w in enumerate(pinned["witnesses"]) if i != drop]
+        entry[2] = [1]
+        entry[3] = [w for i, w in enumerate(pinned["witnesses"]) if i != drop]
         result = audit(Certificate.from_dict(data), g)
         assert not result and "rivals" in result.failure
 
 
-def _cut_to_j(assignments):
-    assignments[0] = assignments[0][:1]
+def _cut_to_j(pairs):
+    pairs[0] = pairs[0][:1]
 
 
-def _pivot_not_a_vertex(assignments):
-    assignments[0][2][0] = "a"
+def _pivot_not_a_vertex(pairs):
+    pairs[0][2][0] = "a"
 
 
-def _witness_without_witness(assignments):
-    assignments[0][2][0] = assignments[0][2][0][:1]
+def _witness_without_witness(pairs):
+    pairs[0][2][0] = pairs[0][2][0][:1]
 
 
-def _trailing_element(assignments):
-    assignments[0].append([])
+def _trailing_element(pairs):
+    pairs[0].append([])
 
 
 @pytest.mark.parametrize(
@@ -808,7 +965,7 @@ def _trailing_element(assignments):
 def test_audit_fails_on_malformed_pair_payload(key, index, tamper):
     g = build(key)
     data = certify(g, family=key, mode="all-pairs").to_dict()
-    tamper(data["applications"][index]["params"]["assignments"])
+    tamper(data["applications"][index]["params"]["pairs"])
     result = audit(Certificate.from_dict(data), g)
     assert not result and result.failure
 
@@ -892,8 +1049,8 @@ def test_complement_transfer():
     j52 = build("johnson:5:2")
     cert = certify_via_complement(j52)
     assert cert.verdict == NO_QSYM
-    # sha256 of to_json() in format 2, recorded when the format changed
-    digest = "55e1fba1a4ab8c8ac96424fa4c958bc0a286dd6855e5994edd0c01bb4785aae0"
+    # sha256 of to_json() in format 3, recorded when the format changed
+    digest = "86ca5887b2dd76bb351ac2856d2d5cf95bc814f71411b0b7e6b8eabcfb8f67a5"
     assert hashlib.sha256(cert.to_json().encode()).hexdigest() == digest
     assert cert.applications[0].rule == "complement-transfer"
     assert audit(cert, j52)

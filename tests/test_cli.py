@@ -98,7 +98,10 @@ def test_certify_mode_and_budget_flags(capsys):
     code, out = run(capsys, "certify", "--family", "paley:13", "--mode", "all-pairs",
                     "--format", "json")
     assert code == 0
-    assert json.loads(out)["mode"] == "all-pairs"
+    data = json.loads(out)
+    # every ordered pair of each class, under no group
+    assert [len(a["params"]["pairs"]) for a in data["applications"]] == [78, 78]
+    assert data["generators"] == []
     code, out = run(capsys, "certify", "--family", "paley:13", "--budget", "10",
                     "--format", "json")
     assert code == 0
@@ -108,9 +111,29 @@ def test_certify_mode_and_budget_flags(capsys):
 
 
 def test_certify_orbit_on_wrong_graph_is_usage_error(capsys):
+    # orbit is no longer a mode: auto covers one pair per orbit on its own
     with pytest.raises(SystemExit) as err:
         main(["certify", "--family", "named:shrikhande", "--mode", "orbit"])
     assert err.value.code == 2
+
+
+def test_budget_zero_is_honoured(capsys):
+    code, out = run(capsys, "certify", "--family", "paley:13", "--budget", "0",
+                    "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "INCONCLUSIVE" and data["open_classes"] == [1, 2]
+    assert len([n for n in data["notes"] if "budget of 0" in n]) == 2
+    code, _ = run(capsys, "analyze", "--family", "paley:13", "--budget", "0")
+    assert code == 3
+
+
+@pytest.mark.parametrize("command", ["certify", "analyze"])
+def test_negative_budget_is_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--family", "paley:13", "--budget", "-1"])
+    assert err.value.code == 2
+    assert "--budget" in capsys.readouterr().err
 
 
 def test_audit_cycle(tmp_path, capsys):

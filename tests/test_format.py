@@ -1,4 +1,4 @@
-"""Certificate format 2: the schema, the family binding and its resource
+"""Certificate format 3: the schema, the family binding and its resource
 bound, and a seeded fuzz of the audit over edited certificates."""
 
 import json
@@ -11,7 +11,7 @@ import pytest
 from drgcert import families
 from drgcert.certify import FORMAT_VERSION, Application, Certificate, audit, certify
 from drgcert.families import build, parse_family
-from drgcert.graph import Graph
+from drgcert.graph import Graph, cartesian_product
 
 # ------------------------------------------------------------------ schema
 
@@ -22,10 +22,10 @@ def _cube_dict():
 
 def test_certificate_keys():
     assert list(_cube_dict()) == [
-        "format_version", "label", "n", "degree", "diameter", "family", "mode", "verdict",
+        "format_version", "label", "n", "degree", "diameter", "family", "verdict",
         "certified", "open_classes", "applications", "generators", "notes", "graph6",
     ]
-    assert FORMAT_VERSION == 2
+    assert FORMAT_VERSION == 3
 
 
 def _unknown_key(data):
@@ -177,7 +177,9 @@ def test_one_vertex_hamming_family_binds_in_constant_space():
 # -------------------------------------------------------------- the fuzz
 
 FUZZ_SEED = 20261018
-# (family, options, edits): fewer edits where an audit replays more
+# (family or graph, options, edits): fewer edits where an audit replays
+# more; a graph is certified without a family, and K_3 x Shrikhande
+# records several pairs per class
 FUZZ_SOURCES = (
     ("named:petersen", {}, 640),
     ("named:heawood", {}, 380),
@@ -186,6 +188,7 @@ FUZZ_SOURCES = (
     ("paley:13", {"mode": "all-pairs"}, 150),
     ("hamming:3:3", {"mode": "all-pairs"}, 90),
     ("named:foster", {}, 60),
+    (cartesian_product(build("complete:3"), build("named:shrikhande")), {}, 100),
 )
 SMALL_FAMILIES = (
     "named:petersen", "kneser:5:2", "odd:3", "johnson:5:2", "named:Petersen", "named:heawood",
@@ -198,7 +201,10 @@ VALUE_POOL = (
     "orbit", "all-pairs", "knowledge-base", "NO_QSYM", "HAS_QSYM", "INCONCLUSIVE", "UNKNOWN",
     "girth-at-least-5", "pivot-intersection", "distance-witness", "known-quantum-symmetry",
 ) + FAMILY_POOL
-ADDED_KEYS = ("girth", "array", "reason", "kb_verdict", "kb_reason", "family", "pivots", "x")
+ADDED_KEYS = (
+    "girth", "array", "reason", "kb_verdict", "kb_reason", "family", "pivots", "mode", "coverage",
+    "x",
+)
 
 
 def _children(node):
@@ -274,11 +280,8 @@ def _proof_payload(path):
     valid proofs, as the audit replays them in full."""
     if path[0] == "generators":
         return True
-    if len(path) < 5 or path[0] != "applications" or path[2] != "params":
-        return False
-    if path[3] in ("pivots", "witnesses"):
-        return True
-    return path[3] == "assignments" and len(path) > 5 and path[5] >= 2
+    in_pairs = path[:1] == ("applications",) and path[2:4] == ("params", "pairs")
+    return in_pairs and len(path) > 5 and path[5] >= 2
 
 
 def _allowed(original, edited, kind, path, same_graph):
@@ -288,11 +291,6 @@ def _allowed(original, edited, kind, path, same_graph):
     if path == ("family",) and kind != "delete":
         engine = original["verdict"] != "HAS_QSYM"
         return edited["family"] in same_graph or (engine and edited["family"] is None)
-    if path == ("mode",):
-        # without a pair application no coverage is claimed, and the audit
-        # cannot tell which mode the engine ran in
-        claims = any("coverage" in app["params"] for app in original["applications"])
-        return not claims and edited["mode"] in ("orbit", "all-pairs")
     return kind != "add" and _proof_payload(path)
 
 
@@ -301,8 +299,9 @@ def test_audit_fuzz():
     counts = {"edits": 0, "refused": 0, "rejected": 0, "accepted": 0}
     accepted_paths = set()
     t0 = time.monotonic()
-    for key, options, edits in FUZZ_SOURCES:
-        g = build(key)
+    for source, options, edits in FUZZ_SOURCES:
+        key = source if isinstance(source, str) else None
+        g = build(key) if key else source
         original = certify(g, family=key, **options).to_dict()
         same_graph = _same_graph_keys(g) - {original["family"]}
         text = json.dumps(original)
