@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from functools import cache
-from itertools import combinations
+from functools import cache, reduce
+from itertools import combinations, islice, repeat
+from math import comb
+from operator import and_, indexOf
 
 from .autgroup import (
     DEFAULT_NODE_BUDGET,
@@ -57,7 +59,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 FORMAT_VERSION = 3
 
-# distance lookups allowed per class for the witness searches
+# distance lookups allowed per class for the pair-rule searches (pivots and witnesses)
 DEFAULT_SEARCH_BUDGET = 100_000_000
 
 RULE_GIRTH5 = "girth-at-least-5"
@@ -400,6 +402,13 @@ def _pair_search(dd, m, j, l, certified, bud, rule) -> dict | None:
     witness.  Then the first pivot set, by size and then in lexicographic
     order, that separates j from every rival without a witness is taken,
     and the rivals it leaves are recorded with their witnesses.
+
+    A pivot's agreement mask has bit i set when unkilled rival i lies at
+    the distance from it that j does, so a set separates j from every
+    unkilled rival when the AND of its masks is 0.  Each set tried costs
+    2 * size * |rivals| + 1 lookups whatever the test costs, charged in
+    bulk: the search stops at the set whose charge exhausts the budget,
+    having spent exactly what testing the sets one at a time would.
     """
     n = len(dd.dist)
     rivals = [p for p in dd.at_distance(l, m) if p != j]
@@ -424,12 +433,29 @@ def _pair_search(dd, m, j, l, certified, bud, rule) -> dict | None:
     sizes = _PIVOT_SIZES[rule]
     if not unkilled and 0 not in sizes:
         return pinned(())
+    if not sizes:
+        return None  # witnesses only, and some rival has none
     eligible = [q for q in range(n) if dd.d(q, l) in certified]
+    agree = [
+        sum(1 << i for i, p in enumerate(unkilled) if row[p] == row[j])
+        for row in (dd.dist[q] for q in eligible)
+    ]
+    everyone = (1 << len(unkilled)) - 1
     for size in sizes:
-        for pivots in combinations(eligible, size):
-            bud.spend(2 * size * len(rivals) + 1)
-            if not any(all(dd.d(p, q) == dd.d(j, q) for q in pivots) for p in unkilled):
-                return pinned(pivots)
+        cost = 2 * size * len(rivals) + 1
+        sets = comb(len(eligible), size)
+        affordable = min((bud.limit - bud.used) // cost, sets)
+        # the AND of each set's masks, for the sets the budget pays for
+        meets = islice(
+            map(reduce, repeat(and_), combinations(agree, size), repeat(everyone)), affordable
+        )
+        try:
+            hit = indexOf(meets, 0)
+        except ValueError:  # none of them separates
+            bud.spend(min(sets, affordable + 1) * cost)  # raises if one was unaffordable
+            continue
+        bud.spend((hit + 1) * cost)
+        return pinned(next(islice(combinations(eligible, size), hit, None)))
     return None
 
 
@@ -468,7 +494,8 @@ def certify(
     short-circuits the rule engine, and any other recorded verdict is read
     from the key when the certificate is shown.  An automorphism group
     already computed for g may be passed as aut; without one, mode "auto"
-    searches the group itself, and mode "all-pairs" uses no group.
+    searches the group itself, and mode "all-pairs" uses no group.  Both
+    budgets must be non-negative integers; a bool is not one.
     """
     if aut is not None and aut.n != g.n:
         raise ValueError(f"automorphism group acts on {aut.n} points, graph has {g.n}")
@@ -476,6 +503,9 @@ def certify(
         raise DisconnectedGraphError("certification requires a connected graph")
     if mode not in ("auto", "all-pairs"):
         raise ValueError(f"unknown coverage mode {mode!r}")
+    for name, budget in (("search_budget", search_budget), ("node_budget", node_budget)):
+        if not _is_int(budget) or budget < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {budget!r}")
 
     key = family.key() if isinstance(family, FamilySpec) else family
     spec, fact = _bind(key, g) if key is not None else (None, UNKNOWN_FACT)

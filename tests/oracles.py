@@ -5,13 +5,16 @@ the package: Floyd-Warshall instead of BFS, explicit cycle enumeration
 instead of cross-edge detection, full permutation filtering instead of
 refinement search, a Schreier-Sims chain instead of the search tree's
 base.  Slow is fine; these run on small graphs only.  are_isomorphic is
-the exception: it calls the package's search (see its docstring).
+the exception: it calls the package's search (see its docstring), and so
+is pair_search_reference, the engine's pair search as it was before it
+went over bitmasks, kept to pin the engine's results and budget charges.
 """
 
 from itertools import combinations, permutations
 from random import Random
 
 from drgcert.autgroup import DEFAULT_NODE_BUDGET, automorphism_group, vertex_orbits
+from drgcert.certify import _PAIR_FIELDS, _PIVOT_SIZES, RULE_PIVOT, _witness_valid
 from drgcert.graph import Graph, is_connected
 
 INF = float("inf")
@@ -296,3 +299,39 @@ def _components_isomorphic(g: Graph, h: Graph, node_budget: int) -> bool:
         else:
             return False
     return True
+
+
+def pair_search_reference(dd, m, j, l, certified, bud, rule) -> dict | None:
+    """The engine's pair search one pivot combination at a time: each
+    combination is charged to the budget, then tested against every
+    unkilled rival by distance lookups."""
+    n = len(dd.dist)
+    rivals = [p for p in dd.at_distance(l, m) if p != j]
+    witness = {}
+    if "witnesses" in _PAIR_FIELDS[rule]:
+        for p in rivals:
+            witness[p] = next(
+                (q for q in range(n) if _witness_valid(dd, m, j, l, p, q, bud)), None
+            )
+    unkilled = [p for p in rivals if witness.get(p) is None]
+    if rule == RULE_PIVOT:
+        bud.spend(n)  # the pivot-only rule pays for its eligible list
+
+    def pinned(pivots):
+        left = [
+            p
+            for p in rivals
+            if witness.get(p) is not None and all(dd.d(p, q) == dd.d(j, q) for q in pivots)
+        ]
+        return {"pivots": list(pivots), "witnesses": [[p, witness[p]] for p in left]}
+
+    sizes = _PIVOT_SIZES[rule]
+    if not unkilled and 0 not in sizes:
+        return pinned(())
+    eligible = [q for q in range(n) if dd.d(q, l) in certified]
+    for size in sizes:
+        for pivots in combinations(eligible, size):
+            bud.spend(2 * size * len(rivals) + 1)
+            if not any(all(dd.d(p, q) == dd.d(j, q) for q in pivots) for p in unkilled):
+                return pinned(pivots)
+    return None

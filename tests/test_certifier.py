@@ -426,6 +426,17 @@ def test_search_budget_exhaustion_is_honest():
     assert audit(cert, g)
 
 
+@pytest.mark.parametrize(
+    "name,value",
+    [("search_budget", -5), ("search_budget", True), ("search_budget", 2.5), ("node_budget", -1)],
+)
+def test_certify_refuses_invalid_budgets(name, value):
+    # the pair search divides what is left of a budget by a set's cost, so
+    # a budget is a count: a non-negative int, never a bool or a float
+    with pytest.raises(ValueError, match=name):
+        certify(build("named:petersen"), **{name: value})
+
+
 # ---------------------------------------------------------- serialization
 
 
@@ -465,6 +476,9 @@ CERTIFICATE_DIGESTS = [
     ("complete:12", {}, "bcd5047350a31384f6e49acb765fe36aa4a7b9c8cda25a3f94cf3ce73e285796"),
     ("hamming:3:4", {}, "495148e12e01b9c7e2b94f56c8776be296cd84051b302dffbe1f99683a147647"),
     ("named:clebsch", {}, "4b512718921349994fc11cee6754fec46e241016ef63456b2b1719915f69974f"),
+    # pinned only from format 3 on, so it has no format-1 digest: its id is
+    # its own format-3 digest
+    ("hamming:4:3", {"mode": "all-pairs"}, "1015e44d3f5ce835190e5918715b0ed8933be0ffcbb026373a751f339a22f12b"),
 ]
 
 
@@ -509,6 +523,8 @@ PINNED_DIGESTS = {
         "774aef3730effbffb7072d8d0cad6401f73c4cf2a7c04a452715f9f0ca123301",
     "4b512718921349994fc11cee6754fec46e241016ef63456b2b1719915f69974f":
         "33fc2f5b5eefd576cbc1591a3df3325c6293e5ecd512da7e6263968a52e3db0a",
+    "1015e44d3f5ce835190e5918715b0ed8933be0ffcbb026373a751f339a22f12b":
+        "1015e44d3f5ce835190e5918715b0ed8933be0ffcbb026373a751f339a22f12b",
 }
 
 
