@@ -241,14 +241,17 @@ class AuditResult:
 
 
 class _Invariants:
-    """A graph and its distances, with the girth and the intersection array
-    computed on first use.  Each certify or audit run builds its own."""
+    """A graph and its distances, with the girth, the intersection array and
+    the automorphism group computed on first use.  The engine builds one per
+    graph per command and hands it on; the audit builds its own and never
+    calls group."""
 
-    def __init__(self, g: Graph, dd):
+    def __init__(self, g: Graph):
         self.g = g
-        self.dd = dd
+        self.dd = dd = distances(g)
         self.girth = cache(lambda: girth(g))
         self.array = cache(lambda: intersection_array(g, dd))
+        self.group = cache(lambda node_budget: automorphism_group(g, node_budget))
 
 
 def _at_least(gir: int | None, bound: int) -> bool:
@@ -478,53 +481,49 @@ def _covered_pairs(g: Graph, dd, aut: AutGroup | None):
 
 
 def certify(
-    g: Graph,
+    g: Graph | _Invariants,
     *,
     family: FamilySpec | str | None = None,
     label: str | None = None,
     mode: str = "auto",
     search_budget: int = DEFAULT_SEARCH_BUDGET,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    aut: AutGroup | None = None,
 ) -> Certificate:
     """Certify absence of quantum symmetry for a connected graph.
 
     When a family spec is supplied, g must be its graph as built, and the
     certificate records the family's key: a recorded HAS_QSYM fact
     short-circuits the rule engine, and any other recorded verdict is read
-    from the key when the certificate is shown.  An automorphism group
-    already computed for g may be passed as aut; without one, mode "auto"
-    searches the group itself, and mode "all-pairs" uses no group.  Both
-    budgets must be non-negative integers; a bool is not one.
+    from the key when the certificate is shown.  g may be given as its
+    _Invariants, whose distances, array and group are then not computed
+    again.  Mode "auto" uses the automorphism group, mode "all-pairs" no
+    group.  Both budgets must be non-negative integers; a bool is not one.
     """
-    if aut is not None and aut.n != g.n:
-        raise ValueError(f"automorphism group acts on {aut.n} points, graph has {g.n}")
-    if not is_connected(g):
-        raise DisconnectedGraphError("certification requires a connected graph")
     if mode not in ("auto", "all-pairs"):
         raise ValueError(f"unknown coverage mode {mode!r}")
     for name, budget in (("search_budget", search_budget), ("node_budget", node_budget)):
         if not _is_int(budget) or budget < 0:
             raise ValueError(f"{name} must be a non-negative integer, got {budget!r}")
+    inv = g if isinstance(g, _Invariants) else _Invariants(g)
+    g, dd = inv.g, inv.dd
+    if not dd.connected:
+        raise DisconnectedGraphError("certification requires a connected graph")
 
     key = family.key() if isinstance(family, FamilySpec) else family
     spec, fact = _bind(key, g) if key is not None else (None, UNKNOWN_FACT)
     if label is None:
         label = spec.label() if spec is not None else f"graph on {g.n} vertices"
 
-    dd = distances(g)
     diam = dd.diameter
     header = _header(g, dd, label, spec.key() if spec is not None else None)
     if fact.verdict == HAS_QSYM:
         return _known(header)
-    inv = _Invariants(g, dd)
 
     notes: list = []
-    if mode == "all-pairs":
-        aut = None
-    elif aut is None:
+    aut = None
+    if mode == "auto":
         try:
-            aut = automorphism_group(g, node_budget)
+            aut = inv.group(node_budget)
         except SearchBudgetExceeded:
             notes.append("automorphism search budget exceeded; all-pairs coverage")
     covered, generators = _covered_pairs(g, dd, aut)
@@ -691,10 +690,11 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
         return fail(f"vertex count mismatch: certificate says {cert.n}, graph has {g.n}")
     if cert.graph6 != to_graph6(g):
         return fail("graph6 string does not match the graph")
-    if not is_connected(g):
+    inv = _Invariants(g)
+    dd = inv.dd
+    if not dd.connected:
         return fail("graph is disconnected")
 
-    dd = distances(g)
     diam = dd.diameter
     if not _is_int(cert.diameter) or cert.diameter != diam:
         return fail(f"diameter mismatch: certificate says {cert.diameter}, graph has {diam}")
@@ -730,7 +730,6 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
         if not (all(_is_vertex(x, g.n) for x in p) and is_automorphism(g, p)):
             return fail("recorded generator is not an automorphism")
     certified: set = set()
-    inv = _Invariants(g, dd)
 
     for index, app in enumerate(cert.applications, start=1):
         where = f"application {index} ({app.rule}, m={app.m})"

@@ -118,7 +118,7 @@ def _cmd_analyze(parser, args) -> int:
         "label": label_for(family) if family else None,
         "family": family,
         "order": g.n,
-        "degree": degree if degree is not None else [min(degrees), max(degrees)],
+        "degree": [min(degrees), max(degrees)] if degree is None and g.n else degree,
         "girth": girth(g),
         "clique_number": clique_number(g),
         "connected": connected,

@@ -80,7 +80,7 @@ def intersection_array(g: Graph, dd=None):
         dd = distances(g)
     if not dd.connected:
         raise DisconnectedGraphError("intersection array requires a connected graph")
-    if g.n == 1:
+    if g.n <= 1:
         return NotDistanceRegular(witness=(0, 0), reason="trivial graph")
     k = g.regular_degree()
     if k is None:

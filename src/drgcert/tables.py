@@ -20,16 +20,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .autgroup import automorphism_group
-from .certify import INCONCLUSIVE, _Record, audit, certify
+from .autgroup import DEFAULT_NODE_BUDGET
+from .certify import INCONCLUSIVE, _Invariants, _Record, audit, certify
 from .drg import IntersectionArray, intersection_array
 from .expected import HAS_QSYM, NO_QSYM, UNKNOWN, FamilyRow, GraphRow, load_tables
 from .families import build
 
 FORMAT_VERSION = 1
-
-# rows at or below this order get a full automorphism group recomputation
-AUT_RECOMPUTE_CAP = 130
 
 
 # --------------------------------------------------- closed-form arrays
@@ -125,10 +122,10 @@ class RowReport(_Record):
     aut_name: str | None
     aut_order: int | None
     aut_order_source: str | None
-    aut_order_computed: int | None
+    aut_order_computed: int
     quantum_group: str
     verdict: str
-    engine_verdict: str | None
+    engine_verdict: str
     verdict_status: str
     problems: tuple
 
@@ -211,7 +208,6 @@ _STATUS_TEXT = {
     "knowledge-base": "recorded fact",
     "recorded": "recorded, engine inconclusive",
     "open": "open question",
-    "skipped": "not run",
     "mismatch": "MISMATCH",
 }
 
@@ -220,9 +216,7 @@ def _render_rows(title: str, rows) -> str:
     headers = ("graph", "order", "aut", "|aut|", "array", "verdict", "status")
     table = []
     for r in rows:
-        aut_order = "" if r.aut_order is None else str(r.aut_order)
-        if r.aut_order_computed is not None and r.aut_order is None:
-            aut_order = str(r.aut_order_computed)
+        aut_order = str(r.aut_order_computed if r.aut_order is None else r.aut_order)
         table.append(
             (
                 r.label,
@@ -248,7 +242,9 @@ def _render_rows(title: str, rows) -> str:
 # --------------------------------------------------------- reproduction
 
 
-def reproduce_row(row: GraphRow, *, with_aut: bool = True, with_certify: bool = True) -> RowReport:
+def reproduce_row(row: GraphRow) -> RowReport:
+    """Rebuild a table row's graph and recheck its order, array, |Aut| and
+    verdict; certify and audit the graph on the row's one _Invariants."""
     problems = []
     g = build(row.key)
 
@@ -256,50 +252,36 @@ def reproduce_row(row: GraphRow, *, with_aut: bool = True, with_certify: bool = 
     if order_computed != row.order:
         problems.append(f"order: computed {order_computed}, table says {row.order}")
 
-    arr = intersection_array(g)
+    inv = _Invariants(g)
+    arr = inv.array()
     array_computed = str(arr) if arr else None
     if array_computed != row.array:
         problems.append(f"array: computed {array_computed}, table says {row.array}")
 
-    aut = None
-    aut_order_computed = None
-    if with_aut and g.n <= AUT_RECOMPUTE_CAP:
-        aut = automorphism_group(g)
-        aut_order_computed = aut.order
-        if row.aut_order is not None and aut_order_computed != row.aut_order:
-            problems.append(
-                f"aut order: computed {aut_order_computed}, table says {row.aut_order}"
-            )
+    aut_order_computed = inv.group(DEFAULT_NODE_BUDGET).order
+    if row.aut_order is not None and aut_order_computed != row.aut_order:
+        problems.append(f"aut order: computed {aut_order_computed}, table says {row.aut_order}")
 
-    engine_verdict = None
-    status = "skipped"
-    if with_certify:
-        cert = certify(g, family=row.key, aut=aut)
-        engine_verdict = cert.verdict
-        checked = audit(cert, g)
-        if not checked:
-            problems.append(f"certificate failed audit: {checked.failure}")
-        if engine_verdict == HAS_QSYM:
-            status = "knowledge-base" if row.verdict == HAS_QSYM else "mismatch"
-        elif engine_verdict == NO_QSYM:
-            if row.verdict == NO_QSYM:
-                status = "certified"
-            elif row.verdict == UNKNOWN:
-                # engine proved something the table left open
-                status = "certified"
-            else:
-                status = "mismatch"
-        elif engine_verdict == INCONCLUSIVE:
-            if row.verdict == NO_QSYM:
-                status = "recorded"
-            elif row.verdict == UNKNOWN:
-                status = "open"
-            else:
-                status = "mismatch"
-        if status == "mismatch":
-            problems.append(
-                f"verdict: engine says {engine_verdict}, table says {row.verdict}"
-            )
+    cert = certify(inv, family=row.key)
+    engine_verdict = cert.verdict
+    checked = audit(cert, g)
+    if not checked:
+        problems.append(f"certificate failed audit: {checked.failure}")
+    status = "mismatch"
+    if engine_verdict == HAS_QSYM:
+        if row.verdict == HAS_QSYM:
+            status = "knowledge-base"
+    elif engine_verdict == NO_QSYM:
+        # UNKNOWN included: the engine proved something the table left open
+        if row.verdict in (NO_QSYM, UNKNOWN):
+            status = "certified"
+    elif engine_verdict == INCONCLUSIVE:
+        if row.verdict == NO_QSYM:
+            status = "recorded"
+        elif row.verdict == UNKNOWN:
+            status = "open"
+    if status == "mismatch":
+        problems.append(f"verdict: engine says {engine_verdict}, table says {row.verdict}")
 
     return RowReport(
         key=row.key,
@@ -341,34 +323,17 @@ def check_family(row: FamilyRow) -> FamilyReport:
     )
 
 
-def reproduce_tables(
-    which: int | None = None,
-    *,
-    with_aut: bool = True,
-    with_certify: bool = True,
-    with_families: bool | None = None,
-) -> TablesReport:
+def reproduce_tables(which: int | None = None) -> TablesReport:
     """Rebuild and recheck the reference tables.
 
-    which: 1 for the cubic table, 2 for the small-graph table, None for
-    both.  Family formula checks run with the small table by default.
+    which: 1 for the cubic table, 2 for the small-graph table with the
+    family formula checks, None for both.
     """
     tables = load_tables()
-    cubic = []
-    small = []
+    cubic = small = families = ()
     if which in (None, 1):
-        cubic = [
-            reproduce_row(r, with_aut=with_aut, with_certify=with_certify)
-            for r in tables.cubic_rows()
-        ]
+        cubic = tuple(reproduce_row(r) for r in tables.cubic_rows())
     if which in (None, 2):
-        small = [
-            reproduce_row(r, with_aut=with_aut, with_certify=with_certify)
-            for r in tables.small_rows()
-        ]
-    if with_families is None:
-        with_families = which in (None, 2)
-    families = []
-    if with_families:
-        families = [check_family(tables.families[k]) for k in sorted(tables.families)]
-    return TablesReport(cubic=tuple(cubic), small=tuple(small), families=tuple(families))
+        small = tuple(reproduce_row(r) for r in tables.small_rows())
+        families = tuple(check_family(tables.families[k]) for k in sorted(tables.families))
+    return TablesReport(cubic=cubic, small=small, families=families)

@@ -36,7 +36,7 @@ TABLE_TIME_LIMIT = 120.0  # seconds, whole table pass
 
 def test_criterion_1_table_reproduction():
     t0 = time.monotonic()
-    report = reproduce_tables(with_aut=False, with_certify=False, with_families=False)
+    report = reproduce_tables()
     elapsed = time.monotonic() - t0
 
     assert report.ok

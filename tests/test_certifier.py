@@ -8,7 +8,6 @@ from dataclasses import replace
 import pytest
 
 from drgcert import autgroup
-from drgcert.autgroup import automorphism_group
 from drgcert.certify import (
     DEFAULT_SEARCH_BUDGET,
     INCONCLUSIVE,
@@ -919,10 +918,18 @@ def test_structural_audit_decisions_pinned():
     assert digest == "bae2ccde3bbd540fabd3abe24b773ff6e83e4592a83af67f5a87b1e84d93187b"
 
 
-def test_certify_rejects_group_on_other_points():
+def test_certify_takes_the_engine_invariants():
+    # certify on a graph's _Invariants writes what it writes on the graph
     g = build("named:petersen")
-    with pytest.raises(ValueError, match="acts on 14 points"):
-        certify(g, aut=automorphism_group(build("named:heawood")))
+    inv = certify_module._Invariants(g)
+    by_inv = certify(inv, family="named:petersen")
+    assert by_inv.to_json() == certify(g, family="named:petersen").to_json()
+    two_edges = Graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(DisconnectedGraphError):
+        certify(certify_module._Invariants(two_edges))
+    # the options are checked before any graph work
+    with pytest.raises(ValueError, match="unknown coverage mode"):
+        certify(two_edges, mode="orbit")
 
 
 def test_pivot_witness_application_replays():

@@ -69,6 +69,15 @@ def test_analyze_file_input(tmp_path, capsys):
     assert json.loads(out)["order"] == 6
 
 
+def test_analyze_empty_graph(tmp_path, capsys):
+    for name, text, informat in (("empty.g6", "?\n", "graph6"), ("empty.edges", "0 0\n", "edges")):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out = run(capsys, "analyze", str(path), "--in", informat)
+        assert code == 0
+        assert "order: 0" in out and "distance regular: False" in out
+
+
 def test_certify_text(capsys):
     code, out = run(capsys, "certify", "--family", "named:heawood")
     assert code == 0

@@ -84,8 +84,10 @@ def test_disconnected_raises():
 
 
 def test_trivial_graph():
-    assert not intersection_array(Graph(1))
-    assert not is_distance_regular(Graph(1))
+    for n in (0, 1):
+        arr = intersection_array(Graph(n))
+        assert isinstance(arr, NotDistanceRegular) and arr.reason == "trivial graph"
+        assert not is_distance_regular(Graph(n))
 
 
 def test_distance_regular_matches_recount():
