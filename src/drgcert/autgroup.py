@@ -215,20 +215,16 @@ def vertex_orbits(n: int, generators: list[Perm] | tuple[Perm, ...]) -> list[lis
     return orbits
 
 
-def pair_orbit(
-    n: int, generators: list[Perm] | tuple[Perm, ...], start: tuple[int, int]
-) -> set[tuple[int, int]]:
-    """Orbit of an ordered vertex pair under the generated group."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        u, v = frontier.pop()
-        for s in generators:
-            img = (s[u], s[v])
-            if img not in seen:
-                seen.add(img)
-                frontier.append(img)
-    return seen
+def sphere_orbits(
+    generators: list[Perm] | tuple[Perm, ...], dd: DistanceData
+) -> list[list[int]] | None:
+    """None unless the generators are transitive on the vertices; then, for
+    each distance m, the least vertex of each orbit on the sphere S_m(0) of
+    the generators that fix 0, in increasing order."""
+    if len(vertex_orbits(len(dd.dist), generators)) != 1:
+        return None
+    orbits = vertex_orbits(len(dd.dist), [s for s in generators if s[0] == 0])
+    return [[o[0] for o in orbits if dd.d(0, o[0]) == m] for m in range(dd.diameter + 1)]
 
 
 def is_distance_transitive(
@@ -238,27 +234,22 @@ def is_distance_transitive(
     aut: AutGroup | None = None,
     dd: DistanceData | None = None,
 ) -> bool:
-    """True when for every distance m the ordered pairs at distance m form
-    a single orbit of the automorphism group.  A group and distances
-    already computed for g may be passed as aut and dd.
+    """True when g has n >= 2 vertices and, for every distance m, the
+    ordered pairs at distance m form a single orbit of the automorphism
+    group.  A group and distances already computed for g may be passed as
+    aut and dd.
 
-    A connected graph on n >= 2 vertices is distance-transitive exactly
-    when its group is transitive on vertices and the stabilizer of one
-    vertex b is transitive on every sphere around b.  The stabilizer of
-    b = base[0] is generated by the generators that fix b.
+    A connected graph is distance-transitive exactly when its group is
+    transitive on vertices and the stabilizer of vertex 0 is transitive on
+    every sphere around 0.  On a vertex-transitive graph the root partition
+    refines to one cell, so the search's base starts at 0 and the
+    generators fixing 0 generate that stabilizer.
     """
     if dd is None:
         dd = distances(g)
-    if not dd.connected:
+    if not dd.connected or g.n <= 1:
         return False
-    if g.n <= 1:
-        return True
     if aut is None:
         aut = automorphism_group(g, node_budget)
-    if not aut.base:  # the root partition is discrete: only the identity
-        return False
-    b = aut.base[0]
-    return len(_orbit(aut.generators, (), [b])) == g.n and all(
-        len(_orbit(aut.generators, (b,), sphere[:1])) == len(sphere)
-        for sphere in dd.spheres[b]
-    )
+    orbits = sphere_orbits(aut.generators, dd)
+    return orbits is not None and all(len(least) == 1 for least in orbits)

@@ -9,10 +9,12 @@ classically, provided its stated preconditions hold in the graph.  The
 engine records every successful rule application in a certificate that
 an independent auditor re-verifies from the graph alone.
 
-Rules that quantify over vertex pairs check the least ordered pair of
-each orbit of a group of automorphisms on the distance class, and the
-certificate records the group's generators for the auditor: one pair per
-class on a distance-transitive graph, every pair under the trivial group.
+Rules that quantify over vertex pairs check, on class m, the pairs
+(0, x) for the least x of each orbit on the sphere S_m(0) of the
+generators fixing 0, where the generators are automorphisms transitive on
+the vertices; the certificate records them for the auditor.  That is one
+pair per class on a distance-transitive graph.  Without such generators
+the group is trivial and every ordered pair of the class is checked.
 A proof at (j, l) carries over to (s(j), s(l)) for every automorphism s,
 because s induces an automorphism of C(Qut(G)) mapping u_jl to u_s(j)s(l).
 
@@ -32,12 +34,10 @@ from operator import and_, indexOf
 
 from .autgroup import (
     DEFAULT_NODE_BUDGET,
-    AutGroup,
     SearchBudgetExceeded,
     automorphism_group,
     is_automorphism,
-    pair_orbit,
-    vertex_orbits,
+    sphere_orbits,
 )
 from .drg import intersection_array
 from .expected import HAS_QSYM, NO_QSYM
@@ -462,22 +462,21 @@ def _pair_search(dd, m, j, l, certified, bud, rule) -> dict | None:
     return None
 
 
-def _covered_pairs(g: Graph, dd, aut: AutGroup | None):
-    """(pairs, generators): pairs(m) lists the least ordered pair of each
-    orbit of the group the generators generate on class m, in increasing
-    order.
+def _covered_pairs(dd, generators):
+    """(pairs, generators used): pairs(m) lists the pairs (0, x) for the
+    least x of each orbit on S_m(0) of the generators fixing 0, when the
+    generators are transitive on vertices, and otherwise every ordered
+    pair of class m under the trivial group; both in increasing order.
 
-    The searched group is used when it is transitive on vertices and its
-    base starts at vertex 0, as it does on a vertex-transitive graph: each
-    orbit on a class then holds pairs (0, x), those x form one orbit of the
-    stabilizer of 0 on the sphere S_m(0), and the generators fixing 0
-    generate that stabilizer.  Otherwise the group is trivial."""
-    if aut is None or aut.base[:1] != (0,) or len(vertex_orbits(g.n, aut.generators)) != 1:
+    The pairs cover the class.  Take (a, b) at distance m.  Some g in the
+    generated group maps a to 0, and g(b) lies in S_m(0), so g(b) is in
+    the orbit of a listed x under the generators fixing 0, and (a, b) in
+    the group's orbit of (0, x).  This holds even when the generators
+    fixing 0 do not generate the whole stabilizer of 0."""
+    orbits = sphere_orbits(generators, dd)
+    if orbits is None:
         return dd.pairs_at_distance, ()
-    covered: dict = {}
-    for orbit in vertex_orbits(g.n, [s for s in aut.generators if s[0] == 0]):
-        covered.setdefault(dd.d(0, orbit[0]), []).append((0, orbit[0]))
-    return covered.__getitem__, aut.generators
+    return (lambda m: [(0, x) for x in orbits[m]]), generators
 
 
 def certify(
@@ -520,13 +519,13 @@ def certify(
         return _known(header)
 
     notes: list = []
-    aut = None
+    generators: tuple = ()
     if mode == "auto":
         try:
-            aut = inv.group(node_budget)
+            generators = inv.group(node_budget).generators
         except SearchBudgetExceeded:
             notes.append("automorphism search budget exceeded; all-pairs coverage")
-    covered, generators = _covered_pairs(g, dd, aut)
+    covered, generators = _covered_pairs(dd, generators)
 
     certified: set = set()
     apps: list = []
@@ -672,11 +671,13 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
     the knowledge-base one certify writes.  Otherwise the applications are
     replayed in order, on distances, girth and array computed here: a
     structural rule's function must return exactly the recorded params, and
-    a pair rule's pivots and witnesses must pin every recorded pair, the
-    least pair of each orbit of the recorded generators, which must be
-    automorphisms, on the class.  Then the bookkeeping that connects the
-    applications to the verdict is checked.  Returns a falsy result naming
-    the first failure.
+    a pair rule's pivots and witnesses must pin every recorded pair.  The
+    recorded generators must be automorphisms transitive on the vertices,
+    and the recorded pairs of class m exactly the pairs (0, x) for the
+    least x of each orbit on S_m(0) of those fixing 0; with no generators,
+    every ordered pair of the class.  Then the bookkeeping that connects
+    the applications to the verdict is checked.  Returns a falsy result
+    naming the first failure.
 
     A certificate built in Python skips from_dict's schema, so every
     integer the audit compares is refused when it is a bool (True == 1);
@@ -729,6 +730,9 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
     for p in gens:
         if not (all(_is_vertex(x, g.n) for x in p) and is_automorphism(g, p)):
             return fail("recorded generator is not an automorphism")
+    covered, used = _covered_pairs(dd, gens)
+    if used != gens:
+        return fail("recorded generators are not transitive on the vertices")
     certified: set = set()
 
     for index, app in enumerate(cert.applications, start=1):
@@ -744,7 +748,7 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
             return fail(f"{where}: class out of range")
         if m in certified:
             return fail(f"{where}: class {m} certified twice")
-        result = _audit_application(app, inv, certified, gens)
+        result = _audit_application(app, inv, certified, covered)
         if not result.ok:
             return fail(f"{where}: {result.failure}")
         certified.add(m)
@@ -787,19 +791,17 @@ def _is_vertex(x, n: int) -> bool:
     return _is_int(x) and 0 <= x < n
 
 
-def _pair_claims(app, dd, m, gens):
+def _pair_claims(app, n, covered):
     """The (j, l, payload) list a pair rule must prove, or an error string.
 
-    The recorded pairs must be the least ordered pair of each orbit of the
-    recorded generators on the distance class, in increasing order: every
-    pair of the class when no generators are recorded.  Each payload maps
-    the rule's _PAIR_FIELDS to the values recorded after its pair.
+    The recorded pairs must be exactly the covered pairs of the class,
+    which _covered_pairs lists.  Each payload maps the rule's _PAIR_FIELDS
+    to the values recorded after its pair.
     """
     names = _PAIR_FIELDS[app.rule]
     entries = app.params.get("pairs")
     if set(app.params) != {"pairs"} or not isinstance(entries, list):
         return f"parameters {sorted(app.params)} are not ['pairs'] holding a list"
-    n = len(dd.dist)
     claims = []
     for entry in entries:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2 + len(names)):
@@ -808,14 +810,8 @@ def _pair_claims(app, dd, m, gens):
         if not (_is_vertex(j, n) and _is_vertex(l, n)):
             return f"pair {[j, l]!r} is not a pair of vertices"
         claims.append((j, l, dict(zip(names, values))))
-    # the pairs come in increasing order, so each new orbit starts at its least
-    least, seen = [], set()
-    for pair in dd.pairs_at_distance(m):
-        if pair not in seen:
-            least.append(pair)
-            seen |= pair_orbit(n, gens, pair)
-    if [(j, l) for j, l, _ in claims] != least:
-        return f"recorded pairs are not the least pair of each orbit on class {m}"
+    if [(j, l) for j, l, _ in claims] != covered:
+        return f"recorded pairs are not the covered pairs of class {app.m}"
     return claims
 
 
@@ -871,7 +867,7 @@ def _replay_pair(dd, m, j, l, payload, certified) -> str | None:
     return None
 
 
-def _audit_application(app, inv: _Invariants, certified, gens) -> AuditResult:
+def _audit_application(app, inv: _Invariants, certified, covered) -> AuditResult:
     m, rule, params = app.m, app.rule, app.params
     check = _STRUCTURAL.get(rule)
     if check is not None:
@@ -881,7 +877,7 @@ def _audit_application(app, inv: _Invariants, certified, gens) -> AuditResult:
         return _recorded(params, actual)
 
     if rule in _PAIR_FIELDS:
-        claims = _pair_claims(app, inv.dd, m, gens)
+        claims = _pair_claims(app, len(inv.dd.dist), covered(m))
         if isinstance(claims, str):
             return AuditResult(False, claims)
         for j, l, payload in claims:

@@ -4,16 +4,18 @@ Everything here is deliberately written with different algorithms than
 the package: Floyd-Warshall instead of BFS, explicit cycle enumeration
 instead of cross-edge detection, full permutation filtering instead of
 refinement search, a Schreier-Sims chain instead of the search tree's
-base.  Slow is fine; these run on small graphs only.  are_isomorphic is
-the exception: it calls the package's search (see its docstring), and so
-is pair_search_reference, the engine's pair search as it was before it
-went over bitmasks, kept to pin the engine's results and budget charges.
+base, pair_orbit's sweep of ordered pairs instead of the orbits of the
+generators fixing vertex 0 on its spheres.  Slow is fine; these run on
+small graphs only.  are_isomorphic is the exception: it calls the
+package's search (see its docstring), and so is pair_search_reference,
+the engine's pair search as it was before it went over bitmasks, kept to
+pin the engine's results and budget charges.
 """
 
 from itertools import combinations, permutations
 from random import Random
 
-from drgcert.autgroup import DEFAULT_NODE_BUDGET, automorphism_group, vertex_orbits
+from drgcert.autgroup import DEFAULT_NODE_BUDGET, Perm, automorphism_group, vertex_orbits
 from drgcert.certify import _PAIR_FIELDS, _PIVOT_SIZES, RULE_PIVOT, _witness_valid
 from drgcert.graph import Graph, is_connected
 
@@ -232,6 +234,22 @@ def schreier_sims_order(n: int, generators) -> int:
     for t in trans:
         order *= len(t)
     return order
+
+
+def pair_orbit(
+    n: int, generators: list[Perm] | tuple[Perm, ...], start: tuple[int, int]
+) -> set[tuple[int, int]]:
+    """Orbit of an ordered vertex pair under the generated group."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        u, v = frontier.pop()
+        for s in generators:
+            img = (s[u], s[v])
+            if img not in seen:
+                seen.add(img)
+                frontier.append(img)
+    return seen
 
 
 def are_isomorphic(g: Graph, h: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:

@@ -16,15 +16,16 @@ from drgcert.autgroup import (
     automorphism_group,
     is_automorphism,
     is_distance_transitive,
-    pair_orbit,
     vertex_orbits,
 )
+from drgcert.certify import _covered_pairs
 from drgcert.expected import load_tables
 from drgcert.families import build
 from drgcert.graph import Graph, complement, distances, line_graph
 from oracles import (
     are_isomorphic,
     brute_automorphism_count,
+    pair_orbit,
     random_connected_graph,
     schreier_sims_order,
 )
@@ -193,23 +194,45 @@ def _oracle_inputs():
     yield "K_2", Graph(2, [(0, 1)])
 
 
+def _least_pair_of_each_orbit(n, generators, pairs):
+    """The least pair of each orbit of the generators on a class, by a sweep
+    of its pairs in increasing order: each new orbit starts at its least."""
+    least, seen = [], set()
+    for pair in pairs:
+        if pair not in seen:
+            least.append(pair)
+            seen |= pair_orbit(n, generators, pair)
+    return least
+
+
 def test_search_tree_order_and_transitivity_match_oracles():
     # the order read off the base against an independent stabilizer chain,
-    # and the stabilizer-of-base[0] test against the pair-orbit definition
-    transitive = set()
+    # the sphere-orbit test against the pair-orbit definition, and, under
+    # generators transitive on vertices, the pairs covering each class
+    # against the least pair of each pair orbit
+    transitive, swept = set(), set()
     for label, g in _oracle_inputs():
         aut = automorphism_group(g)
         assert aut.order == schreier_sims_order(g.n, aut.generators), label
         dd = distances(g)
-        by_pairs = dd.connected and all(
-            pair_orbit(g.n, aut.generators, pairs[0]) == set(pairs)
-            for pairs in map(dd.pairs_at_distance, range(1, dd.diameter + 1))
+        classes = [dd.pairs_at_distance(m) for m in range(1, dd.diameter + 1)]
+        by_pairs = g.n >= 2 and dd.connected and all(
+            pair_orbit(g.n, aut.generators, pairs[0]) == set(pairs) for pairs in classes
         )
         assert is_distance_transitive(g, aut=aut, dd=dd) == by_pairs, label
         if by_pairs:
             transitive.add(label)
-    assert {"named:hoffman_singleton", "odd:5", "K_1", "K_2"} <= transitive
+        if len(vertex_orbits(g.n, aut.generators)) == 1:
+            covered, used = _covered_pairs(dd, aut.generators)
+            assert used == aut.generators, label
+            for m, pairs in enumerate(classes, start=1):
+                least = _least_pair_of_each_orbit(g.n, aut.generators, pairs)
+                assert covered(m) == least, (label, m)
+            swept.add(label)
+    assert {"named:hoffman_singleton", "odd:5", "K_2"} <= transitive
+    assert "K_1" not in transitive
     assert "named:shrikhande" not in transitive
+    assert transitive < swept and "named:shrikhande" in swept
     assert not any(label.startswith("two copies") for label in transitive)
     # the seed must reach transitive and non-transitive circulants
     circulants = [label for label in transitive if label.startswith("circulant")]

@@ -647,6 +647,19 @@ def test_audit_rejects_tampered_generators():
     assert not result
 
 
+def test_audit_refuses_generators_not_transitive():
+    # the generators fixing 0 are automorphisms, but the pairs (0, x) they
+    # cover on a class do not reach pairs (a, b) with a != 0
+    g = build("hamming:3:3")
+    data = certify(g, family="hamming:3:3").to_dict()
+    assert audit(Certificate.from_dict(data), g)
+    fixing = [p for p in data["generators"] if p[0] == 0]
+    assert 0 < len(fixing) < len(data["generators"])
+    data["generators"] = fixing
+    result = audit(Certificate.from_dict(data), g)
+    assert not result and result.failure == "recorded generators are not transitive on the vertices"
+
+
 def test_audit_fails_on_malformed_generators():
     g = build("hamming:3:3")
     data = certify(g, family="hamming:3:3").to_dict()

@@ -70,12 +70,19 @@ def test_analyze_file_input(tmp_path, capsys):
 
 
 def test_analyze_empty_graph(tmp_path, capsys):
-    for name, text, informat in (("empty.g6", "?\n", "graph6"), ("empty.edges", "0 0\n", "edges")):
+    # the graphs on 0 and 1 vertices are trivial: neither distance-regular
+    # nor distance-transitive
+    for name, text, informat, order in (
+        ("empty.g6", "?\n", "graph6", 0),
+        ("empty.edges", "0 0\n", "edges", 0),
+        ("one.g6", "@\n", "graph6", 1),
+    ):
         path = tmp_path / name
         path.write_text(text)
         code, out = run(capsys, "analyze", str(path), "--in", informat)
         assert code == 0
-        assert "order: 0" in out and "distance regular: False" in out
+        assert f"order: {order}" in out and "distance regular: False" in out
+        assert "distance transitive: False" in out
 
 
 def test_certify_text(capsys):
