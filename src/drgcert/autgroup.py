@@ -2,12 +2,14 @@
 
 The search individualizes vertices inside an equitable partition
 refinement, prunes branches whose refinement invariant differs from the
-invariant along the first root-to-leaf path, and prunes candidate
-vertices lying in the orbit of an already explored sibling under the
-generators found so far.  The first root-to-leaf path is a base and the
-generators found are a strong generating set for it, so the exact group
-order and distance-transitivity are read off orbits of the generators;
-no stabilizer chain is built.
+invariant along the first root-to-leaf path, prunes candidate vertices
+lying in the orbit of an already explored sibling under the generators
+found so far, and returns to the first path as soon as a subtree off it
+yields a generator (McKay and Piperno, arXiv:1301.1493).  It records at
+most one generator per explored child of a first-path node.  The first
+root-to-leaf path is a base and the generators found are a strong
+generating set for it, so the exact group order and distance-transitivity
+are read off orbits of the generators; no stabilizer chain is built.
 
 Permutations are tuples p of length n with p[i] the image of i.
 """
@@ -123,14 +125,15 @@ def _search_generators(g: Graph, node_budget: int) -> tuple[list[Perm], tuple[in
                 best = i
         return best
 
-    def descend(cells: list[list[int]], inv: tuple, depth: int, prefix: tuple[int, ...]) -> None:
+    def descend(cells: list[list[int]], inv: tuple, depth: int, prefix: tuple[int, ...]) -> bool:
+        """Search below prefix; True when the subtree yielded a generator."""
         nonlocal first_leaf, base
         nodes[0] += 1
         if nodes[0] > node_budget:
             raise SearchBudgetExceeded(f"automorphism search exceeded {node_budget} nodes")
         if depth in guide:
             if inv != guide[depth]:
-                return
+                return False
         else:
             guide[depth] = inv
         ti = target_index(cells)
@@ -138,14 +141,15 @@ def _search_generators(g: Graph, node_budget: int) -> tuple[list[Perm], tuple[in
             leaf = tuple(c[0] for c in cells)
             if first_leaf is None:
                 first_leaf, base = leaf, prefix
-                return
+                return False
             sigma = [0] * n
             for src, dst in zip(first_leaf, leaf):
                 sigma[src] = dst
             perm = tuple(sigma)
             if perm != ident and all(perm[v] in adj[perm[u]] for u, v in g.edges):
                 generators.append(perm)
-            return
+                return True
+            return False
         cell = cells[ti]
         done: list[int] = []
         # a subset of the orbit of done, recomputed only when it misses
@@ -158,7 +162,10 @@ def _search_generators(g: Graph, node_budget: int) -> tuple[list[Perm], tuple[in
             done.append(v)
             rest = [u for u in cell if u != v]
             child = cells[:ti] + [[v], rest] + cells[ti + 1 :]
-            descend(*_refine(adj, child), depth + 1, prefix + (v,))
+            # off the first path, one generator is all a subtree can add
+            if descend(*_refine(adj, child), depth + 1, prefix + (v,)) and prefix != base[:depth]:
+                return True
+        return False
 
     descend(*_refine(adj, [list(range(n))]), 0, ())
     return generators, base
@@ -198,6 +205,17 @@ def automorphism_group(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> AutG
     base[:i] that maps base[i] to w.  So the generators fixing base[:i]
     reach the whole G_i-orbit of base[i] and generate its stabilizer
     G_{i+1}, hence generate G_i.
+
+    The third pruning rule returns to the first path: once a subtree off
+    it yields a generator, the search leaves that subtree and every one
+    above it up to the first path's node for base[:i], which goes on to
+    its next child.  Below that node's child w, a leaf that yields an
+    automorphism maps base[:i+1] to base[:i] + (w,), so it is sigma*h for
+    the generator sigma found there and some h in G_{i+1}; and G_{i+1} is
+    generated before w is reached, since the child base[i] is searched
+    first.  The later leaves below w add nothing, and a subtree is left
+    early only after it has yielded a generator, so the search of a
+    subtree still yields one whenever it holds an image of the first leaf.
     """
     gens, base = _search_generators(g, node_budget)
     order = prod(len(_orbit(gens, base[:i], [b])) for i, b in enumerate(base))

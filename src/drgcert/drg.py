@@ -91,14 +91,18 @@ def intersection_array(g: Graph, dd=None):
     d = dd.diameter
     b = [None] * d
     c = [None] * d
+    # b_i and c_i of (v, w) count the neighbors of w on the spheres i+1
+    # and i-1 around v: popcounts of ANDed bitmasks
+    nbrs = [_mask(g.neighbors(w)) for w in range(g.n)]
     for v in range(g.n):
         drow = dd.dist[v]
+        sphere = [_mask(layer) for layer in dd.spheres[v]] + [0]
         for w in range(g.n):
             i = drow[w]
             if i == 0:
                 continue
-            bi = sum(1 for x in g.neighbors(w) if drow[x] == i + 1)
-            ci = sum(1 for x in g.neighbors(w) if drow[x] == i - 1)
+            bi = (nbrs[w] & sphere[i + 1]).bit_count()
+            ci = (nbrs[w] & sphere[i - 1]).bit_count()
             if i < d:
                 if b[i] is None:
                     b[i] = bi
@@ -114,6 +118,10 @@ def intersection_array(g: Graph, dd=None):
                 return NotDistanceRegular(witness=(v, w), reason=f"c_{i} not constant")
     b[0] = k
     return IntersectionArray(b=tuple(b), c=tuple(c))
+
+
+def _mask(vertices) -> int:
+    return sum(1 << x for x in vertices)
 
 
 def is_distance_regular(g: Graph) -> bool:

@@ -6,18 +6,43 @@ instead of cross-edge detection, full permutation filtering instead of
 refinement search, a Schreier-Sims chain instead of the search tree's
 base, pair_orbit's sweep of ordered pairs instead of the orbits of the
 generators fixing vertex 0 on its spheres.  Slow is fine; these run on
-small graphs only.  are_isomorphic is the exception: it calls the
-package's search (see its docstring), and so is pair_search_reference,
-the engine's pair search as it was before it went over bitmasks, kept to
-pin the engine's results and budget charges.
+small graphs only.  are_isomorphic is one exception: it calls the
+package's search (see its docstring).  The references are the others:
+earlier versions of package code, kept to pin the results of the faster
+code that replaced them.  pair_search_reference is the engine's pair
+search before it went over bitmasks, with its budget charges;
+search_generators_reference the generator search before it returned to
+the first path, which automorphism_group_reference wraps as a group;
+intersection_array_reference the array before it counted by bitmasks.
+oracle_inputs is the shared graph set they are checked on.
 """
 
 from itertools import combinations, permutations
+from math import prod
 from random import Random
 
-from drgcert.autgroup import DEFAULT_NODE_BUDGET, Perm, automorphism_group, vertex_orbits
+from drgcert.autgroup import (
+    DEFAULT_NODE_BUDGET,
+    AutGroup,
+    Perm,
+    SearchBudgetExceeded,
+    _orbit,
+    _refine,
+    automorphism_group,
+    vertex_orbits,
+)
 from drgcert.certify import _PAIR_FIELDS, _PIVOT_SIZES, RULE_PIVOT, _witness_valid
-from drgcert.graph import Graph, is_connected
+from drgcert.drg import IntersectionArray, NotDistanceRegular
+from drgcert.expected import load_tables
+from drgcert.families import build
+from drgcert.graph import (
+    DisconnectedGraphError,
+    Graph,
+    complement,
+    distances,
+    is_connected,
+    line_graph,
+)
 
 INF = float("inf")
 
@@ -131,6 +156,42 @@ def random_connected_graph(rng: Random, n: int) -> Graph:
                     stack.append(w)
         if len(seen) == n:
             return g
+
+
+# the graphs of the benchmark workloads (perfbench/run.py)
+BENCHMARK_GRAPHS = (
+    "named:foster", "named:biggs_smith", "named:hoffman_singleton", "odd:5", "hamming:4:3",
+    "paley:89", "paley:101", "paley:109", "kneser:10:2", "johnson:10:2",
+    "paley:17", "hamming:3:3", "hamming:3:4", "crown:10", "complete:12",
+    "complete_bipartite:8", "cube:5", "named:clebsch",
+)
+ORACLE_SEED = 606001
+
+
+def oracle_inputs():
+    """(label, graph): the catalogue graphs of the benchmark and the tables;
+    seeded random graphs on at most 14 vertices with their complements,
+    line graphs and two-copy disjoint unions; seeded circulants, which are
+    vertex-transitive; and the graphs on one and two vertices."""
+    tables = load_tables()
+    rows = [row.key for row in tables.cubic_rows() + tables.small_rows()]
+    for key in dict.fromkeys(BENCHMARK_GRAPHS + tuple(rows)):
+        yield key, build(key)
+    rng = Random(ORACLE_SEED)
+    for i in range(150):
+        g = random_connected_graph(rng, rng.randint(2, 14))
+        union = Graph(2 * g.n, list(g.edges) + [(u + g.n, v + g.n) for u, v in g.edges])
+        yield f"random {i}", g
+        yield f"complement of random {i}", complement(g)
+        yield f"line graph of random {i}", line_graph(g)
+        yield f"two copies of random {i}", union
+    for i in range(60):
+        n = rng.randint(3, 14)
+        steps = {s for s in range(1, n) if rng.random() < 0.4} or {1}
+        edges = {tuple(sorted((v, (v + s) % n))) for v in range(n) for s in steps}
+        yield f"circulant {i}", Graph(n, sorted(edges))
+    yield "K_1", Graph(1)
+    yield "K_2", Graph(2, [(0, 1)])
 
 
 def _mul(a, b):
@@ -353,3 +414,119 @@ def pair_search_reference(dd, m, j, l, certified, bud, rule) -> dict | None:
             if not any(all(dd.d(p, q) == dd.d(j, q) for q in pivots) for p in unkilled):
                 return pinned(pivots)
     return None
+
+
+def search_generators_reference(
+    g: Graph, node_budget: int
+) -> tuple[list[Perm], tuple[int, ...]]:
+    """The package's generator search as it was before it returned to the
+    first path: a subtree off the first path is searched to the end, so it
+    may yield many generators where one suffices.  Returns the generators
+    and the base, the vertices individualized along the first
+    root-to-leaf path."""
+    n = g.n
+    adj = [g.neighbors(v) for v in range(n)]
+    ident = tuple(range(n))
+    generators: list[Perm] = []
+    guide: dict[int, tuple] = {}
+    first_leaf: Perm | None = None
+    base: tuple[int, ...] = ()
+    nodes = [0]
+
+    def target_index(cells: list[list[int]]) -> int | None:
+        best = None
+        for i, c in enumerate(cells):
+            if len(c) > 1 and (best is None or len(c) < len(cells[best])):
+                best = i
+        return best
+
+    def descend(cells: list[list[int]], inv: tuple, depth: int, prefix: tuple[int, ...]) -> None:
+        nonlocal first_leaf, base
+        nodes[0] += 1
+        if nodes[0] > node_budget:
+            raise SearchBudgetExceeded(f"automorphism search exceeded {node_budget} nodes")
+        if depth in guide:
+            if inv != guide[depth]:
+                return
+        else:
+            guide[depth] = inv
+        ti = target_index(cells)
+        if ti is None:
+            leaf = tuple(c[0] for c in cells)
+            if first_leaf is None:
+                first_leaf, base = leaf, prefix
+                return
+            sigma = [0] * n
+            for src, dst in zip(first_leaf, leaf):
+                sigma[src] = dst
+            perm = tuple(sigma)
+            if perm != ident and all(perm[v] in adj[perm[u]] for u, v in g.edges):
+                generators.append(perm)
+            return
+        cell = cells[ti]
+        done: list[int] = []
+        # a subset of the orbit of done, recomputed only when it misses
+        covered: set[int] = set()
+        for v in sorted(cell):
+            if done and v not in covered:
+                covered = _orbit(generators, prefix, done)
+            if v in covered:
+                continue
+            done.append(v)
+            rest = [u for u in cell if u != v]
+            child = cells[:ti] + [[v], rest] + cells[ti + 1 :]
+            descend(*_refine(adj, child), depth + 1, prefix + (v,))
+
+    descend(*_refine(adj, [list(range(n))]), 0, ())
+    return generators, base
+
+
+def automorphism_group_reference(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> AutGroup:
+    """automorphism_group with the generators and base of the reference
+    search, and the order read off them."""
+    gens, base = search_generators_reference(g, node_budget)
+    order = prod(len(_orbit(gens, base[:i], [b])) for i, b in enumerate(base))
+    return AutGroup(n=g.n, generators=tuple(gens), base=base, order=order)
+
+
+def intersection_array_reference(g: Graph, dd=None):
+    """drg.intersection_array as it was before it counted by bitmasks: b_i
+    and c_i of each pair (v, w) by a sweep of the neighbors of w."""
+    if dd is None:
+        dd = distances(g)
+    if not dd.connected:
+        raise DisconnectedGraphError("intersection array requires a connected graph")
+    if g.n <= 1:
+        return NotDistanceRegular(witness=(0, 0), reason="trivial graph")
+    k = g.regular_degree()
+    if k is None:
+        degs = g.degrees()
+        v = min(range(g.n), key=lambda x: degs[x])
+        w = max(range(g.n), key=lambda x: degs[x])
+        return NotDistanceRegular(witness=(v, w), reason="not regular")
+    d = dd.diameter
+    b = [None] * d
+    c = [None] * d
+    for v in range(g.n):
+        drow = dd.dist[v]
+        for w in range(g.n):
+            i = drow[w]
+            if i == 0:
+                continue
+            bi = sum(1 for x in g.neighbors(w) if drow[x] == i + 1)
+            ci = sum(1 for x in g.neighbors(w) if drow[x] == i - 1)
+            if i < d:
+                if b[i] is None:
+                    b[i] = bi
+                elif b[i] != bi:
+                    return NotDistanceRegular(
+                        witness=(v, w), reason=f"b_{i} not constant"
+                    )
+            elif bi != 0:
+                return NotDistanceRegular(witness=(v, w), reason="b_d nonzero")
+            if c[i - 1] is None:
+                c[i - 1] = ci
+            elif c[i - 1] != ci:
+                return NotDistanceRegular(witness=(v, w), reason=f"c_{i} not constant")
+    b[0] = k
+    return IntersectionArray(b=tuple(b), c=tuple(c))

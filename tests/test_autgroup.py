@@ -12,6 +12,7 @@ import pytest
 import drgcert
 from drgcert.autgroup import (
     SearchBudgetExceeded,
+    _orbit,
     _refine,
     automorphism_group,
     is_automorphism,
@@ -19,12 +20,14 @@ from drgcert.autgroup import (
     vertex_orbits,
 )
 from drgcert.certify import _covered_pairs
-from drgcert.expected import load_tables
 from drgcert.families import build
-from drgcert.graph import Graph, complement, distances, line_graph
+from drgcert.graph import Graph, distances
 from oracles import (
+    BENCHMARK_GRAPHS,
     are_isomorphic,
+    automorphism_group_reference,
     brute_automorphism_count,
+    oracle_inputs,
     pair_orbit,
     random_connected_graph,
     schreier_sims_order,
@@ -158,42 +161,6 @@ def test_node_budget_raises():
         automorphism_group(g, node_budget=10)
 
 
-# the graphs of the benchmark workloads (perfbench/run.py)
-BENCHMARK_GRAPHS = (
-    "named:foster", "named:biggs_smith", "named:hoffman_singleton", "odd:5", "hamming:4:3",
-    "paley:89", "paley:101", "paley:109", "kneser:10:2", "johnson:10:2",
-    "paley:17", "hamming:3:3", "hamming:3:4", "crown:10", "complete:12",
-    "complete_bipartite:8", "cube:5", "named:clebsch",
-)
-ORACLE_SEED = 606001
-
-
-def _oracle_inputs():
-    """(label, graph): the catalogue graphs of the benchmark and the tables;
-    seeded random graphs on at most 14 vertices with their complements,
-    line graphs and two-copy disjoint unions; seeded circulants, which are
-    vertex-transitive; and the graphs on one and two vertices."""
-    tables = load_tables()
-    rows = [row.key for row in tables.cubic_rows() + tables.small_rows()]
-    for key in dict.fromkeys(BENCHMARK_GRAPHS + tuple(rows)):
-        yield key, build(key)
-    rng = Random(ORACLE_SEED)
-    for i in range(150):
-        g = random_connected_graph(rng, rng.randint(2, 14))
-        union = Graph(2 * g.n, list(g.edges) + [(u + g.n, v + g.n) for u, v in g.edges])
-        yield f"random {i}", g
-        yield f"complement of random {i}", complement(g)
-        yield f"line graph of random {i}", line_graph(g)
-        yield f"two copies of random {i}", union
-    for i in range(60):
-        n = rng.randint(3, 14)
-        steps = {s for s in range(1, n) if rng.random() < 0.4} or {1}
-        edges = {tuple(sorted((v, (v + s) % n))) for v in range(n) for s in steps}
-        yield f"circulant {i}", Graph(n, sorted(edges))
-    yield "K_1", Graph(1)
-    yield "K_2", Graph(2, [(0, 1)])
-
-
 def _least_pair_of_each_orbit(n, generators, pairs):
     """The least pair of each orbit of the generators on a class, by a sweep
     of its pairs in increasing order: each new orbit starts at its least."""
@@ -211,7 +178,7 @@ def test_search_tree_order_and_transitivity_match_oracles():
     # generators transitive on vertices, the pairs covering each class
     # against the least pair of each pair orbit
     transitive, swept = set(), set()
-    for label, g in _oracle_inputs():
+    for label, g in oracle_inputs():
         aut = automorphism_group(g)
         assert aut.order == schreier_sims_order(g.n, aut.generators), label
         dd = distances(g)
@@ -237,6 +204,43 @@ def test_search_tree_order_and_transitivity_match_oracles():
     # the seed must reach transitive and non-transitive circulants
     circulants = [label for label in transitive if label.startswith("circulant")]
     assert 0 < len(circulants) < 60
+
+
+def _is_subsequence(short, long) -> bool:
+    rest = iter(long)
+    return all(x in rest for x in short)
+
+
+def test_search_matches_reference_search():
+    # returning to the first path drops generators but never the base or
+    # the order: each generator list is a subsequence of the reference's
+    for label, g in oracle_inputs():
+        aut, ref = automorphism_group(g), automorphism_group_reference(g)
+        assert (aut.base, aut.order) == (ref.base, ref.order), label
+        assert _is_subsequence(aut.generators, ref.generators), label
+
+
+def _redundant(generators, base) -> int | None:
+    """Index of the first generator that maps base[i], for the first i it
+    moves, into the orbit of base[i] under the generators before it that
+    fix base[:i]; None when no generator does."""
+    for k, s in enumerate(generators):
+        i = next(i for i, b in enumerate(base) if s[b] != b)
+        if s[base[i]] in _orbit(generators[:k], base[:i], [base[i]]):
+            return k
+    return None
+
+
+@pytest.mark.parametrize("key", BENCHMARK_GRAPHS)
+def test_search_records_no_redundant_generator(key):
+    g = build(key)
+    aut = automorphism_group(g)
+    assert _redundant(aut.generators, aut.base) is None
+    if key in ("named:hoffman_singleton", "paley:109", "kneser:10:2"):
+        # the reference search, which does not return to the first path,
+        # records generators the earlier ones already reach
+        ref = automorphism_group_reference(g)
+        assert _redundant(ref.generators, ref.base) is not None
 
 
 def _is_equitable(g, cells):

@@ -1,5 +1,6 @@
 """Intersection arrays, distance-regularity, strongly regular parameters."""
 
+import re
 from random import Random
 
 import pytest
@@ -14,7 +15,12 @@ from drgcert.drg import (
 )
 from drgcert.families import build
 from drgcert.graph import DisconnectedGraphError, Graph, distances
-from oracles import random_connected_graph, recount_distance_regular
+from oracles import (
+    intersection_array_reference,
+    oracle_inputs,
+    random_connected_graph,
+    recount_distance_regular,
+)
 
 
 def test_array_container():
@@ -100,6 +106,24 @@ def test_distance_regular_matches_recount():
         assert ours == recount_distance_regular(g)
         hits += ours
     assert hits > 0  # complete graphs do appear in the sample
+
+
+def test_array_matches_reference():
+    # arrays, witnesses and reasons as the neighbor sweep gives them; the
+    # random graphs and their relatives reach every reason but "b_d
+    # nonzero", which no connected graph has
+    reasons = set()
+    for label, g in oracle_inputs():
+        dd = distances(g)
+        if not dd.connected:
+            with pytest.raises(DisconnectedGraphError):
+                intersection_array(g, dd)
+            continue
+        got = intersection_array(g, dd)
+        assert got == intersection_array_reference(g, dd), label
+        if not got:
+            reasons.add(re.sub(r"_\d+", "_i", got.reason))
+    assert reasons == {"trivial graph", "not regular", "b_i not constant", "c_i not constant"}
 
 
 def test_k_sequence():
