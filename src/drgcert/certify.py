@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from functools import cache, reduce
-from itertools import combinations, islice, repeat
+from itertools import chain, combinations, islice, repeat
 from math import comb
 from operator import and_, indexOf
 
@@ -355,22 +355,29 @@ _STRUCTURAL = {
 def _witness_valid(dd, m: int, j: int, l: int, p: int, q: int, bud=None) -> bool:
     """The witness q kills rival p for the pair (j, l): q separates j from
     p, and l is the only vertex at distance d(q,l) from q lying at distance
-    m from both j and p.  The engine passes its budget, charged 2 for the
-    separation test and 2 per sphere vertex for the count."""
+    m from both j and p, counted by the popcount of the three spheres'
+    AND.  The engine passes its budget, charged 2 for the separation test
+    and 2 per vertex of the sphere around q, as a scan of it would cost."""
     if bud is not None:
         bud.spend(2)
-    if dd.d(j, q) == dd.d(q, p):
+    row = dd.dist[q]
+    if row[j] == row[p]:
         return False
-    sphere = dd.at_distance(q, dd.d(q, l))
+    t = row[l]
     if bud is not None:
-        bud.spend(2 * len(sphere))
-    count = 0
-    for x in sphere:
-        if dd.d(x, j) == m and dd.d(x, p) == m:
-            count += 1
-            if count > 1:
-                return False
-    return count == 1
+        bud.spend(2 * dd.kseq[q][t])
+    masks = dd.sphere_masks
+    return (masks[q][t] & masks[j][m] & masks[p][m]).bit_count() == 1
+
+
+def _pivots_leave(dd, m: int, j: int, l: int, pivots) -> int:
+    """Bitmask of the rivals of j, the other vertices at distance m from l,
+    that lie at the same distance as j from every pivot."""
+    masks = dd.sphere_masks
+    left = masks[l][m] & ~(1 << j)
+    for q in pivots:
+        left &= masks[q][dd.dist[q][j]]
+    return left
 
 
 # The pair rules are one argument: the partner j of l is pinned among the
@@ -407,11 +414,13 @@ def _pair_search(dd, m, j, l, certified, bud, rule) -> dict | None:
     order, that separates j from every rival without a witness is taken,
     and the rivals it leaves are recorded with their witnesses.
 
-    A pivot's agreement mask has bit i set when unkilled rival i lies at
-    the distance from it that j does, so a set separates j from every
-    unkilled rival when the AND of its masks is 0.  Each set tried costs
-    2 * size * |rivals| + 1 lookups whatever the test costs, charged in
-    bulk: the search stops at the set whose charge exhausts the budget,
+    The masks are indexed by vertex and come from dd.sphere_masks.  A
+    pivot q's agreement mask is q's sphere at j's distance from q, ANDed
+    with the mask of the unkilled rivals: bit p is set when unkilled rival
+    p lies at the distance from q that j does.  So a set separates j from
+    every unkilled rival when the AND of its masks is 0.  Each set tried
+    costs 2 * size * |rivals| + 1 lookups whatever the test costs, charged
+    in bulk: the search stops at the set whose charge exhausts the budget,
     having spent exactly what testing the sets one at a time would.
     """
     n = len(dd.dist)
@@ -422,36 +431,34 @@ def _pair_search(dd, m, j, l, certified, bud, rule) -> dict | None:
             witness[p] = next(
                 (q for q in range(n) if _witness_valid(dd, m, j, l, p, q, bud)), None
             )
-    unkilled = [p for p in rivals if witness.get(p) is None]
+    killed = sum(1 << p for p, q in witness.items() if q is not None)
+    unkilled = _pivots_leave(dd, m, j, l, ()) & ~killed
     if rule == RULE_PIVOT:
         bud.spend(n)  # the pivot-only rule pays for its eligible list
 
     def pinned(pivots):
-        left = [
-            p
-            for p in rivals
-            if witness.get(p) is not None and all(dd.d(p, q) == dd.d(j, q) for q in pivots)
-        ]
-        return {"pivots": list(pivots), "witnesses": [[p, witness[p]] for p in left]}
+        left = _pivots_leave(dd, m, j, l, pivots)
+        return {
+            "pivots": list(pivots),
+            "witnesses": [[p, witness[p]] for p in rivals if left >> p & 1],
+        }
 
     sizes = _PIVOT_SIZES[rule]
     if not unkilled and 0 not in sizes:
         return pinned(())
     if not sizes:
         return None  # witnesses only, and some rival has none
-    eligible = [q for q in range(n) if dd.d(q, l) in certified]
-    agree = [
-        sum(1 << i for i, p in enumerate(unkilled) if row[p] == row[j])
-        for row in (dd.dist[q] for q in eligible)
-    ]
-    everyone = (1 << len(unkilled)) - 1
+    # the vertices in certified classes from l, in increasing order
+    eligible = sorted(chain.from_iterable(dd.at_distance(l, t) for t in certified))
+    masks, jrow = dd.sphere_masks, dd.dist[j]
+    agree = [masks[q][jrow[q]] & unkilled for q in eligible]
     for size in sizes:
         cost = 2 * size * len(rivals) + 1
         sets = comb(len(eligible), size)
         affordable = min((bud.limit - bud.used) // cost, sets)
         # the AND of each set's masks, for the sets the budget pays for
         meets = islice(
-            map(reduce, repeat(and_), combinations(agree, size), repeat(everyone)), affordable
+            map(reduce, repeat(and_), combinations(agree, size), repeat(unkilled)), affordable
         )
         try:
             hit = indexOf(meets, 0)
@@ -854,14 +861,11 @@ def _replay_pair(dd, m, j, l, payload, certified) -> str | None:
         t = dd.d(q, l)
         if t not in certified:
             return f"pivot {q} is at distance {t} from l, class {t} not certified"
-    left = {
-        p
-        for p in dd.at_distance(l, m)
-        if p != j and all(dd.d(p, q) == dd.d(j, q) for q in pivots)
-    }
+    left = _pivots_leave(dd, m, j, l, pivots)
     witnessed = {p for p, _ in witnesses}
-    if witnessed != left:
-        return f"pivots leave rivals {sorted(left)} but witnesses cover {sorted(witnessed)}"
+    if sum(1 << p for p in witnessed) != left:
+        rivals = [p for p in range(n) if left >> p & 1]
+        return f"pivots leave rivals {rivals} but witnesses cover {sorted(witnessed)}"
     for p, q in witnesses:
         if not _witness_valid(dd, m, j, l, p, q):
             return f"witness {q} does not kill rival {p}"

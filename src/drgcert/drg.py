@@ -92,36 +92,31 @@ def intersection_array(g: Graph, dd=None):
     b = [None] * d
     c = [None] * d
     # b_i and c_i of (v, w) count the neighbors of w on the spheres i+1
-    # and i-1 around v: popcounts of ANDed bitmasks
-    nbrs = [_mask(g.neighbors(w)) for w in range(g.n)]
+    # and i-1 around v: popcounts of ANDed bitmasks.  b_d is not counted:
+    # on a connected graph no neighbor of w lies at distance d+1 from v.
+    nbrs = [sum(1 << x for x in g.neighbors(w)) for w in range(g.n)]
     for v in range(g.n):
         drow = dd.dist[v]
-        sphere = [_mask(layer) for layer in dd.spheres[v]] + [0]
+        sphere = dd.sphere_masks[v]
         for w in range(g.n):
             i = drow[w]
             if i == 0:
                 continue
-            bi = (nbrs[w] & sphere[i + 1]).bit_count()
-            ci = (nbrs[w] & sphere[i - 1]).bit_count()
             if i < d:
+                bi = (nbrs[w] & sphere[i + 1]).bit_count()
                 if b[i] is None:
                     b[i] = bi
                 elif b[i] != bi:
                     return NotDistanceRegular(
                         witness=(v, w), reason=f"b_{i} not constant"
                     )
-            elif bi != 0:
-                return NotDistanceRegular(witness=(v, w), reason="b_d nonzero")
+            ci = (nbrs[w] & sphere[i - 1]).bit_count()
             if c[i - 1] is None:
                 c[i - 1] = ci
             elif c[i - 1] != ci:
                 return NotDistanceRegular(witness=(v, w), reason=f"c_{i} not constant")
     b[0] = k
     return IntersectionArray(b=tuple(b), c=tuple(c))
-
-
-def _mask(vertices) -> int:
-    return sum(1 << x for x in vertices)
 
 
 def is_distance_regular(g: Graph) -> bool:

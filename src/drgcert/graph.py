@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 # Distance value used for vertex pairs in different components.
@@ -122,6 +123,8 @@ class DistanceData:
     dist[u][v] is the graph distance, INFINITE for unreachable pairs.
     spheres[v][m] lists the vertices at distance exactly m from v, and
     kseq[v][m] is the size of that sphere; both are indexed 0..diameter.
+    sphere_masks[v][m] is that sphere as a bitmask, bit w set exactly when
+    d(v, w) == m; it is built on first use and then kept.
     """
 
     dist: tuple
@@ -132,6 +135,12 @@ class DistanceData:
 
     def d(self, u: int, v: int) -> int:
         return self.dist[u][v]
+
+    @cached_property
+    def sphere_masks(self) -> tuple:
+        return tuple(
+            tuple(sum(1 << w for w in layer) for layer in layers) for layers in self.spheres
+        )
 
     def at_distance(self, v: int, m: int) -> tuple:
         if m > self.diameter:

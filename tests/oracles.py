@@ -10,7 +10,9 @@ small graphs only.  are_isomorphic is one exception: it calls the
 package's search (see its docstring).  The references are the others:
 earlier versions of package code, kept to pin the results of the faster
 code that replaced them.  pair_search_reference is the engine's pair
-search before it went over bitmasks, with its budget charges;
+search before it went over bitmasks, with its budget charges, and
+witness_valid_reference the witness test before it counted by popcount,
+a scan of the sphere around the witness;
 search_generators_reference the generator search before it returned to
 the first path, which automorphism_group_reference wraps as a group;
 intersection_array_reference the array before it counted by bitmasks.
@@ -31,7 +33,7 @@ from drgcert.autgroup import (
     automorphism_group,
     vertex_orbits,
 )
-from drgcert.certify import _PAIR_FIELDS, _PIVOT_SIZES, RULE_PIVOT, _witness_valid
+from drgcert.certify import _PAIR_FIELDS, _PIVOT_SIZES, RULE_PIVOT
 from drgcert.drg import IntersectionArray, NotDistanceRegular
 from drgcert.expected import load_tables
 from drgcert.families import build
@@ -380,6 +382,27 @@ def _components_isomorphic(g: Graph, h: Graph, node_budget: int) -> bool:
     return True
 
 
+def witness_valid_reference(dd, m: int, j: int, l: int, p: int, q: int, bud=None) -> bool:
+    """The witness q kills rival p for the pair (j, l): q separates j from
+    p, and l is the only vertex at distance d(q,l) from q lying at distance
+    m from both j and p.  The engine passes its budget, charged 2 for the
+    separation test and 2 per sphere vertex for the count."""
+    if bud is not None:
+        bud.spend(2)
+    if dd.d(j, q) == dd.d(q, p):
+        return False
+    sphere = dd.at_distance(q, dd.d(q, l))
+    if bud is not None:
+        bud.spend(2 * len(sphere))
+    count = 0
+    for x in sphere:
+        if dd.d(x, j) == m and dd.d(x, p) == m:
+            count += 1
+            if count > 1:
+                return False
+    return count == 1
+
+
 def pair_search_reference(dd, m, j, l, certified, bud, rule) -> dict | None:
     """The engine's pair search one pivot combination at a time: each
     combination is charged to the budget, then tested against every
@@ -390,7 +413,7 @@ def pair_search_reference(dd, m, j, l, certified, bud, rule) -> dict | None:
     if "witnesses" in _PAIR_FIELDS[rule]:
         for p in rivals:
             witness[p] = next(
-                (q for q in range(n) if _witness_valid(dd, m, j, l, p, q, bud)), None
+                (q for q in range(n) if witness_valid_reference(dd, m, j, l, p, q, bud)), None
             )
     unkilled = [p for p in rivals if witness.get(p) is None]
     if rule == RULE_PIVOT:

@@ -111,7 +111,7 @@ def test_distance_regular_matches_recount():
 def test_array_matches_reference():
     # arrays, witnesses and reasons as the neighbor sweep gives them; the
     # random graphs and their relatives reach every reason but "b_d
-    # nonzero", which no connected graph has
+    # nonzero", which no connected graph has and only the reference tests
     reasons = set()
     for label, g in oracle_inputs():
         dd = distances(g)

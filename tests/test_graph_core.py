@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from drgcert.graph import (
+    INFINITE,
     DisconnectedGraphError,
     Graph,
     bipartite_complement,
@@ -18,7 +19,7 @@ from drgcert.graph import (
     is_connected,
     line_graph,
 )
-from oracles import enumerate_girth, floyd_warshall, random_connected_graph
+from oracles import enumerate_girth, floyd_warshall, oracle_inputs, random_connected_graph
 
 
 def path(n):
@@ -87,6 +88,26 @@ def test_distances_match_floyd_warshall():
         for u in range(n):
             for v in range(n):
                 assert dd.d(u, v) == fw[u][v]
+
+
+def test_sphere_masks():
+    # bit w of sphere_masks[v][m] is set exactly when d(v, w) == m, so the
+    # masks of v are disjoint and cover what v reaches; built once per dd
+    for label, g in oracle_inputs():
+        dd = distances(g)
+        masks = dd.sphere_masks
+        assert dd.sphere_masks is masks, label
+        assert len(masks) == g.n, label
+        for v in range(g.n):
+            row = dd.dist[v]
+            assert len(masks[v]) == dd.diameter + 1, label
+            for m, mask in enumerate(masks[v]):
+                assert mask == sum(1 << w for w in range(g.n) if row[w] == m), (label, v, m)
+            union = 0
+            for mask in masks[v]:
+                assert not union & mask, (label, v)
+                union |= mask
+            assert union == sum(1 << w for w in range(g.n) if row[w] != INFINITE), (label, v)
 
 
 def test_girth_known_values():
