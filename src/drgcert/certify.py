@@ -181,11 +181,18 @@ class Certificate(_Record):
         version = data.get("format_version") if isinstance(data, dict) else None
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported certificate format: {version!r}")
-        return super().from_dict({k: v for k, v in data.items() if k != "format_version"})
+        try:
+            return super().from_dict({k: v for k, v in data.items() if k != "format_version"})
+        except RecursionError:
+            raise ValueError("certificate is nested too deeply") from None
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("certificate is nested too deeply") from None
+        return cls.from_dict(data)
 
     def to_text(self) -> str:
         lines = [f"certificate: {self.label}"]
@@ -779,10 +786,12 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
 
 
 def _complement_failure(app: Application, g: Graph) -> str | None:
-    """Why the embedded certificate fails to be a NO_QSYM certificate of
-    complement(g) that passes its audit, or None."""
+    """Why the application is not exactly a whole-graph transfer of a NO_QSYM
+    certificate of complement(g) that passes its audit, or None."""
+    if app.m is not None or set(app.params) != {"complement"}:
+        return "complement transfer records a class or params other than the complement"
     try:
-        inner = Certificate.from_dict(app.params.get("complement"))
+        inner = Certificate.from_dict(app.params["complement"])
     except ValueError as exc:
         return f"embedded certificate malformed: {exc}"
     if inner.verdict != NO_QSYM:

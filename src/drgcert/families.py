@@ -6,57 +6,23 @@ A graph is addressed by a colon-separated spec string such as
     cycle:6          cube:3           kneser:5:2       named:heawood
     complete_bipartite:3              odd:4            crown:5
 
-Parametric families are built directly.  Named graphs are either built
-inline or loaded from bundled edge lists, and every named graph is checked
-against its known order and intersection array the first time it is built.
+Every graph is built from its definition by a constructor in this module;
+nothing is read from files.  Parametric families are registered in
+_PARAMETRIC with their arity, label and constructor, named graphs in _NAMED
+with their label, order and constructor.  tests/test_families.py pins each
+named graph's labelled graph6, girth, diameter and intersection array.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from itertools import combinations, product
 from math import comb, isqrt
 
-from .drg import IntersectionArray, intersection_array
-from .graph import (
-    Graph,
-    bipartite_complement,
-    from_edge_list,
-    girth,
-    line_graph,
-)
-from .io import from_edge_text
-
-FAMILIES = (
-    "complete",
-    "cycle",
-    "complete_bipartite",
-    "crown",
-    "cube",
-    "hamming",
-    "johnson",
-    "kneser",
-    "odd",
-    "paley",
-    "named",
-)
-
-# families where the single parameter is called n, for labels
-_ARITY = {
-    "complete": 1,
-    "cycle": 1,
-    "complete_bipartite": 1,
-    "crown": 1,
-    "cube": 1,
-    "hamming": 2,
-    "johnson": 2,
-    "kneser": 2,
-    "odd": 1,
-    "paley": 1,
-}
+from .graph import Graph, bipartite_complement, from_edge_list, line_graph
 
 
 @dataclass(frozen=True)
@@ -74,28 +40,9 @@ class FamilySpec:
         return ":".join([self.family] + [str(p) for p in self.params])
 
     def label(self) -> str:
-        f, p = self.family, self.params
-        if f == "named":
+        if self.family == "named":
             return _NAMED[self.name].label
-        if f == "complete":
-            return f"K_{p[0]}"
-        if f == "cycle":
-            return f"C_{p[0]}"
-        if f == "complete_bipartite":
-            return f"K_{{{p[0]},{p[0]}}}"
-        if f == "crown":
-            return f"crown graph on {2 * p[0]} vertices"
-        if f == "cube":
-            return f"cube Q_{p[0]}"
-        if f == "hamming":
-            return f"Hamming graph H({p[0]},{p[1]})"
-        if f == "johnson":
-            return f"Johnson graph J({p[0]},{p[1]})"
-        if f == "kneser":
-            return f"Kneser graph K({p[0]},{p[1]})"
-        if f == "odd":
-            return f"odd graph O_{p[0]}"
-        return f"Paley graph P_{p[0]}"
+        return _PARAMETRIC[self.family].label(*self.params)
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -119,12 +66,11 @@ def _parse(text: str) -> FamilySpec:
             known = ", ".join(sorted(_NAMED))
             raise ValueError(f"unknown graph name {parts[1]!r} (known: {known})")
         return FamilySpec("named", (), name)
-    if family not in _ARITY:
+    if family not in _PARAMETRIC:
         raise ValueError(f"unknown family {family!r}")
-    if len(parts) - 1 != _ARITY[family]:
-        raise ValueError(
-            f"family {family} takes {_ARITY[family]} parameter(s), got {text!r}"
-        )
+    arity = _PARAMETRIC[family].arity
+    if len(parts) - 1 != arity:
+        raise ValueError(f"family {family} takes {arity} parameter(s), got {text!r}")
     try:
         params = tuple(int(p) for p in parts[1:])
     except ValueError:
@@ -208,28 +154,9 @@ def list_named() -> list[str]:
 @lru_cache(maxsize=None)
 def _build_cached(key: str) -> Graph:
     spec = parse_family(key)
-    f, p = spec.family, spec.params
-    if f == "named":
-        return _build_named(spec.name)
-    if f == "complete":
-        return complete_graph(p[0])
-    if f == "cycle":
-        return cycle_graph(p[0])
-    if f == "complete_bipartite":
-        return complete_bipartite_graph(p[0])
-    if f == "crown":
-        return crown_graph(p[0])
-    if f == "cube":
-        return hamming_graph(p[0], 2)
-    if f == "hamming":
-        return hamming_graph(p[0], p[1])
-    if f == "johnson":
-        return johnson_graph(p[0], p[1])
-    if f == "kneser":
-        return kneser_graph(p[0], p[1])
-    if f == "odd":
-        return odd_graph(p[0])
-    return paley_graph(p[0])
+    if spec.family == "named":
+        return _NAMED[spec.name].build()
+    return _PARAMETRIC[spec.family].build(*spec.params)
 
 
 # ---------------------------------------------------------------- families
@@ -271,26 +198,20 @@ def hamming_graph(d: int, q: int) -> Graph:
     return from_edge_list(len(words), edges)
 
 
+def _meet_graph(sets: list[frozenset], size: int) -> Graph:
+    """Graph on a list of sets, adjacent when two meet in exactly size elements."""
+    pairs = combinations(enumerate(sets), 2)
+    return from_edge_list(len(sets), [(i, j) for (i, s), (j, t) in pairs if len(s & t) == size])
+
+
 def johnson_graph(n: int, k: int) -> Graph:
     """J(n,k): k-subsets, adjacent when the intersection has size k-1."""
-    subsets = [frozenset(c) for c in combinations(range(n), k)]
-    edges = []
-    for i in range(len(subsets)):
-        for j in range(i + 1, len(subsets)):
-            if len(subsets[i] & subsets[j]) == k - 1:
-                edges.append((i, j))
-    return from_edge_list(len(subsets), edges)
+    return _meet_graph([frozenset(c) for c in combinations(range(n), k)], k - 1)
 
 
 def kneser_graph(n: int, k: int) -> Graph:
     """K(n,k): k-subsets, adjacent when disjoint."""
-    subsets = [frozenset(c) for c in combinations(range(n), k)]
-    edges = []
-    for i in range(len(subsets)):
-        for j in range(i + 1, len(subsets)):
-            if not subsets[i] & subsets[j]:
-                edges.append((i, j))
-    return from_edge_list(len(subsets), edges)
+    return _meet_graph([frozenset(c) for c in combinations(range(n), k)], 0)
 
 
 def odd_graph(k: int) -> Graph:
@@ -359,61 +280,31 @@ def paley_graph(q: int) -> Graph:
     return from_edge_list(q, edges)
 
 
-# ------------------------------------------------------------ named graphs
-
-
 @dataclass(frozen=True)
-class _NamedEntry:
-    label: str
-    order: int
-    array: str
-    girth: int | None
-    from_file: bool = False
+class _Family:
+    arity: int
+    label: Callable[..., str]
+    build: Callable[..., Graph]
 
 
-_NAMED = {
-    "petersen": _NamedEntry("Petersen graph", 10, "{3,2;1,1}", 5),
-    "heawood": _NamedEntry("Heawood graph", 14, "{3,2,2;1,1,3}", 6),
-    "pappus": _NamedEntry("Pappus graph", 18, "{3,2,2,1;1,1,2,3}", 6, True),
-    "desargues": _NamedEntry("Desargues graph", 20, "{3,2,2,1,1;1,1,2,2,3}", 6),
-    "dodecahedron": _NamedEntry("Dodecahedron", 20, "{3,2,1,1,1;1,1,1,2,3}", 5),
-    "coxeter": _NamedEntry("Coxeter graph", 28, "{3,2,2,1;1,1,1,2}", 7, True),
-    "tutte_8_cage": _NamedEntry("Tutte 8-cage", 30, "{3,2,2,2;1,1,1,3}", 8),
-    "foster": _NamedEntry(
-        "Foster graph", 90, "{3,2,2,2,2,1,1,1;1,1,1,1,2,2,2,3}", 10, True
-    ),
-    "biggs_smith": _NamedEntry(
-        "Biggs-Smith graph", 102, "{3,2,2,2,1,1,1;1,1,1,1,1,1,3}", 9, True
-    ),
-    "icosahedron": _NamedEntry("Icosahedron", 12, "{5,2,1;1,2,5}", 3),
-    "co_heawood": _NamedEntry("co-Heawood graph", 14, "{4,3,2;1,2,4}", None),
-    "line_petersen": _NamedEntry("line graph of Petersen graph", 15, "{4,2,1;1,1,4}", 3),
-    "shrikhande": _NamedEntry("Shrikhande graph", 16, "{6,3;1,2}", 3),
-    "clebsch": _NamedEntry("Clebsch graph", 16, "{5,4;1,2}", None),
-    "hoffman_singleton": _NamedEntry("Hoffman-Singleton graph", 50, "{7,6;1,1}", 5),
+# each parametric family's label and constructor take the spec's parameters
+_PARAMETRIC = {
+    "complete": _Family(1, lambda n: f"K_{n}", complete_graph),
+    "cycle": _Family(1, lambda n: f"C_{n}", cycle_graph),
+    "complete_bipartite": _Family(1, lambda n: f"K_{{{n},{n}}}", complete_bipartite_graph),
+    "crown": _Family(1, lambda n: f"crown graph on {2 * n} vertices", crown_graph),
+    "cube": _Family(1, lambda d: f"cube Q_{d}", lambda d: hamming_graph(d, 2)),
+    "hamming": _Family(2, lambda d, q: f"Hamming graph H({d},{q})", hamming_graph),
+    "johnson": _Family(2, lambda n, k: f"Johnson graph J({n},{k})", johnson_graph),
+    "kneser": _Family(2, lambda n, k: f"Kneser graph K({n},{k})", kneser_graph),
+    "odd": _Family(1, lambda k: f"odd graph O_{k}", odd_graph),
+    "paley": _Family(1, lambda q: f"Paley graph P_{q}", paley_graph),
 }
 
-
-def _build_named(name: str) -> Graph:
-    entry = _NAMED[name]
-    if entry.from_file:
-        text = resources.files("drgcert").joinpath(f"data/{name}.edges").read_text()
-        g = from_edge_text(text)
-    else:
-        g = _INLINE[name]()
-    _check_named(name, entry, g)
-    return g
+FAMILIES = (*_PARAMETRIC, "named")
 
 
-def _check_named(name: str, entry: _NamedEntry, g: Graph) -> None:
-    # guards against a bad bundled file or a broken constructor
-    if g.n != entry.order:
-        raise RuntimeError(f"{name}: expected {entry.order} vertices, got {g.n}")
-    ia = intersection_array(g)
-    if not isinstance(ia, IntersectionArray) or str(ia) != entry.array:
-        raise RuntimeError(f"{name}: intersection array mismatch, got {ia}")
-    if entry.girth is not None and girth(g) != entry.girth:
-        raise RuntimeError(f"{name}: girth mismatch")
+# ------------------------------------------------------------ named graphs
 
 
 def _fano_lines() -> list[frozenset[int]]:
@@ -438,6 +329,27 @@ def _heawood() -> Graph:
 def _co_heawood() -> Graph:
     """Point-line non-incidence graph of the Fano plane."""
     return bipartite_complement(_heawood(), range(7), range(7, 14))
+
+
+def _pappus() -> Graph:
+    """Point-line incidence graph of the affine plane AG(2,3) without the
+    parallel class of direction (0,1).  Point (x,y) is 3x+y; the nine
+    lines, in sorted order, are 9..17."""
+    lines = {
+        frozenset(((x + t * dx) % 3, (y + t * dy) % 3) for t in range(3))
+        for dx, dy in ((1, 0), (1, 1), (1, 2))
+        for x, y in product(range(3), repeat=2)
+    }
+    ordered = enumerate(sorted(lines, key=sorted))
+    return from_edge_list(18, [(3 * x + y, 9 + i) for i, line in ordered for x, y in line])
+
+
+def _coxeter() -> Graph:
+    """The 28 triples of a 7-set that are not Fano lines, in lexicographic
+    order, adjacent when disjoint."""
+    fano = set(_fano_lines())
+    triples = [t for t in map(frozenset, combinations(range(7), 3)) if t not in fano]
+    return _meet_graph(triples, 0)
 
 
 def _generalized_petersen(n: int, k: int) -> Graph:
@@ -482,6 +394,27 @@ def _tutte_8_cage() -> Graph:
     return from_edge_list(30, edges)
 
 
+def _foster() -> Graph:
+    """LCF [17,-9,37,-37,9,-17]^15: the cycle 0..89 plus a chord from each
+    i to i + pattern[i mod 6].  Each chord is named from both ends."""
+    pattern = (17, -9, 37, -37, 9, -17)
+    edges = [(i, (i + d) % 90) for i in range(90) for d in (1, pattern[i % 6])]
+    return Graph(90, edges)
+
+
+def _biggs_smith() -> Graph:
+    """Z_17 cover of an H-shaped voltage graph: hub classes U, V joined to
+    each other, U to the loop classes A, B and V to C, D.  Vertex i of A,
+    B, C, D is joined to i+1, i+4, i+2, i+8 mod 17 in its class.  Class t
+    of (A, B, C, D, U, V) holds vertices 17t..17t+16."""
+    A, B, C, D, U, V = (17 * t for t in range(6))
+    edges = []
+    for i in range(17):
+        edges += [(U + i, V + i), (U + i, A + i), (U + i, B + i), (V + i, C + i), (V + i, D + i)]
+        edges += [(c + i, c + (i + v) % 17) for c, v in ((A, 1), (B, 4), (C, 2), (D, 8))]
+    return from_edge_list(102, edges)
+
+
 def _icosahedron() -> Graph:
     # apex 0, upper pentagon 1..5, lower pentagon 6..10, apex 11
     edges = []
@@ -501,17 +434,14 @@ def _line_petersen() -> Graph:
 
 def _shrikhande() -> Graph:
     """Cayley graph of Z_4 x Z_4 with connection set
-    {(1,0),(3,0),(0,1),(0,3),(1,1),(3,3)}."""
+    {(1,0),(3,0),(0,1),(0,3),(1,1),(3,3)}.  Each edge is named from both ends."""
     conn = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
-    edges = set()
-    for a in range(4):
-        for b in range(4):
-            u = 4 * a + b
-            for da, db in conn:
-                v = 4 * ((a + da) % 4) + ((b + db) % 4)
-                if u < v:
-                    edges.add((u, v))
-    return from_edge_list(16, edges)
+    edges = [
+        (4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
+        for a, b in product(range(4), repeat=2)
+        for da, db in conn
+    ]
+    return Graph(16, edges)
 
 
 def _clebsch() -> Graph:
@@ -530,30 +460,34 @@ def _hoffman_singleton() -> Graph:
     pentagrams Q_0..Q_4, with vertex j of P_h joined to vertex
     h*i + j mod 5 of Q_i.  Vertex j of P_h is 5h + j, vertex j of Q_i
     is 25 + 5i + j."""
-    edge_set = set()
-    for h in range(5):
-        for j in range(5):
-            edge_set.add(tuple(sorted((5 * h + j, 5 * h + (j + 1) % 5))))
-    for i in range(5):
-        for j in range(5):
-            edge_set.add(tuple(sorted((25 + 5 * i + j, 25 + 5 * i + (j + 2) % 5))))
-    for h in range(5):
-        for i in range(5):
-            for j in range(5):
-                edge_set.add(tuple(sorted((5 * h + j, 25 + 5 * i + (h * i + j) % 5))))
-    return from_edge_list(50, edge_set)
+    five = range(5)
+    edges = [(5 * h + j, 5 * h + (j + 1) % 5) for h in five for j in five]
+    edges += [(25 + 5 * i + j, 25 + 5 * i + (j + 2) % 5) for i in five for j in five]
+    edges += [(5 * h + j, 25 + 5 * i + (h * i + j) % 5) for h, i, j in product(five, repeat=3)]
+    return from_edge_list(50, edges)
 
 
-_INLINE = {
-    "petersen": _petersen,
-    "heawood": _heawood,
-    "co_heawood": _co_heawood,
-    "desargues": _desargues,
-    "dodecahedron": _dodecahedron,
-    "tutte_8_cage": _tutte_8_cage,
-    "icosahedron": _icosahedron,
-    "line_petersen": _line_petersen,
-    "shrikhande": _shrikhande,
-    "clebsch": _clebsch,
-    "hoffman_singleton": _hoffman_singleton,
+@dataclass(frozen=True)
+class _NamedEntry:
+    label: str
+    order: int
+    build: Callable[[], Graph]
+
+
+_NAMED = {
+    "petersen": _NamedEntry("Petersen graph", 10, _petersen),
+    "heawood": _NamedEntry("Heawood graph", 14, _heawood),
+    "pappus": _NamedEntry("Pappus graph", 18, _pappus),
+    "desargues": _NamedEntry("Desargues graph", 20, _desargues),
+    "dodecahedron": _NamedEntry("Dodecahedron", 20, _dodecahedron),
+    "coxeter": _NamedEntry("Coxeter graph", 28, _coxeter),
+    "tutte_8_cage": _NamedEntry("Tutte 8-cage", 30, _tutte_8_cage),
+    "foster": _NamedEntry("Foster graph", 90, _foster),
+    "biggs_smith": _NamedEntry("Biggs-Smith graph", 102, _biggs_smith),
+    "icosahedron": _NamedEntry("Icosahedron", 12, _icosahedron),
+    "co_heawood": _NamedEntry("co-Heawood graph", 14, _co_heawood),
+    "line_petersen": _NamedEntry("line graph of Petersen graph", 15, _line_petersen),
+    "shrikhande": _NamedEntry("Shrikhande graph", 16, _shrikhande),
+    "clebsch": _NamedEntry("Clebsch graph", 16, _clebsch),
+    "hoffman_singleton": _NamedEntry("Hoffman-Singleton graph", 50, _hoffman_singleton),
 }

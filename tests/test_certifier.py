@@ -1147,3 +1147,17 @@ def test_complement_transfer_audit_replays_inner():
     inner["applications"][0]["params"]["girth"] = 7
     result = audit(Certificate.from_dict(data), j52)
     assert not result and "embedded" in result.failure
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda app: app.update(m=7), lambda app: app["params"].update(x=1)],
+    ids=["class", "extra-key"],
+)
+def test_complement_transfer_audit_is_exact(edit):
+    # a class number or an extra params key is a claim the audit must refuse
+    j52 = build("johnson:5:2")
+    data = certify_via_complement(j52).to_dict()
+    edit(data["applications"][0])
+    result = audit(Certificate.from_dict(data), j52)
+    assert not result and "complement transfer" in result.failure

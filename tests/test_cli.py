@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import drgcert
 from drgcert import autgroup
 from drgcert.cli import main
 from drgcert.expected import load_tables
@@ -193,6 +198,20 @@ def test_audit_wrongly_typed_field_is_usage_error(tmp_path, capsys, field):
         main(["audit", str(cert_path)])
     assert err.value.code == 2
     assert "cannot load certificate" in capsys.readouterr().err
+
+
+def test_audit_deeply_nested_certificate_is_usage_error(tmp_path):
+    cert_path = tmp_path / "cert.json"
+    main(["certify", "--family", "named:petersen", "--format", "json", "--out", str(cert_path)])
+    data = json.loads(cert_path.read_text())
+    data["notes"] = "DEEP"
+    cert_path.write_text(json.dumps(data).replace('"DEEP"', "[" * 100_000 + "]" * 100_000))
+    src = str(Path(drgcert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "drgcert.cli", "audit", str(cert_path)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert "cannot load certificate" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_tables_which_1(capsys):

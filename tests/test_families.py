@@ -1,5 +1,6 @@
 """Family constructors: orders, degrees, and frozen graph identities."""
 
+import hashlib
 import tracemalloc
 from math import comb
 
@@ -13,7 +14,9 @@ from drgcert.families import (
     has_order,
     parse_family,
 )
+from drgcert.drg import intersection_array
 from drgcert.graph import complement, distances, girth, line_graph
+from drgcert.io import to_graph6
 from oracles import are_isomorphic
 
 
@@ -101,36 +104,45 @@ def test_frozen_identities():
     assert are_isomorphic(build("paley:9"), build("hamming:2:3"))
     # J(5,2) is the Petersen complement
     assert are_isomorphic(build("johnson:5:2"), complement(build("named:petersen")))
-    # the bundled line graph of Petersen really is one
+    # the named line graph of Petersen really is one
     assert are_isomorphic(build("named:line_petersen"), line_graph(build("named:petersen")))
     # octahedron two ways
     assert are_isomorphic(build("johnson:4:2"), line_graph(build("complete:4")))
 
 
+def test_named_graphs_are_pinned():
+    # sha256 of each named graph's labelled graph6, recorded when the four
+    # graphs once read from edge lists got inline constructors
+    text = "".join(f"{n} {to_graph6(build('named:' + n))}\n" for n in list_named())
+    digest = "cec13ef3d305ff93b8badcc65c894100b316b0c887604c7b41a8c143ca215c14"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_named_graph_invariants():
     checks = {
-        "petersen": (10, 3, 5, 2),
-        "heawood": (14, 3, 6, 3),
-        "pappus": (18, 3, 6, 4),
-        "desargues": (20, 3, 6, 5),
-        "dodecahedron": (20, 3, 5, 5),
-        "coxeter": (28, 3, 7, 4),
-        "tutte_8_cage": (30, 3, 8, 4),
-        "foster": (90, 3, 10, 8),
-        "biggs_smith": (102, 3, 9, 7),
-        "icosahedron": (12, 5, 3, 3),
-        "shrikhande": (16, 6, 3, 2),
-        "clebsch": (16, 5, 4, 2),
-        "hoffman_singleton": (50, 7, 5, 2),
-        "co_heawood": (14, 4, 4, 3),
-        "line_petersen": (15, 4, 3, 3),
+        "petersen": (10, 3, 5, 2, "{3,2;1,1}"),
+        "heawood": (14, 3, 6, 3, "{3,2,2;1,1,3}"),
+        "pappus": (18, 3, 6, 4, "{3,2,2,1;1,1,2,3}"),
+        "desargues": (20, 3, 6, 5, "{3,2,2,1,1;1,1,2,2,3}"),
+        "dodecahedron": (20, 3, 5, 5, "{3,2,1,1,1;1,1,1,2,3}"),
+        "coxeter": (28, 3, 7, 4, "{3,2,2,1;1,1,1,2}"),
+        "tutte_8_cage": (30, 3, 8, 4, "{3,2,2,2;1,1,1,3}"),
+        "foster": (90, 3, 10, 8, "{3,2,2,2,2,1,1,1;1,1,1,1,2,2,2,3}"),
+        "biggs_smith": (102, 3, 9, 7, "{3,2,2,2,1,1,1;1,1,1,1,1,1,3}"),
+        "icosahedron": (12, 5, 3, 3, "{5,2,1;1,2,5}"),
+        "shrikhande": (16, 6, 3, 2, "{6,3;1,2}"),
+        "clebsch": (16, 5, 4, 2, "{5,4;1,2}"),
+        "hoffman_singleton": (50, 7, 5, 2, "{7,6;1,1}"),
+        "co_heawood": (14, 4, 4, 3, "{4,3,2;1,2,4}"),
+        "line_petersen": (15, 4, 3, 3, "{4,2,1;1,1,4}"),
     }
-    for name, (n, k, gir, diam) in checks.items():
+    for name, (n, k, gir, diam, array) in checks.items():
         g = build(f"named:{name}")
         assert g.n == n, name
         assert g.regular_degree() == k, name
         assert girth(g) == gir, name
         assert distances(g).diameter == diam, name
+        assert str(intersection_array(g)) == array, name
 
 
 def test_labels():

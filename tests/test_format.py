@@ -69,6 +69,12 @@ def _application_params_list(data):
     data["applications"][0]["params"] = []
 
 
+def _application_params_deep(data):
+    app = data["applications"][0]
+    for _ in range(3000):
+        app["params"] = {"x": app["params"]}
+
+
 def _not_an_object(data):
     data["applications"][0] = "known-quantum-symmetry"
 
@@ -86,6 +92,7 @@ def _not_an_object(data):
         (_application_key, "note"),
         (_application_bool_class, "m"),
         (_application_params_list, "params"),
+        (_application_params_deep, "nested too deeply"),
         (_not_an_object, "Application"),
     ],
 )
