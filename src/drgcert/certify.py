@@ -256,7 +256,7 @@ class _Invariants:
     def __init__(self, g: Graph):
         self.g = g
         self.dd = dd = distances(g)
-        self.girth = cache(lambda: girth(g))
+        self.girth = cache(lambda: girth(g, dd))
         self.array = cache(lambda: intersection_array(g, dd))
         self.group = cache(lambda node_budget: automorphism_group(g, node_budget))
 

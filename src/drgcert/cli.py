@@ -119,7 +119,7 @@ def _cmd_analyze(parser, args) -> int:
         "family": family,
         "order": g.n,
         "degree": [min(degrees), max(degrees)] if degree is None and g.n else degree,
-        "girth": girth(g),
+        "girth": girth(g, dd),
         "clique_number": clique_number(g),
         "connected": connected,
         "diameter": dd.diameter if connected else None,

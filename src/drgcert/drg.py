@@ -91,10 +91,10 @@ def intersection_array(g: Graph, dd=None):
     d = dd.diameter
     b = [None] * d
     c = [None] * d
-    # b_i and c_i of (v, w) count the neighbors of w on the spheres i+1
-    # and i-1 around v: popcounts of ANDed bitmasks.  b_d is not counted:
-    # on a connected graph no neighbor of w lies at distance d+1 from v.
-    nbrs = [sum(1 << x for x in g.neighbors(w)) for w in range(g.n)]
+    # b_i and c_i of (v, w) count the neighbors of w (its sphere 1) on the
+    # spheres i+1 and i-1 around v: popcounts of ANDed bitmasks.  b_d is not
+    # counted: on a connected graph no neighbor of w is at distance d+1 from v.
+    nbrs = [masks[1] for masks in dd.sphere_masks]
     for v in range(g.n):
         drow = dd.dist[v]
         sphere = dd.sphere_masks[v]
@@ -136,29 +136,18 @@ class SrgParams:
 
 
 def srg_params(g: Graph):
-    """(n, k, lambda, mu) when g is strongly regular of diameter 2, else None."""
+    """(n, k, lambda, mu) when g is strongly regular of diameter 2, else None.
+
+    That holds exactly when g is connected and distance-regular of diameter
+    2, with array {k, b_1; 1, c_2}; then lambda = k - 1 - b_1, mu = c_2."""
     dd = distances(g)
     if not dd.connected or dd.diameter != 2:
         return None
-    k = g.regular_degree()
-    if k is None:
+    arr = intersection_array(g, dd)
+    if not arr:
         return None
-    lam = None
-    mu = None
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            count = len(g.neighbors(u) & g.neighbors(v))
-            if g.adjacent(u, v):
-                if lam is None:
-                    lam = count
-                elif lam != count:
-                    return None
-            else:
-                if mu is None:
-                    mu = count
-                elif mu != count:
-                    return None
-    return SrgParams(n=g.n, k=k, lam=lam, mu=mu)
+    k = arr.degree
+    return SrgParams(n=g.n, k=k, lam=k - 1 - arr.b[1], mu=arr.c[1])
 
 
 def k_sequence(ia: IntersectionArray) -> tuple:

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 # Distance value used for vertex pairs in different components.
@@ -102,29 +100,48 @@ def from_edge_list(n: int, edges) -> Graph:
     return Graph(n, edges)
 
 
+def _spheres(nbrs: list, s: int) -> tuple:
+    """(masks, layers) around s: bit w of masks[m] is set, and w listed in
+    layers[m] in increasing order, exactly when d(s, w) == m, for m up to
+    the eccentricity of s.  nbrs[v] is the neighbor bitmask of v; sphere
+    m+1 is the OR of those of sphere m minus the vertices already seen."""
+    sphere = seen = 1 << s
+    masks, layers = [], []
+    while sphere:
+        layer = []
+        x = sphere
+        while x:
+            low = x & -x
+            layer.append(low.bit_length() - 1)
+            x ^= low
+        reach = 0
+        for w in layer:
+            reach |= nbrs[w]
+        masks.append(sphere)
+        layers.append(tuple(layer))
+        sphere = reach & ~seen
+        seen |= reach
+    return masks, layers
+
+
+def _neighbor_masks(g: Graph) -> list:
+    return [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
+
+
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.n
+    return g.n == 0 or sum(_spheres(_neighbor_masks(g), 0)[0]) == (1 << g.n) - 1
 
 
 @dataclass(frozen=True)
 class DistanceData:
-    """All-pairs distances of a graph plus derived per-vertex layer data.
+    """All-pairs distances of a graph plus its spheres around every vertex.
 
     dist[u][v] is the graph distance, INFINITE for unreachable pairs.
-    spheres[v][m] lists the vertices at distance exactly m from v, and
-    kseq[v][m] is the size of that sphere; both are indexed 0..diameter.
-    sphere_masks[v][m] is that sphere as a bitmask, bit w set exactly when
-    d(v, w) == m; it is built on first use and then kept.
+    spheres[v][m] lists the vertices at distance exactly m from v in
+    increasing order, kseq[v][m] is its size and sphere_masks[v][m] is it
+    as a bitmask, bit w set exactly when d(v, w) == m; all three are
+    indexed 0..diameter, so sphere_masks[v][1] is the neighbor mask of v
+    once the diameter is at least 1.  One distance pass builds them all.
     """
 
     dist: tuple
@@ -132,15 +149,10 @@ class DistanceData:
     connected: bool
     spheres: tuple
     kseq: tuple
+    sphere_masks: tuple
 
     def d(self, u: int, v: int) -> int:
         return self.dist[u][v]
-
-    @cached_property
-    def sphere_masks(self) -> tuple:
-        return tuple(
-            tuple(sum(1 << w for w in layer) for layer in layers) for layers in self.spheres
-        )
 
     def at_distance(self, v: int, m: int) -> tuple:
         if m > self.diameter:
@@ -148,81 +160,67 @@ class DistanceData:
         return self.spheres[v][m]
 
     def pairs_at_distance(self, m: int) -> list:
-        """All ordered pairs (u, v) with d(u, v) == m, lexicographically."""
-        out = []
-        for u in range(len(self.dist)):
-            row = self.dist[u]
-            for v in range(len(row)):
-                if row[v] == m:
-                    out.append((u, v))
-        return out
+        """All ordered pairs (u, v) with d(u, v) == m, lexicographically,
+        for 0 <= m; unreachable pairs are not listed."""
+        if not 0 <= m <= self.diameter:
+            return []
+        return [(u, v) for u, layers in enumerate(self.spheres) for v in layers[m]]
 
 
 def distances(g: Graph) -> DistanceData:
-    """BFS from every vertex; exact all-pairs distances."""
+    """Exact all-pairs distances: one bitmask breadth-first search per vertex."""
     n = g.n
-    dist_rows = []
-    diameter = 0
-    connected = True
-    for s in range(n):
+    nbrs = _neighbor_masks(g)
+    found = [_spheres(nbrs, s) for s in range(n)]
+    diameter = max((len(masks) for masks, _ in found), default=1) - 1
+    dist_rows, spheres, sphere_masks = [], [], []
+    for masks, layers in found:
         row = [INFINITE] * n
-        row[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            dv = row[v]
-            for w in g.neighbors(v):
-                if row[w] == INFINITE:
-                    row[w] = dv + 1
-                    queue.append(w)
-        reach_max = max((x for x in row if x != INFINITE), default=0)
-        diameter = max(diameter, reach_max)
-        if INFINITE in row:
-            connected = False
+        for m, layer in enumerate(layers):
+            for w in layer:
+                row[w] = m
+        pad = diameter + 1 - len(masks)
         dist_rows.append(tuple(row))
-    spheres = []
-    kseq = []
-    for v in range(n):
-        layers = [[] for _ in range(diameter + 1)]
-        for w, dvw in enumerate(dist_rows[v]):
-            if dvw != INFINITE:
-                layers[dvw].append(w)
-        spheres.append(tuple(tuple(layer) for layer in layers))
-        kseq.append(tuple(len(layer) for layer in layers))
+        spheres.append(tuple(layers) + ((),) * pad)
+        sphere_masks.append(tuple(masks) + (0,) * pad)
     return DistanceData(
         dist=tuple(dist_rows),
         diameter=diameter,
-        connected=connected,
+        connected=all(sum(masks) == (1 << n) - 1 for masks, _ in found),
         spheres=tuple(spheres),
-        kseq=tuple(kseq),
+        kseq=tuple(tuple(map(len, layers)) for layers in spheres),
+        sphere_masks=tuple(sphere_masks),
     )
 
 
-def girth(g: Graph):
+def girth(g: Graph, dd: DistanceData | None = None):
     """Length of a shortest cycle, or None for acyclic graphs.
 
-    BFS from each root; a non-tree edge (u, w) seen from root r closes a
-    walk of length dist[u] + dist[w] + 1 through r.  The minimum of these
-    candidates over all roots is exactly the girth.
+    Around a root r, a vertex w of sphere i bounds the girth in two ways.
+    Two neighbors in sphere i-1 give two shortest paths from r to w,
+    whose union holds a cycle of length at most 2i.  A neighbor x in
+    sphere i gives, with shortest paths to w and x, a closed walk of odd
+    length 2i+1, which holds a cycle of length at most 2i+1.  Conversely,
+    on a shortest cycle C through r the distances are those along C, so
+    if C has length 2i the vertex opposite r has two neighbors in sphere
+    i-1, and if 2i+1 the two vertices opposite r are adjacent in sphere i.
+    Hence the girth is the minimum over roots of the bound at the first
+    sphere with such a vertex: 2i if some vertex has two neighbors in
+    sphere i-1, else 2i+1.  The even test comes first, since one sphere
+    can hold both kinds and then only 2i is the bound.
     """
+    if dd is None:
+        dd = distances(g)
+    nbrs = [masks[1] for masks in dd.sphere_masks] if dd.diameter else []
     best = None
-    for root in range(g.n):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            if best is not None and dist[v] * 2 >= best:
-                continue
-            for w in g.neighbors(v):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    parent[w] = v
-                    queue.append(w)
-                elif parent[v] != w and parent[w] != v:
-                    cand = dist[v] + dist[w] + 1
-                    if best is None or cand < best:
-                        best = cand
+    for layers, masks in zip(dd.spheres, dd.sphere_masks):
+        for i in range(1, len(masks)):
+            if best is not None and 2 * i >= best:
+                break
+            if any((nbrs[w] & masks[i - 1]).bit_count() > 1 for w in layers[i]):
+                best = 2 * i
+            elif any(nbrs[w] & masks[i] for w in layers[i]):
+                best = 2 * i + 1
         if best == 3:
             break
     return best

@@ -329,6 +329,8 @@ def reproduce_tables(which: int | None = None) -> TablesReport:
     which: 1 for the cubic table, 2 for the small-graph table with the
     family formula checks, None for both.
     """
+    if which not in (None, 1, 2):
+        raise ValueError(f"which must be 1, 2 or None, not {which!r}")
     tables = load_tables()
     cubic = small = families = ()
     if which in (None, 1):

@@ -15,7 +15,9 @@ witness_valid_reference the witness test before it counted by popcount,
 a scan of the sphere around the witness;
 search_generators_reference the generator search before it returned to
 the first path, which automorphism_group_reference wraps as a group;
-intersection_array_reference the array before it counted by bitmasks.
+intersection_array_reference the array before it counted by bitmasks,
+and srg_params_reference the strongly regular parameters before they
+were read off the array, a sweep of all vertex pairs.
 oracle_inputs is the shared graph set they are checked on.
 """
 
@@ -34,7 +36,7 @@ from drgcert.autgroup import (
     vertex_orbits,
 )
 from drgcert.certify import _PAIR_FIELDS, _PIVOT_SIZES, RULE_PIVOT
-from drgcert.drg import IntersectionArray, NotDistanceRegular
+from drgcert.drg import IntersectionArray, NotDistanceRegular, SrgParams
 from drgcert.expected import load_tables
 from drgcert.families import build
 from drgcert.graph import (
@@ -553,3 +555,30 @@ def intersection_array_reference(g: Graph, dd=None):
                 return NotDistanceRegular(witness=(v, w), reason=f"c_{i} not constant")
     b[0] = k
     return IntersectionArray(b=tuple(b), c=tuple(c))
+
+
+def srg_params_reference(g: Graph):
+    """drg.srg_params as it was before it read lambda and mu off the
+    intersection array: both counted over every vertex pair."""
+    dd = distances(g)
+    if not dd.connected or dd.diameter != 2:
+        return None
+    k = g.regular_degree()
+    if k is None:
+        return None
+    lam = None
+    mu = None
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            count = len(g.neighbors(u) & g.neighbors(v))
+            if g.adjacent(u, v):
+                if lam is None:
+                    lam = count
+                elif lam != count:
+                    return None
+            else:
+                if mu is None:
+                    mu = count
+                elif mu != count:
+                    return None
+    return SrgParams(n=g.n, k=k, lam=lam, mu=mu)

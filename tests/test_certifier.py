@@ -1087,9 +1087,9 @@ def test_audit_computes_invariants_lazily(monkeypatch):
     calls = {"girth": 0, "array": 0}
     girth, array = certify_module.girth, certify_module.intersection_array
 
-    def counted_girth(g):
+    def counted_girth(g, dd=None):
         calls["girth"] += 1
-        return girth(g)
+        return girth(g, dd)
 
     def counted_array(g, dd=None):
         calls["array"] += 1

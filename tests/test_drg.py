@@ -20,6 +20,7 @@ from oracles import (
     oracle_inputs,
     random_connected_graph,
     recount_distance_regular,
+    srg_params_reference,
 )
 
 
@@ -150,6 +151,15 @@ def test_srg_params():
     assert p and (p.n, p.k, p.lam, p.mu) == (17, 8, 3, 4)
     # diameter 3 graphs are not strongly regular
     assert srg_params(build("named:heawood")) is None
+
+
+def test_srg_params_match_reference():
+    found = 0
+    for label, g in oracle_inputs():
+        p = srg_params(g)
+        assert p == srg_params_reference(g), label
+        found += p is not None
+    assert found == 28
 
 
 def test_same_srg_params_different_graphs():

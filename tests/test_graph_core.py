@@ -90,6 +90,24 @@ def test_distances_match_floyd_warshall():
                 assert dd.d(u, v) == fw[u][v]
 
 
+def test_distances_match_floyd_warshall_on_oracle_inputs():
+    # the two-copy disjoint unions cover disconnected graphs
+    for label, g in oracle_inputs():
+        dd = distances(g)
+        fw = floyd_warshall(g)
+        expected = tuple(
+            tuple(INFINITE if x == float("inf") else x for x in row) for row in fw
+        )
+        assert dd.dist == expected, label
+        reached = [x for row in expected for x in row if x != INFINITE]
+        assert dd.diameter == max(reached, default=0), label
+        assert dd.connected == (len(reached) == g.n**2), label
+        for v in range(g.n):
+            assert dd.kseq[v] == tuple(map(len, dd.spheres[v])), (label, v)
+            for layer in dd.spheres[v]:
+                assert list(layer) == sorted(set(layer)), (label, v)
+
+
 def test_sphere_masks():
     # bit w of sphere_masks[v][m] is set exactly when d(v, w) == m, so the
     # masks of v are disjoint and cover what v reaches; built once per dd
@@ -128,6 +146,15 @@ def test_girth_matches_cycle_enumeration():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         g = Graph(n, edges)
         assert girth(g) == enumerate_girth(g)
+
+
+def test_girth_matches_cycle_enumeration_on_oracle_inputs():
+    # Clebsch and several circulants hold vertices with both two neighbors
+    # in the sphere below and one in their own sphere, where only the even
+    # bound is the girth
+    for label, g in oracle_inputs():
+        if g.n <= 30:
+            assert girth(g) == enumerate_girth(g), label
 
 
 def test_clique_number_known():

@@ -176,6 +176,13 @@ def test_reproduce_tables_which(report):
     assert small == TablesReport(cubic=(), small=report.small, families=report.families)
 
 
+@pytest.mark.parametrize("which", [3, "1"])
+def test_reproduce_tables_rejects_bad_selector(which):
+    # a selector naming no table must not report every row reproduced
+    with pytest.raises(ValueError):
+        reproduce_tables(which)
+
+
 def test_report_json_roundtrip(report):
     again = TablesReport.from_json(report.to_json())
     assert again == report
