@@ -17,6 +17,7 @@ from .autgroup import (
     SearchBudgetExceeded,
     automorphism_group,
     is_distance_transitive,
+    vertex_orbits,
 )
 from .certify import DEFAULT_SEARCH_BUDGET, Certificate, audit, certify
 from .drg import intersection_array
@@ -120,7 +121,7 @@ def _cmd_analyze(parser, args) -> int:
         "order": g.n,
         "degree": [min(degrees), max(degrees)] if degree is None and g.n else degree,
         "girth": girth(g, dd),
-        "clique_number": clique_number(g),
+        "clique_number": clique_number(g, vertex_orbits(g.n, aut.generators)),
         "connected": connected,
         "diameter": dd.diameter if connected else None,
         "array": str(arr) if arr else None,

@@ -155,7 +155,7 @@ class DistanceData:
         return self.dist[u][v]
 
     def at_distance(self, v: int, m: int) -> tuple:
-        if m > self.diameter:
+        if not 0 <= m <= self.diameter:
             return ()
         return self.spheres[v][m]
 
@@ -226,40 +226,61 @@ def girth(g: Graph, dd: DistanceData | None = None):
     return best
 
 
-def clique_number(g: Graph) -> int:
-    """Exact maximum clique size, branch and bound with a coloring bound."""
-    if g.n == 0:
-        return 0
-    best = 1
-    order = sorted(range(g.n), key=g.degree, reverse=True)
-    nbrs = g._nbrs
+def clique_number(g: Graph, orbits: list[list[int]] | None = None) -> int:
+    """Exact maximum clique size: a branch and bound on neighbor bitmasks,
+    rooted at one vertex of each vertex orbit.
+
+    orbits must be the vertex orbits of some group of automorphisms of g,
+    in any order; None stands for the trivial group, every vertex its own
+    orbit.  Going through the orbits O_1, O_2, ... in order, the search
+    looks for a largest clique through the least vertex r_i of O_i among
+    the neighbors of r_i in O_i, O_{i+1}, ...  That is exact: take a
+    maximum clique K, the first orbit O_i it meets and x in K and O_i.
+    Some automorphism h maps x to r_i, so h(K) is a maximum clique through
+    r_i; it misses O_1 .. O_{i-1}, as orbits are invariant under h, so its
+    other vertices are neighbors of r_i in the later orbits.
+
+    The bound is a greedy coloring of the candidate set, built by removing
+    neighbor masks (Tomita's MCQ, in the bitset form of San Segundo's
+    BBMC): a vertex of color k extends the clique by at most k vertices
+    taken from itself and those of lower colors.
+    """
+    nbrs = _neighbor_masks(g)
+    best = min(g.n, 1)
 
     def expand(size, cand):
         nonlocal best
-        if not cand:
-            best = max(best, size)
-            return
-        # Greedy coloring of the candidate set; color index bounds the
-        # largest clique extension available from each vertex onward.
-        color_of = {}
-        color_classes = []
-        for v in cand:
-            for ci, cls in enumerate(color_classes):
-                if not (nbrs[v] & cls):
-                    cls.add(v)
-                    color_of[v] = ci + 1
-                    break
-            else:
-                color_classes.append({v})
-                color_of[v] = len(color_classes)
-        ordered = sorted(cand, key=lambda v: color_of[v])
-        while ordered:
-            v = ordered.pop()
-            if size + color_of[v] <= best:
+        colored = []
+        q, k = cand, 0
+        while q:
+            k += 1
+            c = q
+            while c:
+                low = c & -c
+                v = low.bit_length() - 1
+                q ^= low
+                c = (c ^ low) & ~nbrs[v]
+                colored.append((v, k))
+        for v, k in reversed(colored):
+            if size + k <= best:
                 return
-            expand(size + 1, [w for w in ordered if w in nbrs[v]])
+            sub = cand & nbrs[v]
+            if sub:
+                expand(size + 1, sub)
+            elif size + 1 > best:
+                best = size + 1
+            cand ^= 1 << v
 
-    expand(0, order)
+    if orbits is None:
+        orbits = [[v] for v in range(g.n)]
+    later = (1 << g.n) - 1
+    for orbit in orbits:
+        r = min(orbit)
+        cand = nbrs[r] & later
+        if 1 + cand.bit_count() > best:
+            expand(1, cand)
+        for v in orbit:
+            later &= ~(1 << v)
     return best
 
 

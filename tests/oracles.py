@@ -16,8 +16,11 @@ a scan of the sphere around the witness;
 search_generators_reference the generator search before it returned to
 the first path, which automorphism_group_reference wraps as a group;
 intersection_array_reference the array before it counted by bitmasks,
-and srg_params_reference the strongly regular parameters before they
-were read off the array, a sweep of all vertex pairs.
+srg_params_reference the strongly regular parameters before they
+were read off the array, a sweep of all vertex pairs, and
+clique_number_reference the clique search before it went over neighbor
+bitmasks and one root per vertex orbit, a set-based branch and bound
+over the whole graph.
 oracle_inputs is the shared graph set they are checked on.
 """
 
@@ -582,3 +585,40 @@ def srg_params_reference(g: Graph):
                 elif mu != count:
                     return None
     return SrgParams(n=g.n, k=k, lam=lam, mu=mu)
+
+
+def clique_number_reference(g: Graph) -> int:
+    """Exact maximum clique size, branch and bound with a coloring bound."""
+    if g.n == 0:
+        return 0
+    best = 1
+    order = sorted(range(g.n), key=g.degree, reverse=True)
+    nbrs = g._nbrs
+
+    def expand(size, cand):
+        nonlocal best
+        if not cand:
+            best = max(best, size)
+            return
+        # Greedy coloring of the candidate set; color index bounds the
+        # largest clique extension available from each vertex onward.
+        color_of = {}
+        color_classes = []
+        for v in cand:
+            for ci, cls in enumerate(color_classes):
+                if not (nbrs[v] & cls):
+                    cls.add(v)
+                    color_of[v] = ci + 1
+                    break
+            else:
+                color_classes.append({v})
+                color_of[v] = len(color_classes)
+        ordered = sorted(cand, key=lambda v: color_of[v])
+        while ordered:
+            v = ordered.pop()
+            if size + color_of[v] <= best:
+                return
+            expand(size + 1, [w for w in ordered if w in nbrs[v]])
+
+    expand(0, order)
+    return best

@@ -51,6 +51,16 @@ def test_analyze_family(capsys):
     assert data["distance_transitive"] is True
 
 
+def test_analyze_tells_shrikhande_from_the_rook_graph(capsys):
+    # the paper's closing pair: one intersection array, clique numbers 3 and 4
+    for family, omega in (("named:shrikhande", 3), ("hamming:2:4", 4)):
+        code, out = run(capsys, "analyze", "--family", family, "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["array"] == "{6,3;1,2}", family
+        assert data["clique_number"] == omega, family
+
+
 def test_analyze_text_fields(capsys):
     code, out = run(capsys, "analyze", "--family", "named:petersen")
     assert code == 0

@@ -19,7 +19,14 @@ from drgcert.graph import (
     is_connected,
     line_graph,
 )
-from oracles import enumerate_girth, floyd_warshall, oracle_inputs, random_connected_graph
+from drgcert.autgroup import automorphism_group, vertex_orbits
+from oracles import (
+    clique_number_reference,
+    enumerate_girth,
+    floyd_warshall,
+    oracle_inputs,
+    random_connected_graph,
+)
 
 
 def path(n):
@@ -76,6 +83,15 @@ def test_distances_disconnected():
     dd = distances(g)
     assert not dd.connected
     assert not is_connected(g)
+
+
+def test_at_distance_outside_the_spheres_is_empty():
+    # a negative m, such as INFINITE, must not index the spheres from the end
+    dd = distances(Graph(4, [(0, 1), (1, 2)]))
+    assert dd.at_distance(0, 2) == (2,)
+    assert dd.at_distance(0, INFINITE) == ()
+    assert dd.at_distance(0, -1) == ()
+    assert dd.at_distance(0, 3) == ()
 
 
 def test_distances_match_floyd_warshall():
@@ -182,6 +198,18 @@ def test_clique_number_random_vs_brute():
                     brute = size
                     break
         assert clique_number(g) == brute
+
+
+def test_clique_number_matches_reference_on_oracle_inputs():
+    # the orbits of Aut, and of the subgroup generated by the generators
+    # fixing vertex 0, which are finer than those of Aut whenever it moves 0
+    for label, g in oracle_inputs():
+        omega = clique_number_reference(g)
+        gens = automorphism_group(g).generators
+        assert clique_number(g) == omega, label
+        assert clique_number(g, vertex_orbits(g.n, gens)) == omega, label
+        fixing = [s for s in gens if s[0] == 0]
+        assert clique_number(g, vertex_orbits(g.n, fixing)) == omega, label
 
 
 def test_common_neighbors():
