@@ -1,21 +1,27 @@
 """Graph automorphisms: generator search, exact group order, orbits.
 
 The search individualizes vertices inside an equitable partition
-refinement, prunes branches whose refinement invariant differs from the
-invariant along the first root-to-leaf path, prunes candidate vertices
-lying in the orbit of an already explored sibling under the generators
-found so far, and returns to the first path as soon as a subtree off it
-yields a generator (McKay and Piperno, arXiv:1301.1493).  It records at
-most one generator per explored child of a first-path node.  The first
-root-to-leaf path is a base and the generators found are a strong
-generating set for it, so the exact group order and distance-transitivity
-are read off orbits of the generators; no stabilizer chain is built.
+refinement.  The refinement is incremental: each round recounts
+neighbors only against the cells the last round split, less the last
+part of each, and a child node starts from its one new singleton cell;
+yet it gives the cells, their order and the invariant that recounting
+against every cell gives.  The search prunes branches whose refinement
+invariant differs from the invariant along the first root-to-leaf path,
+prunes candidate vertices lying in the orbit of an already explored
+sibling under the generators found so far, and returns to the first path
+as soon as a subtree off it yields a generator (McKay and Piperno,
+arXiv:1301.1493).  It records at most one generator per explored child
+of a first-path node.  The first root-to-leaf path is a base and the
+generators found are a strong generating set for it, so the exact group
+order and distance-transitivity are read off orbits of the generators;
+no stabilizer chain is built.
 
 Permutations are tuples p of length n with p[i] the image of i.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from math import prod
 
@@ -43,48 +49,81 @@ def is_automorphism(g: Graph, perm: Perm) -> bool:
 # ------------------------------------------------------------- refinement
 
 
-def _refine(adj: list, cells: list[list[int]]) -> tuple[list[list[int]], tuple]:
+def _refine(
+    adj: list, cells: list[list[int]], pushed: list[int] | None = None
+) -> tuple[list[list[int]], tuple]:
     """Refine to an equitable partition: every vertex of a cell has the
     same number of neighbors in every cell.  Splitting is driven only by
     those counts, so the procedure commutes with relabeling.
 
     Each round splits every cell by the vertices' counts of neighbors in
-    each current cell, the parts in increasing order of the count vector.
-    A vertex's vector is kept sparse, as the negated cell indices of its
-    neighbors in increasing cell order; tuples of those compare exactly as
-    the dense count vectors do (at the first cell where two counts differ,
-    the smaller count runs into a later cell, or the end, first).  Returns
-    the cells and the fixpoint's invariant: for each cell its size and the
-    vector its vertices share.
+    each current cell, the parts in place and in increasing order of the
+    dense count vector, compared lexicographically in cell order.  A round
+    that splits nothing is the fixpoint.  Returns the cells and the
+    fixpoint's invariant: for each cell its size and the vector its
+    vertices share, kept sparse as the negated cell indices of its
+    neighbors in increasing cell order (at the first cell where two counts
+    differ, the smaller count runs into a later cell, or the end, first,
+    so these tuples compare as the dense vectors do).
+
+    A round recounts only against the cells in pushed, given in
+    increasing order; by default every cell.  A round splits the cells by
+    the counts into the cells before it, so after it every cell has
+    constant counts into every cell from before it.  Each cell C the round
+    split is now a run of parts C_1, ..., C_k, and a vertex's count into
+    the last part C_k is its count into C, constant on its cell, less its
+    counts into C_1, ..., C_{k-1}.  So two vertices of one cell whose
+    vectors agree up to C_k agree at C_k too, and the first cell where they
+    differ is never a last part: the next round pushes the parts of each
+    split cell but the last.  The vectors restricted to the pushed cells
+    then differ first at the same cell, by the same counts, so they group
+    and order the vertices of a cell exactly as the full vectors do.  A
+    round appends -p, for each pushed p in turn, to the hit list of every
+    neighbor of every vertex of cell p, which makes a hit list the
+    restricted vector in the sparse form above; a cell with no hit vertex
+    cannot split.  The first round needs the same fact from the caller.
+    One that individualizes v in cell i of an equitable partition, as
+    cells[:i] + [[v], rest] + cells[i+1:], passes [i]: each new cell has
+    constant counts into the old ones, of which cell i alone was split,
+    into [v] and the last part rest.
     """
     cells = [c for c in cells if c]
-    cell_of = [0] * len(adj)
-
-    def vector(v: int) -> tuple:
-        return tuple(sorted(map(cell_of.__getitem__, adj[v]), reverse=True))
-
-    while True:
-        for i, c in enumerate(cells):
-            for v in c:
-                cell_of[v] = -i
+    cell_of = [0] * len(adj)  # minus the index of the vertex's cell
+    for i, c in enumerate(cells):
+        for v in c:
+            cell_of[v] = -i
+    if pushed is None:
+        pushed = list(range(len(cells)))
+    while pushed:
+        hits: dict[int, list[int]] = defaultdict(list)
+        for p in pushed:
+            key = -p
+            for u in cells[p]:
+                for w in adj[u]:
+                    hits[w].append(key)
+        splits: dict[int, list[list[int]]] = {}
+        for i in {-cell_of[w] for w in hits}:
+            if len(cells[i]) > 1:
+                groups: dict[tuple, list[int]] = {}
+                for v in cells[i]:
+                    groups.setdefault(tuple(hits.get(v, ())), []).append(v)
+                if len(groups) > 1:
+                    splits[i] = [groups[sig] for sig in sorted(groups)]
         new_cells: list[list[int]] = []
-        changed = False
-        for c in cells:
-            if len(c) == 1:
-                new_cells.append(c)
-                continue
-            groups: dict[tuple, list[int]] = {}
-            for v in c:
-                groups.setdefault(vector(v), []).append(v)
-            if len(groups) == 1:
-                new_cells.append(c)
-            else:
-                changed = True
-                for sig in sorted(groups):
-                    new_cells.append(groups[sig])
-        cells = new_cells
-        if not changed:
-            return cells, tuple((len(c), vector(c[0])) for c in cells)
+        pushed = []
+        done = 0
+        for i in sorted(splits):
+            new_cells += cells[done:i]
+            pushed += range(len(new_cells), len(new_cells) + len(splits[i]) - 1)
+            new_cells += splits[i]
+            done = i + 1
+        cells = new_cells + cells[done:]
+        for i in range(min(splits, default=len(cells)), len(cells)):
+            for v in cells[i]:
+                cell_of[v] = -i
+    return cells, tuple(
+        (len(c), tuple(sorted(map(cell_of.__getitem__, adj[c[0]]), reverse=True))) for c in cells
+    )
 
 
 # ----------------------------------------------------------------- search
@@ -163,7 +202,7 @@ def _search_generators(g: Graph, node_budget: int) -> tuple[list[Perm], tuple[in
             rest = [u for u in cell if u != v]
             child = cells[:ti] + [[v], rest] + cells[ti + 1 :]
             # off the first path, one generator is all a subtree can add
-            if descend(*_refine(adj, child), depth + 1, prefix + (v,)) and prefix != base[:depth]:
+            if descend(*_refine(adj, child, [ti]), depth + 1, prefix + (v,)) and prefix != base[:depth]:
                 return True
         return False
 

@@ -292,7 +292,7 @@ def _two_common(inv: _Invariants, m: int, certified) -> dict | None:
         for u in range(g.n)
         for v in range(u + 1, g.n)
         if dist[u][v] in (1, 2)
-    ) and clique_number(g) == 3:
+    ) and clique_number(g, dd=inv.dd) == 3:
         return {"clique_number": 3, "common_neighbors": 2}
     return None
 

@@ -154,6 +154,10 @@ class DistanceData:
     def d(self, u: int, v: int) -> int:
         return self.dist[u][v]
 
+    def neighbor_masks(self) -> list:
+        """The neighbor bitmask of every vertex, read off sphere 1."""
+        return [masks[1] for masks in self.sphere_masks] if self.diameter else [0] * len(self.dist)
+
     def at_distance(self, v: int, m: int) -> tuple:
         if not 0 <= m <= self.diameter:
             return ()
@@ -211,7 +215,7 @@ def girth(g: Graph, dd: DistanceData | None = None):
     """
     if dd is None:
         dd = distances(g)
-    nbrs = [masks[1] for masks in dd.sphere_masks] if dd.diameter else []
+    nbrs = dd.neighbor_masks()
     best = None
     for layers, masks in zip(dd.spheres, dd.sphere_masks):
         for i in range(1, len(masks)):
@@ -226,7 +230,9 @@ def girth(g: Graph, dd: DistanceData | None = None):
     return best
 
 
-def clique_number(g: Graph, orbits: list[list[int]] | None = None) -> int:
+def clique_number(
+    g: Graph, orbits: list[list[int]] | None = None, dd: DistanceData | None = None
+) -> int:
     """Exact maximum clique size: a branch and bound on neighbor bitmasks,
     rooted at one vertex of each vertex orbit.
 
@@ -243,9 +249,12 @@ def clique_number(g: Graph, orbits: list[list[int]] | None = None) -> int:
     The bound is a greedy coloring of the candidate set, built by removing
     neighbor masks (Tomita's MCQ, in the bitset form of San Segundo's
     BBMC): a vertex of color k extends the clique by at most k vertices
-    taken from itself and those of lower colors.
+    taken from itself and those of lower colors.  The neighbor masks are
+    read off dd, the distances of g, computed here when not passed.
     """
-    nbrs = _neighbor_masks(g)
+    if dd is None:
+        dd = distances(g)
+    nbrs = dd.neighbor_masks()
     best = min(g.n, 1)
 
     def expand(size, cand):

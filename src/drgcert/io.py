@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from .graph import Graph, from_edge_list
+from binascii import b2a_base64
+
+from .graph import Graph, _neighbor_masks, from_edge_list
 
 _G6_MAX_SMALL = 62
 _G6_MAX = 258047  # largest n encodable in the 18-bit header form
@@ -16,23 +18,27 @@ def _g6_header(n: int) -> bytes:
     raise ValueError(f"graph6 supports at most {_G6_MAX} vertices here, got {n}")
 
 
+_B64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
+
+
 def to_graph6(g: Graph) -> str:
-    """Encode as graph6: upper-triangle bits in column-major order, 6 per byte."""
-    n = g.n
-    out = bytearray(_g6_header(n))
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | (1 if g.adjacent(i, j) else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return out.decode("ascii")
+    """Encode as graph6: upper-triangle bits in column-major order, 6 per byte.
+
+    Column j is bits 0..j-1 of the neighbor mask of j, least first.  Read
+    as one big-endian integer, the bit string splits into 6-bit groups as
+    base64 splits bytes, so translating base64's alphabet to the bytes
+    63..126 gives the body."""
+    bits = "".join(
+        format(mask & ((1 << j) - 1), f"0{j}b")[::-1]
+        for j, mask in enumerate(_neighbor_masks(g))
+        if j
+    )
+    nbytes = -(-len(bits) // 24) * 3
+    body = int(bits.ljust(8 * nbytes, "0") or "0", 2).to_bytes(nbytes, "big")
+    chars = b2a_base64(body, newline=False).translate(_B64_TO_G6)[: -(-len(bits) // 6)]
+    return (_g6_header(g.n) + chars).decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:

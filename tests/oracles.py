@@ -17,10 +17,14 @@ search_generators_reference the generator search before it returned to
 the first path, which automorphism_group_reference wraps as a group;
 intersection_array_reference the array before it counted by bitmasks,
 srg_params_reference the strongly regular parameters before they
-were read off the array, a sweep of all vertex pairs, and
+were read off the array, a sweep of all vertex pairs,
 clique_number_reference the clique search before it went over neighbor
 bitmasks and one root per vertex orbit, a set-based branch and bound
-over the whole graph.
+over the whole graph; refine_reference the equitable refinement before it
+went incremental, each round recounting every vertex against every cell,
+which the reference search runs; and to_graph6_reference the graph6
+encoder before it read neighbor bitmasks, one adjacency test per vertex
+pair.
 oracle_inputs is the shared graph set they are checked on.
 """
 
@@ -34,7 +38,6 @@ from drgcert.autgroup import (
     Perm,
     SearchBudgetExceeded,
     _orbit,
-    _refine,
     automorphism_group,
     vertex_orbits,
 )
@@ -50,6 +53,7 @@ from drgcert.graph import (
     is_connected,
     line_graph,
 )
+from drgcert.io import _g6_header
 
 INF = float("inf")
 
@@ -175,14 +179,19 @@ BENCHMARK_GRAPHS = (
 ORACLE_SEED = 606001
 
 
+def catalogue_keys() -> list[str]:
+    """The family keys of the benchmark graphs and the table rows, once each."""
+    tables = load_tables()
+    rows = [row.key for row in tables.cubic_rows() + tables.small_rows()]
+    return list(dict.fromkeys(BENCHMARK_GRAPHS + tuple(rows)))
+
+
 def oracle_inputs():
     """(label, graph): the catalogue graphs of the benchmark and the tables;
     seeded random graphs on at most 14 vertices with their complements,
     line graphs and two-copy disjoint unions; seeded circulants, which are
     vertex-transitive; and the graphs on one and two vertices."""
-    tables = load_tables()
-    rows = [row.key for row in tables.cubic_rows() + tables.small_rows()]
-    for key in dict.fromkeys(BENCHMARK_GRAPHS + tuple(rows)):
+    for key in catalogue_keys():
         yield key, build(key)
     rng = Random(ORACLE_SEED)
     for i in range(150):
@@ -444,6 +453,50 @@ def pair_search_reference(dd, m, j, l, certified, bud, rule) -> dict | None:
     return None
 
 
+def refine_reference(adj: list, cells: list[list[int]]) -> tuple[list[list[int]], tuple]:
+    """Refine to an equitable partition: every vertex of a cell has the
+    same number of neighbors in every cell.  Splitting is driven only by
+    those counts, so the procedure commutes with relabeling.
+
+    Each round splits every cell by the vertices' counts of neighbors in
+    each current cell, the parts in increasing order of the count vector.
+    A vertex's vector is kept sparse, as the negated cell indices of its
+    neighbors in increasing cell order; tuples of those compare exactly as
+    the dense count vectors do (at the first cell where two counts differ,
+    the smaller count runs into a later cell, or the end, first).  Returns
+    the cells and the fixpoint's invariant: for each cell its size and the
+    vector its vertices share.
+    """
+    cells = [c for c in cells if c]
+    cell_of = [0] * len(adj)
+
+    def vector(v: int) -> tuple:
+        return tuple(sorted(map(cell_of.__getitem__, adj[v]), reverse=True))
+
+    while True:
+        for i, c in enumerate(cells):
+            for v in c:
+                cell_of[v] = -i
+        new_cells: list[list[int]] = []
+        changed = False
+        for c in cells:
+            if len(c) == 1:
+                new_cells.append(c)
+                continue
+            groups: dict[tuple, list[int]] = {}
+            for v in c:
+                groups.setdefault(vector(v), []).append(v)
+            if len(groups) == 1:
+                new_cells.append(c)
+            else:
+                changed = True
+                for sig in sorted(groups):
+                    new_cells.append(groups[sig])
+        cells = new_cells
+        if not changed:
+            return cells, tuple((len(c), vector(c[0])) for c in cells)
+
+
 def search_generators_reference(
     g: Graph, node_budget: int
 ) -> tuple[list[Perm], tuple[int, ...]]:
@@ -503,9 +556,9 @@ def search_generators_reference(
             done.append(v)
             rest = [u for u in cell if u != v]
             child = cells[:ti] + [[v], rest] + cells[ti + 1 :]
-            descend(*_refine(adj, child), depth + 1, prefix + (v,))
+            descend(*refine_reference(adj, child), depth + 1, prefix + (v,))
 
-    descend(*_refine(adj, [list(range(n))]), 0, ())
+    descend(*refine_reference(adj, [list(range(n))]), 0, ())
     return generators, base
 
 
@@ -622,3 +675,22 @@ def clique_number_reference(g: Graph) -> int:
 
     expand(0, order)
     return best
+
+
+def to_graph6_reference(g: Graph) -> str:
+    """Encode as graph6: upper-triangle bits in column-major order, 6 per byte."""
+    n = g.n
+    out = bytearray(_g6_header(n))
+    acc = 0
+    nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            acc = (acc << 1) | (1 if g.adjacent(i, j) else 0)
+            nbits += 1
+            if nbits == 6:
+                out.append(acc + 63)
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append((acc << (6 - nbits)) + 63)
+    return out.decode("ascii")

@@ -10,6 +10,7 @@ from random import Random
 import pytest
 
 import drgcert
+from drgcert import autgroup
 from drgcert.autgroup import (
     SearchBudgetExceeded,
     _orbit,
@@ -27,9 +28,11 @@ from oracles import (
     are_isomorphic,
     automorphism_group_reference,
     brute_automorphism_count,
+    catalogue_keys,
     oracle_inputs,
     pair_orbit,
     random_connected_graph,
+    refine_reference,
     schreier_sims_order,
 )
 
@@ -271,6 +274,50 @@ def test_refine_orders_parts_by_true_counts():
     star = Graph(131, [(0, v) for v in range(1, 131)])
     cells, _ = _refine([star.neighbors(v) for v in range(131)], [list(range(131))])
     assert cells == [list(range(1, 131)), [0]]
+
+
+def test_refine_matches_reference_on_oracle_inputs():
+    # the root partition, and every child of its fixpoint with the hint the
+    # search passes: the same cells in the same order, the same invariant
+    children = 0
+    for label, g in oracle_inputs():
+        adj = [g.neighbors(v) for v in range(g.n)]
+        root = [list(range(g.n))]
+        cells, inv = _refine(adj, root)
+        assert (cells, inv) == refine_reference(adj, root), label
+        for ti, cell in enumerate(cells):
+            for v in cell if len(cell) > 1 else ():
+                child = cells[:ti] + [[v], [u for u in cell if u != v]] + cells[ti + 1 :]
+                assert _refine(adj, child, [ti]) == refine_reference(adj, child), (label, ti, v)
+                children += 1
+    assert children > 3000
+
+
+def _search_nodes(monkeypatch, g, refine):
+    """The group the search gives with refine as the refinement, and its
+    node count, which is the least node budget that does not raise."""
+    calls = [0]
+
+    def counting(adj, cells, pushed=None):
+        calls[0] += 1
+        return refine(adj, cells, pushed)
+
+    monkeypatch.setattr(autgroup, "_refine", counting)
+    aut = automorphism_group(g)
+    nodes = calls[0]
+    assert automorphism_group(g, node_budget=nodes) == aut
+    with pytest.raises(SearchBudgetExceeded):
+        automorphism_group(g, node_budget=nodes - 1)
+    return aut, nodes
+
+
+@pytest.mark.parametrize("key", catalogue_keys())
+def test_search_same_with_reference_refinement(monkeypatch, key):
+    g = build(key)
+    refine = autgroup._refine
+    got = _search_nodes(monkeypatch, g, refine)
+    want = _search_nodes(monkeypatch, g, lambda adj, cells, pushed: refine_reference(adj, cells))
+    assert got == want
 
 
 def test_cli_import_does_not_load_numpy():

@@ -13,7 +13,7 @@ from drgcert.io import (
     to_graph6,
     write_graph,
 )
-from oracles import random_connected_graph
+from oracles import oracle_inputs, random_connected_graph, to_graph6_reference
 
 
 def test_graph6_known_strings():
@@ -48,6 +48,20 @@ def test_graph6_large_order_header():
     assert s.startswith("~")
     h = from_graph6(s)
     assert h.n == 63 and h.adjacent(0, 62)
+
+
+def test_graph6_matches_reference_encoder():
+    # every oracle input, and orders around the one-byte header's limit
+    rng = Random(515002)
+    around_header = [
+        Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        for n in (0, 1, 2, 61, 62, 63, 64, 65)
+        for p in (0.0, 0.3, 1.0)
+    ]
+    graphs = [g for _, g in oracle_inputs()] + around_header
+    for g in graphs:
+        assert to_graph6(g) == to_graph6_reference(g), g
+    assert {0, 1, 63} <= {g.n for g in graphs}
 
 
 def test_graph6_rejects_garbage():
