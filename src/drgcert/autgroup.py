@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import groupby
 from math import prod
 
 from .graph import DistanceData, Graph, distances
@@ -50,7 +51,7 @@ def is_automorphism(g: Graph, perm: Perm) -> bool:
 
 
 def _refine(
-    adj: list, cells: list[list[int]], pushed: list[int] | None = None
+    adj: list, cells: list[list[int]], pushed: list[int]
 ) -> tuple[list[list[int]], tuple]:
     """Refine to an equitable partition: every vertex of a cell has the
     same number of neighbors in every cell.  Splitting is driven only by
@@ -67,9 +68,9 @@ def _refine(
     so these tuples compare as the dense vectors do).
 
     A round recounts only against the cells in pushed, given in
-    increasing order; by default every cell.  A round splits the cells by
-    the counts into the cells before it, so after it every cell has
-    constant counts into every cell from before it.  Each cell C the round
+    increasing order.  A round splits the cells by the counts into the
+    cells before it, so after it every cell has constant counts into
+    every cell from before it.  Each cell C the round
     split is now a run of parts C_1, ..., C_k, and a vertex's count into
     the last part C_k is its count into C, constant on its cell, less its
     counts into C_1, ..., C_{k-1}.  So two vertices of one cell whose
@@ -85,15 +86,14 @@ def _refine(
     One that individualizes v in cell i of an equitable partition, as
     cells[:i] + [[v], rest] + cells[i+1:], passes [i]: each new cell has
     constant counts into the old ones, of which cell i alone was split,
-    into [v] and the last part rest.
+    into [v] and the last part rest.  The search root starts from the
+    cells of equal degree, pushing every part but the last.
     """
     cells = [c for c in cells if c]
     cell_of = [0] * len(adj)  # minus the index of the vertex's cell
     for i, c in enumerate(cells):
         for v in c:
             cell_of[v] = -i
-    if pushed is None:
-        pushed = list(range(len(cells)))
     while pushed:
         hits: dict[int, list[int]] = defaultdict(list)
         for p in pushed:
@@ -124,6 +124,14 @@ def _refine(
     return cells, tuple(
         (len(c), tuple(sorted(map(cell_of.__getitem__, adj[c[0]]), reverse=True))) for c in cells
     )
+
+
+def _degree_cells(adj: list) -> list[list[int]]:
+    """The cells of equal degree, in increasing degree and each in
+    increasing order: _refine's first round from the one cell of all
+    vertices."""
+    order = sorted(range(len(adj)), key=lambda v: len(adj[v]))
+    return [list(c) for _, c in groupby(order, key=lambda v: len(adj[v]))]
 
 
 # ----------------------------------------------------------------- search
@@ -206,7 +214,8 @@ def _search_generators(g: Graph, node_budget: int) -> tuple[list[Perm], tuple[in
                 return True
         return False
 
-    descend(*_refine(adj, [list(range(n))]), 0, ())
+    start = _degree_cells(adj)
+    descend(*_refine(adj, start, list(range(len(start) - 1))), 0, ())
     return generators, base
 
 

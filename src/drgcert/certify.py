@@ -26,7 +26,7 @@ recorded facts.  INCONCLUSIVE is an honest third verdict.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import chain, combinations, islice, repeat
 from math import comb
@@ -52,7 +52,7 @@ from .graph import (
     girth,
     is_connected,
 )
-from .io import to_graph6
+from .io import _Record, to_graph6
 from .knowledge import UNKNOWN_FACT, QsymFact, verdict_for
 
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -94,47 +94,11 @@ class _Budget:
             raise _BudgetExceeded
 
 
-def _plain(value):
-    """JSON form of a record field, sharing no mutable part with it: tuples
-    and lists become new lists, dicts new dicts, records dicts."""
-    if isinstance(value, (tuple, list)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    return value.to_dict() if isinstance(value, _Record) else value
-
-
-# JSON type of each field annotation; a bool is never accepted for an int
-_JSON_TYPES = {"str": str, "int": int, "None": type(None), "dict": dict, "tuple": list}
-
-
-class _Record:
-    """Dict form of a frozen dataclass, derived from its fields: tuple
-    fields are stored as JSON lists, and a field's metadata may name a
-    "load" function that rebuilds it from JSON instead."""
-
-    def to_dict(self) -> dict:
-        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict):
-        """The record a JSON object holds: exactly the fields' keys, each of
-        its annotation's JSON type.  Raises ValueError naming the field."""
-        names = [f.name for f in fields(cls)]
-        if not isinstance(data, dict) or set(data) != set(names):
-            keys = sorted(data) if isinstance(data, dict) else type(data).__name__
-            raise ValueError(f"{cls.__name__} has fields {names}, got {keys}")
-        kwargs = {}
-        for f in fields(cls):
-            value = data[f.name]
-            # annotations are strings under "from __future__ import annotations"
-            types = tuple(_JSON_TYPES[t] for t in f.type.split(" | "))
-            if isinstance(value, bool) or not isinstance(value, types):
-                kind = type(value).__name__
-                raise ValueError(f"{cls.__name__}.{f.name} is {kind}, not {f.type}")
-            load = f.metadata.get("load", tuple if f.type == "tuple" else None)
-            kwargs[f.name] = value if load is None else load(value)
-        return cls(**kwargs)
+def _load_params(params: dict) -> dict:
+    try:
+        return json.loads(json.dumps(params))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"Application.params is not JSON: {exc}") from None
 
 
 def _load_generators(gens: list) -> tuple:
@@ -149,7 +113,7 @@ class Application(_Record):
 
     rule: str
     m: int | None
-    params: dict = field(metadata={"load": lambda params: _plain(dict(params))})
+    params: dict = field(metadata={"load": _load_params})
 
 
 @dataclass(frozen=True)
@@ -169,12 +133,12 @@ class Certificate(_Record):
     notes: tuple
     graph6: str
 
-    def to_dict(self) -> dict:
-        return {"format_version": FORMAT_VERSION, **super().to_dict()}
+    def _json_object(self) -> dict:
+        return {"format_version": FORMAT_VERSION, **super()._json_object()}
 
     def to_json(self) -> str:
         # single line, suitable for batch logs
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        return super().to_json(separators=(",", ":"))
 
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":
@@ -182,6 +146,7 @@ class Certificate(_Record):
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported certificate format: {version!r}")
         try:
+            # the JSON copy of each Application's params may recurse too deeply
             return super().from_dict({k: v for k, v in data.items() if k != "format_version"})
         except RecursionError:
             raise ValueError("certificate is nested too deeply") from None
@@ -498,7 +463,6 @@ def certify(
     g: Graph | _Invariants,
     *,
     family: FamilySpec | str | None = None,
-    label: str | None = None,
     mode: str = "auto",
     search_budget: int = DEFAULT_SEARCH_BUDGET,
     node_budget: int = DEFAULT_NODE_BUDGET,
@@ -525,8 +489,7 @@ def certify(
 
     key = family.key() if isinstance(family, FamilySpec) else family
     spec, fact = _bind(key, g) if key is not None else (None, UNKNOWN_FACT)
-    if label is None:
-        label = spec.label() if spec is not None else f"graph on {g.n} vertices"
+    label = spec.label() if spec is not None else f"graph on {g.n} vertices"
 
     diam = dd.diameter
     header = _header(g, dd, label, spec.key() if spec is not None else None)

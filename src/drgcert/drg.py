@@ -94,7 +94,7 @@ def intersection_array(g: Graph, dd=None):
     # b_i and c_i of (v, w) count the neighbors of w (its sphere 1) on the
     # spheres i+1 and i-1 around v: popcounts of ANDed bitmasks.  b_d is not
     # counted: on a connected graph no neighbor of w is at distance d+1 from v.
-    nbrs = [masks[1] for masks in dd.sphere_masks]
+    nbrs = dd.neighbor_masks()
     for v in range(g.n):
         drow = dd.dist[v]
         sphere = dd.sphere_masks[v]
@@ -129,10 +129,6 @@ class SrgParams:
     k: int
     lam: int
     mu: int
-
-    def feasible(self) -> bool:
-        """The standard counting identity k(k - lam - 1) = (n - k - 1) mu."""
-        return self.k * (self.k - self.lam - 1) == (self.n - self.k - 1) * self.mu
 
 
 def srg_params(g: Graph):

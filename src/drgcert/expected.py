@@ -2,7 +2,9 @@
 quantum symmetry verdicts for the distance-regular graphs this package
 ships, plus the parametric family rows used by the table reproduction.
 
-The data lives in data/expected_tables.json.  Verdict strings are one of
+The data lives in data/expected_tables.json.  Each row is read by the
+record codec of io.py, so a row with a missing or extra key, or a value
+of the wrong JSON type, is refused on load.  Verdict strings are one of
 HAS_QSYM, NO_QSYM, UNKNOWN.
 """
 
@@ -13,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
+from .io import _Record
+
 HAS_QSYM = "HAS_QSYM"
 NO_QSYM = "NO_QSYM"
 UNKNOWN = "UNKNOWN"
@@ -21,7 +25,7 @@ VERDICTS = (HAS_QSYM, NO_QSYM, UNKNOWN)
 
 
 @dataclass(frozen=True)
-class GraphRow:
+class GraphRow(_Record):
     """One fixed graph in the reference tables."""
 
     key: str
@@ -36,7 +40,7 @@ class GraphRow:
 
 
 @dataclass(frozen=True)
-class FamilyRow:
+class FamilyRow(_Record):
     """One parametric family row."""
 
     key: str
@@ -63,40 +67,17 @@ class ExpectedTables:
         return [self.graphs[k] for k in self.small_keys]
 
 
-def _graph_row(key: str, raw: dict) -> GraphRow:
-    verdict = raw["verdict"]
-    if verdict not in VERDICTS:
-        raise ValueError(f"bad verdict {verdict!r} for {key}")
-    return GraphRow(
-        key=key,
-        label=raw["label"],
-        order=raw["order"],
-        aut_name=raw["aut_name"],
-        aut_order=raw["aut_order"],
-        aut_order_source=raw["aut_order_source"],
-        quantum_group=raw["quantum_group"],
-        verdict=verdict,
-        array=raw["array"],
-    )
-
-
 @lru_cache(maxsize=1)
 def load_tables() -> ExpectedTables:
     text = resources.files("drgcert").joinpath("data/expected_tables.json").read_text()
     raw = json.loads(text)
     if raw.get("format_version") != 1:
         raise ValueError("unsupported expected_tables.json format")
-    graphs = {k: _graph_row(k, v) for k, v in raw["graphs"].items()}
-    families = {
-        k: FamilyRow(
-            key=k,
-            label=v["label"],
-            parameter=v["parameter"],
-            aut_name=v["aut_name"],
-            quantum_group=v["quantum_group"],
-        )
-        for k, v in raw["families"].items()
-    }
+    graphs = {k: GraphRow.from_dict({"key": k, **v}) for k, v in raw["graphs"].items()}
+    families = {k: FamilyRow.from_dict({"key": k, **v}) for k, v in raw["families"].items()}
+    for row in graphs.values():
+        if row.verdict not in VERDICTS:
+            raise ValueError(f"bad verdict {row.verdict!r} for {row.key}")
     for key in raw["cubic_rows"] + raw["small_rows"]:
         if key not in graphs:
             raise ValueError(f"table row {key} has no graph record")

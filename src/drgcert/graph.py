@@ -46,9 +46,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def neighbors(self, v: int) -> frozenset:
         return self._nbrs[v]
 

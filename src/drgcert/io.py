@@ -1,8 +1,12 @@
-"""Graph serialization: graph6 strings and a plain edge-list text format."""
+"""Serialization: graph6 strings, a plain edge-list text format, and the
+JSON record codec, in which the json module writes and copies every
+record (a frozen dataclass deriving from _Record)."""
 
 from __future__ import annotations
 
+import json
 from binascii import b2a_base64
+from dataclasses import fields
 
 from .graph import Graph, _neighbor_masks, from_edge_list
 
@@ -135,3 +139,55 @@ def write_graph(g: Graph, path: str, fmt: str, comment: str | None = None) -> No
         raise ValueError(f"unknown graph format {fmt!r}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
+
+
+# ---------------------------------------------------------------- records
+
+# JSON type of each field annotation; a bool is never accepted for an int
+_JSON_TYPES = {"str": str, "int": int, "None": type(None), "dict": dict, "tuple": list}
+
+
+def _encode(value):
+    """json's hook for what it cannot encode: a record is its JSON object,
+    any other object a TypeError, as without the hook."""
+    if isinstance(value, _Record):
+        return value._json_object()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+class _Record:
+    """JSON form of a frozen dataclass, derived from its fields: json writes
+    tuple fields as lists, and a field's metadata may name a "load"
+    function that rebuilds it from JSON instead."""
+
+    def _json_object(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def to_json(self, **options) -> str:
+        """The record as JSON text; options go to json.dumps."""
+        return json.dumps(self, default=_encode, **options)
+
+    def to_dict(self) -> dict:
+        """The record's JSON object as json reads it back, so it shares no
+        mutable part with the record."""
+        return json.loads(json.dumps(self, default=_encode))
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """The record a JSON object holds: exactly the fields' keys, each of
+        its annotation's JSON type.  Raises ValueError naming the field."""
+        names = [f.name for f in fields(cls)]
+        if not isinstance(data, dict) or set(data) != set(names):
+            keys = sorted(data) if isinstance(data, dict) else type(data).__name__
+            raise ValueError(f"{cls.__name__} has fields {names}, got {keys}")
+        kwargs = {}
+        for f in fields(cls):
+            value = data[f.name]
+            # annotations are strings under "from __future__ import annotations"
+            types = tuple(_JSON_TYPES[t] for t in f.type.split(" | "))
+            if isinstance(value, bool) or not isinstance(value, types):
+                kind = type(value).__name__
+                raise ValueError(f"{cls.__name__}.{f.name} is {kind}, not {f.type}")
+            load = f.metadata.get("load", tuple if f.type == "tuple" else None)
+            kwargs[f.name] = value if load is None else load(value)
+        return cls(**kwargs)

@@ -37,23 +37,21 @@ def verdict_for(spec: FamilySpec | str | None) -> QsymFact:
     """
     if spec is None:
         return UNKNOWN_FACT
-    tables = load_tables()
+    graphs = load_tables().graphs
+    rec = None
     if isinstance(spec, str):
         text = spec.strip()
         if text.lower().startswith("named:"):
             # some recorded graphs have facts but no constructor, so the
             # record lookup must not insist on a buildable name
-            key = f"named:{_canonical_name(text.split(':', 1)[1])}"
-            if key in tables.graphs:
-                rec = tables.graphs[key]
-                qg = rec.quantum_group if rec.quantum_group != "?" else None
-                return QsymFact(rec.verdict, f"recorded result for {rec.label}", qg)
-        spec = parse_family(text)
-    for key in _lookup_keys(spec):
-        if key in tables.graphs:
-            rec = tables.graphs[key]
-            qg = rec.quantum_group if rec.quantum_group != "?" else None
-            return QsymFact(rec.verdict, f"recorded result for {rec.label}", qg)
+            rec = graphs.get(f"named:{_canonical_name(text.split(':', 1)[1])}")
+        if rec is None:
+            spec = parse_family(text)
+    if rec is None:
+        rec = next((graphs[k] for k in _lookup_keys(spec) if k in graphs), None)
+    if rec is not None:
+        qg = rec.quantum_group if rec.quantum_group != "?" else None
+        return QsymFact(rec.verdict, f"recorded result for {rec.label}", qg)
     fact = _family_fact(spec)
     return fact if fact is not None else UNKNOWN_FACT
 

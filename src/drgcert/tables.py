@@ -21,10 +21,11 @@ import json
 from dataclasses import dataclass
 
 from .autgroup import DEFAULT_NODE_BUDGET
-from .certify import INCONCLUSIVE, _Invariants, _Record, audit, certify
+from .certify import INCONCLUSIVE, _Invariants, audit, certify
 from .drg import IntersectionArray, intersection_array
 from .expected import HAS_QSYM, NO_QSYM, UNKNOWN, FamilyRow, GraphRow, load_tables
 from .families import build
+from .io import _Record
 
 FORMAT_VERSION = 1
 
@@ -147,7 +148,7 @@ class FamilyReport(_Record):
 
 
 @dataclass(frozen=True)
-class TablesReport:
+class TablesReport(_Record):
     cubic: tuple
     small: tuple
     families: tuple
@@ -156,17 +157,11 @@ class TablesReport:
     def ok(self) -> bool:
         return all(r.ok for r in self.cubic + self.small + self.families)
 
-    def to_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "ok": self.ok,
-            "cubic": [r.to_dict() for r in self.cubic],
-            "small": [r.to_dict() for r in self.small],
-            "families": [f.to_dict() for f in self.families],
-        }
+    def _json_object(self) -> dict:
+        return {"format_version": FORMAT_VERSION, "ok": self.ok, **super()._json_object()}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
+        return super().to_json(indent=2)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TablesReport":
@@ -241,6 +236,16 @@ def _render_rows(title: str, rows) -> str:
 
 # --------------------------------------------------------- reproduction
 
+# status of a row by (engine verdict, recorded verdict); any other pair is a
+# mismatch.  NO_QSYM on an UNKNOWN row: the engine proved what the table left open
+_VERDICT_STATUS = {
+    (HAS_QSYM, HAS_QSYM): "knowledge-base",
+    (NO_QSYM, NO_QSYM): "certified",
+    (NO_QSYM, UNKNOWN): "certified",
+    (INCONCLUSIVE, NO_QSYM): "recorded",
+    (INCONCLUSIVE, UNKNOWN): "open",
+}
+
 
 def reproduce_row(row: GraphRow) -> RowReport:
     """Rebuild a table row's graph and recheck its order, array, |Aut| and
@@ -267,19 +272,7 @@ def reproduce_row(row: GraphRow) -> RowReport:
     checked = audit(cert, g)
     if not checked:
         problems.append(f"certificate failed audit: {checked.failure}")
-    status = "mismatch"
-    if engine_verdict == HAS_QSYM:
-        if row.verdict == HAS_QSYM:
-            status = "knowledge-base"
-    elif engine_verdict == NO_QSYM:
-        # UNKNOWN included: the engine proved something the table left open
-        if row.verdict in (NO_QSYM, UNKNOWN):
-            status = "certified"
-    elif engine_verdict == INCONCLUSIVE:
-        if row.verdict == NO_QSYM:
-            status = "recorded"
-        elif row.verdict == UNKNOWN:
-            status = "open"
+    status = _VERDICT_STATUS.get((engine_verdict, row.verdict), "mismatch")
     if status == "mismatch":
         problems.append(f"verdict: engine says {engine_verdict}, table says {row.verdict}")
 

@@ -13,6 +13,7 @@ import drgcert
 from drgcert import autgroup
 from drgcert.autgroup import (
     SearchBudgetExceeded,
+    _degree_cells,
     _orbit,
     _refine,
     automorphism_group,
@@ -264,7 +265,7 @@ def test_refine_equitable_at_high_degree(spec):
     g = build(spec)
     adj = [g.neighbors(v) for v in range(g.n)]
     for start in ([list(range(g.n))], [[0], list(range(1, g.n))]):
-        cells, _ = _refine(adj, start)
+        cells, _ = _refine(adj, start, [0])
         assert sorted(v for c in cells for v in c) == list(range(g.n))
         assert _is_equitable(g, cells)
 
@@ -272,19 +273,22 @@ def test_refine_equitable_at_high_degree(spec):
 def test_refine_orders_parts_by_true_counts():
     # the star's leaves (1 neighbor) come before its centre (130)
     star = Graph(131, [(0, v) for v in range(1, 131)])
-    cells, _ = _refine([star.neighbors(v) for v in range(131)], [list(range(131))])
+    cells, _ = _refine([star.neighbors(v) for v in range(131)], [list(range(131))], [0])
     assert cells == [list(range(1, 131)), [0]]
 
 
 def test_refine_matches_reference_on_oracle_inputs():
-    # the root partition, and every child of its fixpoint with the hint the
-    # search passes: the same cells in the same order, the same invariant
+    # the root partition, also from the cells of equal degree the search
+    # starts from, and every child of its fixpoint with the hint the search
+    # passes: the same cells in the same order, the same invariant
     children = 0
     for label, g in oracle_inputs():
         adj = [g.neighbors(v) for v in range(g.n)]
         root = [list(range(g.n))]
-        cells, inv = _refine(adj, root)
+        cells, inv = _refine(adj, root, [0])
         assert (cells, inv) == refine_reference(adj, root), label
+        start = _degree_cells(adj)
+        assert _refine(adj, start, list(range(len(start) - 1))) == (cells, inv), label
         for ti, cell in enumerate(cells):
             for v in cell if len(cell) > 1 else ():
                 child = cells[:ti] + [[v], [u for u in cell if u != v]] + cells[ti + 1 :]
@@ -298,7 +302,7 @@ def _search_nodes(monkeypatch, g, refine):
     node count, which is the least node budget that does not raise."""
     calls = [0]
 
-    def counting(adj, cells, pushed=None):
+    def counting(adj, cells, pushed):
         calls[0] += 1
         return refine(adj, cells, pushed)
 

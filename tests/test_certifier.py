@@ -426,6 +426,17 @@ def test_search_budget_exhaustion_is_honest():
     assert audit(cert, g)
 
 
+def test_node_budget_exhaustion_falls_back_to_all_pairs():
+    # an automorphism search over its node budget leaves no generators, so
+    # every ordered pair of each class is covered, as in mode "all-pairs"
+    g = build("hamming:3:3")
+    cert = certify(g, family="hamming:3:3", node_budget=1)
+    assert cert.notes == ("automorphism search budget exceeded; all-pairs coverage",)
+    assert cert.generators == ()
+    assert cert.applications == certify(g, family="hamming:3:3", mode="all-pairs").applications
+    assert audit(cert, g)
+
+
 @pytest.mark.parametrize(
     "name,value",
     [("search_budget", -5), ("search_budget", True), ("search_budget", 2.5), ("node_budget", -1)],

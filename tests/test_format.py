@@ -69,6 +69,10 @@ def _application_params_list(data):
     data["applications"][0]["params"] = []
 
 
+def _application_params_set(data):
+    data["applications"][0]["params"] = {"x": {1, 2}}
+
+
 def _application_params_deep(data):
     app = data["applications"][0]
     for _ in range(3000):
@@ -92,6 +96,7 @@ def _not_an_object(data):
         (_application_key, "note"),
         (_application_bool_class, "m"),
         (_application_params_list, "params"),
+        (_application_params_set, "params"),
         (_application_params_deep, "nested too deeply"),
         (_not_an_object, "Application"),
     ],

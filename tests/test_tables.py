@@ -8,7 +8,7 @@ import pytest
 
 from drgcert import autgroup, drg, graph, tables
 from drgcert.drg import intersection_array
-from drgcert.expected import HAS_QSYM, NO_QSYM, UNKNOWN, load_tables
+from drgcert.expected import HAS_QSYM, NO_QSYM, UNKNOWN, GraphRow, load_tables
 from drgcert.families import build
 from drgcert.tables import (
     TablesReport,
@@ -30,6 +30,18 @@ def test_loaded_tables_shape():
         assert build(row.key).regular_degree() == 3
     for row in t.small_rows():
         assert row.order <= 50
+
+
+@pytest.mark.parametrize("edit", ["missing", "extra"])
+def test_graph_row_from_dict_checks_keys(edit):
+    row = load_tables().graph("named:petersen").to_dict()
+    assert GraphRow.from_dict(row) == load_tables().graph("named:petersen")
+    if edit == "missing":
+        del row["array"]
+    else:
+        row["notes"] = "x"
+    with pytest.raises(ValueError, match="GraphRow has fields"):
+        GraphRow.from_dict(row)
 
 
 def test_family_array_formulas():
