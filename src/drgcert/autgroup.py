@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import groupby
 from math import prod
 
 from .graph import DistanceData, Graph, distances
@@ -67,27 +66,26 @@ def _refine(
     differ, the smaller count runs into a later cell, or the end, first,
     so these tuples compare as the dense vectors do).
 
-    A round recounts only against the cells in pushed, given in
-    increasing order.  A round splits the cells by the counts into the
-    cells before it, so after it every cell has constant counts into
-    every cell from before it.  Each cell C the round
-    split is now a run of parts C_1, ..., C_k, and a vertex's count into
-    the last part C_k is its count into C, constant on its cell, less its
-    counts into C_1, ..., C_{k-1}.  So two vertices of one cell whose
-    vectors agree up to C_k agree at C_k too, and the first cell where they
-    differ is never a last part: the next round pushes the parts of each
-    split cell but the last.  The vectors restricted to the pushed cells
-    then differ first at the same cell, by the same counts, so they group
-    and order the vertices of a cell exactly as the full vectors do.  A
-    round appends -p, for each pushed p in turn, to the hit list of every
-    neighbor of every vertex of cell p, which makes a hit list the
-    restricted vector in the sparse form above; a cell with no hit vertex
-    cannot split.  The first round needs the same fact from the caller.
-    One that individualizes v in cell i of an equitable partition, as
-    cells[:i] + [[v], rest] + cells[i+1:], passes [i]: each new cell has
-    constant counts into the old ones, of which cell i alone was split,
-    into [v] and the last part rest.  The search root starts from the
-    cells of equal degree, pushing every part but the last.
+    A round recounts only against the cells in pushed, given in increasing
+    order.  A round splits the cells by the counts into the cells before it,
+    so after it every cell has constant counts into every cell from before
+    it.  Each cell C the round split is now a run of parts C_1, ..., C_k,
+    and a vertex's count into the last part C_k is its count into C,
+    constant on its cell, less its counts into C_1, ..., C_{k-1}.  So two
+    vertices of one cell whose vectors agree up to C_k agree at C_k too, and
+    the first cell where they differ is never a last part: the next round
+    pushes the parts of each split cell but the last.  The vectors
+    restricted to the pushed cells then differ first at the same cell, by
+    the same counts, so they group and order the vertices of a cell exactly
+    as the full vectors do.  A round appends -p, for each pushed p in turn,
+    to the hit list of every neighbor of every vertex of cell p, which makes
+    a hit list the restricted vector in the sparse form above; a cell with
+    no hit vertex cannot split.  The first round needs the same fact from
+    the caller.  One that individualizes v in cell i of an equitable
+    partition, as cells[:i] + [[v], rest] + cells[i+1:], passes [i]: each
+    new cell has constant counts into the old ones, of which cell i alone
+    was split, into [v] and the last part rest.  The search root pushes its
+    one cell of all vertices.
     """
     cells = [c for c in cells if c]
     cell_of = [0] * len(adj)  # minus the index of the vertex's cell
@@ -124,14 +122,6 @@ def _refine(
     return cells, tuple(
         (len(c), tuple(sorted(map(cell_of.__getitem__, adj[c[0]]), reverse=True))) for c in cells
     )
-
-
-def _degree_cells(adj: list) -> list[list[int]]:
-    """The cells of equal degree, in increasing degree and each in
-    increasing order: _refine's first round from the one cell of all
-    vertices."""
-    order = sorted(range(len(adj)), key=lambda v: len(adj[v]))
-    return [list(c) for _, c in groupby(order, key=lambda v: len(adj[v]))]
 
 
 # ----------------------------------------------------------------- search
@@ -214,8 +204,8 @@ def _search_generators(g: Graph, node_budget: int) -> tuple[list[Perm], tuple[in
                 return True
         return False
 
-    start = _degree_cells(adj)
-    descend(*_refine(adj, start, list(range(len(start) - 1))), 0, ())
+    # the empty graph's root has no cell to push
+    descend(*_refine(adj, [list(range(n))], [0] if n else []), 0, ())
     return generators, base
 
 

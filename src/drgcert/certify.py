@@ -94,11 +94,25 @@ class _Budget:
             raise _BudgetExceeded
 
 
+# deepest nesting of dicts and lists in an application's params (the engine
+# writes 5); json's own recursion guard stops at a depth that varies by Python
+PARAMS_DEPTH = 100
+
+
 def _load_params(params: dict) -> dict:
     try:
-        return json.loads(json.dumps(params))
+        copy = json.loads(json.dumps(params))
+    except RecursionError:
+        raise ValueError("Application.params is nested too deeply") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"Application.params is not JSON: {exc}") from None
+    level, depth = [copy], 1  # the dicts and lists at this depth
+    while level and depth <= PARAMS_DEPTH:
+        level = [x for c in level for x in (c.values() if isinstance(c, dict) else c)]
+        level, depth = [x for x in level if isinstance(x, (dict, list))], depth + 1
+    if level:
+        raise ValueError("Application.params is nested too deeply")
+    return copy
 
 
 def _load_generators(gens: list) -> tuple:
@@ -145,11 +159,7 @@ class Certificate(_Record):
         version = data.get("format_version") if isinstance(data, dict) else None
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported certificate format: {version!r}")
-        try:
-            # the JSON copy of each Application's params may recurse too deeply
-            return super().from_dict({k: v for k, v in data.items() if k != "format_version"})
-        except RecursionError:
-            raise ValueError("certificate is nested too deeply") from None
+        return super().from_dict({k: v for k, v in data.items() if k != "format_version"})
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":

@@ -3,9 +3,9 @@ quantum symmetry verdicts for the distance-regular graphs this package
 ships, plus the parametric family rows used by the table reproduction.
 
 The data lives in data/expected_tables.json.  Each row is read by the
-record codec of io.py, so a row with a missing or extra key, or a value
-of the wrong JSON type, is refused on load.  Verdict strings are one of
-HAS_QSYM, NO_QSYM, UNKNOWN.
+record codec of io.py under its map key, so a row with a missing or extra
+key, a key of its own, or a value of the wrong JSON type, is refused on
+load.  Verdict strings are one of HAS_QSYM, NO_QSYM, UNKNOWN.
 """
 
 from __future__ import annotations
@@ -67,14 +67,22 @@ class ExpectedTables:
         return [self.graphs[k] for k in self.small_keys]
 
 
+def _keyed_rows(kind, raw: dict) -> dict:
+    """kind's records from a map of key to row; a row does not repeat its key."""
+    for key, row in raw.items():
+        if not isinstance(row, dict) or "key" in row:
+            raise ValueError(f"{kind.__name__} {key!r} is not an object without a key field")
+    return {key: kind.from_dict({"key": key, **row}) for key, row in raw.items()}
+
+
 @lru_cache(maxsize=1)
 def load_tables() -> ExpectedTables:
     text = resources.files("drgcert").joinpath("data/expected_tables.json").read_text()
     raw = json.loads(text)
     if raw.get("format_version") != 1:
         raise ValueError("unsupported expected_tables.json format")
-    graphs = {k: GraphRow.from_dict({"key": k, **v}) for k, v in raw["graphs"].items()}
-    families = {k: FamilyRow.from_dict({"key": k, **v}) for k, v in raw["families"].items()}
+    graphs = _keyed_rows(GraphRow, raw["graphs"])
+    families = _keyed_rows(FamilyRow, raw["families"])
     for row in graphs.values():
         if row.verdict not in VERDICTS:
             raise ValueError(f"bad verdict {row.verdict!r} for {row.key}")

@@ -18,7 +18,7 @@ values and compared against the array computed from the built graph.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .autgroup import DEFAULT_NODE_BUDGET
 from .certify import INCONCLUSIVE, _Invariants, audit, certify
@@ -149,9 +149,9 @@ class FamilyReport(_Record):
 
 @dataclass(frozen=True)
 class TablesReport(_Record):
-    cubic: tuple
-    small: tuple
-    families: tuple
+    cubic: tuple = field(metadata={"load": lambda rs: tuple(map(RowReport.from_dict, rs))})
+    small: tuple = field(metadata={"load": lambda rs: tuple(map(RowReport.from_dict, rs))})
+    families: tuple = field(metadata={"load": lambda fs: tuple(map(FamilyReport.from_dict, fs))})
 
     @property
     def ok(self) -> bool:
@@ -165,13 +165,11 @@ class TablesReport(_Record):
 
     @classmethod
     def from_dict(cls, data: dict) -> "TablesReport":
-        if data.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported report format {data.get('format_version')!r}")
-        return cls(
-            cubic=tuple(RowReport.from_dict(r) for r in data["cubic"]),
-            small=tuple(RowReport.from_dict(r) for r in data["small"]),
-            families=tuple(FamilyReport.from_dict(f) for f in data["families"]),
-        )
+        version = data.get("format_version") if isinstance(data, dict) else None
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported report format {version!r}")
+        header = ("format_version", "ok")  # ok is not read back: the rows decide it
+        return super().from_dict({k: v for k, v in data.items() if k not in header})
 
     @classmethod
     def from_json(cls, text: str) -> "TablesReport":

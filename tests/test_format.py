@@ -9,7 +9,14 @@ from random import Random
 import pytest
 
 from drgcert import families
-from drgcert.certify import FORMAT_VERSION, Application, Certificate, audit, certify
+from drgcert.certify import (
+    FORMAT_VERSION,
+    PARAMS_DEPTH,
+    Application,
+    Certificate,
+    audit,
+    certify,
+)
 from drgcert.families import build, parse_family
 from drgcert.graph import Graph, cartesian_product
 
@@ -108,6 +115,21 @@ def test_from_dict_checks_schema(edit, field):
     edit(data)
     with pytest.raises(ValueError, match=field):
         Certificate.from_dict(data)
+
+
+def test_application_params_depth_is_bounded():
+    # the bound is the same on every Python version, far below where json's
+    # own recursion guard stops
+    def nested(depth):
+        # depth dicts and lists in all: lists and dicts in turn in one dict
+        value = {}
+        for i in range(depth - 2):
+            value = {"x": value} if i % 2 else [value]
+        return {"x": value}
+
+    Application.from_dict({"rule": "r", "m": None, "params": nested(PARAMS_DEPTH)})
+    with pytest.raises(ValueError, match="Application.params is nested too deeply"):
+        Application.from_dict({"rule": "r", "m": None, "params": nested(PARAMS_DEPTH + 1)})
 
 
 def test_application_from_dict_checks_schema():

@@ -8,7 +8,7 @@ import pytest
 
 from drgcert import autgroup, drg, graph, tables
 from drgcert.drg import intersection_array
-from drgcert.expected import HAS_QSYM, NO_QSYM, UNKNOWN, GraphRow, load_tables
+from drgcert.expected import HAS_QSYM, NO_QSYM, UNKNOWN, GraphRow, _keyed_rows, load_tables
 from drgcert.families import build
 from drgcert.tables import (
     TablesReport,
@@ -32,16 +32,27 @@ def test_loaded_tables_shape():
         assert row.order <= 50
 
 
-@pytest.mark.parametrize("edit", ["missing", "extra"])
-def test_graph_row_from_dict_checks_keys(edit):
-    row = load_tables().graph("named:petersen").to_dict()
-    assert GraphRow.from_dict(row) == load_tables().graph("named:petersen")
+@pytest.mark.parametrize(
+    "edit,error",
+    [
+        ("missing", "GraphRow has fields"),
+        ("extra", "GraphRow has fields"),
+        # the data file keys a row by its map key alone
+        ("own key", "GraphRow 'named:petersen' is not an object without a key field"),
+    ],
+)
+def test_graph_row_from_dict_checks_keys(edit, error):
+    petersen = load_tables().graph("named:petersen")
+    row = {k: v for k, v in petersen.to_dict().items() if k != "key"}
+    assert _keyed_rows(GraphRow, {petersen.key: row}) == {petersen.key: petersen}
     if edit == "missing":
         del row["array"]
-    else:
+    elif edit == "extra":
         row["notes"] = "x"
-    with pytest.raises(ValueError, match="GraphRow has fields"):
-        GraphRow.from_dict(row)
+    else:
+        row["key"] = "named:heawood"
+    with pytest.raises(ValueError, match=error):
+        _keyed_rows(GraphRow, {petersen.key: row})
 
 
 def test_family_array_formulas():
@@ -198,6 +209,19 @@ def test_reproduce_tables_rejects_bad_selector(which):
 def test_report_json_roundtrip(report):
     again = TablesReport.from_json(report.to_json())
     assert again == report
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("[]", "unsupported report format None"),
+        ('{"format_version": 1, "ok": true, "cubic": [], "small": []}', "TablesReport has fields"),
+        ('{"format_version": 1, "cubic": [1], "small": [], "families": []}', "RowReport has fields"),
+    ],
+)
+def test_report_from_json_checks_schema(text, error):
+    with pytest.raises(ValueError, match=error):
+        TablesReport.from_json(text)
 
 
 def test_report_text_mentions_all_rows(report):
