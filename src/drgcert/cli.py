@@ -75,11 +75,16 @@ def _load_graph(parser: argparse.ArgumentParser, args) -> tuple[Graph, str | Non
 
 
 def _emit(args, text: str) -> None:
-    if args.out:
+    text = text if text.endswith("\n") else text + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as f:
-            f.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            f.write(text)
+    except OSError as exc:
+        print(f"drgcert: error: cannot write {args.out}: {exc}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
 
 
 def _cmd_family(parser, args) -> int:

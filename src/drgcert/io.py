@@ -173,6 +173,16 @@ class _Record:
         return json.loads(json.dumps(self, default=_encode))
 
     @classmethod
+    def from_json(cls, text: str):
+        """The record JSON text holds, as from_dict reads it; text nested
+        too deeply for json is a ValueError too."""
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError(f"{cls.__name__} JSON is nested too deeply") from None
+        return cls.from_dict(data)
+
+    @classmethod
     def from_dict(cls, data: dict):
         """The record a JSON object holds: exactly the fields' keys, each of
         its annotation's JSON type.  Raises ValueError naming the field."""

@@ -17,7 +17,6 @@ values and compared against the array computed from the built graph.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .autgroup import DEFAULT_NODE_BUDGET
@@ -170,10 +169,6 @@ class TablesReport(_Record):
             raise ValueError(f"unsupported report format {version!r}")
         header = ("format_version", "ok")  # ok is not read back: the rows decide it
         return super().from_dict({k: v for k, v in data.items() if k not in header})
-
-    @classmethod
-    def from_json(cls, text: str) -> "TablesReport":
-        return cls.from_dict(json.loads(text))
 
     def to_text(self) -> str:
         out = []

@@ -5,7 +5,6 @@ pass/fail line per criterion.  Expected values are frozen here; the
 oracles in oracles.py recompute the quantitative ones from scratch.
 """
 
-import json
 import math
 import time
 from random import Random

@@ -3,7 +3,7 @@
 import hashlib
 import importlib
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -11,7 +11,6 @@ from drgcert import autgroup
 from drgcert.certify import (
     DEFAULT_SEARCH_BUDGET,
     INCONCLUSIVE,
-    Application,
     Certificate,
     _Budget,
     _Invariants,
@@ -21,7 +20,6 @@ from drgcert.certify import (
     certify_via_complement,
     transfer_certificate,
 )
-from drgcert.drg import intersection_array
 from drgcert.expected import HAS_QSYM, NO_QSYM, UNKNOWN, load_tables
 from drgcert.families import build
 from drgcert.graph import (
@@ -769,43 +767,55 @@ def test_to_dict_shares_nothing_with_certificate():
     assert loaded.to_json() == text and audit(loaded, g)
 
 
-@pytest.mark.parametrize(
-    "key,path,value",
-    [
-        ("named:petersen", ("degree",), 4),
-        ("named:petersen", ("degree",), None),
-        ("cube:3", ("degree",), 4),
-        ("complete:3", ("diameter",), True),
-        # format 3 records no coverage mode, in no params dict
-        ("hamming:3:3", ("applications", 1, "params", "coverage"), "all-pairs"),
-        ("hamming:3:3", ("applications", 1, "params", "mode"), "knowledge-base"),
-        ("named:petersen", ("applications", 0, "params", "coverage"), "sideways"),
-        ("cube:3", ("applications", 0, "params", "coverage"), "orbit"),
-        ("named:petersen", ("generators",), [["x"]]),
-        ("named:petersen", ("generators",), [[1, 0, *range(2, 10)]]),
-        ("cube:3", ("applications", 0, "m"), 2),
-        # keys added to the knowledge-base params, which are empty
-        ("cube:3", ("applications", 0, "params", "reason"), 2),
-        ("cube:3", ("applications", 0, "params", "quantum_group"), {}),
-        ("cube:3", ("family",), "made up"),
-        ("cube:3", ("verdict",), "UNKNOWN"),
-        ("cube:3", ("applications", 0, "rule"), "made up"),
-        ("cube:3", ("diameter",), 6),
-        ("cube:3", ("graph6",), "{3,2;1,2}"),
-        ("cube:3", ("notes",), ["made up"]),
-        ("johnson:6:3", ("verdict",), "HAS_QSYM"),
-        ("johnson:6:3", ("verdict",), "maybe"),
-        ("named:petersen", ("family",), "maybe"),
-        ("cube:3", ("family",), "cube:4"),
-        ("cube:3", ("family",), "Cube:3"),
-        ("cube:3", ("family",), "complete:8"),
-        ("cube:3", ("family",), None),
-        ("named:petersen", ("family",), "named:Petersen"),
-        ("named:petersen", ("family",), "johnson:5:2"),
-        ("named:petersen", ("family",), "complete:10"),
-    ],
-)
+FIELD_TAMPERS = [
+    ("named:petersen", ("degree",), 4),
+    ("named:petersen", ("degree",), None),
+    ("cube:3", ("degree",), 4),
+    ("complete:3", ("diameter",), True),
+    # format 3 records no coverage mode, in no params dict
+    ("hamming:3:3", ("applications", 1, "params", "coverage"), "all-pairs"),
+    ("hamming:3:3", ("applications", 1, "params", "mode"), "knowledge-base"),
+    ("named:petersen", ("applications", 0, "params", "coverage"), "sideways"),
+    ("cube:3", ("applications", 0, "params", "coverage"), "orbit"),
+    ("named:petersen", ("generators",), [["x"]]),
+    ("named:petersen", ("generators",), [[1, 0, *range(2, 10)]]),
+    ("cube:3", ("applications", 0, "m"), 2),
+    # keys added to the knowledge-base params, which are empty
+    ("cube:3", ("applications", 0, "params", "reason"), 2),
+    ("cube:3", ("applications", 0, "params", "quantum_group"), {}),
+    ("cube:3", ("family",), "made up"),
+    ("cube:3", ("verdict",), "UNKNOWN"),
+    ("cube:3", ("applications", 0, "rule"), "made up"),
+    ("cube:3", ("diameter",), 6),
+    ("cube:3", ("graph6",), "{3,2;1,2}"),
+    ("cube:3", ("notes",), ["made up"]),
+    ("johnson:6:3", ("verdict",), "HAS_QSYM"),
+    ("johnson:6:3", ("verdict",), "maybe"),
+    ("named:petersen", ("family",), "maybe"),
+    ("cube:3", ("family",), "cube:4"),
+    ("cube:3", ("family",), "Cube:3"),
+    ("cube:3", ("family",), "complete:8"),
+    ("cube:3", ("family",), None),
+    ("named:petersen", ("family",), "named:Petersen"),
+    ("named:petersen", ("family",), "johnson:5:2"),
+    ("named:petersen", ("family",), "complete:10"),
+    ("named:petersen", ("n",), 11),
+    ("cube:3", ("n",), 7),
+    ("named:petersen", ("certified",), [1]),
+    ("named:petersen", ("certified",), [2, 1]),
+    ("cube:3", ("certified",), [1, 2, 3]),
+    ("named:petersen", ("open_classes",), [2]),
+    ("johnson:6:3", ("open_classes",), []),
+    ("cube:3", ("open_classes",), [1, 2]),
+]
+
+
+@pytest.mark.parametrize("key,path,value", FIELD_TAMPERS)
 def test_audit_checks_degree_mode_generators_and_fact(key, path, value):
+    # the cases edit every field but the label, which is free text
+    assert {path[0] for _, path, _ in FIELD_TAMPERS} == {
+        f.name for f in fields(Certificate) if f.name != "label"
+    }
     g = build(key)
     data = certify(g, family=key).to_dict()
     *steps, last = path

@@ -258,6 +258,19 @@ def test_missing_file_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["certify", "--family", "named:petersen"], ["tables", "--which", "1"]]
+)
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    # exit 1 is a mismatch, so a path that cannot be written is a usage error
+    out_path = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--format", "json", "--out", str(out_path)])
+    assert err.value.code == 2
+    assert f"cannot write {out_path}" in capsys.readouterr().err
+    assert not out_path.parent.exists()
+
+
 def test_budget_exit_code(capsys):
     code = main(["analyze", "--family", "named:foster", "--budget", "5"])
     err = capsys.readouterr().err

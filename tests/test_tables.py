@@ -217,6 +217,7 @@ def test_report_json_roundtrip(report):
         ("[]", "unsupported report format None"),
         ('{"format_version": 1, "ok": true, "cubic": [], "small": []}', "TablesReport has fields"),
         ('{"format_version": 1, "cubic": [1], "small": [], "families": []}', "RowReport has fields"),
+        pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply", id="nested"),
     ],
 )
 def test_report_from_json_checks_schema(text, error):
