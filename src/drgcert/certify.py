@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache, reduce
-from itertools import chain, combinations, islice, repeat
+from itertools import chain, combinations, repeat
 from math import comb
 from operator import and_, indexOf
 
@@ -92,6 +92,15 @@ class _Budget:
         self.used += amount
         if self.used > self.limit:
             raise _BudgetExceeded
+
+    def spend_each(self, count: int, amount: int) -> None:
+        """count spends of amount > 0, stopping at the first over the limit."""
+        room = self.limit - self.used
+        if count * amount <= room:
+            self.used += count * amount
+            return
+        self.used += (room // amount + 1) * amount
+        raise _BudgetExceeded
 
 
 # deepest nesting of dicts and lists in an application's params (the engine
@@ -330,22 +339,52 @@ _STRUCTURAL = {
 }
 
 
-def _witness_valid(dd, m: int, j: int, l: int, p: int, q: int, bud=None) -> bool:
+def _witness_valid(dd, m: int, j: int, l: int, p: int, q: int) -> bool:
     """The witness q kills rival p for the pair (j, l): q separates j from
     p, and l is the only vertex at distance d(q,l) from q lying at distance
     m from both j and p, counted by the popcount of the three spheres'
-    AND.  The engine passes its budget, charged 2 for the separation test
-    and 2 per vertex of the sphere around q, as a scan of it would cost."""
-    if bud is not None:
-        bud.spend(2)
+    AND."""
     row = dd.dist[q]
     if row[j] == row[p]:
         return False
     t = row[l]
-    if bud is not None:
-        bud.spend(2 * dd.kseq[q][t])
     masks = dd.sphere_masks
     return (masks[q][t] & masks[j][m] & masks[p][m]).bit_count() == 1
+
+
+def _first_witness(dd, m: int, j: int, l: int, p: int, bud) -> int | None:
+    """The least witness q killing rival p for the pair (j, l), or None.
+
+    Only a vertex separating j from p can be one, so the scan walks the
+    bits of their separator mask, all vertices but those in a sphere of
+    both, in increasing order and runs _witness_valid's popcount test on
+    each.  It charges what testing every q in turn would: 2 for each
+    separation test, then 2 per vertex of q's sphere through l when q
+    separates, stopping at the first charge over the limit."""
+    masks, lrow, kseq = dd.sphere_masks, dd.dist[l], dd.kseq
+    # the spheres around one vertex are disjoint, so their sum is their union
+    separators = ((1 << len(lrow)) - 1) & ~sum(map(and_, masks[j], masks[p]))
+    both = masks[j][m] & masks[p][m]
+    room = bud.limit - bud.used
+    last, spent = -1, 0  # the last separator tested, and the charge up to it
+    while separators:
+        low = separators & -separators
+        separators ^= low
+        q = low.bit_length() - 1
+        t = lrow[q]
+        charge = 2 * (q - last + kseq[q][t])  # the skipped vertices, q's own test and sphere
+        if spent + charge > room:  # the budget runs out at q: charge up to the stop
+            bud.used += spent
+            bud.spend_each(q - last, 2)
+            bud.spend(2 * kseq[q][t])  # raises, if the tests before it did not
+        spent += charge
+        if (masks[q][t] & both).bit_count() == 1:
+            bud.used += spent
+            return q
+        last = q
+    bud.used += spent
+    bud.spend_each(len(lrow) - 1 - last, 2)
+    return None
 
 
 def _pivots_leave(dd, m: int, j: int, l: int, pivots) -> int:
@@ -392,23 +431,26 @@ def _pair_search(dd, m, j, l, certified, bud, rule) -> dict | None:
     order, that separates j from every rival without a witness is taken,
     and the rivals it leaves are recorded with their witnesses.
 
-    The masks are indexed by vertex and come from dd.sphere_masks.  A
-    pivot q's agreement mask is q's sphere at j's distance from q, ANDed
-    with the mask of the unkilled rivals: bit p is set when unkilled rival
-    p lies at the distance from q that j does.  So a set separates j from
-    every unkilled rival when the AND of its masks is 0.  Each set tried
-    costs 2 * size * |rivals| + 1 lookups whatever the test costs, charged
-    in bulk: the search stops at the set whose charge exhausts the budget,
-    having spent exactly what testing the sets one at a time would.
+    Neither search takes a Python step per candidate.  _first_witness
+    walks only the vertices separating j from the rival.  A pivot q's
+    agreement mask is q's sphere at j's distance from q (the masks come
+    from dd.sphere_masks), ANDed with the mask of the unkilled rivals: bit
+    p is set when unkilled rival p lies at the distance from q that j
+    does.  So a set separates j from every unkilled rival when the AND of
+    its masks is 0, and _first_meet finds the first such set, each set's
+    last member in one C-level scan.  The charges are the nominal ones of
+    testing every candidate in turn: a witness candidate as _first_witness
+    says, and each pivot set tried 2 * size * |rivals| + 1 lookups.  They
+    are charged in bulk, and the search stops at the candidate whose
+    charge exhausts the budget, having spent exactly what the one-at-a-time
+    scan would.
     """
     n = len(dd.dist)
     rivals = [p for p in dd.at_distance(l, m) if p != j]
     witness = {}
     if "witnesses" in _PAIR_FIELDS[rule]:
         for p in rivals:
-            witness[p] = next(
-                (q for q in range(n) if _witness_valid(dd, m, j, l, p, q, bud)), None
-            )
+            witness[p] = _first_witness(dd, m, j, l, p, bud)
     killed = sum(1 << p for p, q in witness.items() if q is not None)
     unkilled = _pivots_leave(dd, m, j, l, ()) & ~killed
     if rule == RULE_PIVOT:
@@ -434,17 +476,44 @@ def _pair_search(dd, m, j, l, certified, bud, rule) -> dict | None:
         cost = 2 * size * len(rivals) + 1
         sets = comb(len(eligible), size)
         affordable = min((bud.limit - bud.used) // cost, sets)
-        # the AND of each set's masks, for the sets the budget pays for
-        meets = islice(
-            map(reduce, repeat(and_), combinations(agree, size), repeat(unkilled)), affordable
-        )
-        try:
-            hit = indexOf(meets, 0)
-        except ValueError:  # none of them separates
-            bud.spend(min(sets, affordable + 1) * cost)  # raises if one was unaffordable
+        found = _first_meet(agree, size, affordable, unkilled)
+        if found is None:  # none of the sets the budget pays for separates
+            bud.spend_each(sets, cost)  # raises if one was unaffordable
             continue
+        hit, members = found
         bud.spend((hit + 1) * cost)
-        return pinned(next(islice(combinations(eligible, size), hit, None)))
+        return pinned([eligible[i] for i in members])
+    return None
+
+
+def _first_meet(masks, size: int, limit: int, top: int) -> tuple | None:
+    """(rank, members) of the first size-subset of the masks, each within
+    top, among the first limit in the lexicographic order of combinations,
+    whose AND with top is 0; None when there is none.
+
+    The first size - 1 members run in Python, the rank counting the sets
+    passed over, and one C-level scan finds the last member."""
+    if size == 0:
+        return (0, ()) if limit > 0 and not top else None
+    if size == 1:
+        try:
+            hit = masks.index(0, 0, limit)
+        except ValueError:
+            return None
+        return hit, (hit,)
+    rank = 0
+    for prefix in combinations(range(len(masks) - 1), size - 1):
+        start = prefix[-1] + 1
+        room = min(len(masks) - start, limit - rank)
+        if room <= 0:
+            break
+        meet = reduce(and_, map(masks.__getitem__, prefix))
+        try:
+            last = indexOf(map(and_, repeat(meet), masks[start : start + room]), 0)
+        except ValueError:
+            rank += room
+            continue
+        return rank + last, (*prefix, start + last)
     return None
 
 

@@ -51,6 +51,8 @@ def from_graph6(text: str) -> Graph:
     if not data:
         raise ValueError("empty graph6 string")
     if data[0] == 126:
+        if data[1:2] == b"~":  # the 8-byte form, for n above the 18-bit form's range
+            raise ValueError(f"graph6 supports at most {_G6_MAX} vertices here")
         if len(data) < 4:
             raise ValueError("truncated graph6 header")
         vals = [b - 63 for b in data[1:4]]

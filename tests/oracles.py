@@ -417,6 +417,13 @@ def witness_valid_reference(dd, m: int, j: int, l: int, p: int, q: int, bud=None
     return count == 1
 
 
+def first_witness_reference(dd, m: int, j: int, l: int, p: int, bud) -> int | None:
+    """The least witness of rival p for the pair (j, l), testing every
+    candidate q in turn."""
+    n = len(dd.dist)
+    return next((q for q in range(n) if witness_valid_reference(dd, m, j, l, p, q, bud)), None)
+
+
 def pair_search_reference(dd, m, j, l, certified, bud, rule) -> dict | None:
     """The engine's pair search one pivot combination at a time: each
     combination is charged to the budget, then tested against every
@@ -426,9 +433,7 @@ def pair_search_reference(dd, m, j, l, certified, bud, rule) -> dict | None:
     witness = {}
     if "witnesses" in _PAIR_FIELDS[rule]:
         for p in rivals:
-            witness[p] = next(
-                (q for q in range(n) if witness_valid_reference(dd, m, j, l, p, q, bud)), None
-            )
+            witness[p] = first_witness_reference(dd, m, j, l, p, bud)
     unkilled = [p for p in rivals if witness.get(p) is None]
     if rule == RULE_PIVOT:
         bud.spend(n)  # the pivot-only rule pays for its eligible list

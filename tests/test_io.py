@@ -71,6 +71,14 @@ def test_graph6_rejects_garbage():
         from_graph6("C")  # truncated bit data for n=4
 
 
+def test_graph6_rejects_eight_byte_header():
+    # "~~" opens the 36-bit length form, for orders above the 18-bit form's
+    # 258047; read as the 18-bit form it would claim n in 258048..262143
+    for text in ("~~", "~~?", "~~???????", "~~?????~~~", "~~~~~~~~"):
+        with pytest.raises(ValueError, match="at most 258047 vertices"):
+            from_graph6(text)
+
+
 def test_edge_text_roundtrip():
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
     text = to_edge_text(g, comment="test graph")

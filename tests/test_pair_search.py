@@ -1,7 +1,11 @@
-"""The engine's pair search and witness test against the references that
-test one pivot combination at a time and scan the witness's sphere: the
-same result, the same budget exhaustion and the same charge, always."""
+"""The engine's pair search, first-witness scan and witness test against
+the references that test one pivot combination and one candidate witness
+at a time and scan the witness's sphere: the same result, the same budget
+exhaustion and the same charge, always."""
 
+from functools import reduce
+from itertools import combinations
+from operator import and_
 from random import Random
 
 import pytest
@@ -10,12 +14,14 @@ from drgcert.certify import (
     _PAIR_FIELDS,
     _Budget,
     _BudgetExceeded,
+    _first_meet,
+    _first_witness,
     _pair_search,
     _witness_valid,
 )
 from drgcert.families import build
 from drgcert.graph import distances
-from oracles import pair_search_reference, witness_valid_reference
+from oracles import first_witness_reference, pair_search_reference, witness_valid_reference
 
 BUDGETS = (0, 1, 7, 50, 300, 2_000, 10**4, 10**5, 10**8)
 
@@ -55,6 +61,7 @@ def _cases(dd, rng):
         "named:heawood",
         "named:foster",
         "johnson:6:3",
+        "paley:29",
     ],
 )
 def test_pair_search_matches_reference(key):
@@ -73,10 +80,97 @@ def test_pair_search_matches_reference(key):
     assert checked
 
 
+def _reference_charge(search):
+    """What search(bud) spends under an unlimited budget."""
+    got, raised, used = _run(search, 10**12)
+    assert not raised
+    return used
+
+
+@pytest.mark.parametrize(
+    "key, m, certified",
+    [
+        ("hamming:4:3", 3, {1, 2}),  # pivot-intersection hits at size-2 ranks up to 359
+        ("named:foster", 3, {1, 2}),  # distance-witness
+        ("paley:29", 2, {1}),  # long witness scans that fail
+        ("paley:29", 1, set()),
+    ],
+)
+def test_pair_search_budget_boundary(key, m, certified):
+    """Budgets that land on the boundary: at every limit from C - 3 to
+    C + 1, where C is the reference's full charge of the search, the
+    engine stops, or does not, exactly where the reference does."""
+    dd = distances(build(key))
+    rng = Random(f"boundary {key} {m}")
+    for j, l in rng.sample(dd.pairs_at_distance(m), 6):
+        for rule in _PAIR_FIELDS:
+            searches = [
+                lambda bud, search=search: search(dd, m, j, l, certified, bud, rule)
+                for search in (_pair_search, pair_search_reference)
+            ]
+            full = _reference_charge(searches[1])
+            for limit in range(max(0, full - 3), full + 2):
+                got, want = (_run(search, limit) for search in searches)
+                assert got == want, (j, l, rule, limit)
+
+
+@pytest.mark.parametrize("key", ["hamming:3:3", "paley:13", "named:petersen", "named:foster"])
+def test_first_witness_matches_reference(key):
+    """The engine's first-witness scan, over the separating vertices only,
+    against the scan of every candidate: the same witness, exhaustion and
+    charge, at small budgets, around the full charge and at random limits
+    below it.  On Foster j is 0 alone, as in the witness test below."""
+    dd = distances(build(key))
+    n = len(dd.dist)
+    rng = Random(f"first witness {key}")
+    outcomes = set()
+    for m in range(1, dd.diameter + 1):
+        for j in range(n) if n < 50 else (0,):
+            for l in dd.at_distance(j, m):
+                for p in dd.at_distance(l, m):
+                    if p == j:
+                        continue
+                    scans = [
+                        lambda bud, scan=scan: scan(dd, m, j, l, p, bud)
+                        for scan in (_first_witness, first_witness_reference)
+                    ]
+                    full = _reference_charge(scans[1])
+                    limits = {0, 1, 7, *range(max(0, full - 3), full + 2), rng.randrange(full)}
+                    for limit in limits:
+                        got, want = (_run(scan, limit) for scan in scans)
+                        assert got == want, (m, j, l, p, limit)
+                        outcomes.add((got[0] is None, got[1]))
+    # every rival of Paley(13) has a witness; the other graphs have scans that fail
+    assert outcomes >= {(False, False), (True, True)}
+    assert (True, False) in outcomes or key == "paley:13"
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3])
+def test_first_meet_matches_combinations(size):
+    """The rank and members of the first pivot set whose AND is 0, against
+    itertools.combinations folded with functools.reduce, on seeded random
+    masks within a random top mask, at every limit from 0 to C(E, size) + 1."""
+    rng = Random(f"first meet {size}")
+    hits = misses = 0
+    for count in range(13):
+        for _ in range(6):
+            width = rng.randint(1, 8)
+            top = rng.getrandbits(width)
+            masks = [rng.getrandbits(width) & top for _ in range(count)]
+            sets = list(combinations(range(count), size))
+            meets = [i for i, c in enumerate(sets) if reduce(and_, map(masks.__getitem__, c), top) == 0]
+            for limit in range(len(sets) + 2):
+                first = next((i for i in meets if i < limit), None)
+                want = None if first is None else (first, sets[first])
+                assert _first_meet(masks, size, limit, top) == want, (masks, top, limit)
+                hits += want is not None
+                misses += want is None
+    assert hits and misses
+
+
 @pytest.mark.parametrize("key", ["hamming:3:3", "paley:13", "named:petersen", "named:foster"])
 def test_witness_valid_matches_reference(key):
-    """Every class m, pair (j, l), rival p and candidate q, at budgets that
-    stop at the separation test, at the sphere and never.  On Foster
+    """Every class m, pair (j, l), rival p and candidate q.  On Foster
     (90 vertices) j is 0 alone: both tests read distances only, which
     automorphisms keep, and the graph is vertex-transitive."""
     dd = distances(build(key))
@@ -89,11 +183,7 @@ def test_witness_valid_matches_reference(key):
                     if p == j:
                         continue
                     for q in range(n):
-                        for limit in (0, 1, 7, 10**8):
-                            got, want = (
-                                _run(lambda bud: valid(dd, m, j, l, p, q, bud), limit)
-                                for valid in (_witness_valid, witness_valid_reference)
-                            )
-                            assert got == want, (m, j, l, p, q, limit)
-                            outcomes.add(got[:2])
-    assert outcomes == {(True, False), (False, False), (None, True)}
+                        got = _witness_valid(dd, m, j, l, p, q)
+                        assert got == witness_valid_reference(dd, m, j, l, p, q), (m, j, l, p, q)
+                        outcomes.add(got)
+    assert outcomes == {True, False}
