@@ -277,9 +277,9 @@ def sphere_orbits(
     """None unless the generators are transitive on the vertices; then, for
     each distance m, the least vertex of each orbit on the sphere S_m(0) of
     the generators that fix 0, in increasing order."""
-    if len(vertex_orbits(len(dd.dist), generators)) != 1:
+    if len(vertex_orbits(len(dd.sphere_masks), generators)) != 1:
         return None
-    orbits = vertex_orbits(len(dd.dist), [s for s in generators if s[0] == 0])
+    orbits = vertex_orbits(len(dd.sphere_masks), [s for s in generators if s[0] == 0])
     return [[o[0] for o in orbits if dd.d(0, o[0]) == m] for m in range(dd.diameter + 1)]
 
 

@@ -45,6 +45,7 @@ from .families import FamilySpec, build, has_order, parse_family
 from .graph import (
     DisconnectedGraphError,
     Graph,
+    _bits,
     clique_number,
     common_neighbors,
     complement,
@@ -264,15 +265,14 @@ def _two_common(inv: _Invariants, m: int, certified) -> dict | None:
     """Clique number three, and exactly two common neighbors for every pair
     at distance one or two: class 1.  The pair sweep goes first, as it
     often fails at the first pair and is cheaper than the clique search."""
-    g, dist = inv.g, inv.dd.dist
-    if m != 1:
+    g, dd = inv.g, inv.dd
+    if m != 1 or dd.diameter < 2:  # a complete graph's clique number is not 3
         return None
     if all(
         len(common_neighbors(g, u, v)) == 2
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if dist[u][v] in (1, 2)
-    ) and clique_number(g, dd=inv.dd) == 3:
+        for u, masks in enumerate(dd.sphere_masks)
+        for v in _bits((masks[1] | masks[2]) >> (u + 1) << (u + 1))
+    ) and clique_number(g, dd=dd) == 3:
         return {"clique_number": 3, "common_neighbors": 2}
     return None
 
@@ -323,7 +323,7 @@ def _cubic_step(inv: _Invariants, m: int, certified) -> dict | None:
 
 def _unique_far(inv: _Invariants, m: int, certified) -> dict | None:
     """Every vertex has exactly one vertex at distance m."""
-    if all(kv[m] == 1 for kv in inv.dd.kseq):
+    if all(masks[m].bit_count() == 1 for masks in inv.dd.sphere_masks):
         return {"count": 1}
     return None
 
@@ -344,12 +344,8 @@ def _witness_valid(dd, m: int, j: int, l: int, p: int, q: int) -> bool:
     p, and l is the only vertex at distance d(q,l) from q lying at distance
     m from both j and p, counted by the popcount of the three spheres'
     AND."""
-    row = dd.dist[q]
-    if row[j] == row[p]:
-        return False
-    t = row[l]
-    masks = dd.sphere_masks
-    return (masks[q][t] & masks[j][m] & masks[p][m]).bit_count() == 1
+    row, masks = dd.row(q), dd.sphere_masks
+    return row[j] != row[p] and (masks[q][row[l]] & masks[j][m] & masks[p][m]).bit_count() == 1
 
 
 def _first_witness(dd, m: int, j: int, l: int, p: int, bud) -> int | None:
@@ -361,7 +357,7 @@ def _first_witness(dd, m: int, j: int, l: int, p: int, bud) -> int | None:
     each.  It charges what testing every q in turn would: 2 for each
     separation test, then 2 per vertex of q's sphere through l when q
     separates, stopping at the first charge over the limit."""
-    masks, lrow, kseq = dd.sphere_masks, dd.dist[l], dd.kseq
+    masks, lrow = dd.sphere_masks, dd.row(l)
     # the spheres around one vertex are disjoint, so their sum is their union
     separators = ((1 << len(lrow)) - 1) & ~sum(map(and_, masks[j], masks[p]))
     both = masks[j][m] & masks[p][m]
@@ -371,14 +367,14 @@ def _first_witness(dd, m: int, j: int, l: int, p: int, bud) -> int | None:
         low = separators & -separators
         separators ^= low
         q = low.bit_length() - 1
-        t = lrow[q]
-        charge = 2 * (q - last + kseq[q][t])  # the skipped vertices, q's own test and sphere
+        sphere = masks[q][lrow[q]]
+        charge = 2 * (q - last + sphere.bit_count())  # the skipped vertices, q's test, q's sphere
         if spent + charge > room:  # the budget runs out at q: charge up to the stop
             bud.used += spent
             bud.spend_each(q - last, 2)
-            bud.spend(2 * kseq[q][t])  # raises, if the tests before it did not
+            bud.spend(2 * sphere.bit_count())  # raises, if the tests before it did not
         spent += charge
-        if (masks[q][t] & both).bit_count() == 1:
+        if (sphere & both).bit_count() == 1:
             bud.used += spent
             return q
         last = q
@@ -389,11 +385,11 @@ def _first_witness(dd, m: int, j: int, l: int, p: int, bud) -> int | None:
 
 def _pivots_leave(dd, m: int, j: int, l: int, pivots) -> int:
     """Bitmask of the rivals of j, the other vertices at distance m from l,
-    that lie at the same distance as j from every pivot."""
+    that lie at the same distance as j from every pivot (read off j's row)."""
     masks = dd.sphere_masks
     left = masks[l][m] & ~(1 << j)
     for q in pivots:
-        left &= masks[q][dd.dist[q][j]]
+        left &= masks[q][dd.row(j)[q]]
     return left
 
 
@@ -445,7 +441,7 @@ def _pair_search(dd, m, j, l, certified, bud, rule) -> dict | None:
     charge exhausts the budget, having spent exactly what the one-at-a-time
     scan would.
     """
-    n = len(dd.dist)
+    n = len(dd.sphere_masks)
     rivals = [p for p in dd.at_distance(l, m) if p != j]
     witness = {}
     if "witnesses" in _PAIR_FIELDS[rule]:
@@ -470,7 +466,7 @@ def _pair_search(dd, m, j, l, certified, bud, rule) -> dict | None:
         return None  # witnesses only, and some rival has none
     # the vertices in certified classes from l, in increasing order
     eligible = sorted(chain.from_iterable(dd.at_distance(l, t) for t in certified))
-    masks, jrow = dd.sphere_masks, dd.dist[j]
+    masks, jrow = dd.sphere_masks, dd.row(j)
     agree = [masks[q][jrow[q]] & unkilled for q in eligible]
     for size in sizes:
         cost = 2 * size * len(rivals) + 1
@@ -859,7 +855,7 @@ def _replay_pair(dd, m, j, l, payload, certified) -> str | None:
     """Why the recorded pivots and witnesses fail to pin j as l's partner,
     or None when they do: every pivot lies in a certified class from l,
     and the rivals the pivots leave are exactly the witnessed ones."""
-    n = len(dd.dist)
+    n = len(dd.sphere_masks)
     pivots = payload.get("pivots", [])
     witnesses = payload.get("witnesses", [])
     if not (
@@ -877,7 +873,7 @@ def _replay_pair(dd, m, j, l, payload, certified) -> str | None:
     ):
         return "witnesses are not a list of [rival, witness] vertex pairs"
     for q in pivots:
-        t = dd.d(q, l)
+        t = dd.row(q)[l]
         if t not in certified:
             return f"pivot {q} is at distance {t} from l, class {t} not certified"
     left = _pivots_leave(dd, m, j, l, pivots)
@@ -901,7 +897,7 @@ def _audit_application(app, inv: _Invariants, certified, covered) -> AuditResult
         return _compare(params, actual, f"the recomputed params {actual}")
 
     if rule in _PAIR_FIELDS:
-        claims = _pair_claims(app, len(inv.dd.dist), covered(m))
+        claims = _pair_claims(app, len(inv.dd.sphere_masks), covered(m))
         if isinstance(claims, str):
             return AuditResult(False, claims)
         for j, l, payload in claims:

@@ -2,8 +2,9 @@
 
 Subcommands: family, analyze, certify, tables, audit.  Exit codes are
 part of the contract: 0 success, 1 verification mismatch (tables rows or
-a failed audit), 2 usage error, 3 computation aborted by a resource
-budget.
+a failed audit), 2 usage error, 3 analyze's node budget exhausted; certify
+exits 0 with an INCONCLUSIVE certificate and a note when its pair-search
+budget runs out.
 """
 
 from __future__ import annotations

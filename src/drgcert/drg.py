@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DisconnectedGraphError, Graph, distances
+from .graph import DisconnectedGraphError, Graph, _bits, distances
 
 
 @dataclass(frozen=True)
@@ -89,34 +89,28 @@ def intersection_array(g: Graph, dd=None):
         w = max(range(g.n), key=lambda x: degs[x])
         return NotDistanceRegular(witness=(v, w), reason="not regular")
     d = dd.diameter
-    b = [None] * d
-    c = [None] * d
-    # b_i and c_i of (v, w) count the neighbors of w (its sphere 1) on the
-    # spheres i+1 and i-1 around v: popcounts of ANDed bitmasks.  b_d is not
-    # counted: on a connected graph no neighbor of w is at distance d+1 from v.
+    # (b_i, c_i) of (v, w) count w's neighbors on the spheres i+1 and i-1
+    # around v (b_d is 0).  The first w of sphere i sets (b_i, c_i), so the w
+    # of v that fail are those of a walk in w order; the least is reported.
     nbrs = dd.neighbor_masks()
-    for v in range(g.n):
-        drow = dd.dist[v]
-        sphere = dd.sphere_masks[v]
-        for w in range(g.n):
-            i = drow[w]
-            if i == 0:
-                continue
-            if i < d:
-                bi = (nbrs[w] & sphere[i + 1]).bit_count()
-                if b[i] is None:
-                    b[i] = bi
-                elif b[i] != bi:
-                    return NotDistanceRegular(
-                        witness=(v, w), reason=f"b_{i} not constant"
-                    )
-            ci = (nbrs[w] & sphere[i - 1]).bit_count()
-            if c[i - 1] is None:
-                c[i - 1] = ci
-            elif c[i - 1] != ci:
-                return NotDistanceRegular(witness=(v, w), reason=f"c_{i} not constant")
-    b[0] = k
-    return IntersectionArray(b=tuple(b), c=tuple(c))
+    ref = [None] * (d + 1)
+    for v, sphere in enumerate(dd.sphere_masks):
+        sphere += (0,)
+        failures = []
+        for i in range(1, d + 1):
+            above, below = sphere[i + 1], sphere[i - 1]
+            for w in _bits(sphere[i]):
+                counts = ((nbrs[w] & above).bit_count(), (nbrs[w] & below).bit_count())
+                if ref[i] is None:
+                    ref[i] = counts
+                elif counts != ref[i]:
+                    which = "b" if counts[0] != ref[i][0] else "c"
+                    failures.append((w, f"{which}_{i} not constant"))
+                    break
+        if failures:
+            w, reason = min(failures)
+            return NotDistanceRegular(witness=(v, w), reason=reason)
+    return IntersectionArray(b=(k, *(bc[0] for bc in ref[1:d])), c=tuple(bc[1] for bc in ref[1:]))
 
 
 def is_distance_regular(g: Graph) -> bool:

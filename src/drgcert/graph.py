@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from functools import reduce
+from itertools import combinations, compress
+from operator import or_
 
 # Distance value used for vertex pairs in different components.
 INFINITE = -1
@@ -97,28 +99,22 @@ def from_edge_list(n: int, edges) -> Graph:
     return Graph(n, edges)
 
 
-def _spheres(nbrs: list, s: int) -> tuple:
-    """(masks, layers) around s: bit w of masks[m] is set, and w listed in
-    layers[m] in increasing order, exactly when d(s, w) == m, for m up to
-    the eccentricity of s.  nbrs[v] is the neighbor bitmask of v; sphere
-    m+1 is the OR of those of sphere m minus the vertices already seen."""
-    sphere = seen = 1 << s
-    masks, layers = [], []
-    while sphere:
-        layer = []
-        x = sphere
-        while x:
-            low = x & -x
-            layer.append(low.bit_length() - 1)
-            x ^= low
-        reach = 0
-        for w in layer:
-            reach |= nbrs[w]
-        masks.append(sphere)
-        layers.append(tuple(layer))
-        sphere = reach & ~seen
-        seen |= reach
-    return masks, layers
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to the bytes 0 and 1
+
+
+def _bits(x: int):
+    """The set bits of x >= 0 in increasing order: read off its binary digits
+    in one C-level pass when one bit in 16 is set, else walked bit by bit."""
+    if x.bit_count() * 16 > x.bit_length():
+        digits = bin(x)[:1:-1].encode().translate(_DIGITS)
+        return compress(range(len(digits)), digits)
+    return _lowest_first(x)
+
+
+def _lowest_first(x: int):
+    while x:
+        yield (x & -x).bit_length() - 1
+        x &= x - 1
 
 
 def _neighbor_masks(g: Graph) -> list:
@@ -126,71 +122,76 @@ def _neighbor_masks(g: Graph) -> list:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n == 0 or sum(_spheres(_neighbor_masks(g), 0)[0]) == (1 << g.n) - 1
+    """Whether a breadth-first search from vertex 0 reaches every vertex."""
+    nbrs = _neighbor_masks(g)
+    seen = sphere = 1 if g.n else 0
+    while sphere:
+        sphere = reduce(or_, map(nbrs.__getitem__, _bits(sphere))) & ~seen
+        seen |= sphere
+    return seen == (1 << g.n) - 1
 
 
 @dataclass(frozen=True)
 class DistanceData:
-    """All-pairs distances of a graph plus its spheres around every vertex.
+    """All-pairs distances, stored once: bit w of sphere_masks[v][m] is set
+    exactly when d(v, w) == m, for m in 0..diameter.  spheres(v), the
+    vertices at each distance from v in increasing order, and row(v), d(v, w)
+    for every w (INFINITE where v does not reach), are built from v's masks
+    on first use and kept on the instance: a search pays n per vertex read."""
 
-    dist[u][v] is the graph distance, INFINITE for unreachable pairs.
-    spheres[v][m] lists the vertices at distance exactly m from v in
-    increasing order, kseq[v][m] is its size and sphere_masks[v][m] is it
-    as a bitmask, bit w set exactly when d(v, w) == m; all three are
-    indexed 0..diameter, so sphere_masks[v][1] is the neighbor mask of v
-    once the diameter is at least 1.  One distance pass builds them all.
-    """
-
-    dist: tuple
+    sphere_masks: tuple
     diameter: int
     connected: bool
-    spheres: tuple
-    kseq: tuple
-    sphere_masks: tuple
+    _layers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def spheres(self, v: int) -> tuple:
+        if v not in self._layers:
+            self._layers[v] = tuple(map(tuple, map(_bits, self.sphere_masks[v])))
+        return self._layers[v]
+
+    def row(self, v: int) -> tuple:
+        if v not in self._rows:
+            row = [INFINITE] * len(self.sphere_masks)
+            for m, layer in enumerate(self.spheres(v)):
+                for w in layer:
+                    row[w] = m
+            self._rows[v] = tuple(row)
+        return self._rows[v]
 
     def d(self, u: int, v: int) -> int:
-        return self.dist[u][v]
+        return self.row(u)[v]
 
     def neighbor_masks(self) -> list:
         """The neighbor bitmask of every vertex, read off sphere 1."""
-        return [masks[1] for masks in self.sphere_masks] if self.diameter else [0] * len(self.dist)
+        return [masks[1] if self.diameter else 0 for masks in self.sphere_masks]
 
     def at_distance(self, v: int, m: int) -> tuple:
-        if not 0 <= m <= self.diameter:
-            return ()
-        return self.spheres[v][m]
+        return self.spheres(v)[m] if 0 <= m <= self.diameter else ()
 
     def pairs_at_distance(self, m: int) -> list:
-        """All ordered pairs (u, v) with d(u, v) == m, lexicographically,
-        for 0 <= m; unreachable pairs are not listed."""
-        if not 0 <= m <= self.diameter:
-            return []
-        return [(u, v) for u, layers in enumerate(self.spheres) for v in layers[m]]
+        """The ordered pairs (u, v) with d(u, v) == m >= 0, lexicographically."""
+        masks = self.sphere_masks if 0 <= m <= self.diameter else ()
+        return [(u, v) for u, around in enumerate(masks) for v in _bits(around[m])]
 
 
 def distances(g: Graph) -> DistanceData:
-    """Exact all-pairs distances: one bitmask breadth-first search per vertex."""
-    n = g.n
-    nbrs = _neighbor_masks(g)
-    found = [_spheres(nbrs, s) for s in range(n)]
-    diameter = max((len(masks) for masks, _ in found), default=1) - 1
-    dist_rows, spheres, sphere_masks = [], [], []
-    for masks, layers in found:
-        row = [INFINITE] * n
-        for m, layer in enumerate(layers):
-            for w in layer:
-                row[w] = m
-        pad = diameter + 1 - len(masks)
-        dist_rows.append(tuple(row))
-        spheres.append(tuple(layers) + ((),) * pad)
-        sphere_masks.append(tuple(masks) + (0,) * pad)
+    """Exact all-pairs distances, one distance at a time for every vertex.
+    As d is symmetric, the vertices at distance m from a neighbor of v lie
+    at distance m-1, m or m+1 from v, and each at m+1 is one of them; so
+    sphere m+1 around v is the OR of the spheres m around its neighbors,
+    minus v's spheres m-1 and m."""
+    adj = [tuple(g.neighbors(v)) for v in range(g.n)]
+    levels = [[0] * g.n, [1 << v for v in range(g.n)]]  # spheres -1 and 0
+    while any(levels[-1]):
+        prev, last = levels[-2:]
+        reach = [reduce(or_, map(last.__getitem__, nbrs), 0) for nbrs in adj]
+        levels.append([x & ~(y | z) for x, y, z in zip(reach, last, prev)])
+    masks = tuple(zip(*levels[1:-1]))
     return DistanceData(
-        dist=tuple(dist_rows),
-        diameter=diameter,
-        connected=all(sum(masks) == (1 << n) - 1 for masks, _ in found),
-        spheres=tuple(spheres),
-        kseq=tuple(tuple(map(len, layers)) for layers in spheres),
-        sphere_masks=tuple(sphere_masks),
+        sphere_masks=masks,
+        diameter=max(len(levels) - 3, 0),
+        connected=all(sum(spheres) == (1 << g.n) - 1 for spheres in masks),
     )
 
 
@@ -214,14 +215,21 @@ def girth(g: Graph, dd: DistanceData | None = None):
         dd = distances(g)
     nbrs = dd.neighbor_masks()
     best = None
-    for layers, masks in zip(dd.spheres, dd.sphere_masks):
+    for masks in dd.sphere_masks:
+        twice = 0  # the vertices with two neighbors in sphere i-1
         for i in range(1, len(masks)):
             if best is not None and 2 * i >= best:
                 break
-            if any((nbrs[w] & masks[i - 1]).bit_count() > 1 for w in layers[i]):
+            if twice & masks[i]:
                 best = 2 * i
-            elif any(nbrs[w] & masks[i] for w in layers[i]):
+                break
+            once = twice = 0  # one walk: sphere i's neighbors, and those with two in it
+            for w in _bits(masks[i]):
+                twice |= once & nbrs[w]
+                once |= nbrs[w]
+            if once & masks[i]:
                 best = 2 * i + 1
+                break
         if best == 3:
             break
     return best

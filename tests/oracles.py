@@ -420,7 +420,7 @@ def witness_valid_reference(dd, m: int, j: int, l: int, p: int, q: int, bud=None
 def first_witness_reference(dd, m: int, j: int, l: int, p: int, bud) -> int | None:
     """The least witness of rival p for the pair (j, l), testing every
     candidate q in turn."""
-    n = len(dd.dist)
+    n = len(dd.sphere_masks)
     return next((q for q in range(n) if witness_valid_reference(dd, m, j, l, p, q, bud)), None)
 
 
@@ -428,7 +428,7 @@ def pair_search_reference(dd, m, j, l, certified, bud, rule) -> dict | None:
     """The engine's pair search one pivot combination at a time: each
     combination is charged to the budget, then tested against every
     unkilled rival by distance lookups."""
-    n = len(dd.dist)
+    n = len(dd.sphere_masks)
     rivals = [p for p in dd.at_distance(l, m) if p != j]
     witness = {}
     if "witnesses" in _PAIR_FIELDS[rule]:
@@ -594,7 +594,7 @@ def intersection_array_reference(g: Graph, dd=None):
     b = [None] * d
     c = [None] * d
     for v in range(g.n):
-        drow = dd.dist[v]
+        drow = dd.row(v)
         for w in range(g.n):
             i = drow[w]
             if i == 0:

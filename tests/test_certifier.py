@@ -1129,6 +1129,22 @@ def test_audit_computes_invariants_lazily(monkeypatch):
     assert calls == {"girth": 1, "array": 1}
 
 
+def test_certify_and_audit_build_few_rows(monkeypatch):
+    # the engine and the audit each build their own distances, and read
+    # rows of only a few of hamming:6:3's 729 vertices
+    made = []
+
+    def recorded(g):
+        made.append(distances(g))
+        return made[-1]
+
+    monkeypatch.setattr(certify_module, "distances", recorded)
+    g = build("hamming:6:3")
+    assert audit(certify(g, family="hamming:6:3"), g)
+    assert len(made) == 2 and made[0] is not made[1]
+    assert sum(len(dd._rows) for dd in made) <= 10
+
+
 # ---------------------------------------------------- complement transfer
 
 

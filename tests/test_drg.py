@@ -176,4 +176,4 @@ def test_kseq_consistency_with_distances():
     g = build("named:dodecahedron")
     arr = intersection_array(g)
     dd = distances(g)
-    assert tuple(dd.kseq[0]) == k_sequence(arr)
+    assert tuple(mask.bit_count() for mask in dd.sphere_masks[0]) == k_sequence(arr)

@@ -20,6 +20,7 @@ from drgcert.graph import (
     line_graph,
 )
 from drgcert.autgroup import automorphism_group, vertex_orbits
+from drgcert.families import build
 from oracles import (
     clique_number_reference,
     enumerate_girth,
@@ -74,8 +75,8 @@ def test_distances_path():
     assert dd.d(0, 3) == 3
     assert dd.at_distance(0, 2) == (2,)
     assert dd.pairs_at_distance(3) == [(0, 3), (3, 0)]
-    assert dd.kseq[0] == (1, 1, 1, 1)
-    assert dd.kseq[1] == (1, 2, 1, 0)
+    assert tuple(mask.bit_count() for mask in dd.sphere_masks[0]) == (1, 1, 1, 1)
+    assert tuple(mask.bit_count() for mask in dd.sphere_masks[1]) == (1, 2, 1, 0)
 
 
 def test_distances_disconnected():
@@ -83,6 +84,24 @@ def test_distances_disconnected():
     dd = distances(g)
     assert not dd.connected
     assert not is_connected(g)
+
+
+def test_distances_build_rows_and_spheres_on_first_use():
+    dd = distances(build("hamming:6:3"))
+    assert not dd._rows and not dd._layers
+    row = dd.row(5)
+    assert isinstance(row, tuple) and dd.row(5) is row
+    assert dd.at_distance(5, 1) == dd.spheres(5)[1]
+    assert set(dd._rows) == {5} and set(dd._layers) == {5}
+
+
+def test_distances_share_no_rows():
+    g = build("hamming:3:3")
+    a, b = distances(g), distances(g)
+    assert a == b
+    for v in range(g.n):
+        assert a.row(v) == b.row(v) and a.row(v) is not b.row(v)
+        assert a.spheres(v) == b.spheres(v) and a.spheres(v) is not b.spheres(v)
 
 
 def test_at_distance_outside_the_spheres_is_empty():
@@ -114,14 +133,15 @@ def test_distances_match_floyd_warshall_on_oracle_inputs():
         expected = tuple(
             tuple(INFINITE if x == float("inf") else x for x in row) for row in fw
         )
-        assert dd.dist == expected, label
+        assert tuple(map(dd.row, range(g.n))) == expected, label
         reached = [x for row in expected for x in row if x != INFINITE]
         assert dd.diameter == max(reached, default=0), label
         assert dd.connected == (len(reached) == g.n**2), label
         for v in range(g.n):
-            assert dd.kseq[v] == tuple(map(len, dd.spheres[v])), (label, v)
-            for layer in dd.spheres[v]:
-                assert list(layer) == sorted(set(layer)), (label, v)
+            assert len(dd.spheres(v)) == dd.diameter + 1, (label, v)
+            for m, layer in enumerate(dd.spheres(v)):
+                assert layer == tuple(w for w in range(g.n) if expected[v][w] == m), (label, v)
+                assert len(layer) == dd.sphere_masks[v][m].bit_count(), (label, v)
 
 
 def test_sphere_masks():
@@ -133,7 +153,7 @@ def test_sphere_masks():
         assert dd.sphere_masks is masks, label
         assert len(masks) == g.n, label
         for v in range(g.n):
-            row = dd.dist[v]
+            row = dd.row(v)
             assert len(masks[v]) == dd.diameter + 1, label
             for m, mask in enumerate(masks[v]):
                 assert mask == sum(1 << w for w in range(g.n) if row[w] == m), (label, v, m)

@@ -121,7 +121,7 @@ def test_first_witness_matches_reference(key):
     charge, at small budgets, around the full charge and at random limits
     below it.  On Foster j is 0 alone, as in the witness test below."""
     dd = distances(build(key))
-    n = len(dd.dist)
+    n = len(dd.sphere_masks)
     rng = Random(f"first witness {key}")
     outcomes = set()
     for m in range(1, dd.diameter + 1):
@@ -174,7 +174,7 @@ def test_witness_valid_matches_reference(key):
     (90 vertices) j is 0 alone: both tests read distances only, which
     automorphisms keep, and the graph is vertex-transitive."""
     dd = distances(build(key))
-    n = len(dd.dist)
+    n = len(dd.sphere_masks)
     outcomes = set()
     for m in range(1, dd.diameter + 1):
         for j in range(n) if n < 50 else (0,):
