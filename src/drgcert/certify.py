@@ -343,9 +343,14 @@ def _witness_valid(dd, m: int, j: int, l: int, p: int, q: int) -> bool:
     """The witness q kills rival p for the pair (j, l): q separates j from
     p, and l is the only vertex at distance d(q,l) from q lying at distance
     m from both j and p, counted by the popcount of the three spheres'
-    AND."""
-    row, masks = dd.row(q), dd.sphere_masks
-    return row[j] != row[p] and (masks[q][row[l]] & masks[j][m] & masks[p][m]).bit_count() == 1
+    AND.  As d is symmetric, d(q, j) and d(q, l) are read off the rows of
+    j and l, and p is tested against q's sphere through j."""
+    masks = dd.sphere_masks
+    around = masks[q]
+    return (
+        not around[dd.row(j)[q]] >> p & 1
+        and (around[dd.row(l)[q]] & masks[j][m] & masks[p][m]).bit_count() == 1
+    )
 
 
 def _first_witness(dd, m: int, j: int, l: int, p: int, bud) -> int | None:
@@ -386,10 +391,10 @@ def _first_witness(dd, m: int, j: int, l: int, p: int, bud) -> int | None:
 def _pivots_leave(dd, m: int, j: int, l: int, pivots) -> int:
     """Bitmask of the rivals of j, the other vertices at distance m from l,
     that lie at the same distance as j from every pivot (read off j's row)."""
-    masks = dd.sphere_masks
+    masks, jrow = dd.sphere_masks, dd.row(j)
     left = masks[l][m] & ~(1 << j)
     for q in pivots:
-        left &= masks[q][dd.row(j)[q]]
+        left &= masks[q][jrow[q]]
     return left
 
 
@@ -872,8 +877,9 @@ def _replay_pair(dd, m, j, l, payload, certified) -> str | None:
         )
     ):
         return "witnesses are not a list of [rival, witness] vertex pairs"
+    lrow = dd.row(l)
     for q in pivots:
-        t = dd.row(q)[l]
+        t = lrow[q]
         if t not in certified:
             return f"pivot {q} is at distance {t} from l, class {t} not certified"
     left = _pivots_leave(dd, m, j, l, pivots)

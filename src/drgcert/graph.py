@@ -103,32 +103,14 @@ _DIGITS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to the bytes 0 an
 
 
 def _bits(x: int):
-    """The set bits of x >= 0 in increasing order: read off its binary digits
-    in one C-level pass when one bit in 16 is set, else walked bit by bit."""
-    if x.bit_count() * 16 > x.bit_length():
-        digits = bin(x)[:1:-1].encode().translate(_DIGITS)
-        return compress(range(len(digits)), digits)
-    return _lowest_first(x)
-
-
-def _lowest_first(x: int):
-    while x:
-        yield (x & -x).bit_length() - 1
-        x &= x - 1
+    """The set bits of x >= 0 in increasing order, read off its binary
+    digits in one C-level pass."""
+    digits = bin(x)[:1:-1].encode().translate(_DIGITS)
+    return compress(range(len(digits)), digits)
 
 
 def _neighbor_masks(g: Graph) -> list:
     return [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
-
-
-def is_connected(g: Graph) -> bool:
-    """Whether a breadth-first search from vertex 0 reaches every vertex."""
-    nbrs = _neighbor_masks(g)
-    seen = sphere = 1 if g.n else 0
-    while sphere:
-        sphere = reduce(or_, map(nbrs.__getitem__, _bits(sphere))) & ~seen
-        seen |= sphere
-    return seen == (1 << g.n) - 1
 
 
 @dataclass(frozen=True)
@@ -193,6 +175,10 @@ def distances(g: Graph) -> DistanceData:
         diameter=max(len(levels) - 3, 0),
         connected=all(sum(spheres) == (1 << g.n) - 1 for spheres in masks),
     )
+
+
+def is_connected(g: Graph) -> bool:
+    return distances(g).connected
 
 
 def girth(g: Graph, dd: DistanceData | None = None):

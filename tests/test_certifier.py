@@ -1129,9 +1129,11 @@ def test_audit_computes_invariants_lazily(monkeypatch):
     assert calls == {"girth": 1, "array": 1}
 
 
-def test_certify_and_audit_build_few_rows(monkeypatch):
-    # the engine and the audit each build their own distances, and read
-    # rows of only a few of hamming:6:3's 729 vertices
+@pytest.mark.parametrize("spec", ["hamming:6:3", "named:foster"])
+def test_certify_and_audit_build_few_rows(monkeypatch, spec):
+    # the engine and the audit each build their own distances and read rows
+    # of only a few vertices; the audit reads those of each recorded pair's
+    # j and l, none per pivot or per witness (Foster's class 3 has witnesses)
     made = []
 
     def recorded(g):
@@ -1139,10 +1141,13 @@ def test_certify_and_audit_build_few_rows(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(certify_module, "distances", recorded)
-    g = build("hamming:6:3")
-    assert audit(certify(g, family="hamming:6:3"), g)
+    g = build(spec)
+    cert = certify(g, family=spec)
+    assert audit(cert, g)
     assert len(made) == 2 and made[0] is not made[1]
     assert sum(len(dd._rows) for dd in made) <= 10
+    ends = {v for app in cert.applications for pair in app.params.get("pairs", ()) for v in pair[:2]}
+    assert set(made[1]._rows) <= ends
 
 
 # ---------------------------------------------------- complement transfer
