@@ -23,9 +23,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
 from math import prod
+from operator import ne
 
-from .graph import DistanceData, Graph, distances
+from .graph import DistanceData, Graph, _bits, distances
 
 Perm = tuple[int, ...]
 
@@ -271,16 +273,42 @@ def vertex_orbits(n: int, generators: list[Perm] | tuple[Perm, ...]) -> list[lis
     return orbits
 
 
-def sphere_orbits(
-    generators: list[Perm] | tuple[Perm, ...], dd: DistanceData
-) -> list[list[int]] | None:
-    """None unless the generators are transitive on the vertices; then, for
-    each distance m, the least vertex of each orbit on the sphere S_m(0) of
-    the generators that fix 0, in increasing order."""
-    if len(vertex_orbits(len(dd.sphere_masks), generators)) != 1:
-        return None
-    orbits = vertex_orbits(len(dd.sphere_masks), [s for s in generators if s[0] == 0])
-    return [[o[0] for o in orbits if dd.d(0, o[0]) == m] for m in range(dd.diameter + 1)]
+def _least_mask(n: int, generators) -> int:
+    """Bitmask of the least vertex of each orbit of the generators on
+    0..n-1: every vertex but the other members of each orbit they move."""
+    mask = (1 << n) - 1
+    moved = {v for s in generators for v in compress(range(n), map(ne, s, range(n)))}
+    seen: set[int] = set()
+    for v in sorted(moved):
+        if v not in seen:
+            orbit = _orbit(generators, (), [v])
+            seen |= orbit
+            mask ^= sum(1 << w for w in orbit) ^ (1 << v)
+    return mask
+
+
+def covered_pairs(generators: list[Perm] | tuple[Perm, ...], dd: DistanceData):
+    """The pairs covering each distance class under the group generated
+    by the generators, automorphisms of dd's graph: pairs(m) lists the
+    pairs (r, x) at distance m, where r runs over the least vertex of each
+    vertex orbit and x over the least vertex of each orbit on the sphere
+    S_m(r) of the generators fixing r, both in increasing order.  The
+    trivial group lists every ordered pair of the class, and a
+    vertex-transitive group the pairs (0, x).
+
+    The generators fixing r keep every sphere around r, so each of their
+    orbits lies in one sphere, and x is read off as a bit of S_m(r)'s mask
+    ANDed with the mask of the least vertices of their orbits.
+
+    The pairs cover the class.  Take (a, b) at distance m.  Some g in the
+    generated group maps a to its root r, and g(b) lies in S_m(r), so g(b)
+    is in the orbit of a listed x under the generators fixing r, and (a, b)
+    in the group's orbit of (r, x).  This holds even when the generators
+    fixing r do not generate the whole stabilizer of r."""
+    n, masks = len(dd.sphere_masks), dd.sphere_masks
+    roots = list(_bits(_least_mask(n, generators)))
+    least = [_least_mask(n, [s for s in generators if s[r] == r]) for r in roots]
+    return lambda m: [(r, x) for r, keep in zip(roots, least) for x in _bits(masks[r][m] & keep)]
 
 
 def is_distance_transitive(
@@ -297,9 +325,11 @@ def is_distance_transitive(
 
     A connected graph is distance-transitive exactly when its group is
     transitive on vertices and the stabilizer of vertex 0 is transitive on
-    every sphere around 0.  On a vertex-transitive graph the root partition
-    refines to one cell, so the search's base starts at 0 and the
-    generators fixing 0 generate that stabilizer.
+    every sphere around 0: when covered_pairs lists one pair for every
+    distance, m = 0 being the test of vertex-transitivity.  On a
+    vertex-transitive graph the root partition refines to one cell, so the
+    search's base starts at 0 and the generators fixing 0 generate that
+    stabilizer.
     """
     if dd is None:
         dd = distances(g)
@@ -307,5 +337,5 @@ def is_distance_transitive(
         return False
     if aut is None:
         aut = automorphism_group(g, node_budget)
-    orbits = sphere_orbits(aut.generators, dd)
-    return orbits is not None and all(len(least) == 1 for least in orbits)
+    pairs = covered_pairs(aut.generators, dd)
+    return all(len(pairs(m)) == 1 for m in range(dd.diameter + 1))

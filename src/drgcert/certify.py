@@ -9,14 +9,13 @@ classically, provided its stated preconditions hold in the graph.  The
 engine records every successful rule application in a certificate that
 an independent auditor re-verifies from the graph alone.
 
-Rules that quantify over vertex pairs check, on class m, the pairs
-(0, x) for the least x of each orbit on the sphere S_m(0) of the
-generators fixing 0, where the generators are automorphisms transitive on
-the vertices; the certificate records them for the auditor.  That is one
-pair per class on a distance-transitive graph.  Without such generators
-the group is trivial and every ordered pair of the class is checked.
-A proof at (j, l) carries over to (s(j), s(l)) for every automorphism s,
-because s induces an automorphism of C(Qut(G)) mapping u_jl to u_s(j)s(l).
+Rules that quantify over vertex pairs check, on class m, one pair per
+orbit of a group of automorphisms, the pairs autgroup.covered_pairs
+lists for its generators, which the certificate records for the auditor.
+That is one pair per class on a distance-transitive graph, and every
+ordered pair of the class under the trivial group.  A proof at (j, l)
+carries over to (s(j), s(l)) for every automorphism s, because s induces
+an automorphism of C(Qut(G)) mapping u_jl to u_s(j)s(l).
 
 The engine never concludes that a graph does have quantum symmetry from
 rule failure; positive verdicts come only from the knowledge base of
@@ -28,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache, reduce
-from itertools import chain, combinations, repeat
+from itertools import combinations, repeat
 from math import comb
 from operator import and_, indexOf
 
@@ -36,8 +35,8 @@ from .autgroup import (
     DEFAULT_NODE_BUDGET,
     SearchBudgetExceeded,
     automorphism_group,
+    covered_pairs,
     is_automorphism,
-    sphere_orbits,
 )
 from .drg import intersection_array
 from .expected import HAS_QSYM, NO_QSYM
@@ -446,14 +445,15 @@ def _pair_search(dd, m, j, l, certified, bud, rule) -> dict | None:
     charge exhausts the budget, having spent exactly what the one-at-a-time
     scan would.
     """
-    n = len(dd.sphere_masks)
-    rivals = [p for p in dd.at_distance(l, m) if p != j]
-    witness = {}
+    masks = dd.sphere_masks
+    n = len(masks)
+    rivals = masks[l][m] & ~(1 << j)
+    witness = {}  # each rival's least witness, in increasing order of rivals
     if "witnesses" in _PAIR_FIELDS[rule]:
-        for p in rivals:
+        for p in _bits(rivals):
             witness[p] = _first_witness(dd, m, j, l, p, bud)
     killed = sum(1 << p for p, q in witness.items() if q is not None)
-    unkilled = _pivots_leave(dd, m, j, l, ()) & ~killed
+    unkilled = rivals & ~killed
     if rule == RULE_PIVOT:
         bud.spend(n)  # the pivot-only rule pays for its eligible list
 
@@ -461,7 +461,7 @@ def _pair_search(dd, m, j, l, certified, bud, rule) -> dict | None:
         left = _pivots_leave(dd, m, j, l, pivots)
         return {
             "pivots": list(pivots),
-            "witnesses": [[p, witness[p]] for p in rivals if left >> p & 1],
+            "witnesses": [[p, q] for p, q in witness.items() if left >> p & 1],
         }
 
     sizes = _PIVOT_SIZES[rule]
@@ -469,12 +469,12 @@ def _pair_search(dd, m, j, l, certified, bud, rule) -> dict | None:
         return pinned(())
     if not sizes:
         return None  # witnesses only, and some rival has none
-    # the vertices in certified classes from l, in increasing order
-    eligible = sorted(chain.from_iterable(dd.at_distance(l, t) for t in certified))
-    masks, jrow = dd.sphere_masks, dd.row(j)
+    # the vertices in certified classes from l, whose spheres are disjoint
+    eligible = list(_bits(sum(masks[l][t] for t in certified)))
+    jrow = dd.row(j)
     agree = [masks[q][jrow[q]] & unkilled for q in eligible]
     for size in sizes:
-        cost = 2 * size * len(rivals) + 1
+        cost = 2 * size * rivals.bit_count() + 1
         sets = comb(len(eligible), size)
         affordable = min((bud.limit - bud.used) // cost, sets)
         found = _first_meet(agree, size, affordable, unkilled)
@@ -518,23 +518,6 @@ def _first_meet(masks, size: int, limit: int, top: int) -> tuple | None:
     return None
 
 
-def _covered_pairs(dd, generators):
-    """(pairs, generators used): pairs(m) lists the pairs (0, x) for the
-    least x of each orbit on S_m(0) of the generators fixing 0, when the
-    generators are transitive on vertices, and otherwise every ordered
-    pair of class m under the trivial group; both in increasing order.
-
-    The pairs cover the class.  Take (a, b) at distance m.  Some g in the
-    generated group maps a to 0, and g(b) lies in S_m(0), so g(b) is in
-    the orbit of a listed x under the generators fixing 0, and (a, b) in
-    the group's orbit of (0, x).  This holds even when the generators
-    fixing 0 do not generate the whole stabilizer of 0."""
-    orbits = sphere_orbits(generators, dd)
-    if orbits is None:
-        return dd.pairs_at_distance, ()
-    return (lambda m: [(0, x) for x in orbits[m]]), generators
-
-
 def certify(
     g: Graph | _Invariants,
     *,
@@ -550,8 +533,9 @@ def certify(
     short-circuits the rule engine, and any other recorded verdict is read
     from the key when the certificate is shown.  g may be given as its
     _Invariants, whose distances, array and group are then not computed
-    again.  Mode "auto" uses the automorphism group, mode "all-pairs" no
-    group.  Both budgets must be non-negative integers; a bool is not one.
+    again.  Mode "auto" uses the automorphism group, mode "all-pairs" the
+    trivial group.  Both budgets must be non-negative integers; a bool is
+    not one.
     """
     if mode not in ("auto", "all-pairs"):
         raise ValueError(f"unknown coverage mode {mode!r}")
@@ -578,7 +562,7 @@ def certify(
             generators = inv.group(node_budget).generators
         except SearchBudgetExceeded:
             notes.append("automorphism search budget exceeded; all-pairs coverage")
-    covered, generators = _covered_pairs(dd, generators)
+    covered = covered_pairs(generators, dd)
 
     certified: set = set()
     apps: list = []
@@ -717,14 +701,13 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
     The recorded graph6 string must be g's, and g connected.  A recorded
     family must bind to g by the same test certify applies, and when it
     records quantum symmetry the certificate must be the knowledge-base one
-    certify writes.  Otherwise the recorded generators must be automorphisms
-    transitive on the vertices, and the applications are replayed in order,
-    on distances, girth and array computed here: a structural rule's
-    function must return exactly the recorded params, and a pair rule's
-    pivots and witnesses must pin every recorded pair, the pairs of class m
-    being exactly the pairs (0, x) for the least x of each orbit on S_m(0)
-    of the generators fixing 0; with no generators, every ordered pair of
-    the class.
+    certify writes.  Otherwise the recorded generators must be automorphisms,
+    and the applications are replayed in order, on distances, girth and
+    array computed here: a structural rule's function must return exactly
+    the recorded params, and a pair rule's pivots and witnesses must pin
+    every recorded pair, the pairs of class m being exactly those
+    covered_pairs lists for the recorded generators; with none, every
+    ordered pair of the class.
 
     The audit then rebuilds the certificate with the constructor certify
     uses, from g, the family's canonical key and the replayed classes, and
@@ -761,9 +744,7 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
     for p in gens:
         if not (all(_is_vertex(x, g.n) for x in p) and is_automorphism(g, p)):
             return fail("recorded generator is not an automorphism")
-    covered, used = _covered_pairs(dd, gens)
-    if used != gens:
-        return fail("recorded generators are not transitive on the vertices")
+    covered = covered_pairs(gens, dd)
 
     certified: set = set()
     for index, app in enumerate(cert.applications, start=1):
@@ -836,7 +817,7 @@ def _pair_claims(app, n, covered):
     """The (j, l, payload) list a pair rule must prove, or an error string.
 
     The recorded pairs must be exactly the covered pairs of the class,
-    which _covered_pairs lists.  Each payload maps the rule's _PAIR_FIELDS
+    which covered_pairs lists.  Each payload maps the rule's _PAIR_FIELDS
     to the values recorded after its pair.
     """
     names = _PAIR_FIELDS[app.rule]

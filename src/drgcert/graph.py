@@ -116,27 +116,20 @@ def _neighbor_masks(g: Graph) -> list:
 @dataclass(frozen=True)
 class DistanceData:
     """All-pairs distances, stored once: bit w of sphere_masks[v][m] is set
-    exactly when d(v, w) == m, for m in 0..diameter.  spheres(v), the
-    vertices at each distance from v in increasing order, and row(v), d(v, w)
-    for every w (INFINITE where v does not reach), are built from v's masks
-    on first use and kept on the instance: a search pays n per vertex read."""
+    exactly when d(v, w) == m, for m in 0..diameter.  row(v), d(v, w) for
+    every w (INFINITE where v does not reach), is built from v's masks on
+    first use and kept on the instance: a search pays n per vertex read."""
 
     sphere_masks: tuple
     diameter: int
     connected: bool
-    _layers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def spheres(self, v: int) -> tuple:
-        if v not in self._layers:
-            self._layers[v] = tuple(map(tuple, map(_bits, self.sphere_masks[v])))
-        return self._layers[v]
 
     def row(self, v: int) -> tuple:
         if v not in self._rows:
             row = [INFINITE] * len(self.sphere_masks)
-            for m, layer in enumerate(self.spheres(v)):
-                for w in layer:
+            for m, mask in enumerate(self.sphere_masks[v]):
+                for w in _bits(mask):
                     row[w] = m
             self._rows[v] = tuple(row)
         return self._rows[v]
@@ -147,14 +140,6 @@ class DistanceData:
     def neighbor_masks(self) -> list:
         """The neighbor bitmask of every vertex, read off sphere 1."""
         return [masks[1] if self.diameter else 0 for masks in self.sphere_masks]
-
-    def at_distance(self, v: int, m: int) -> tuple:
-        return self.spheres(v)[m] if 0 <= m <= self.diameter else ()
-
-    def pairs_at_distance(self, m: int) -> list:
-        """The ordered pairs (u, v) with d(u, v) == m >= 0, lexicographically."""
-        masks = self.sphere_masks if 0 <= m <= self.diameter else ()
-        return [(u, v) for u, around in enumerate(masks) for v in _bits(around[m])]
 
 
 def distances(g: Graph) -> DistanceData:

@@ -5,9 +5,10 @@ the package: Floyd-Warshall instead of BFS, explicit cycle enumeration
 instead of cross-edge detection, full permutation filtering instead of
 refinement search, a Schreier-Sims chain instead of the search tree's
 base, pair_orbit's sweep of ordered pairs instead of the orbits of the
-generators fixing vertex 0 on its spheres.  Slow is fine; these run on
-small graphs only.  are_isomorphic is one exception: it calls the
-package's search (see its docstring).  The references are the others:
+generators fixing each root on its spheres, sphere and pairs_at_distance
+reads of single distances instead of sphere bitmasks.  Slow is fine;
+these run on small graphs only.  are_isomorphic is one exception: it
+calls the package's search (see its docstring).  The references are the others:
 earlier versions of package code, kept to pin the results of the faster
 code that replaced them.  pair_search_reference is the engine's pair
 search before it went over bitmasks, with its budget charges, and
@@ -329,6 +330,16 @@ def pair_orbit(
     return seen
 
 
+def sphere(dd, v: int, m: int) -> list[int]:
+    """The vertices at distance m from v, one distance read at a time."""
+    return [w for w in range(len(dd.sphere_masks)) if dd.d(v, w) == m]
+
+
+def pairs_at_distance(dd, m: int) -> list[tuple[int, int]]:
+    """The ordered pairs (u, v) with d(u, v) == m, lexicographically."""
+    return [(u, v) for u in range(len(dd.sphere_masks)) for v in sphere(dd, u, m)]
+
+
 def are_isomorphic(g: Graph, h: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Isomorphism by searching the automorphisms of the disjoint union.
 
@@ -405,11 +416,11 @@ def witness_valid_reference(dd, m: int, j: int, l: int, p: int, q: int, bud=None
         bud.spend(2)
     if dd.d(j, q) == dd.d(q, p):
         return False
-    sphere = dd.at_distance(q, dd.d(q, l))
+    around = sphere(dd, q, dd.d(q, l))
     if bud is not None:
-        bud.spend(2 * len(sphere))
+        bud.spend(2 * len(around))
     count = 0
-    for x in sphere:
+    for x in around:
         if dd.d(x, j) == m and dd.d(x, p) == m:
             count += 1
             if count > 1:
@@ -429,7 +440,7 @@ def pair_search_reference(dd, m, j, l, certified, bud, rule) -> dict | None:
     combination is charged to the budget, then tested against every
     unkilled rival by distance lookups."""
     n = len(dd.sphere_masks)
-    rivals = [p for p in dd.at_distance(l, m) if p != j]
+    rivals = [p for p in sphere(dd, l, m) if p != j]
     witness = {}
     if "witnesses" in _PAIR_FIELDS[rule]:
         for p in rivals:

@@ -16,11 +16,11 @@ from drgcert.autgroup import (
     _orbit,
     _refine,
     automorphism_group,
+    covered_pairs,
     is_automorphism,
     is_distance_transitive,
     vertex_orbits,
 )
-from drgcert.certify import _covered_pairs
 from drgcert.families import build
 from drgcert.graph import Graph, distances
 from oracles import (
@@ -31,6 +31,7 @@ from oracles import (
     catalogue_keys,
     oracle_inputs,
     pair_orbit,
+    pairs_at_distance,
     random_connected_graph,
     refine_reference,
     schreier_sims_order,
@@ -121,11 +122,9 @@ def test_vertex_orbits():
 def test_pair_orbit_covers_class():
     g = build("named:petersen")
     aut = automorphism_group(g)
-    from drgcert.graph import distances
-
     dd = distances(g)
     for m in (1, 2):
-        pairs = dd.pairs_at_distance(m)
+        pairs = pairs_at_distance(dd, m)
         assert pair_orbit(g.n, aut.generators, pairs[0]) == set(pairs)
 
 
@@ -177,32 +176,44 @@ def _least_pair_of_each_orbit(n, generators, pairs):
 
 def test_search_tree_order_and_transitivity_match_oracles():
     # the order read off the base against an independent stabilizer chain,
-    # the sphere-orbit test against the pair-orbit definition, and, under
-    # generators transitive on vertices, the pairs covering each class
-    # against the least pair of each pair orbit
-    transitive, swept = set(), set()
+    # the covered-pairs test against the pair-orbit definition, and, on
+    # every connected input, the pairs covering each class against the pair
+    # orbits: the orbits of the covered pairs are exactly the class, and
+    # under generators transitive on vertices the covered pairs are the
+    # least pair of each pair orbit
+    transitive, vertex_transitive, swept, several_roots = set(), set(), set(), set()
     for label, g in oracle_inputs():
         aut = automorphism_group(g)
         assert aut.order == schreier_sims_order(g.n, aut.generators), label
         dd = distances(g)
-        classes = [dd.pairs_at_distance(m) for m in range(1, dd.diameter + 1)]
+        classes = [pairs_at_distance(dd, m) for m in range(1, dd.diameter + 1)]
         by_pairs = g.n >= 2 and dd.connected and all(
             pair_orbit(g.n, aut.generators, pairs[0]) == set(pairs) for pairs in classes
         )
         assert is_distance_transitive(g, aut=aut, dd=dd) == by_pairs, label
         if by_pairs:
             transitive.add(label)
-        if len(vertex_orbits(g.n, aut.generators)) == 1:
-            covered, used = _covered_pairs(dd, aut.generators)
-            assert used == aut.generators, label
-            for m, pairs in enumerate(classes, start=1):
+        if not dd.connected:
+            continue
+        covered = covered_pairs(aut.generators, dd)
+        one_orbit = len(vertex_orbits(g.n, aut.generators)) == 1
+        for m, pairs in enumerate(classes, start=1):
+            reached = set().union(*(pair_orbit(g.n, aut.generators, p) for p in covered(m)))
+            assert reached == set(pairs), (label, m)
+            if one_orbit:
                 least = _least_pair_of_each_orbit(g.n, aut.generators, pairs)
                 assert covered(m) == least, (label, m)
-            swept.add(label)
+        swept.add(label)
+        if one_orbit:
+            vertex_transitive.add(label)
+        elif aut.generators:
+            several_roots.add(label)
     assert {"named:hoffman_singleton", "odd:5", "K_2"} <= transitive
     assert "K_1" not in transitive
     assert "named:shrikhande" not in transitive
-    assert transitive < swept and "named:shrikhande" in swept
+    assert transitive < vertex_transitive < swept and "named:shrikhande" in vertex_transitive
+    # a nontrivial group with several vertex orbits
+    assert several_roots
     assert not any(label.startswith("two copies") for label in transitive)
     # the seed must reach transitive and non-transitive circulants
     circulants = [label for label in transitive if label.startswith("circulant")]

@@ -318,6 +318,49 @@ def test_orbit_representatives_agree_with_all_pairs(name):
     assert sum(pair_counts(auto)) < sum(pair_counts(allp))
 
 
+def _minus_vertex_0(g):
+    return Graph(g.n - 1, [(u - 1, v - 1) for u, v in g.edges if u and v])
+
+
+# connected graphs with a nontrivial group that is not transitive on the
+# vertices, and the number of pairs their auto certificates record
+NOT_VERTEX_TRANSITIVE = {
+    "Petersen-0": (_minus_vertex_0(build("named:petersen")), 5),
+    "P5": (Graph(5, [(i, i + 1) for i in range(4)]), 10),
+    "Foster-0": (_minus_vertex_0(build("named:foster")), 363),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_VERTEX_TRANSITIVE))
+def test_coverage_without_vertex_transitivity(name):
+    # one pair per orbit of the pairs (r, x), r the least vertex of each
+    # vertex orbit, proves what every pair proves; the audit holds the
+    # recorded pairs to exactly those of the recorded generators, and still
+    # accepts the certificate with every pair and no generators
+    g, count = NOT_VERTEX_TRANSITIVE[name]
+    auto = certify(g)
+    allp = certify(g, mode="all-pairs")
+    assert auto.generators and allp.generators == ()
+    assert sum(pair_counts(auto)) == count < sum(pair_counts(allp))
+    assert (auto.verdict, auto.certified, rule_chain(auto)) == (
+        allp.verdict,
+        allp.certified,
+        rule_chain(allp),
+    )
+    assert audit(auto, g) and audit(allp, g)
+
+    data = auto.to_dict()
+    pair_app = next(a for a in data["applications"] if "pairs" in a["params"])
+    del pair_app["params"]["pairs"][-1]
+    result = audit(Certificate.from_dict(data), g)
+    assert not result and "recorded pairs are not the covered pairs" in result.failure
+
+    data = auto.to_dict()
+    data["generators"] = []
+    result = audit(Certificate.from_dict(data), g)
+    assert not result and "recorded pairs are not the covered pairs" in result.failure
+
+
 def test_shrikhande_square_certified():
     # Shrikhande x Shrikhande is vertex-transitive but not distance-
     # transitive; with every pair covered, the search budget runs out on
@@ -688,7 +731,9 @@ def test_audit_rejects_tampered_generators():
 
 def test_audit_refuses_generators_not_transitive():
     # the generators fixing 0 are automorphisms, but the pairs (0, x) they
-    # cover on a class do not reach pairs (a, b) with a != 0
+    # cover on a class do not reach pairs (a, b) with a != 0: under them
+    # every vertex orbit has its own root, so the recorded pairs are not
+    # the covered pairs
     g = build("hamming:3:3")
     data = certify(g, family="hamming:3:3").to_dict()
     assert audit(Certificate.from_dict(data), g)
@@ -696,7 +741,9 @@ def test_audit_refuses_generators_not_transitive():
     assert 0 < len(fixing) < len(data["generators"])
     data["generators"] = fixing
     result = audit(Certificate.from_dict(data), g)
-    assert not result and result.failure == "recorded generators are not transitive on the vertices"
+    assert not result and result.failure == (
+        "application 2 (pivot-intersection, m=2): recorded pairs are not the covered pairs of class 2"
+    )
 
 
 def test_audit_fails_on_malformed_generators():

@@ -26,6 +26,7 @@ from oracles import (
     enumerate_girth,
     floyd_warshall,
     oracle_inputs,
+    pairs_at_distance,
     random_connected_graph,
 )
 
@@ -73,8 +74,8 @@ def test_distances_path():
     assert dd.connected
     assert dd.diameter == 3
     assert dd.d(0, 3) == 3
-    assert dd.at_distance(0, 2) == (2,)
-    assert dd.pairs_at_distance(3) == [(0, 3), (3, 0)]
+    assert dd.sphere_masks[0][2] == 1 << 2
+    assert pairs_at_distance(dd, 3) == [(0, 3), (3, 0)]
     assert tuple(mask.bit_count() for mask in dd.sphere_masks[0]) == (1, 1, 1, 1)
     assert tuple(mask.bit_count() for mask in dd.sphere_masks[1]) == (1, 2, 1, 0)
 
@@ -88,11 +89,11 @@ def test_distances_disconnected():
 
 def test_distances_build_rows_and_spheres_on_first_use():
     dd = distances(build("hamming:6:3"))
-    assert not dd._rows and not dd._layers
+    assert not dd._rows
     row = dd.row(5)
     assert isinstance(row, tuple) and dd.row(5) is row
-    assert dd.at_distance(5, 1) == dd.spheres(5)[1]
-    assert set(dd._rows) == {5} and set(dd._layers) == {5}
+    assert dd.d(5, 6) == row[6]
+    assert set(dd._rows) == {5}
 
 
 def test_distances_share_no_rows():
@@ -101,16 +102,6 @@ def test_distances_share_no_rows():
     assert a == b
     for v in range(g.n):
         assert a.row(v) == b.row(v) and a.row(v) is not b.row(v)
-        assert a.spheres(v) == b.spheres(v) and a.spheres(v) is not b.spheres(v)
-
-
-def test_at_distance_outside_the_spheres_is_empty():
-    # a negative m, such as INFINITE, must not index the spheres from the end
-    dd = distances(Graph(4, [(0, 1), (1, 2)]))
-    assert dd.at_distance(0, 2) == (2,)
-    assert dd.at_distance(0, INFINITE) == ()
-    assert dd.at_distance(0, -1) == ()
-    assert dd.at_distance(0, 3) == ()
 
 
 def test_distances_match_floyd_warshall():
@@ -138,10 +129,10 @@ def test_distances_match_floyd_warshall_on_oracle_inputs():
         assert dd.diameter == max(reached, default=0), label
         assert dd.connected == (len(reached) == g.n**2), label
         for v in range(g.n):
-            assert len(dd.spheres(v)) == dd.diameter + 1, (label, v)
-            for m, layer in enumerate(dd.spheres(v)):
-                assert layer == tuple(w for w in range(g.n) if expected[v][w] == m), (label, v)
-                assert len(layer) == dd.sphere_masks[v][m].bit_count(), (label, v)
+            assert len(dd.sphere_masks[v]) == dd.diameter + 1, (label, v)
+            for m, mask in enumerate(dd.sphere_masks[v]):
+                for w in range(g.n):
+                    assert (mask >> w & 1) == (expected[v][w] == m), (label, v, m, w)
 
 
 def test_sphere_masks():

@@ -21,7 +21,13 @@ from drgcert.certify import (
 )
 from drgcert.families import build
 from drgcert.graph import distances
-from oracles import first_witness_reference, pair_search_reference, witness_valid_reference
+from oracles import (
+    first_witness_reference,
+    pair_search_reference,
+    pairs_at_distance,
+    sphere,
+    witness_valid_reference,
+)
 
 BUDGETS = (0, 1, 7, 50, 300, 2_000, 10**4, 10**5, 10**8)
 
@@ -45,7 +51,7 @@ def _cases(dd, rng):
         others = [c for c in range(1, diam + 1) if c != m]
         drawn = {c for c in others if rng.random() < 0.5}
         choices = (set(range(1, m)), set(others[:1]), drawn)
-        pairs = dd.pairs_at_distance(m)
+        pairs = pairs_at_distance(dd, m)
         for j, l in rng.sample(pairs, min(2, len(pairs))):
             for certified in choices:
                 yield m, j, l, certified
@@ -102,7 +108,7 @@ def test_pair_search_budget_boundary(key, m, certified):
     engine stops, or does not, exactly where the reference does."""
     dd = distances(build(key))
     rng = Random(f"boundary {key} {m}")
-    for j, l in rng.sample(dd.pairs_at_distance(m), 6):
+    for j, l in rng.sample(pairs_at_distance(dd, m), 6):
         for rule in _PAIR_FIELDS:
             searches = [
                 lambda bud, search=search: search(dd, m, j, l, certified, bud, rule)
@@ -126,8 +132,8 @@ def test_first_witness_matches_reference(key):
     outcomes = set()
     for m in range(1, dd.diameter + 1):
         for j in range(n) if n < 50 else (0,):
-            for l in dd.at_distance(j, m):
-                for p in dd.at_distance(l, m):
+            for l in sphere(dd, j, m):
+                for p in sphere(dd, l, m):
                     if p == j:
                         continue
                     scans = [
@@ -178,8 +184,8 @@ def test_witness_valid_matches_reference(key):
     outcomes = set()
     for m in range(1, dd.diameter + 1):
         for j in range(n) if n < 50 else (0,):
-            for l in dd.at_distance(j, m):
-                for p in dd.at_distance(l, m):
+            for l in sphere(dd, j, m):
+                for p in sphere(dd, l, m):
                     if p == j:
                         continue
                     for q in range(n):
