@@ -3,8 +3,9 @@
 The package builds the classical distance-transitive graph families,
 computes their combinatorial invariants and automorphism groups, and
 runs a rule engine that certifies, class by class, that a graph has no
-quantum symmetry.  Certificates are self-contained and re-verifiable by
-an independent audit.
+quantum symmetry, or proves that it has some by two disjoint
+automorphisms.  Certificates are self-contained and re-verifiable by an
+independent audit.
 """
 
 from .autgroup import (

@@ -86,8 +86,8 @@ def _refine(
     the caller.  One that individualizes v in cell i of an equitable
     partition, as cells[:i] + [[v], rest] + cells[i+1:], passes [i]: each
     new cell has constant counts into the old ones, of which cell i alone
-    was split, into [v] and the last part rest.  The search root pushes its
-    one cell of all vertices.
+    was split, into [v] and the last part rest.  The search root pushes
+    every one of its starting cells, which recounts against all of them.
     """
     cells = [c for c in cells if c]
     cell_of = [0] * len(adj)  # minus the index of the vertex's cell
@@ -145,9 +145,15 @@ def _orbit(generators, prefix: tuple[int, ...], starts) -> set[int]:
     return reach
 
 
-def _search_generators(g: Graph, node_budget: int) -> tuple[list[Perm], tuple[int, ...]]:
+def _search_generators(
+    g: Graph, node_budget: int, cells: list[list[int]] | None = None
+) -> tuple[list[Perm], tuple[int, ...]]:
     """Generators found by the search, and the base: the vertices
-    individualized along the first root-to-leaf path."""
+    individualized along the first root-to-leaf path.  The search starts
+    from cells, nonempty and covering the vertices, or from one cell of
+    all vertices; refinement keeps the parts of a cell in its place, so
+    every leaf lists each starting cell's vertices at the same positions,
+    and the generators map each starting cell to itself."""
     n = g.n
     adj = [g.neighbors(v) for v in range(n)]
     ident = tuple(range(n))
@@ -206,8 +212,9 @@ def _search_generators(g: Graph, node_budget: int) -> tuple[list[Perm], tuple[in
                 return True
         return False
 
-    # the empty graph's root has no cell to push
-    descend(*_refine(adj, [list(range(n))], [0] if n else []), 0, ())
+    if cells is None:
+        cells = [list(range(n))] if n else []  # the empty graph has no cell
+    descend(*_refine(adj, cells, list(range(len(cells)))), 0, ())
     return generators, base
 
 
@@ -260,6 +267,37 @@ def automorphism_group(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> AutG
     gens, base = _search_generators(g, node_budget)
     order = prod(len(_orbit(gens, base[:i], [b])) for i, b in enumerate(base))
     return AutGroup(n=g.n, generators=tuple(gens), base=base, order=order)
+
+
+def disjoint_automorphisms(
+    g: Graph, generators: list[Perm] | tuple[Perm, ...], node_budget: int = DEFAULT_NODE_BUDGET
+) -> tuple[Perm, Perm] | None:
+    """Two non-identity automorphisms of g with disjoint supports, or None;
+    raises SearchBudgetExceeded past the node budget.
+
+    Such a pair proves that g has quantum symmetry (S. Schmidt, Quantum
+    automorphisms of folded cube graphs, Ann. Inst. Fourier 2020).  Take
+    projections p and q that do not commute, and let u be the matrix
+    sigma (x) p + id (x) (1 - p) on the rows of supp sigma, tau (x) q +
+    id (x) (1 - q) on those of supp tau, and id elsewhere.  It is the
+    product of two magic unitaries, each a permutation matrix of g's
+    automorphisms tensored with projections, so u is a magic unitary that
+    commutes with the adjacency matrix.  Its entries u_{i sigma(i)} = p
+    and u_{k tau(k)} = q do not commute, so C(Qut(g)) is not commutative.
+
+    sigma is the first of the generators that moves the fewest vertices,
+    and tau the first generator the search finds among the automorphisms
+    fixing supp sigma pointwise: it starts from one singleton cell per
+    vertex sigma moves, then the cell of the others when there are any.
+    """
+    if not generators:
+        return None
+    sigma = min(generators, key=lambda s: sum(map(ne, s, range(g.n))))
+    moved = [v for v in range(g.n) if sigma[v] != v]
+    fixed = [v for v in range(g.n) if sigma[v] == v]
+    cells = [[v] for v in moved] + ([fixed] if fixed else [])
+    found, _ = _search_generators(g, node_budget, cells)
+    return (sigma, found[0]) if found else None
 
 
 def vertex_orbits(n: int, generators: list[Perm] | tuple[Perm, ...]) -> list[list[int]]:

@@ -17,9 +17,12 @@ ordered pair of the class under the trivial group.  A proof at (j, l)
 carries over to (s(j), s(l)) for every automorphism s, because s induces
 an automorphism of C(Qut(G)) mapping u_jl to u_s(j)s(l).
 
-The engine never concludes that a graph does have quantum symmetry from
-rule failure; positive verdicts come only from the knowledge base of
-recorded facts.  INCONCLUSIVE is an honest third verdict.
+The engine never concludes that a graph has quantum symmetry from rule
+failure.  When some class stays open it looks for two non-identity
+automorphisms with disjoint supports, which prove quantum symmetry (see
+autgroup.disjoint_automorphisms), and the audit checks the pair edge by
+edge.  A HAS_QSYM verdict rests on that pair alone; INCONCLUSIVE is an
+honest third verdict.
 """
 
 from __future__ import annotations
@@ -36,11 +39,11 @@ from .autgroup import (
     SearchBudgetExceeded,
     automorphism_group,
     covered_pairs,
+    disjoint_automorphisms,
     is_automorphism,
 )
 from .drg import intersection_array
 from .expected import HAS_QSYM, NO_QSYM
-from .families import FamilySpec, build, has_order, parse_family
 from .graph import (
     DisconnectedGraphError,
     Graph,
@@ -50,14 +53,12 @@ from .graph import (
     complement,
     distances,
     girth,
-    is_connected,
 )
 from .io import _encode, _Record, to_graph6
-from .knowledge import UNKNOWN_FACT, QsymFact, verdict_for
 
 INCONCLUSIVE = "INCONCLUSIVE"
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # distance lookups allowed per class for the pair-rule searches (pivots and witnesses)
 DEFAULT_SEARCH_BUDGET = 100_000_000
@@ -72,8 +73,8 @@ RULE_UNIQUE_FAR = "unique-at-distance"
 RULE_PIVOT = "pivot-intersection"
 RULE_KRIT = "distance-witness"
 RULE_PIVOT_KRIT = "pivot-witness"
-RULE_KNOWN = "known-quantum-symmetry"
 RULE_COMPLEMENT = "complement-transfer"
+RULE_DISJOINT = "disjoint-automorphisms"
 
 class _BudgetExceeded(Exception):
     pass
@@ -145,7 +146,6 @@ class Certificate(_Record):
     n: int
     degree: int | None
     diameter: int
-    family: str | None  # the family key certify was given; it fixes the recorded fact
     verdict: str
     certified: tuple
     open_classes: tuple
@@ -181,8 +181,6 @@ class Certificate(_Record):
             lines.append(f"  degree: {self.degree}")
         lines.append(f"  diameter: {self.diameter}")
         lines.append(f"  verdict: {self.verdict}")
-        fact = verdict_for(self.family)
-        lines.append(f"  knowledge base: {fact.verdict} ({fact.reason})")
         if self.applications:
             lines.append("  applications:")
             for i, app in enumerate(self.applications, start=1):
@@ -521,21 +519,20 @@ def _first_meet(masks, size: int, limit: int, top: int) -> tuple | None:
 def certify(
     g: Graph | _Invariants,
     *,
-    family: FamilySpec | str | None = None,
+    label: str | None = None,
     mode: str = "auto",
     search_budget: int = DEFAULT_SEARCH_BUDGET,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Certificate:
-    """Certify absence of quantum symmetry for a connected graph.
+    """Certify absence of quantum symmetry for a connected graph, or its
+    presence by two disjoint automorphisms when some class stays open.
 
-    When a family spec is supplied, g must be its graph as built, and the
-    certificate records the family's key: a recorded HAS_QSYM fact
-    short-circuits the rule engine, and any other recorded verdict is read
-    from the key when the certificate is shown.  g may be given as its
+    The label names the graph in the certificate.  g may be given as its
     _Invariants, whose distances, array and group are then not computed
-    again.  Mode "auto" uses the automorphism group, mode "all-pairs" the
-    trivial group.  Both budgets must be non-negative integers; a bool is
-    not one.
+    again.  Mode "auto" covers the pairs of each class under the
+    automorphism group, mode "all-pairs" under the trivial group; the
+    disjoint automorphisms are sought in both.  Both budgets must be
+    non-negative integers; a bool is not one.
     """
     if mode not in ("auto", "all-pairs"):
         raise ValueError(f"unknown coverage mode {mode!r}")
@@ -547,20 +544,15 @@ def certify(
     if not dd.connected:
         raise DisconnectedGraphError("certification requires a connected graph")
 
-    key = family.key() if isinstance(family, FamilySpec) else family
-    spec, fact = _bind(key, g) if key is not None else (None, UNKNOWN_FACT)
-    label = spec.label() if spec is not None else f"graph on {g.n} vertices"
-
-    header = _header(g, dd, label, spec.key() if spec is not None else None, to_graph6(g))
-    if fact.verdict == HAS_QSYM:
-        return _known(header)
-
+    header = _header(g, dd, label or f"graph on {g.n} vertices", to_graph6(g))
     notes: list = []
     generators: tuple = ()
+    searched_out = False  # the automorphism search exceeded its node budget
     if mode == "auto":
         try:
             generators = inv.group(node_budget).generators
         except SearchBudgetExceeded:
+            searched_out = True
             notes.append("automorphism search budget exceeded; all-pairs coverage")
     covered = covered_pairs(generators, dd)
 
@@ -605,49 +597,42 @@ def certify(
             apps.append(app)
             certified.add(m)
 
+    if len(certified) < dd.diameter and not searched_out:
+        try:
+            pair = disjoint_automorphisms(g, inv.group(node_budget).generators, node_budget)
+        except SearchBudgetExceeded:
+            pair = None
+            notes.append("automorphism search budget exceeded; no disjoint automorphisms recorded")
+        if pair is not None:
+            apps.append(Application(RULE_DISJOINT, None, {"sigma": list(pair[0]), "tau": list(pair[1])}))
+
     return _certificate(header, certified, apps, generators, notes)
 
 
-def _bind(key: str, g: Graph) -> tuple[FamilySpec, QsymFact]:
-    """The spec and recorded fact of the family key names, once g is its
-    graph as built (labelled equality); raises ValueError otherwise.  The
-    closed-form order is compared first, so no work grows with a parameter
-    of the family beyond the size of g."""
-    if not has_order(key, g.n):
-        raise ValueError(f"{key} does not have the graph's {g.n} vertices")
-    spec = parse_family(key)
-    if build(spec) != g:
-        raise ValueError(
-            f"graph is not the {spec.key()} graph as built; an isomorphic copy is not accepted"
-        )
-    return spec, verdict_for(spec)
-
-
-def _header(g: Graph, dd, label: str, family: str | None, graph6: str) -> dict:
-    """The certificate fields that describe the graph and name its family;
-    graph6 is g's graph6 string."""
+def _header(g: Graph, dd, label: str, graph6: str) -> dict:
+    """The certificate fields that describe the graph; graph6 is g's
+    graph6 string."""
     return {
         "label": label,
         "n": g.n,
         "degree": g.regular_degree(),
         "diameter": dd.diameter,
-        "family": family,
         "graph6": graph6,
     }
 
 
-def _certificate(
-    header: dict, certified, applications, generators=(), notes=(), verdict=None
-) -> Certificate:
+def _certificate(header: dict, certified, applications, generators=(), notes=()) -> Certificate:
     """The one constructor of certificates: the applications certify the
-    classes in certified, the other classes up to the diameter stay open,
-    and the verdict, unless given, is NO_QSYM when none is open and
-    INCONCLUSIVE otherwise.  The generators are kept only when a pair rule
-    uses them."""
+    classes in certified, and the other classes up to the diameter stay
+    open.  The verdict is HAS_QSYM when a disjoint-automorphisms
+    application is present, otherwise NO_QSYM when no class is open and
+    INCONCLUSIVE when one is.  The generators are kept only when a pair
+    rule uses them."""
     open_classes = tuple(m for m in range(1, header["diameter"] + 1) if m not in certified)
     uses_pairs = any(a.rule in _PAIR_FIELDS for a in applications)
+    has_pair = any(a.rule == RULE_DISJOINT for a in applications)
     return Certificate(
-        verdict=verdict or (INCONCLUSIVE if open_classes else NO_QSYM),
+        verdict=HAS_QSYM if has_pair else INCONCLUSIVE if open_classes else NO_QSYM,
         certified=tuple(sorted(certified)),
         open_classes=open_classes,
         applications=tuple(applications),
@@ -655,13 +640,6 @@ def _certificate(
         notes=tuple(notes),
         **header,
     )
-
-
-def _known(header: dict) -> Certificate:
-    """The HAS_QSYM certificate of the header family's recorded fact: it
-    certifies no class and rests on the one knowledge-base application,
-    whose family, reason and quantum group all come from the key."""
-    return _certificate(header, (), (Application(RULE_KNOWN, None, {}),), verdict=HAS_QSYM)
 
 
 # ------------------------------------------------------- complement route
@@ -680,15 +658,12 @@ def transfer_certificate(cert: Certificate, g: Graph, label: str | None = None) 
         raise ValueError("certificate does not describe the complement of this graph")
     dd = distances(g)
     app = Application(RULE_COMPLEMENT, None, {"complement": cert.to_dict()})
-    header = _header(g, dd, label or f"complement of {cert.label}", None, to_graph6(g))
+    header = _header(g, dd, label or f"complement of {cert.label}", to_graph6(g))
     return _certificate(header, range(1, dd.diameter + 1), (app,))
 
 
 def certify_via_complement(g: Graph, *, label: str | None = None, **options) -> Certificate:
-    comp = complement(g)
-    if not is_connected(comp):
-        raise DisconnectedGraphError("complement is disconnected")
-    inner = certify(comp, **options)
+    inner = certify(complement(g), **options)
     return transfer_certificate(inner, g, label=label)
 
 
@@ -698,22 +673,21 @@ def certify_via_complement(g: Graph, *, label: str | None = None, **options) -> 
 def audit(cert: Certificate, g: Graph) -> AuditResult:
     """Re-verify every claim of a certificate from the graph alone.
 
-    The recorded graph6 string must be g's, and g connected.  A recorded
-    family must bind to g by the same test certify applies, and when it
-    records quantum symmetry the certificate must be the knowledge-base one
-    certify writes.  Otherwise the recorded generators must be automorphisms,
-    and the applications are replayed in order, on distances, girth and
-    array computed here: a structural rule's function must return exactly
-    the recorded params, and a pair rule's pivots and witnesses must pin
-    every recorded pair, the pairs of class m being exactly those
-    covered_pairs lists for the recorded generators; with none, every
-    ordered pair of the class.
+    The recorded graph6 string must be g's, and g connected.  The recorded
+    generators must be automorphisms, and the applications are replayed in
+    order, on distances, girth and array computed here: a structural
+    rule's function must return exactly the recorded params, and a pair
+    rule's pivots and witnesses must pin every recorded pair, the pairs of
+    class m being exactly those covered_pairs lists for the recorded
+    generators; with none, every ordered pair of the class.  A
+    disjoint-automorphisms application must come last and record exactly
+    two non-identity automorphisms with disjoint supports, which are
+    checked edge by edge; nothing is searched.
 
     The audit then rebuilds the certificate with the constructor certify
-    uses, from g, the family's canonical key and the replayed classes, and
-    compares every field as JSON, so a true never stands for a 1.  Only
-    the label is taken as recorded, and the notes of a certificate other
-    than the knowledge-base one.  Returns a falsy result naming the first
+    uses, from g and the replayed classes, and compares every field as
+    JSON, so a true never stands for a 1.  Only the label and the notes
+    are taken as recorded.  Returns a falsy result naming the first
     failure.  A certificate built in Python skips from_dict's schema, and
     its fields are trusted to have the types from_dict enforces.
     """
@@ -728,17 +702,6 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
     dd = inv.dd
     if not dd.connected:
         return fail("graph is disconnected")
-
-    spec, fact = None, UNKNOWN_FACT
-    if cert.family is not None:
-        try:
-            spec, fact = _bind(cert.family, g)
-        except ValueError as exc:
-            return fail(f"family {cert.family!r} does not bind to the graph: {exc}")
-    header = _header(g, dd, cert.label, spec.key() if spec is not None else None, graph6)
-    if fact.verdict == HAS_QSYM:
-        known = _known(header)._json_object()
-        return _compare(cert._json_object(), known, f"the {cert.family} knowledge-base certificate")
 
     gens = cert.generators
     for p in gens:
@@ -755,6 +718,13 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
                 return fail(f"{where}: {failure}")
             certified.update(range(1, dd.diameter + 1))
             continue
+        if app.rule == RULE_DISJOINT:
+            failure = _disjoint_failure(app, g)
+            if failure is None and index < len(cert.applications):
+                failure = "disjoint automorphisms are not the last application"
+            if failure is not None:
+                return fail(f"{where}: {failure}")
+            continue
         m = app.m
         if not _is_int(m) or not 1 <= m <= dd.diameter:
             return fail(f"{where}: class out of range")
@@ -765,6 +735,7 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
             return fail(f"{where}: {result.failure}")
         certified.add(m)
 
+    header = _header(g, dd, cert.label, graph6)
     rebuilt = _certificate(header, certified, cert.applications, gens, cert.notes)._json_object()
     return _compare(cert._json_object(), rebuilt, "the certificate the replay rebuilds")
 
@@ -803,6 +774,28 @@ def _complement_failure(app: Application, g: Graph) -> str | None:
         return "embedded complement certificate is not NO_QSYM"
     result = audit(inner, complement(g))
     return None if result.ok else f"embedded certificate fails audit: {result.failure}"
+
+
+def _disjoint_failure(app: Application, g: Graph) -> str | None:
+    """Why the application is not exactly two non-identity automorphisms
+    sigma and tau of g with disjoint supports, or None."""
+    if app.m is not None or set(app.params) != {"sigma", "tau"}:
+        return "disjoint automorphisms record a class or params other than sigma and tau"
+    supports = []
+    for name in ("sigma", "tau"):
+        perm = app.params[name]
+        if not (
+            isinstance(perm, (list, tuple))
+            and all(_is_vertex(x, g.n) for x in perm)
+            and is_automorphism(g, perm)
+        ):
+            return f"{name} is not an automorphism of the graph"
+        supports.append({v for v in range(g.n) if perm[v] != v})
+        if not supports[-1]:
+            return f"{name} is the identity"
+    if supports[0] & supports[1]:
+        return "the supports of sigma and tau meet"
+    return None
 
 
 def _is_int(x) -> bool:
@@ -892,8 +885,5 @@ def _audit_application(app, inv: _Invariants, certified, covered) -> AuditResult
             if failure is not None:
                 return AuditResult(False, f"pair ({j},{l}): {failure}")
         return AuditResult(True)
-
-    if rule == RULE_KNOWN:
-        return AuditResult(False, "knowledge-base facts are valid only in HAS_QSYM certificates")
 
     return AuditResult(False, f"unknown rule {rule!r}")

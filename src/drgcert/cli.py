@@ -153,7 +153,8 @@ def _cmd_analyze(parser, args) -> int:
 def _cmd_certify(parser, args) -> int:
     g, family = _load_graph(parser, args)
     try:
-        cert = certify(g, family=family, mode=args.mode, search_budget=args.budget)
+        label = label_for(family) if family else None
+        cert = certify(g, label=label, mode=args.mode, search_budget=args.budget)
     except (ValueError, DisconnectedGraphError) as exc:
         parser.error(str(exc))
     _emit(args, cert.to_json() if args.format == "json" else cert.to_text())

@@ -9,7 +9,7 @@ A graph is addressed by a colon-separated spec string such as
 Every graph is built from its definition by a constructor in this module;
 nothing is read from files.  Parametric families are registered in
 _PARAMETRIC with their arity, label and constructor, named graphs in _NAMED
-with their label, order and constructor.  tests/test_families.py pins each
+with their label and constructor.  tests/test_families.py pins each
 named graph's labelled graph6, girth, diameter and intersection array.
 """
 
@@ -20,7 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, isqrt
+from math import isqrt
 
 from .graph import Graph, bipartite_complement, from_edge_list, line_graph
 
@@ -47,15 +47,6 @@ class FamilySpec:
 
 def parse_family(text: str) -> FamilySpec:
     """Parse a spec string like "hamming:2:4" or "named:heawood"."""
-    spec = _parse(text)
-    if spec.family == "paley":
-        _paley_prime(spec.params[0])
-    return spec
-
-
-def _parse(text: str) -> FamilySpec:
-    """The spec a string names, with every parameter check but the Paley
-    order's, which takes time growing with q: parse_family adds it."""
     parts = text.strip().split(":")
     family = parts[0].strip().lower()
     if family == "named":
@@ -104,6 +95,8 @@ def _validate_params(spec: FamilySpec) -> None:
         raise ValueError("kneser:n:k needs k >= 1 and n >= 2k")
     if f == "odd" and p[0] < 2:
         raise ValueError("odd:k needs k >= 2")
+    if f == "paley":
+        _paley_prime(p[0])
 
 
 def build(spec: FamilySpec | str) -> Graph:
@@ -111,34 +104,6 @@ def build(spec: FamilySpec | str) -> Graph:
     if isinstance(spec, str):
         spec = parse_family(spec)
     return _build_cached(spec.key())
-
-
-def has_order(spec: FamilySpec | str, n: int) -> bool:
-    """Whether build(spec) has n vertices, decided in closed form with work
-    bounded by the size of n: a spec string is parsed without the Paley
-    order check, and a parameter too large to match is refused before any
-    power or binomial is evaluated.  Nothing is built."""
-    if isinstance(spec, str):
-        spec = _parse(spec)
-    f, p = spec.family, spec.params
-    if f == "named":
-        return _NAMED[spec.name].order == n
-    if f in ("complete", "cycle", "paley"):
-        return p[0] == n
-    if f in ("complete_bipartite", "crown"):
-        return 2 * p[0] == n
-    if f == "cube":
-        return p[0] < n.bit_length() and 2 ** p[0] == n
-    if f == "hamming":
-        # H(d,1) is one vertex; otherwise q <= q^d and 2^d <= q^d
-        d, q = p
-        return n == 1 if q == 1 else q <= n and d < n.bit_length() and q**d == n
-    if f == "odd":
-        # C(2k-1, k-1) >= 2^(k-1)
-        return p[0] <= n.bit_length() and comb(2 * p[0] - 1, p[0] - 1) == n
-    # johnson, kneser: C(m, k) >= m and C(m, k) >= 2^k for 1 <= k <= m/2
-    m, k = p[0], min(p[1], p[0] - p[1])
-    return m <= n and k < n.bit_length() and comb(m, k) == n
 
 
 def label_for(spec: FamilySpec | str) -> str:
@@ -470,24 +435,23 @@ def _hoffman_singleton() -> Graph:
 @dataclass(frozen=True)
 class _NamedEntry:
     label: str
-    order: int
     build: Callable[[], Graph]
 
 
 _NAMED = {
-    "petersen": _NamedEntry("Petersen graph", 10, _petersen),
-    "heawood": _NamedEntry("Heawood graph", 14, _heawood),
-    "pappus": _NamedEntry("Pappus graph", 18, _pappus),
-    "desargues": _NamedEntry("Desargues graph", 20, _desargues),
-    "dodecahedron": _NamedEntry("Dodecahedron", 20, _dodecahedron),
-    "coxeter": _NamedEntry("Coxeter graph", 28, _coxeter),
-    "tutte_8_cage": _NamedEntry("Tutte 8-cage", 30, _tutte_8_cage),
-    "foster": _NamedEntry("Foster graph", 90, _foster),
-    "biggs_smith": _NamedEntry("Biggs-Smith graph", 102, _biggs_smith),
-    "icosahedron": _NamedEntry("Icosahedron", 12, _icosahedron),
-    "co_heawood": _NamedEntry("co-Heawood graph", 14, _co_heawood),
-    "line_petersen": _NamedEntry("line graph of Petersen graph", 15, _line_petersen),
-    "shrikhande": _NamedEntry("Shrikhande graph", 16, _shrikhande),
-    "clebsch": _NamedEntry("Clebsch graph", 16, _clebsch),
-    "hoffman_singleton": _NamedEntry("Hoffman-Singleton graph", 50, _hoffman_singleton),
+    "petersen": _NamedEntry("Petersen graph", _petersen),
+    "heawood": _NamedEntry("Heawood graph", _heawood),
+    "pappus": _NamedEntry("Pappus graph", _pappus),
+    "desargues": _NamedEntry("Desargues graph", _desargues),
+    "dodecahedron": _NamedEntry("Dodecahedron", _dodecahedron),
+    "coxeter": _NamedEntry("Coxeter graph", _coxeter),
+    "tutte_8_cage": _NamedEntry("Tutte 8-cage", _tutte_8_cage),
+    "foster": _NamedEntry("Foster graph", _foster),
+    "biggs_smith": _NamedEntry("Biggs-Smith graph", _biggs_smith),
+    "icosahedron": _NamedEntry("Icosahedron", _icosahedron),
+    "co_heawood": _NamedEntry("co-Heawood graph", _co_heawood),
+    "line_petersen": _NamedEntry("line graph of Petersen graph", _line_petersen),
+    "shrikhande": _NamedEntry("Shrikhande graph", _shrikhande),
+    "clebsch": _NamedEntry("Clebsch graph", _clebsch),
+    "hoffman_singleton": _NamedEntry("Hoffman-Singleton graph", _hoffman_singleton),
 }

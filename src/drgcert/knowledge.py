@@ -5,6 +5,10 @@ or record that justifies it, and the name of the quantum automorphism
 group when one is known.  Lookups key on family specs; graphs supplied
 as raw edge data carry no spec and always come back UNKNOWN here, even
 when they happen to be isomorphic to a recognized graph.
+
+verdict_for is a lookup for readers of the literature; no certificate
+verdict rests on it.  The engine proves HAS_QSYM from two disjoint
+automorphisms of the graph itself (see certify).
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from .autgroup import DEFAULT_NODE_BUDGET
 from .certify import INCONCLUSIVE, _Invariants, audit, certify
 from .drg import IntersectionArray, intersection_array
 from .expected import HAS_QSYM, NO_QSYM, UNKNOWN, FamilyRow, GraphRow, load_tables
-from .families import build
+from .families import build, label_for
 from .io import _Record
 
 FORMAT_VERSION = 1
@@ -193,7 +193,6 @@ class TablesReport(_Record):
 
 _STATUS_TEXT = {
     "certified": "certified",
-    "knowledge-base": "recorded fact",
     "recorded": "recorded, engine inconclusive",
     "open": "open question",
     "mismatch": "MISMATCH",
@@ -230,9 +229,10 @@ def _render_rows(title: str, rows) -> str:
 # --------------------------------------------------------- reproduction
 
 # status of a row by (engine verdict, recorded verdict); any other pair is a
-# mismatch.  NO_QSYM on an UNKNOWN row: the engine proved what the table left open
+# mismatch.  A proof on an UNKNOWN row settles what the table left open
 _VERDICT_STATUS = {
-    (HAS_QSYM, HAS_QSYM): "knowledge-base",
+    (HAS_QSYM, HAS_QSYM): "certified",
+    (HAS_QSYM, UNKNOWN): "certified",
     (NO_QSYM, NO_QSYM): "certified",
     (NO_QSYM, UNKNOWN): "certified",
     (INCONCLUSIVE, NO_QSYM): "recorded",
@@ -260,7 +260,7 @@ def reproduce_row(row: GraphRow) -> RowReport:
     if row.aut_order is not None and aut_order_computed != row.aut_order:
         problems.append(f"aut order: computed {aut_order_computed}, table says {row.aut_order}")
 
-    cert = certify(inv, family=row.key)
+    cert = certify(inv, label=label_for(row.key))
     engine_verdict = cert.verdict
     checked = audit(cert, g)
     if not checked:

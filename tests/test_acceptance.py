@@ -18,7 +18,7 @@ from oracles import (
 )
 
 from drgcert.autgroup import automorphism_group
-from drgcert.certify import Certificate, audit, certify
+from drgcert.certify import INCONCLUSIVE, Certificate, audit, certify
 from drgcert.drg import is_distance_regular
 from drgcert.expected import HAS_QSYM, NO_QSYM, UNKNOWN
 from drgcert.families import build
@@ -131,7 +131,7 @@ def full_chain(cert):
 def test_criterion_3_certification_suite():
     for key, chain in CUBIC_CHAINS.items():
         g = build(key)
-        cert = certify(g, family=key)
+        cert = certify(g)
         assert cert.verdict == NO_QSYM, (key, cert.verdict, cert.open_classes)
         assert full_chain(cert) == chain, key
         result = audit(cert, g)
@@ -139,7 +139,7 @@ def test_criterion_3_certification_suite():
 
     for key in OTHER_NO_QSYM:
         g = build(key)
-        cert = certify(g, family=key)
+        cert = certify(g)
         assert cert.verdict == NO_QSYM, (key, cert.verdict, cert.open_classes)
         result = audit(cert, g)
         assert result, (key, result.failure)
@@ -169,12 +169,13 @@ HAS_KEYS = [
 def test_criterion_4_has_qsym_detection():
     for key in HAS_KEYS:
         g = build(key)
-        cert = certify(g, family=key)
+        cert = certify(g)
         assert cert.verdict == HAS_QSYM, (key, cert.verdict)
-        assert [a.rule for a in cert.applications] == ["known-quantum-symmetry"], key
+        assert cert.applications[-1].rule == "disjoint-automorphisms", key
+        assert cert.open_classes, key
         result = audit(cert, g)
         assert result, (key, result.failure)
-    print(f"criterion 4: {len(HAS_KEYS)} graphs report HAS_QSYM from the knowledge base")
+    print(f"criterion 4: {len(HAS_KEYS)} graphs report HAS_QSYM from two disjoint automorphisms")
 
 
 # --------------------------------------------------- 5. soundness red team
@@ -191,7 +192,7 @@ def test_criterion_5_soundness_red_team():
 
     # wrong pivot: drop one pivot from a recorded pivot set
     g = build("hamming:2:3")
-    cert = certify(g, family="hamming:2:3")
+    cert = certify(g)
     app = cert.to_dict()["applications"][1]
     assert app["rule"] == "pivot-intersection"
 
@@ -203,7 +204,7 @@ def test_criterion_5_soundness_red_team():
 
     # wrong intersection-array variant
     g = build("named:heawood")
-    cert = certify(g, family="named:heawood")
+    cert = certify(g)
 
     def flip_variant(data):
         assert data["applications"][2]["rule"] == "array-step"
@@ -215,7 +216,7 @@ def test_criterion_5_soundness_red_team():
 
     # missing class: final class claimed certified with no application
     g = build("named:desargues")
-    cert = certify(g, family="named:desargues")
+    cert = certify(g)
 
     def drop_class(data):
         data["applications"] = data["applications"][:-1]
@@ -225,7 +226,7 @@ def test_criterion_5_soundness_red_team():
 
     # forged witness: a vertex violating the separation requirement
     g = build("paley:17")
-    cert = certify(g, family="paley:17")
+    cert = certify(g)
     params = cert.to_dict()["applications"][0]["params"]
     assert cert.applications[0].rule == "distance-witness"
     j, _l, witnesses = params["pairs"][0]
@@ -243,12 +244,11 @@ def test_criterion_5_soundness_red_team():
     # claimed NO_QSYM on the 4x4 rook graph: transplant the certificate of
     # its srg twin; replayed rules must fail on the target graph
     rook = build("hamming:2:4")
-    donor = certify(build("named:shrikhande"), family="named:shrikhande")
+    donor = certify(build("named:shrikhande"))
 
     def transplant(data):
         data["graph6"] = to_graph6(rook)
         data["label"] = "counterfeit"
-        data["family"] = None
 
     assert not audit(tampered(donor, transplant), rook)
     rejected += 1
@@ -263,19 +263,19 @@ def test_criterion_5_soundness_red_team():
 def test_criterion_6_honest_inconclusiveness():
     for key in ("named:tutte_8_cage", "named:foster", "named:biggs_smith"):
         g = build(key)
-        cert = certify(g, family=key)
+        cert = certify(g)
         assert cert.verdict != HAS_QSYM, key
         assert {1, 2} <= set(cert.certified), (key, cert.certified)
         if cert.verdict == NO_QSYM:
             result = audit(cert, g)
             assert result, (key, result.failure)
 
-    cert = certify(build("johnson:6:3"), family="johnson:6:3")
-    assert cert.family == "johnson:6:3" and verdict_for(cert.family).verdict == UNKNOWN
+    cert = certify(build("johnson:6:3"))
+    assert verdict_for("johnson:6:3").verdict == UNKNOWN
     assert cert.certified or cert.open_classes  # own class results present
-    assert cert.verdict != HAS_QSYM
+    assert cert.verdict == INCONCLUSIVE
     print("criterion 6: three hard cubic graphs stay honest, "
-          f"J(6,3) reports knowledge-base UNKNOWN with classes {cert.certified} certified")
+          f"J(6,3), an open question, is INCONCLUSIVE with classes {cert.certified} certified")
 
 
 # --------------------------------------------------- 7. oracle equivalence

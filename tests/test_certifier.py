@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 from dataclasses import fields, replace
+from random import Random
 
 import pytest
 
@@ -21,7 +22,8 @@ from drgcert.certify import (
     transfer_certificate,
 )
 from drgcert.expected import HAS_QSYM, NO_QSYM, UNKNOWN, load_tables
-from drgcert.families import build
+from drgcert.autgroup import is_automorphism
+from drgcert.families import build, label_for
 from drgcert.graph import (
     DisconnectedGraphError,
     Graph,
@@ -33,7 +35,7 @@ from drgcert.graph import (
 )
 from drgcert.io import to_graph6
 from drgcert.knowledge import verdict_for
-from oracles import are_isomorphic, automorphism_group_reference
+from oracles import are_isomorphic, automorphism_group_reference, oracle_inputs
 
 # the package re-exports the function certify under the module's name
 certify_module = importlib.import_module("drgcert.certify")
@@ -53,7 +55,7 @@ def variant_chain(cert):
 
 def certified_ok(key, **kw):
     g = build(key)
-    cert = certify(g, family=key, **kw)
+    cert = certify(g, **kw)
     assert cert.verdict == NO_QSYM, (key, cert.verdict, cert.open_classes)
     result = audit(cert, g)
     assert result, (key, result.failure)
@@ -156,7 +158,7 @@ def test_foster_and_biggs_smith_certify_fully():
 
 def test_tutte_8_cage_partial():
     g = build("named:tutte_8_cage")
-    cert = certify(g, family="named:tutte_8_cage")
+    cert = certify(g)
     assert cert.verdict == INCONCLUSIVE
     assert set(cert.certified) >= {1, 2}
     assert audit(cert, g)
@@ -164,19 +166,17 @@ def test_tutte_8_cage_partial():
 
 def test_hoffman_singleton_partial():
     g = build("named:hoffman_singleton")
-    cert = certify(g, family="named:hoffman_singleton")
+    cert = certify(g)
     assert 1 in cert.certified
     assert cert.verdict in (NO_QSYM, INCONCLUSIVE)
-    assert cert.family == "named:hoffman_singleton"
-    assert verdict_for(cert.family).verdict == NO_QSYM
     assert audit(cert, g)
 
 
 def test_johnson_6_3_reports_open_question():
     g = build("johnson:6:3")
-    cert = certify(g, family="johnson:6:3")
-    assert cert.family == "johnson:6:3" and verdict_for(cert.family).verdict == UNKNOWN
-    assert cert.verdict != HAS_QSYM
+    cert = certify(g)
+    assert verdict_for("johnson:6:3").verdict == UNKNOWN
+    assert cert.verdict == INCONCLUSIVE
     assert 3 in cert.certified  # antipodal class has a unique far vertex
     assert audit(cert, g)
 
@@ -184,30 +184,32 @@ def test_johnson_6_3_reports_open_question():
 # --------------------------------------------------------- verdict logic
 
 
-def test_knowledge_base_short_circuit():
+def _support(perm):
+    return {v for v, w in enumerate(perm) if v != w}
+
+
+def test_disjoint_automorphisms_prove_quantum_symmetry():
+    # the one source of HAS_QSYM: two non-identity automorphisms with
+    # disjoint supports, recorded last, after the class applications
     for key in ("hamming:2:4", "complete:4", "complete_bipartite:3", "cube:3"):
         g = build(key)
-        cert = certify(g, family=key)
-        assert cert.verdict == HAS_QSYM
-        assert len(cert.applications) == 1
-        assert cert.applications[0].rule == "known-quantum-symmetry"
+        cert = certify(g)
+        assert cert.verdict == HAS_QSYM and cert.open_classes, key
+        app = cert.applications[-1]
+        assert (app.rule, app.m, sorted(app.params)) == ("disjoint-automorphisms", None, ["sigma", "tau"])
+        sigma, tau = app.params["sigma"], app.params["tau"]
+        assert is_automorphism(g, sigma) and is_automorphism(g, tau), key
+        assert _support(sigma) and _support(tau), key
+        assert not _support(sigma) & _support(tau), key
+        assert all(a.m is not None for a in cert.applications[:-1]), key
         assert audit(cert, g), key
 
 
-def test_no_family_means_no_has_verdict():
-    # without a spec, the rook's graph is judged by rules alone and the
-    # engine can only be inconclusive, never claim quantum symmetry
-    g = build("hamming:2:4")
-    cert = certify(g)
-    assert cert.verdict == INCONCLUSIVE
-    assert cert.family is None
-    assert audit(cert, g)
-
-
 def test_cube_without_family_stays_open():
+    # class 1 stays open; the verdict rests on the disjoint automorphisms
     g = build("cube:3")
     cert = certify(g)
-    assert cert.verdict == INCONCLUSIVE
+    assert cert.verdict == HAS_QSYM
     assert 1 in cert.open_classes
     assert audit(cert, g)
 
@@ -227,7 +229,7 @@ def test_trivial_graphs():
 def test_four_cycle_stays_open():
     c4 = build("cycle:4")
     cert = certify(c4)
-    assert cert.verdict == INCONCLUSIVE
+    assert cert.verdict == HAS_QSYM
     assert cert.open_classes == (1,)
     assert audit(cert, c4)
 
@@ -243,16 +245,32 @@ QUANTUM_GRAPHS = (
 
 
 def test_engine_never_proves_a_quantum_graph_classical():
-    # the soundness gate: with the knowledge base bypassed, no rule chain
-    # may reach NO_QSYM on a graph that has quantum symmetry
+    # the soundness gate: every graph with quantum symmetry ends HAS_QSYM
+    # with a class left open, in both modes, and no oracle input both has
+    # two disjoint automorphisms and gets every class certified
     rows = [row.key for row in load_tables().graphs.values() if row.verdict == HAS_QSYM]
     assert rows
     for key in dict.fromkeys(QUANTUM_GRAPHS + rows):
         g = build(key)
         for mode in ("auto", "all-pairs"):
             cert = certify(g, mode=mode)
-            assert cert.verdict == INCONCLUSIVE, (key, mode)
+            assert cert.verdict == HAS_QSYM and cert.open_classes, (key, mode)
             assert audit(cert, g), (key, mode)
+    paired = classical = 0
+    for label, g in oracle_inputs():
+        pair = autgroup.disjoint_automorphisms(g, autgroup.automorphism_group(g).generators)
+        if pair is not None:
+            sigma, tau = pair
+            assert is_automorphism(g, sigma) and is_automorphism(g, tau), label
+            assert _support(sigma) and _support(tau) and not _support(sigma) & _support(tau), label
+            paired += 1
+        if not distances(g).connected:
+            continue
+        cert = certify(g)
+        assert cert.open_classes or pair is None, label
+        assert (cert.verdict == HAS_QSYM) == (pair is not None), label
+        classical += cert.verdict == NO_QSYM
+    assert paired and classical
 
 
 def test_disconnected_rejected():
@@ -281,8 +299,8 @@ def test_forced_all_pairs_matches_orbit_verdict():
     # on a distance-transitive graph auto records one pair per class with
     # the generators, all-pairs every ordered pair and no generators
     g = build("paley:13")
-    auto = certify(g, family="paley:13")
-    allp = certify(g, family="paley:13", mode="all-pairs")
+    auto = certify(g)
+    allp = certify(g, mode="all-pairs")
     assert auto.verdict == allp.verdict == NO_QSYM
     assert rule_chain(auto) == rule_chain(allp)
     assert audit(auto, g) and audit(allp, g)
@@ -451,16 +469,16 @@ def test_audit_checks_recorded_pairs(tamper):
 
 def test_orbit_generators_recorded_only_when_used():
     # search rules quantify over pairs, so the generators must be recorded
-    with_search = certify(build("hamming:3:3"), family="hamming:3:3")
+    with_search = certify(build("hamming:3:3"))
     assert with_search.generators
     # a chain of whole-class rules needs no coverage argument
-    no_search = certify(build("named:heawood"), family="named:heawood")
+    no_search = certify(build("named:heawood"))
     assert no_search.generators == ()
 
 
 def test_search_budget_exhaustion_is_honest():
     g = build("paley:13")
-    cert = certify(g, family="paley:13", search_budget=10)
+    cert = certify(g, search_budget=10)
     assert cert.verdict == INCONCLUSIVE
     assert cert.open_classes == (1, 2)
     assert any("budget" in note for note in cert.notes)
@@ -471,11 +489,21 @@ def test_node_budget_exhaustion_falls_back_to_all_pairs():
     # an automorphism search over its node budget leaves no generators, so
     # every ordered pair of each class is covered, as in mode "all-pairs"
     g = build("hamming:3:3")
-    cert = certify(g, family="hamming:3:3", node_budget=1)
+    cert = certify(g, node_budget=1)
     assert cert.notes == ("automorphism search budget exceeded; all-pairs coverage",)
     assert cert.generators == ()
-    assert cert.applications == certify(g, family="hamming:3:3", mode="all-pairs").applications
+    assert cert.applications == certify(g, mode="all-pairs").applications
     assert audit(cert, g)
+
+
+def test_node_budget_exhaustion_records_no_pair():
+    # K_12 has quantum symmetry, but past the node budget no pair is sought
+    g = build("complete:12")
+    for mode, why in (("auto", "all-pairs coverage"), ("all-pairs", "no disjoint automorphisms recorded")):
+        cert = certify(g, mode=mode, node_budget=1)
+        assert cert.verdict == INCONCLUSIVE and cert.applications == (), mode
+        assert cert.notes == (f"automorphism search budget exceeded; {why}",), mode
+        assert audit(cert, g), mode
 
 
 @pytest.mark.parametrize(
@@ -493,14 +521,14 @@ def test_certify_refuses_invalid_budgets(name, value):
 
 
 def test_json_roundtrip():
-    cert = certify(build("named:desargues"), family="named:desargues")
+    cert = certify(build("named:desargues"))
     again = Certificate.from_json(cert.to_json())
     assert again == cert
     assert "\n" not in cert.to_json()
 
 
 def test_text_rendering_mentions_everything():
-    cert = certify(build("named:coxeter"), family="named:coxeter")
+    cert = certify(build("named:coxeter"))
     text = cert.to_text()
     assert "verdict: NO_QSYM" in text
     assert "cubic-step" in text
@@ -534,66 +562,65 @@ CERTIFICATE_DIGESTS = [
 ]
 
 
-# sha256 of to_json() in format 3 for each format-1 digest above, recorded
-# once when the format changed, after a check that each format-3 dict was
-# the format-2 one less "mode", with each pair application's params
-# rewritten to the one "pairs" list
+# sha256 of to_json() in format 4 for each format-1 digest above, with
+# the label certify --family writes, recorded once when format 4 dropped
+# "family": each NO_QSYM and INCONCLUSIVE dict was checked to be the
+# format-3 one less "family", and the HAS_QSYM ones (cube:3, complete:12,
+# hamming:3:4, clebsch) now rest on a disjoint-automorphisms application
 PINNED_DIGESTS = {
     "214ff176d123087a8a0b5dce81b600accccc4beee9dc49220c56bfea2dbe75ee":
-        "4545f62a505787d6e0a7266ed1596b481c5ad6d08a4509909a2b1a0cbb70159e",
+        "c8a72021537b7d63e4edecd1ed7cf793abf54169414ab4e28b3a872ba39e505e",
     "321acf33616283208413e1c20a9f97918e2aa814ee53ae8b513c1154893b258d":
-        "4d42ef655d3123b1fba8646e6355ca3971a46a97d05997d232a0af103fad6277",
+        "54e91dfb4d941ab8c399ae7cc5efcda77702c3488c93efe41ef17e81cac36fcb",
     "322701f8f2acd01eac83dfd77cf56a91747d51919b6fba683000ee144826380b":
-        "71f1d924f094628cc1b054f3a216eb2a7d24c4b54db1100e57abf10956c22e36",
+        "1754f957e82e32ee551df7939d1209a252f118165933f44588881ee62d0d4192",
     "6c5cebcca70adb546d0ecfe3ce3fe336e8db97f716409887b69524e96bca8e6e":
-        "b3c62bc1bae4a8e6984d9d0de781192394a149bf48c01854f2d0d37648a18334",
+        "d6ca8ba93b5dcc79884a4962b5538b61be19ef1e321607f08873e64e07f5a1b4",
     "86128820f455a9559b74f82e0d77c909558df7871ce5a270ded41158612b060a":
-        "d92950f3546bd1cf07f61d7bdbdda86d9bcc76441d7544f8778a0cf49323dcb6",
+        "fc42c0d8156c1a5115d2b8908dd8e7a39a35c98ee71e4d9ea10ca95c9d3cab0e",
     "c09f6a065c901af7660d48f8df49996866774bc752fcea4fb2448120bd2131f7":
-        "6d86ceb56b459ea62d68308830784a5727e9725d7dbd9d794421180c0f0a0197",
+        "7529c9696d38e1f4aacb654bcdc6122edc8a4931bfd457a17df301b3e29728a5",
     "892029519a3a9661e50daca6d369def27ca20c2d5b0fc6f74f07232f6797c8bc":
-        "328356c8bc9a821c13d14fce178da57aaf91e65aabd9d917db9e863c129c40e0",
+        "1af54288065a1c29c0e0c00194d1a1adf99692c5e35a1c33df2b12e1261567aa",
     "51741f016a385b58832bf379b1abe2ce7aa157df1d61b25238c596a66d040d05":
-        "2a5edb5b57e9b9469b1412f6cc4241b4cbabd279f7932281c2b5681633a852fb",
+        "4abe3053ffd3ad7293d4756a503b5b7f906cd350257a54316efa1141ee61bd33",
     "405106fbb68788d413206e9abae37cd4882076bebe72b0b602c2d5cbdd32a2b7":
-        "464af498d48b5debbaf72d0aabbb0faf60cc349f81bdf1033e9afb7cb8d7432e",
+        "f787bff84219ab4f7316e04b747a24b2564767c7dfa84f7ebf5e1c2ee43c1421",
     "b42948bf236ec3b4fab6343f22a92966d3e4ec6c8a59748be8eab83924760600":
-        "3bec6aec62386e57751c1465f3247906a470cf2c55a5d2f20b02fcd5efe8cf14",
+        "cac527765467988dcdf1c530018328117fba3c760048a7adfb9076ec2508a7cc",
     "00ae93e77bc01a5d2dc7f18834112b1b682a42c198b07731a8814e20002f91d0":
-        "cd93eb460ff745342470a4e089f56c73e256db589dc510609b2b976fb6a83501",
+        "d46ba3ea5da67f1be03e7d605d63eb200283ad0b47cd3750f4217447563c244b",
     "a19017bf74c06c4c4c577e9a87d056aabd8d8ba669c7034354616f5e662532d4":
-        "8a4a88c235695ad2989d59cf362ecb93d5c5c5cd98462bd3aadeb1d0bae74689",
+        "8e56540d1f8259a5137b64db61ed1d4cb01c7a4aa5c0cb06078c48f97231b376",
     "fe74f4a19c9b1656b6df9b42bb93589741d0f7f18ed77f9db110f7416e06c601":
-        "ac95663be021929a9d00c60c5f453998a21154c465cfcbec30a6035cf4dc4e0e",
+        "317a43d4abbe2f1d4b257f4c1c52f44664789f4c735e421993cc73b824395604",
     "4c91c0ff83161e33908726494e7d30ea638248e65780806f8f99b14c4451f6ba":
-        "0d930c6dea79bd21c594f9b4fba7a6ee81bed17c82277ec68eb61a9ec1f53392",
+        "4f6b1963e85be44492f14a59fc8228e5e4431b608b2d71ca8993ecc230c1fe2c",
     "4c2bb4bf1c091b16c505c48e5895fb8b3f2e2bc904d64d0559ce15e91d189429":
-        "44c7b85fbf9f57ca11850a45ba19f54a0ff917aac7b48e76571b123e74789fef",
+        "f0bf4b908cbe595cc29592783d8e302d9c43df520c643a4bfbd50ffe3ac4ade8",
     "bcd5047350a31384f6e49acb765fe36aa4a7b9c8cda25a3f94cf3ce73e285796":
-        "8e81cb1fe34eee06bf37d31b989ef0443da379c7256a1dd69fd0d73eda423ada",
+        "d4c506e90f071e753a3d5c00bec71d5e911b3684726dfea0712c1bd7e6db96b7",
     "495148e12e01b9c7e2b94f56c8776be296cd84051b302dffbe1f99683a147647":
-        "774aef3730effbffb7072d8d0cad6401f73c4cf2a7c04a452715f9f0ca123301",
+        "db0e445c80aff1fa5aa5ca81a18dde553412c7c97deea8cd4e1f598b908ca116",
     "4b512718921349994fc11cee6754fec46e241016ef63456b2b1719915f69974f":
-        "33fc2f5b5eefd576cbc1591a3df3325c6293e5ecd512da7e6263968a52e3db0a",
+        "af982113e1d73b93af99ad97129fd81d9c31973b3a2fa6ba275ed7ea4de9555e",
     "1015e44d3f5ce835190e5918715b0ed8933be0ffcbb026373a751f339a22f12b":
-        "1015e44d3f5ce835190e5918715b0ed8933be0ffcbb026373a751f339a22f12b",
+        "c5012a00c805deb64d1cd91511c079c656c2dead41ca8484cfd42a3b2dc546f8",
 }
 
 
-# sha256 of to_json() for the format-3 digests above whose certificates
-# changed when the automorphism search began to return to the first path:
-# only "generators" changed, to a subsequence of the recorded generators.
-# The digests above are still checked, on certificates whose generators
-# come from the reference search.
+# sha256 of to_json() for the digests above whose certificates' generators
+# come from the search that returns to the first path: a subsequence of
+# the generators of the reference search, which the digests above pin
 FIRST_PATH_DIGESTS = {
-    "4545f62a505787d6e0a7266ed1596b481c5ad6d08a4509909a2b1a0cbb70159e":
-        "0688e0cd856d5499822c6eaa80f1089dd87b2fdfa1da980d8fbaadbae22dab3b",
-    "71f1d924f094628cc1b054f3a216eb2a7d24c4b54db1100e57abf10956c22e36":
-        "0563c076163404fbbb2762e2f5c51997e413ca8bc62a87d0c12e0bf456023123",
-    "d92950f3546bd1cf07f61d7bdbdda86d9bcc76441d7544f8778a0cf49323dcb6":
-        "62136a2267aeb65fe598bc6d1e2250175efae0266fd82e44c5529cf8067674f1",
-    "328356c8bc9a821c13d14fce178da57aaf91e65aabd9d917db9e863c129c40e0":
-        "04dbcf13ce5580546900f3549a021bfc3d80a02548a2c96e09dca2979d69e28b",
+    "c8a72021537b7d63e4edecd1ed7cf793abf54169414ab4e28b3a872ba39e505e":
+        "f034d90fa82d88b49a1d536bf6e2655ca81ca4719a29cf507c416b9aba2023e0",
+    "1754f957e82e32ee551df7939d1209a252f118165933f44588881ee62d0d4192":
+        "77c625dc93e14611981632fac868ab18e94e577ed85efdedafc3c5d0a86ca1bd",
+    "fc42c0d8156c1a5115d2b8908dd8e7a39a35c98ee71e4d9ea10ca95c9d3cab0e":
+        "5c0f53006388967467766ee7f42a41e4d4140312a81e6c6304a3b0149cab08f0",
+    "1af54288065a1c29c0e0c00194d1a1adf99692c5e35a1c33df2b12e1261567aa":
+        "710e9ccc275a990448d475fdba94686f56675416dad9814c225e11dfda90a2f1",
 }
 
 
@@ -611,8 +638,9 @@ def _sha256(cert) -> str:
 @pytest.mark.parametrize("key,options,digest", CERTIFICATE_DIGESTS)
 def test_certificate_bytes_pinned(key, options, digest):
     g, pinned = build(key), PINNED_DIGESTS[digest]
-    assert _sha256(certify(g, family=key, **options)) == FIRST_PATH_DIGESTS.get(pinned, pinned)
-    assert _sha256(certify(_reference_invariants(g), family=key, **options)) == pinned
+    label = label_for(key)
+    assert _sha256(certify(g, label=label, **options)) == FIRST_PATH_DIGESTS.get(pinned, pinned)
+    assert _sha256(certify(_reference_invariants(g), label=label, **options)) == pinned
 
 
 def test_format_version_checked():
@@ -627,7 +655,7 @@ def test_format_version_checked():
 
 
 def test_audit_rejects_wrong_graph():
-    cert = certify(build("named:petersen"), family="named:petersen")
+    cert = certify(build("named:petersen"))
     assert not audit(cert, build("named:heawood"))
     # same order, different edges
     other = build("cycle:10")
@@ -637,7 +665,7 @@ def test_audit_rejects_wrong_graph():
 
 def test_audit_rejects_tampered_pivot():
     g = build("hamming:2:3")
-    cert = certify(g, family="hamming:2:3")
+    cert = certify(g)
     data = cert.to_dict()
     app = data["applications"][1]
     assert app["rule"] == "pivot-intersection"
@@ -647,7 +675,7 @@ def test_audit_rejects_tampered_pivot():
 
 def test_audit_rejects_wrong_array_variant():
     g = build("named:heawood")
-    cert = certify(g, family="named:heawood")
+    cert = certify(g)
     data = cert.to_dict()
     app = data["applications"][2]
     assert app["rule"] == "array-step"
@@ -658,7 +686,7 @@ def test_audit_rejects_wrong_array_variant():
 
 def test_audit_rejects_missing_class():
     g = build("named:desargues")
-    cert = certify(g, family="named:desargues")
+    cert = certify(g)
     data = cert.to_dict()
     data["applications"] = data["applications"][:-1]
     data["certified"] = [1, 2, 3, 4]
@@ -670,7 +698,7 @@ def test_audit_rejects_forged_witness():
     from oracles import floyd_warshall
 
     g = build("paley:17")
-    cert = certify(g, family="paley:17")
+    cert = certify(g)
     data = json.loads(cert.to_json())
     params = data["applications"][0]["params"]
     assert data["applications"][0]["rule"] == "distance-witness"
@@ -687,7 +715,7 @@ def test_audit_rejects_forged_witness():
 
 def test_audit_rejects_duplicate_class():
     g = build("named:petersen")
-    cert = certify(g, family="named:petersen")
+    cert = certify(g)
     data = cert.to_dict()
     data["applications"].append(data["applications"][0])
     result = audit(Certificate.from_dict(data), g)
@@ -695,32 +723,36 @@ def test_audit_rejects_duplicate_class():
 
 
 def test_audit_rejects_counterfeit_has_verdict():
-    # a HAS_QSYM certificate naming a family the graph is not isomorphic
-    # to; the octahedron matches K_{3,3} in order and diameter but not as
-    # a graph
-    cert = certify(build("complete_bipartite:3"), family="complete_bipartite:3")
-    data = cert.to_dict()
+    # the HAS_QSYM certificate of K_{3,3} moved to the octahedron, which
+    # matches it in order and diameter but not as a graph: its disjoint
+    # automorphisms and the other proofs are not the octahedron's
+    cert = certify(build("complete_bipartite:3"))
+    assert cert.verdict == HAS_QSYM
     other = build("johnson:4:2")
+    data = cert.to_dict()
     data["graph6"] = to_graph6(other)
     result = audit(Certificate.from_dict(data), other)
-    assert not result and "isomorphic" in result.failure
+    assert not result and "generator is not an automorphism" in result.failure
+    # the pair alone
+    data.update(generators=[], applications=data["applications"][-1:], certified=[], open_classes=[1, 2])
+    result = audit(Certificate.from_dict(data), other)
+    assert not result and "sigma is not an automorphism" in result.failure
 
 
 def test_audit_rejects_no_qsym_on_quantum_graph():
     # transplanted rule applications cannot force NO_QSYM onto the rook's
     # graph: replayed rules fail on the target graph
     rook = build("hamming:2:4")
-    donor = certify(build("named:shrikhande"), family="named:shrikhande")
+    donor = certify(build("named:shrikhande"))
     data = donor.to_dict()
     data["graph6"] = to_graph6(rook)
     data["label"] = "counterfeit"
-    data["family"] = None
     result = audit(Certificate.from_dict(data), rook)
     assert not result
 
 
 def test_audit_rejects_tampered_generators():
-    cert = certify(build("hamming:3:3"), family="hamming:3:3")
+    cert = certify(build("hamming:3:3"))
     data = cert.to_dict()
     perm = list(range(27))
     perm[0], perm[1] = perm[1], perm[0]
@@ -735,7 +767,7 @@ def test_audit_refuses_generators_not_transitive():
     # every vertex orbit has its own root, so the recorded pairs are not
     # the covered pairs
     g = build("hamming:3:3")
-    data = certify(g, family="hamming:3:3").to_dict()
+    data = certify(g).to_dict()
     assert audit(Certificate.from_dict(data), g)
     fixing = [p for p in data["generators"] if p[0] == 0]
     assert 0 < len(fixing) < len(data["generators"])
@@ -748,7 +780,7 @@ def test_audit_refuses_generators_not_transitive():
 
 def test_audit_fails_on_malformed_generators():
     g = build("hamming:3:3")
-    data = certify(g, family="hamming:3:3").to_dict()
+    data = certify(g).to_dict()
     data["generators"] = [["a"] * 27]
     result = audit(Certificate.from_dict(data), g)
     assert not result and "generator" in result.failure
@@ -757,7 +789,7 @@ def test_audit_fails_on_malformed_generators():
 def test_application_params_not_trusted():
     # recorded scalars must match recomputed values
     g = build("named:petersen")
-    cert = certify(g, family="named:petersen")
+    cert = certify(g)
     data = cert.to_dict()
     data["applications"][0]["params"]["girth"] = 6
     result = audit(Certificate.from_dict(data), g)
@@ -766,14 +798,16 @@ def test_application_params_not_trusted():
 
 def test_audit_has_qsym_checks_class_lists_and_generators():
     g = build("cube:3")
-    cert = certify(g, family="cube:3")
+    cert = certify(g)
     assert cert.verdict == HAS_QSYM and audit(cert, g)
+    assert (cert.certified, cert.open_classes) == ((3,), (1, 2))
     for edit in (
         {"certified": [1, 2, 3], "open_classes": []},
         {"certified": [1]},
-        {"open_classes": [1, 2]},
-        {"open_classes": [True, 2, 3]},
+        {"open_classes": [1]},
+        {"open_classes": [True, 2]},
         {"generators": [list(range(8))]},
+        {"verdict": INCONCLUSIVE},
     ):
         data = cert.to_dict()
         data.update(edit)
@@ -791,7 +825,7 @@ def test_audit_has_qsym_checks_class_lists_and_generators():
 @pytest.mark.parametrize("value", [1_000_000, True, "", {}])
 def test_audit_checks_recorded_params(spec, index, key, value):
     g = build(spec)
-    data = certify(g, family=spec).to_dict()
+    data = certify(g).to_dict()
     assert key in data["applications"][index]["params"]
     data["applications"][index]["params"][key] = value
     assert not audit(Certificate.from_dict(data), g)
@@ -801,7 +835,7 @@ def test_audit_checks_recorded_params(spec, index, key, value):
 
 def test_to_dict_shares_nothing_with_certificate():
     g = build("named:line_petersen")
-    cert = certify(g, family="named:line_petersen")
+    cert = certify(g)
     text = cert.to_json()
     data = cert.to_dict()
     data["applications"][0]["params"]["common_neighbors"] = 6
@@ -826,26 +860,27 @@ FIELD_TAMPERS = [
     ("cube:3", ("applications", 0, "params", "coverage"), "orbit"),
     ("named:petersen", ("generators",), [["x"]]),
     ("named:petersen", ("generators",), [[1, 0, *range(2, 10)]]),
-    ("cube:3", ("applications", 0, "m"), 2),
-    # keys added to the knowledge-base params, which are empty
-    ("cube:3", ("applications", 0, "params", "reason"), 2),
-    ("cube:3", ("applications", 0, "params", "quantum_group"), {}),
-    ("cube:3", ("family",), "made up"),
+    # application 1 of cube:3 is its disjoint-automorphisms one
+    ("cube:3", ("applications", 1, "m"), 2),
+    ("cube:3", ("applications", 1, "params", "reason"), 2),
+    ("cube:3", ("applications", 1, "params", "tau"), {}),
+    ("cube:3", ("applications", 1, "params", "family"), "made up"),
     ("cube:3", ("verdict",), "UNKNOWN"),
     ("cube:3", ("applications", 0, "rule"), "made up"),
     ("cube:3", ("diameter",), 6),
     ("cube:3", ("graph6",), "{3,2;1,2}"),
-    ("cube:3", ("notes",), ["made up"]),
+    ("cube:3", ("notes",), {"note": "made up"}),
     ("johnson:6:3", ("verdict",), "HAS_QSYM"),
     ("johnson:6:3", ("verdict",), "maybe"),
-    ("named:petersen", ("family",), "maybe"),
-    ("cube:3", ("family",), "cube:4"),
-    ("cube:3", ("family",), "Cube:3"),
-    ("cube:3", ("family",), "complete:8"),
-    ("cube:3", ("family",), None),
-    ("named:petersen", ("family",), "named:Petersen"),
-    ("named:petersen", ("family",), "johnson:5:2"),
-    ("named:petersen", ("family",), "complete:10"),
+    # the format-3 family key, now an extra params key the audit refuses
+    ("named:petersen", ("applications", 0, "params", "family"), "maybe"),
+    ("cube:3", ("applications", 1, "params", "family"), "cube:4"),
+    ("cube:3", ("verdict",), "Cube:3"),
+    ("cube:3", ("applications", 1, "rule"), "complete:8"),
+    ("cube:3", ("applications", 1, "params", "sigma"), None),
+    ("named:petersen", ("applications", 1, "params", "family"), "named:Petersen"),
+    ("named:petersen", ("applications", 0, "rule"), "johnson:5:2"),
+    ("named:petersen", ("applications", 1, "rule"), "complete:10"),
     ("named:petersen", ("n",), 11),
     ("cube:3", ("n",), 7),
     ("named:petersen", ("certified",), [1]),
@@ -853,7 +888,8 @@ FIELD_TAMPERS = [
     ("cube:3", ("certified",), [1, 2, 3]),
     ("named:petersen", ("open_classes",), [2]),
     ("johnson:6:3", ("open_classes",), []),
-    ("cube:3", ("open_classes",), [1, 2]),
+    ("cube:3", ("open_classes",), [1, 2, 3]),
+    ("named:petersen", ("applications", 1, "rule"), "disjoint-automorphisms"),
 ]
 
 
@@ -864,7 +900,7 @@ def test_audit_checks_degree_mode_generators_and_fact(key, path, value):
         f.name for f in fields(Certificate) if f.name != "label"
     }
     g = build(key)
-    data = certify(g, family=key).to_dict()
+    data = certify(g).to_dict()
     *steps, last = path
     target = data
     for step in steps:
@@ -884,42 +920,6 @@ def _rejected(data, g) -> bool:
     return not audit(cert, g)
 
 
-def test_audit_refuses_relabelled_family_member():
-    # certify attaches a family's fact only to the graph as built, and the
-    # audit binds it by the same test: an isomorphic copy is refused
-    g = build("cube:3")
-    swap = [1, 0, *range(2, 8)]
-    copy = Graph(8, [(swap[u], swap[v]) for u, v in g.edges])
-    assert copy != g and are_isomorphic(copy, g)
-    with pytest.raises(ValueError, match="cube:3"):
-        certify(copy, family="cube:3")
-    data = certify(g, family="cube:3").to_dict()
-    data["graph6"] = to_graph6(copy)
-    result = audit(Certificate.from_dict(data), copy)
-    assert not result and "isomorphic" in result.failure
-
-
-def test_family_size_checked_before_build(monkeypatch):
-    # a certificate naming a larger family must fail before that family is
-    # built, and certify refuses such a family the same way
-    from drgcert import families
-
-    g = build("cube:3")
-    data = certify(g, family="cube:3").to_dict()
-
-    def no_build(key):
-        raise AssertionError(f"built {key}")
-
-    monkeypatch.setattr(families, "_build_cached", no_build)
-    # cube:20000 has a vertex count too long to print as a decimal
-    for key in ("complete:1200", "cube:20000"):
-        data["family"] = key
-        result = audit(Certificate.from_dict(data), g)
-        assert not result and "8 vertices" in result.failure, key
-        with pytest.raises(ValueError, match=key):
-            certify(g, family=key)
-
-
 def test_audit_searches_nothing(monkeypatch):
     keys = (
         "complete:16",
@@ -933,10 +933,10 @@ def test_audit_searches_nothing(monkeypatch):
         "cube:5",
         "named:clebsch",
     )
-    certs = [(build(key), certify(build(key), family=key)) for key in keys]
+    certs = [(build(key), certify(build(key))) for key in keys]
     assert {cert.verdict for _, cert in certs} == {HAS_QSYM}
     g = build("hamming:3:3")
-    certs.append((g, certify(g, family="hamming:3:3")))
+    certs.append((g, certify(g)))
 
     def no_search(g, node_budget):
         raise AssertionError("the audit searched for automorphisms")
@@ -947,12 +947,108 @@ def test_audit_searches_nothing(monkeypatch):
         assert result, (cert.label, result.failure)
 
 
-def test_certify_binds_family_to_graph():
-    # a family's recorded fact must never be attached to another graph
-    with pytest.raises(ValueError, match="complete:4"):
-        certify(build("named:petersen"), family="complete:4")
-    with pytest.raises(ValueError, match="named:shrikhande"):
-        certify(build("hamming:2:4"), family="named:shrikhande")
+RELABEL_SEED = 20261019
+
+
+def relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_relabelled_quantum_rows_certify():
+    # a HAS_QSYM verdict needs no family: a relabelled copy of each table
+    # row with quantum symmetry is certified and audited as the row is
+    rng = Random(RELABEL_SEED)
+    rows = [row.key for row in load_tables().graphs.values() if row.verdict == HAS_QSYM]
+    assert len(rows) == 7
+    changed = 0
+    for key in rows:
+        g = relabelled(build(key), rng)
+        assert are_isomorphic(g, build(key)), key
+        changed += g != build(key)  # K_4 is every relabelling of itself
+        cert = certify(g)
+        assert cert.verdict == HAS_QSYM, key
+        assert cert.applications[-1].rule == "disjoint-automorphisms", key
+        assert audit(cert, g), key
+    assert changed == len(rows) - 1
+
+
+def _sigma_not_an_automorphism(app, g):
+    # sigma with a moved vertex and a fixed one swapped, when that breaks an
+    # edge, else with one image repeated
+    sigma = app["params"]["sigma"]
+    i = next(i for i in range(g.n) if sigma[i] != i)
+    for j in range(g.n):
+        swapped = list(sigma)
+        swapped[i], swapped[j] = sigma[j], sigma[i]
+        if not is_automorphism(g, swapped):
+            break
+    else:
+        swapped[i] = swapped[i - 1]
+    sigma[:] = swapped
+
+
+def _tau_identity(app, g):
+    app["params"]["tau"] = list(range(g.n))
+
+
+def _supports_meet(app, g):
+    app["params"]["tau"] = app["params"]["sigma"]
+
+
+def _wrong_length(app, g):
+    app["params"]["sigma"].append(g.n)
+
+
+def _class_set(app, g):
+    app["m"] = 1
+
+
+def _family_key(app, g):
+    # the edit perfbench's tampered twin of a HAS_QSYM certificate makes
+    app["params"]["family"] = "cube:4"
+
+
+def _bools_for_vertices(app, g):
+    app["params"]["tau"] = [bool(v) for v in app["params"]["tau"]]
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _sigma_not_an_automorphism,
+        _tau_identity,
+        _supports_meet,
+        _wrong_length,
+        _class_set,
+        _family_key,
+        _bools_for_vertices,
+    ],
+)
+@pytest.mark.parametrize("key", ["cube:3", "complete:12", "named:clebsch"])
+def test_audit_checks_disjoint_automorphisms(key, tamper):
+    g = build(key)
+    data = certify(g).to_dict()
+    app = data["applications"][-1]
+    assert app["rule"] == "disjoint-automorphisms"
+    tamper(app, g)
+    result = audit(Certificate.from_dict(data), g)
+    assert isinstance(result, certify_module.AuditResult)
+    assert not result and "disjoint-automorphisms" in result.failure
+
+
+def test_audit_places_disjoint_automorphisms_last():
+    g = build("cube:3")
+    data = certify(g).to_dict()
+    first, pair = data["applications"]
+    for apps, certified, open_classes in (
+        ([pair, first], [3], [1, 2]),
+        ([pair, pair, first], [3], [1, 2]),
+    ):
+        data.update(applications=apps, certified=certified, open_classes=open_classes)
+        result = audit(Certificate.from_dict(data), g)
+        assert not result and "last application" in result.failure
 
 
 # Structural applications of these certificates use every structural rule
@@ -1009,7 +1105,7 @@ def test_structural_audit_decisions_pinned():
     used, bits = set(), []
     for key in DECISION_SOURCES:
         g = build(key)
-        data = certify(g, family=key).to_dict()
+        data = certify(g).to_dict()
         used |= {(a["rule"], a["params"].get("variant")) for a in data["applications"]}
         for apps in _structural_mutants(data["applications"]):
             certified = sorted({a["m"] for a in apps})
@@ -1033,8 +1129,8 @@ def test_certify_takes_the_engine_invariants():
     # certify on a graph's _Invariants writes what it writes on the graph
     g = build("named:petersen")
     inv = certify_module._Invariants(g)
-    by_inv = certify(inv, family="named:petersen")
-    assert by_inv.to_json() == certify(g, family="named:petersen").to_json()
+    by_inv = certify(inv)
+    assert by_inv.to_json() == certify(g).to_json()
     two_edges = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
         certify(certify_module._Invariants(two_edges))
@@ -1052,7 +1148,7 @@ def test_pivot_witness_application_replays():
         distances(g), 2, 0, 4, {1}, _Budget(DEFAULT_SEARCH_BUDGET), "pivot-witness"
     )
     assert pinned == {"pivots": [1], "witnesses": [[2, 3], [10, 5], [19, 5]]}
-    data = certify(g, family="hamming:3:3").to_dict()
+    data = certify(g).to_dict()
     app = data["applications"][1]
     assert (app["rule"], app["m"]) == ("pivot-intersection", 2)
     app["rule"] = "pivot-witness"
@@ -1098,7 +1194,7 @@ def _trailing_element(pairs):
 )
 def test_audit_fails_on_malformed_pair_payload(key, index, tamper):
     g = build(key)
-    data = certify(g, family=key, mode="all-pairs").to_dict()
+    data = certify(g, mode="all-pairs").to_dict()
     tamper(data["applications"][index]["params"]["pairs"])
     result = audit(Certificate.from_dict(data), g)
     assert not result and result.failure
@@ -1144,7 +1240,7 @@ def test_audit_rejects_bool_for_class(key, options, tamper):
     # True == 1 in Python, so a bool must be refused explicitly, by the
     # audit itself for a certificate built in Python and again on load
     g = build(key)
-    cert = certify(g, family=key, **options)
+    cert = certify(g, **options)
     assert audit(cert, g)
     tampered = tamper(cert)
     assert not audit(tampered, g)
@@ -1164,9 +1260,9 @@ def test_audit_computes_invariants_lazily(monkeypatch):
         return array(g, dd)
 
     foster = build("named:foster")
-    cert = certify(foster, family="named:foster")
+    cert = certify(foster)
     paley = build("paley:29")
-    open_cert = certify(paley, family="paley:29")
+    open_cert = certify(paley)
     assert open_cert.applications == ()
     monkeypatch.setattr(certify_module, "girth", counted_girth)
     monkeypatch.setattr(certify_module, "intersection_array", counted_array)
@@ -1189,7 +1285,7 @@ def test_certify_and_audit_build_few_rows(monkeypatch, spec):
 
     monkeypatch.setattr(certify_module, "distances", recorded)
     g = build(spec)
-    cert = certify(g, family=spec)
+    cert = certify(g)
     assert audit(cert, g)
     assert len(made) == 2 and made[0] is not made[1]
     assert sum(len(dd._rows) for dd in made) <= 10
@@ -1204,8 +1300,9 @@ def test_complement_transfer():
     j52 = build("johnson:5:2")
     cert = certify_via_complement(j52)
     assert cert.verdict == NO_QSYM
-    # sha256 of to_json() in format 3, recorded when the format changed
-    digest = "86ca5887b2dd76bb351ac2856d2d5cf95bc814f71411b0b7e6b8eabcfb8f67a5"
+    # sha256 of to_json() in format 4, recorded when the format changed
+    # (the format-3 JSON less both "family" keys)
+    digest = "5503c283f5a63c31bcfe1bd6df0b042c399b36f2f55415c5f6be8bd0a9b68adc"
     assert hashlib.sha256(cert.to_json().encode()).hexdigest() == digest
     assert cert.applications[0].rule == "complement-transfer"
     assert audit(cert, j52)
@@ -1213,7 +1310,7 @@ def test_complement_transfer():
 
 def test_complement_transfer_rejects_wrong_graph():
     j52 = build("johnson:5:2")
-    inner = certify(build("named:petersen"), family="named:petersen")
+    inner = certify(build("named:petersen"))
     cert = transfer_certificate(inner, j52)
     assert audit(cert, j52)
     # the embedded certificate is bound: auditing against another graph fails
@@ -1223,7 +1320,7 @@ def test_complement_transfer_rejects_wrong_graph():
 
 
 def test_complement_transfer_needs_no_qsym():
-    inner = certify(build("cube:3"))  # inconclusive without the family
+    inner = certify(build("cube:3"))  # HAS_QSYM
     with pytest.raises(ValueError):
         transfer_certificate(inner, complement(build("cube:3")))
 

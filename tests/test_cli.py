@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -13,6 +14,7 @@ from drgcert import autgroup
 from drgcert.cli import main
 from drgcert.expected import load_tables
 from drgcert.families import build
+from drgcert.graph import Graph
 from drgcert.io import to_graph6, write_graph
 from drgcert.tables import reproduce_row
 
@@ -116,6 +118,25 @@ def test_certify_json_roundtrip(capsys):
     assert cert.verdict == "NO_QSYM"
 
 
+def test_certify_relabelled_clebsch_from_graph6(tmp_path, capsys):
+    # a graph6 input names no family: its HAS_QSYM verdict rests on two
+    # disjoint automorphisms, which the audit checks without a search
+    clebsch = build("named:clebsch")
+    perm = list(range(16))
+    Random(20261019).shuffle(perm)
+    g = Graph(16, [(perm[u], perm[v]) for u, v in clebsch.edges])
+    assert g != clebsch
+    g6_path, cert_path = tmp_path / "clebsch.g6", tmp_path / "cert.json"
+    g6_path.write_text(to_graph6(g) + "\n")
+    code, _ = run(capsys, "certify", str(g6_path), "--format", "json", "--out", str(cert_path))
+    assert code == 0
+    data = json.loads(cert_path.read_text())
+    assert data["verdict"] == "HAS_QSYM" and data["label"] == "graph on 16 vertices"
+    assert data["applications"][-1]["rule"] == "disjoint-automorphisms"
+    code, out = run(capsys, "audit", str(cert_path), str(g6_path), "--format", "json")
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
 def test_certify_to_file(tmp_path, capsys):
     out_path = tmp_path / "cert.json"
     code, _ = run(capsys, "certify", "--family", "paley:13", "--format", "json",
@@ -196,6 +217,7 @@ def test_audit_tampered_exits_one(tmp_path, capsys):
     assert json.loads(out)["ok"] is False
 
 
+# "family", a format-3 field, is a key format 4 refuses to load
 @pytest.mark.parametrize("field", ["applications", "graph6", "family"])
 def test_audit_wrongly_typed_field_is_usage_error(tmp_path, capsys, field):
     cert_path = tmp_path / "cert.json"

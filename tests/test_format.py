@@ -1,14 +1,12 @@
-"""Certificate format 3: the schema, the family binding and its resource
-bound, and a seeded fuzz of the audit over edited certificates."""
+"""Certificate format 4: the schema, and a seeded fuzz of the audit over
+edited certificates."""
 
 import json
 import time
-import tracemalloc
 from random import Random
 
 import pytest
 
-from drgcert import families
 from drgcert.certify import (
     FORMAT_VERSION,
     PARAMS_DEPTH,
@@ -17,22 +15,22 @@ from drgcert.certify import (
     audit,
     certify,
 )
-from drgcert.families import build, parse_family
-from drgcert.graph import Graph, cartesian_product
+from drgcert.families import build
+from drgcert.graph import cartesian_product
 
 # ------------------------------------------------------------------ schema
 
 
 def _cube_dict():
-    return certify(build("cube:3"), family="cube:3").to_dict()
+    return certify(build("cube:3")).to_dict()
 
 
 def test_certificate_keys():
     assert list(_cube_dict()) == [
-        "format_version", "label", "n", "degree", "diameter", "family", "verdict",
+        "format_version", "label", "n", "degree", "diameter", "verdict",
         "certified", "open_classes", "applications", "generators", "notes", "graph6",
     ]
-    assert FORMAT_VERSION == 3
+    assert FORMAT_VERSION == 4
 
 
 def _unknown_key(data):
@@ -57,7 +55,11 @@ def _bool_for_int(data):
 
 
 def _int_for_str(data):
-    data["family"] = 3
+    data["label"] = 3
+
+
+def _format_3_family(data):
+    data["family"] = "cube:3"
 
 
 def _generator_not_a_list(data):
@@ -98,7 +100,8 @@ def _not_an_object(data):
         (_string_for_tuple, "certified"),
         (_null_for_int, "n"),
         (_bool_for_int, "diameter"),
-        (_int_for_str, "family"),
+        (_int_for_str, "label"),
+        (_format_3_family, "family"),
         (_generator_not_a_list, "generators"),
         (_application_key, "note"),
         (_application_bool_class, "m"),
@@ -139,81 +142,12 @@ def test_application_from_dict_checks_schema():
             Application.from_dict(bad)
 
 
-# --------------------------------------------------------- family binding
-
-
-def test_engine_certificate_family_is_bound():
-    # an engine certificate may name a family only when g is its graph as
-    # built and the family records no quantum symmetry
-    g = build("cube:3")
-    data = certify(g).to_dict()
-    assert data["family"] is None and audit(Certificate.from_dict(data), g)
-    for key in ("cube:3", "hamming:3:2"):
-        data["family"] = key
-        result = audit(Certificate.from_dict(data), g)
-        assert not result and "knowledge-base certificate" in result.failure, key
-    petersen = build("named:petersen")
-    data = certify(petersen, family="named:petersen").to_dict()
-    # the Kneser and odd graph constructors build the same labelled graph
-    for key in (None, "kneser:5:2", "odd:3"):
-        data["family"] = key
-        assert audit(Certificate.from_dict(data), petersen), key
-
-
-HUGE_FAMILIES = ("paley:2000029", "cube:200000000", "paley:1000000000000037")
-
-
-@pytest.mark.parametrize("key", HUGE_FAMILIES)
-def test_family_binding_is_bounded_by_the_graph(key, monkeypatch):
-    # nothing that grows with a family parameter runs before the family's
-    # order is compared with the graph's, in the audit and in certify alike
-    g = build("cube:3")
-    data = _cube_dict()
-    data["family"] = key
-    cert = Certificate.from_dict(data)
-
-    def unbounded(*args):
-        raise AssertionError("the Paley order was checked before the size")
-
-    monkeypatch.setattr(families, "_is_prime", unbounded)
-    monkeypatch.setattr(families, "_paley_field", unbounded)
-    tracemalloc.start()
-    try:
-        result = audit(cert, g)
-        with pytest.raises(ValueError, match="8 vertices"):
-            certify(g, family=key)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert not result and "8 vertices" in result.failure
-    assert peak < 1_000_000
-
-
-def test_one_vertex_hamming_family_binds_in_constant_space():
-    # H(d,1) is the one-vertex graph for every d, so the order comparison
-    # cannot bound d: the build must not grow with it.  A d of a million
-    # keeps a regression to a few megabytes, still over the bound
-    g = Graph(1)
-    key = "hamming:1000000:1"
-    data = certify(g).to_dict()
-    data["family"] = key
-    tracemalloc.start()
-    try:
-        result = audit(Certificate.from_dict(data), g)
-        cert = certify(g, family=key)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result and cert.family == key and audit(cert, g)
-    assert peak < 1_000_000
-
-
 # -------------------------------------------------------------- the fuzz
 
 FUZZ_SEED = 20261018
 # (family or graph, options, edits): fewer edits where an audit replays
-# more; a graph is certified without a family, and K_3 x Shrikhande
-# records several pairs per class
+# more; cube:3 is HAS_QSYM, and K_3 x Shrikhande records several pairs
+# per class
 FUZZ_SOURCES = (
     ("named:petersen", {}, 640),
     ("named:heawood", {}, 380),
@@ -224,20 +158,14 @@ FUZZ_SOURCES = (
     ("named:foster", {}, 60),
     (cartesian_product(build("complete:3"), build("named:shrikhande")), {}, 100),
 )
-SMALL_FAMILIES = (
-    "named:petersen", "kneser:5:2", "odd:3", "johnson:5:2", "named:Petersen", "named:heawood",
-    "cube:3", "hamming:3:2", "Cube:3", "cube:4", "complete:8", "johnson:6:3", "johnson:6:03",
-    "paley:13", "hamming:3:3", "named:foster",
-)
-FAMILY_POOL = SMALL_FAMILIES + HUGE_FAMILIES + ("paley:-5",)
 VALUE_POOL = (
     None, True, False, 0, 1, 2, 3, -1, 10**6, 1.5, "", "x", [], {}, [0], [[0, 1]], {"x": 1},
-    "orbit", "all-pairs", "knowledge-base", "NO_QSYM", "HAS_QSYM", "INCONCLUSIVE", "UNKNOWN",
-    "girth-at-least-5", "pivot-intersection", "distance-witness", "known-quantum-symmetry",
-) + FAMILY_POOL
+    "orbit", "all-pairs", "NO_QSYM", "HAS_QSYM", "INCONCLUSIVE", "UNKNOWN",
+    "girth-at-least-5", "pivot-intersection", "distance-witness", "disjoint-automorphisms",
+    list(range(8)), [1, 0, *range(2, 8)],
+)
 ADDED_KEYS = (
-    "girth", "array", "reason", "kb_verdict", "kb_reason", "family", "pivots", "mode", "coverage",
-    "x",
+    "girth", "array", "reason", "family", "pivots", "sigma", "tau", "mode", "coverage", "x",
 )
 
 
@@ -297,34 +225,23 @@ def _edit(data, rng):
     return kind, path
 
 
-def _same_graph_keys(g):
-    keys = set()
-    for key in SMALL_FAMILIES:
-        try:
-            if parse_family(key).key() == key and build(key) == g:
-                keys.add(key)
-        except ValueError:
-            pass
-    return keys
-
-
 def _proof_payload(path):
-    """Whether path lies in the generators, or in the pivots or witnesses
-    of a pair application: edits there that the audit accepts are still
-    valid proofs, as the audit replays them in full."""
+    """Whether path lies in the generators, in the pivots or witnesses of
+    a pair application, or in the sigma or tau of disjoint automorphisms:
+    edits there that the audit accepts are still valid proofs, as the
+    audit replays them in full."""
     if path[0] == "generators":
         return True
-    in_pairs = path[:1] == ("applications",) and path[2:4] == ("params", "pairs")
-    return in_pairs and len(path) > 5 and path[5] >= 2
+    in_params = path[:1] == ("applications",) and path[2:3] == ("params",)
+    if in_params and path[3:4] in (("sigma",), ("tau",)):
+        return len(path) > 4
+    return in_params and path[3:4] == ("pairs",) and len(path) > 5 and path[5] >= 2
 
 
-def _allowed(original, edited, kind, path, same_graph):
+def _allowed(kind, path):
     """Whether an edit the audit accepted changes nothing it can check."""
     if path[0] in ("label", "notes"):
         return True
-    if path == ("family",) and kind != "delete":
-        engine = original["verdict"] != "HAS_QSYM"
-        return edited["family"] in same_graph or (engine and edited["family"] is None)
     return kind != "add" and _proof_payload(path)
 
 
@@ -336,8 +253,7 @@ def test_audit_fuzz():
     for source, options, edits in FUZZ_SOURCES:
         key = source if isinstance(source, str) else None
         g = build(key) if key else source
-        original = certify(g, family=key, **options).to_dict()
-        same_graph = _same_graph_keys(g) - {original["family"]}
+        original = certify(g, **options).to_dict()
         text = json.dumps(original)
         for _ in range(edits):
             edited = json.loads(text)
@@ -357,7 +273,7 @@ def test_audit_fuzz():
                 continue
             counts["accepted"] += 1
             accepted_paths.add((key, path[:4]))
-            assert _allowed(original, edited, kind, path, same_graph), (key, kind, path)
+            assert _allowed(kind, path), (key, kind, path)
     elapsed = time.monotonic() - t0
     assert counts["edits"] >= 2000, counts
     assert counts["refused"] and counts["rejected"] and counts["accepted"], counts

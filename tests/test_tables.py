@@ -130,7 +130,7 @@ def test_reproduce_row_full():
     assert row.aut_order_computed == 336
     assert row.verdict_status == "certified"
     row = reproduce_row(t.graph("cube:3"))
-    assert row.verdict_status == "knowledge-base"
+    assert (row.engine_verdict, row.verdict_status) == ("HAS_QSYM", "certified")
     row = reproduce_row(t.graph("named:tutte_8_cage"))
     assert row.verdict_status == "recorded"
     assert row.engine_verdict == "INCONCLUSIVE"
@@ -180,12 +180,16 @@ def test_full_reproduction_is_clean(report):
         assert row.array_computed == row.array
         assert row.aut_order_computed == row.aut_order
     statuses = {r.verdict_status for r in report.cubic + report.small}
-    assert statuses == {"certified", "knowledge-base", "recorded", "open"}
+    assert statuses == {"certified", "recorded", "open"}
+    # every HAS_QSYM row is proved by the engine
+    assert {r.engine_verdict for r in report.cubic + report.small if r.verdict == HAS_QSYM} == {HAS_QSYM}
 
 
 def test_report_json_is_pinned(report):
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-    assert digest == "27adc02725c075a467867cf18a898701e58360241d3b42436963ad146f43deef"
+    # format 4 of the certificates changed only the status of the seven
+    # HAS_QSYM rows, from "knowledge-base" to "certified"
+    assert digest == "c67b41ee605b27288788518f724bd1b61e08562aaa6ef437f92de1b0027a1157"
 
 
 def test_reproduce_tables_which(report):
