@@ -38,14 +38,20 @@ class SearchBudgetExceeded(RuntimeError):
     """Raised when the automorphism search exceeds its node budget."""
 
 
-def is_automorphism(g: Graph, perm: Perm) -> bool:
-    """Brute-force check, independent of the search machinery."""
-    if len(perm) != g.n or sorted(perm) != list(range(g.n)):
+def is_automorphism(g: Graph, perm) -> bool:
+    """Whether perm is a list or tuple of ints (bools are not ints here)
+    that permutes 0..n-1 and maps every edge of g to an edge, tested on
+    the neighbor bitmasks.  Any other value is False, never an error, so
+    the audit can hand it a recorded permutation as it was read."""
+    if not (
+        isinstance(perm, (list, tuple))
+        and len(perm) == g.n
+        and all(type(x) is int for x in perm)
+        and sorted(perm) == list(range(g.n))
+    ):
         return False
-    for u, v in g.edges:
-        if not g.adjacent(perm[u], perm[v]):
-            return False
-    return True
+    masks = g.masks
+    return all(masks[perm[u]] >> perm[v] & 1 for u, v in g.edges)
 
 
 # ------------------------------------------------------------- refinement
@@ -155,7 +161,8 @@ def _search_generators(
     every leaf lists each starting cell's vertices at the same positions,
     and the generators map each starting cell to itself."""
     n = g.n
-    adj = [g.neighbors(v) for v in range(n)]
+    masks, edges = g.masks, g.edges
+    adj = [tuple(_bits(mask)) for mask in masks]
     ident = tuple(range(n))
     generators: list[Perm] = []
     guide: dict[int, tuple] = {}
@@ -191,7 +198,7 @@ def _search_generators(
             for src, dst in zip(first_leaf, leaf):
                 sigma[src] = dst
             perm = tuple(sigma)
-            if perm != ident and all(perm[v] in adj[perm[u]] for u, v in g.edges):
+            if perm != ident and all(masks[perm[u]] >> perm[v] & 1 for u, v in edges):
                 generators.append(perm)
                 return True
             return False

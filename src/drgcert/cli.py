@@ -127,7 +127,7 @@ def _cmd_analyze(parser, args) -> int:
         "order": g.n,
         "degree": [min(degrees), max(degrees)] if degree is None and g.n else degree,
         "girth": girth(g, dd),
-        "clique_number": clique_number(g, vertex_orbits(g.n, aut.generators), dd),
+        "clique_number": clique_number(g, vertex_orbits(g.n, aut.generators)),
         "connected": connected,
         "diameter": dd.diameter if connected else None,
         "array": str(arr) if arr else None,

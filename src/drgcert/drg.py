@@ -92,7 +92,7 @@ def intersection_array(g: Graph, dd=None):
     # (b_i, c_i) of (v, w) count w's neighbors on the spheres i+1 and i-1
     # around v (b_d is 0).  The first w of sphere i sets (b_i, c_i), so the w
     # of v that fail are those of a walk in w order; the least is reported.
-    nbrs = dd.neighbor_masks()
+    nbrs = g.masks
     ref = [None] * (d + 1)
     for v, sphere in enumerate(dd.sphere_masks):
         sphere += (0,)

@@ -21,14 +21,16 @@ class Graph:
     Vertices are exactly the integers 0..n-1.  Edges are stored as (u, v)
     pairs with u < v; self-loops and out-of-range endpoints are rejected.
     Instances compare and hash by (n, edges) and are treated as immutable.
+    Adjacency is stored once more, as one neighbor bitmask per vertex:
+    bit w of masks[v] is set exactly when v and w are adjacent.
     """
 
-    __slots__ = ("n", "edges", "_nbrs", "_hash")
+    __slots__ = ("n", "edges", "masks", "_hash")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        nbrs = [set() for _ in range(n)]
+        masks = [0] * n
         norm = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -37,11 +39,11 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             a, b = (u, v) if u < v else (v, u)
             norm.add((a, b))
-            nbrs[a].add(b)
-            nbrs[b].add(a)
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
         self.n = n
         self.edges = frozenset(norm)
-        self._nbrs = tuple(frozenset(s) for s in nbrs)
+        self.masks = tuple(masks)
         self._hash = hash((n, self.edges))
 
     @property
@@ -49,16 +51,16 @@ class Graph:
         return len(self.edges)
 
     def neighbors(self, v: int) -> frozenset:
-        return self._nbrs[v]
+        return frozenset(_bits(self.masks[v]))
 
     def degree(self, v: int) -> int:
-        return len(self._nbrs[v])
+        return self.masks[v].bit_count()
 
     def adjacent(self, u: int, v: int) -> bool:
-        return v in self._nbrs[u]
+        return bool(self.masks[u] >> v & 1)
 
     def degrees(self) -> tuple:
-        return tuple(len(s) for s in self._nbrs)
+        return tuple(mask.bit_count() for mask in self.masks)
 
     def regular_degree(self):
         """The common degree if the graph is regular, else None."""
@@ -109,10 +111,6 @@ def _bits(x: int):
     return compress(range(len(digits)), digits)
 
 
-def _neighbor_masks(g: Graph) -> list:
-    return [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
-
-
 @dataclass(frozen=True)
 class DistanceData:
     """All-pairs distances, stored once: bit w of sphere_masks[v][m] is set
@@ -137,10 +135,6 @@ class DistanceData:
     def d(self, u: int, v: int) -> int:
         return self.row(u)[v]
 
-    def neighbor_masks(self) -> list:
-        """The neighbor bitmask of every vertex, read off sphere 1."""
-        return [masks[1] if self.diameter else 0 for masks in self.sphere_masks]
-
 
 def distances(g: Graph) -> DistanceData:
     """Exact all-pairs distances, one distance at a time for every vertex.
@@ -148,7 +142,7 @@ def distances(g: Graph) -> DistanceData:
     at distance m-1, m or m+1 from v, and each at m+1 is one of them; so
     sphere m+1 around v is the OR of the spheres m around its neighbors,
     minus v's spheres m-1 and m."""
-    adj = [tuple(g.neighbors(v)) for v in range(g.n)]
+    adj = [tuple(_bits(mask)) for mask in g.masks]
     levels = [[0] * g.n, [1 << v for v in range(g.n)]]  # spheres -1 and 0
     while any(levels[-1]):
         prev, last = levels[-2:]
@@ -184,7 +178,7 @@ def girth(g: Graph, dd: DistanceData | None = None):
     """
     if dd is None:
         dd = distances(g)
-    nbrs = dd.neighbor_masks()
+    nbrs = g.masks
     best = None
     for masks in dd.sphere_masks:
         twice = 0  # the vertices with two neighbors in sphere i-1
@@ -206,9 +200,7 @@ def girth(g: Graph, dd: DistanceData | None = None):
     return best
 
 
-def clique_number(
-    g: Graph, orbits: list[list[int]] | None = None, dd: DistanceData | None = None
-) -> int:
+def clique_number(g: Graph, orbits: list[list[int]] | None = None) -> int:
     """Exact maximum clique size: a branch and bound on neighbor bitmasks,
     rooted at one vertex of each vertex orbit.
 
@@ -225,12 +217,10 @@ def clique_number(
     The bound is a greedy coloring of the candidate set, built by removing
     neighbor masks (Tomita's MCQ, in the bitset form of San Segundo's
     BBMC): a vertex of color k extends the clique by at most k vertices
-    taken from itself and those of lower colors.  The neighbor masks are
-    read off dd, the distances of g, computed here when not passed.
+    taken from itself and those of lower colors.  It reads g.masks only:
+    no distances are computed.
     """
-    if dd is None:
-        dd = distances(g)
-    nbrs = dd.neighbor_masks()
+    nbrs = g.masks
     best = min(g.n, 1)
 
     def expand(size, cand):
@@ -272,7 +262,7 @@ def clique_number(
 def common_neighbors(g: Graph, u: int, v: int) -> frozenset:
     if u == v:
         raise ValueError("common_neighbors requires two distinct vertices")
-    return g.neighbors(u) & g.neighbors(v)
+    return frozenset(_bits(g.masks[u] & g.masks[v]))
 
 
 def complement(g: Graph) -> Graph:

@@ -5,10 +5,10 @@ record (a frozen dataclass deriving from _Record)."""
 from __future__ import annotations
 
 import json
-from binascii import b2a_base64
+from binascii import a2b_base64, b2a_base64
 from dataclasses import fields
 
-from .graph import Graph, _neighbor_masks, from_edge_list
+from .graph import Graph, _bits, from_edge_list
 
 _G6_MAX_SMALL = 62
 _G6_MAX = 258047  # largest n encodable in the 18-bit header form
@@ -22,9 +22,10 @@ def _g6_header(n: int) -> bytes:
     raise ValueError(f"graph6 supports at most {_G6_MAX} vertices here, got {n}")
 
 
-_B64_TO_G6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
-)
+_G6_BYTES = bytes(range(63, 127))  # the 6-bit values 0..63, as graph6 writes them
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_B64_TO_G6 = bytes.maketrans(_B64, _G6_BYTES)
+_G6_TO_B64 = bytes.maketrans(_G6_BYTES, _B64)
 
 
 def to_graph6(g: Graph) -> str:
@@ -36,7 +37,7 @@ def to_graph6(g: Graph) -> str:
     63..126 gives the body."""
     bits = "".join(
         format(mask & ((1 << j) - 1), f"0{j}b")[::-1]
-        for j, mask in enumerate(_neighbor_masks(g))
+        for j, mask in enumerate(g.masks)
         if j
     )
     nbytes = -(-len(bits) // 24) * 3
@@ -46,7 +47,11 @@ def to_graph6(g: Graph) -> str:
 
 
 def from_graph6(text: str) -> Graph:
-    """Decode a graph6 string; malformed length or padding is an error."""
+    """Decode a graph6 string; malformed length or padding is an error.
+
+    The encoder run backwards: base64 reads the body, translated to its
+    alphabet, as one bit string, and column j of the upper triangle is
+    bits 0..j-1 of the neighbor mask of j, least first."""
     data = text.strip().encode("ascii")
     if not data:
         raise ValueError("empty graph6 string")
@@ -69,22 +74,15 @@ def from_graph6(text: str) -> Graph:
     need = (nbits + 5) // 6
     if len(body) != need:
         raise ValueError(f"graph6 body has {len(body)} bytes, expected {need}")
-    bits = []
-    for b in body:
-        v = b - 63
-        if v < 0 or v > 63:
-            raise ValueError("invalid graph6 body byte")
-        bits.extend((v >> k) & 1 for k in range(5, -1, -1))
-    if any(bits[nbits:]):
+    if body.translate(None, _G6_BYTES):
+        raise ValueError("invalid graph6 body byte")
+    chars = body.translate(_G6_TO_B64)
+    chars += b"A" * (-len(chars) % 4)  # A is 0: whole base64 quanta
+    bits = format(int.from_bytes(a2b_base64(chars), "big"), f"0{6 * len(chars)}b")
+    if "1" in bits[nbits:]:
         raise ValueError("nonzero padding bits in graph6 body")
-    edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                edges.append((i, j))
-            pos += 1
-    return Graph(n, edges)
+    low = [int(bits[j * (j - 1) // 2 : j * (j + 1) // 2][::-1] or "0", 2) for j in range(n)]
+    return Graph(n, [(i, j) for j, mask in enumerate(low) for i in _bits(mask)])
 
 
 def to_edge_text(g: Graph, comment: str | None = None) -> str:

@@ -23,9 +23,10 @@ clique_number_reference the clique search before it went over neighbor
 bitmasks and one root per vertex orbit, a set-based branch and bound
 over the whole graph; refine_reference the equitable refinement before it
 went incremental, each round recounting every vertex against every cell,
-which the reference search runs; and to_graph6_reference the graph6
+which the reference search runs; to_graph6_reference the graph6
 encoder before it read neighbor bitmasks, one adjacency test per vertex
-pair.
+pair; and from_graph6_reference the graph6 decoder before it ran the
+encoder backwards, one Python step per bit.
 oracle_inputs is the shared graph set they are checked on.
 """
 
@@ -54,7 +55,7 @@ from drgcert.graph import (
     is_connected,
     line_graph,
 )
-from drgcert.io import _g6_header
+from drgcert.io import _G6_MAX, _G6_MAX_SMALL, _g6_header
 
 INF = float("inf")
 
@@ -662,7 +663,7 @@ def clique_number_reference(g: Graph) -> int:
         return 0
     best = 1
     order = sorted(range(g.n), key=g.degree, reverse=True)
-    nbrs = g._nbrs
+    nbrs = [g.neighbors(v) for v in range(g.n)]
 
     def expand(size, cand):
         nonlocal best
@@ -710,3 +711,45 @@ def to_graph6_reference(g: Graph) -> str:
     if nbits:
         out.append((acc << (6 - nbits)) + 63)
     return out.decode("ascii")
+
+
+def from_graph6_reference(text: str) -> Graph:
+    """Decode a graph6 string; malformed length or padding is an error."""
+    data = text.strip().encode("ascii")
+    if not data:
+        raise ValueError("empty graph6 string")
+    if data[0] == 126:
+        if data[1:2] == b"~":  # the 8-byte form, for n above the 18-bit form's range
+            raise ValueError(f"graph6 supports at most {_G6_MAX} vertices here")
+        if len(data) < 4:
+            raise ValueError("truncated graph6 header")
+        vals = [b - 63 for b in data[1:4]]
+        if any(v < 0 or v > 63 for v in vals):
+            raise ValueError("invalid graph6 header byte")
+        n = (vals[0] << 12) | (vals[1] << 6) | vals[2]
+        body = data[4:]
+    else:
+        n = data[0] - 63
+        if n < 0 or n > _G6_MAX_SMALL:
+            raise ValueError("invalid graph6 header byte")
+        body = data[1:]
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(body) != need:
+        raise ValueError(f"graph6 body has {len(body)} bytes, expected {need}")
+    bits = []
+    for b in body:
+        v = b - 63
+        if v < 0 or v > 63:
+            raise ValueError("invalid graph6 body byte")
+        bits.extend((v >> k) & 1 for k in range(5, -1, -1))
+    if any(bits[nbits:]):
+        raise ValueError("nonzero padding bits in graph6 body")
+    edges = []
+    pos = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[pos]:
+                edges.append((i, j))
+            pos += 1
+    return Graph(n, edges)

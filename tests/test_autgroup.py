@@ -57,6 +57,33 @@ def test_generators_are_automorphisms():
     assert not is_automorphism(g, tuple([1, 0] + list(range(2, 10))))
 
 
+@pytest.mark.parametrize(
+    "perm",
+    [
+        None,
+        3,
+        "0123456789",
+        {v: v for v in range(10)},
+        [False, True] + list(range(2, 10)),
+        [float(v) for v in range(10)],
+        [list(range(10))],
+        [[v] for v in range(10)],
+        list(range(9)),
+        list(range(11)),
+        [0, 0] + list(range(2, 10)),
+    ],
+    ids=[
+        "none", "int", "str", "dict", "bools", "floats", "nested", "nested-each",
+        "too-short", "too-long", "repeated",
+    ],
+)
+def test_is_automorphism_is_false_on_anything_but_a_permutation(perm):
+    # the audit hands recorded JSON values straight to is_automorphism
+    g = build("named:petersen")
+    assert is_automorphism(g, list(range(10))) and is_automorphism(g, tuple(range(10)))
+    assert is_automorphism(g, perm) is False
+
+
 def test_catalog_orders():
     expectations = {
         "named:petersen": 120,

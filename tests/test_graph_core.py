@@ -223,6 +223,25 @@ def test_clique_number_matches_reference_on_oracle_inputs():
         assert clique_number(g, vertex_orbits(g.n, fixing)) == omega, label
 
 
+def test_clique_number_makes_no_distance_pass(monkeypatch):
+    # the search reads the neighbor masks of g, so it needs no distances
+    import drgcert.graph
+
+    cases = []
+    for key in ("named:petersen", "paley:29", "hamming:3:3", "named:clebsch", "johnson:7:3"):
+        g = build(key)
+        orbits = vertex_orbits(g.n, automorphism_group(g).generators)
+        cases.append((key, g, orbits, clique_number_reference(g)))
+
+    def no_distances(g):
+        raise AssertionError("clique_number computed distances")
+
+    monkeypatch.setattr(drgcert.graph, "distances", no_distances)
+    for key, g, orbits, omega in cases:
+        assert clique_number(g) == omega, key
+        assert clique_number(g, orbits) == omega, key
+
+
 def test_common_neighbors():
     g = cycle(4)
     assert common_neighbors(g, 0, 2) == frozenset({1, 3})

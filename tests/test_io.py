@@ -13,7 +13,12 @@ from drgcert.io import (
     to_graph6,
     write_graph,
 )
-from oracles import oracle_inputs, random_connected_graph, to_graph6_reference
+from oracles import (
+    from_graph6_reference,
+    oracle_inputs,
+    random_connected_graph,
+    to_graph6_reference,
+)
 
 
 def test_graph6_known_strings():
@@ -62,6 +67,64 @@ def test_graph6_matches_reference_encoder():
     for g in graphs:
         assert to_graph6(g) == to_graph6_reference(g), g
     assert {0, 1, 63} <= {g.n for g in graphs}
+
+
+def _decoded(decode, text):
+    """The graph decode reads from text, or the text of its ValueError."""
+    try:
+        return decode(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_graph6_decoder_matches_reference_decoder():
+    # every oracle input, and seeded random graphs in both header forms
+    rng = Random(515004)
+    graphs = [g for _, g in oracle_inputs()]
+    for n in (0, 1, 2, 3, 7, 61, 62, 63, 64, 100, 199, 256, 300):
+        p = rng.choice((0.0, 0.05, 0.5, 1.0))
+        graphs.append(
+            Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        )
+    for g in graphs:
+        text = to_graph6(g)
+        assert from_graph6(text) == from_graph6_reference(text) == g, text[:20]
+    assert max(g.n for g in graphs) == 300
+
+
+def test_graph6_decoders_agree_on_malformed_strings():
+    malformed = [
+        "",  # empty
+        "  \n",  # empty once stripped
+        "~",  # truncated header
+        "~??",
+        "~~??????",  # 8-byte header
+        "~~",
+        ">",  # bad header byte: n = -1
+        "\x7f",  # n = 64 in the one-byte form
+        "~?>?",  # bad byte in the 18-bit header
+        "~?\x7f?",
+        "C>",  # bad body byte
+        "C\x7f",
+        "D?>",
+        "C",  # wrong length
+        "C~~",
+        "~??~" + "?" * 10,
+        "Bx",  # nonzero padding: n = 3 uses 3 of 6 bits
+        "D?@",  # n = 5 uses 10 of 12 bits
+        "~??~" + "?" * 325 + "@",  # n = 63 uses 1953 of 1956 bits
+    ]
+    assert all(isinstance(_decoded(from_graph6, t), str) for t in malformed)
+    rng = Random(515005)
+    for n in (5, 40, 63, 90):
+        text = to_graph6(random_connected_graph(rng, n))
+        for _ in range(20):
+            i = rng.randrange(len(text))
+            malformed.append(text[:i] + chr(rng.randint(32, 127)) + text[i + 1 :])
+        malformed += [text[:-1], text + "?", text + "~"]
+    for text in malformed:
+        ours, reference = _decoded(from_graph6, text), _decoded(from_graph6_reference, text)
+        assert ours == reference, (text, ours, reference)
 
 
 def test_graph6_rejects_garbage():

@@ -67,8 +67,20 @@ def test_family_array_formulas():
     assert str(family_array("odd", 3)) == "{3,2;1,1}"
     assert str(family_array("odd", 4)) == "{4,3,3;1,1,2}"
     assert str(family_array("hamming3", 2)) == "{4,2;1,2}"
-    with pytest.raises(ValueError):
-        family_array("kneser2", 4)
+    # each family's first value below its range
+    first_invalid = {
+        "complete": 1,
+        "cycle": 2,
+        "complete_bipartite": 1,
+        "crown": 2,
+        "johnson2": 3,
+        "kneser2": 4,
+        "odd": 1,
+        "hamming3": 0,
+    }
+    for family, value in first_invalid.items():
+        with pytest.raises(ValueError):
+            family_array(family, value)
     with pytest.raises(ValueError):
         family_array("mystery", 3)
 
