@@ -277,10 +277,10 @@ def automorphism_group(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> AutG
 
 
 def disjoint_automorphisms(
-    g: Graph, generators: list[Perm] | tuple[Perm, ...], node_budget: int = DEFAULT_NODE_BUDGET
+    g: Graph, generators: list[Perm] | tuple[Perm, ...]
 ) -> tuple[Perm, Perm] | None:
     """Two non-identity automorphisms of g with disjoint supports, or None;
-    raises SearchBudgetExceeded past the node budget.
+    raises SearchBudgetExceeded past DEFAULT_NODE_BUDGET search nodes.
 
     Such a pair proves that g has quantum symmetry (S. Schmidt, Quantum
     automorphisms of folded cube graphs, Ann. Inst. Fourier 2020).  Take
@@ -303,7 +303,7 @@ def disjoint_automorphisms(
     moved = [v for v in range(g.n) if sigma[v] != v]
     fixed = [v for v in range(g.n) if sigma[v] == v]
     cells = [[v] for v in moved] + ([fixed] if fixed else [])
-    found, _ = _search_generators(g, node_budget, cells)
+    found, _ = _search_generators(g, DEFAULT_NODE_BUDGET, cells)
     return (sigma, found[0]) if found else None
 
 
@@ -357,16 +357,13 @@ def covered_pairs(generators: list[Perm] | tuple[Perm, ...], dd: DistanceData):
 
 
 def is_distance_transitive(
-    g: Graph,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    *,
-    aut: AutGroup | None = None,
-    dd: DistanceData | None = None,
+    g: Graph, *, aut: AutGroup | None = None, dd: DistanceData | None = None
 ) -> bool:
     """True when g has n >= 2 vertices and, for every distance m, the
     ordered pairs at distance m form a single orbit of the automorphism
     group.  A group and distances already computed for g may be passed as
-    aut and dd.
+    aut and dd; without aut the group is searched within DEFAULT_NODE_BUDGET
+    nodes.
 
     A connected graph is distance-transitive exactly when its group is
     transitive on vertices and the stabilizer of vertex 0 is transitive on
@@ -381,6 +378,6 @@ def is_distance_transitive(
     if not dd.connected or g.n <= 1:
         return False
     if aut is None:
-        aut = automorphism_group(g, node_budget)
+        aut = automorphism_group(g)
     pairs = covered_pairs(aut.generators, dd)
     return all(len(pairs(m)) == 1 for m in range(dd.diameter + 1))

@@ -226,16 +226,17 @@ class AuditResult:
 
 class _Invariants:
     """A graph and its distances, with the girth, the intersection array and
-    the automorphism group computed on first use.  The engine builds one per
-    graph per command and hands it on; the audit builds its own and never
-    calls group."""
+    the automorphism group computed on first use, the group within
+    DEFAULT_NODE_BUDGET search nodes.  The engine builds one per graph per
+    command and hands it on; the audit builds its own and never calls
+    group."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.dd = dd = distances(g)
         self.girth = cache(lambda: girth(g, dd))
         self.array = cache(lambda: intersection_array(g, dd))
-        self.group = cache(lambda node_budget: automorphism_group(g, node_budget))
+        self.group = cache(lambda: automorphism_group(g, DEFAULT_NODE_BUDGET))
 
 
 def _at_least(gir: int | None, bound: int) -> bool:
@@ -522,7 +523,6 @@ def certify(
     label: str | None = None,
     mode: str = "auto",
     search_budget: int = DEFAULT_SEARCH_BUDGET,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Certificate:
     """Certify absence of quantum symmetry for a connected graph, or its
     presence by two disjoint automorphisms when some class stays open.
@@ -531,14 +531,14 @@ def certify(
     _Invariants, whose distances, array and group are then not computed
     again.  Mode "auto" covers the pairs of each class under the
     automorphism group, mode "all-pairs" under the trivial group; the
-    disjoint automorphisms are sought in both.  Both budgets must be
-    non-negative integers; a bool is not one.
+    disjoint automorphisms are sought in both.  The search budget must be
+    a non-negative integer, a bool not being one; the automorphism searches
+    run within DEFAULT_NODE_BUDGET nodes.
     """
     if mode not in ("auto", "all-pairs"):
         raise ValueError(f"unknown coverage mode {mode!r}")
-    for name, budget in (("search_budget", search_budget), ("node_budget", node_budget)):
-        if not _is_int(budget) or budget < 0:
-            raise ValueError(f"{name} must be a non-negative integer, got {budget!r}")
+    if not _is_int(search_budget) or search_budget < 0:
+        raise ValueError(f"search_budget must be a non-negative integer, got {search_budget!r}")
     inv = g if isinstance(g, _Invariants) else _Invariants(g)
     g, dd = inv.g, inv.dd
     if not dd.connected:
@@ -550,7 +550,7 @@ def certify(
     searched_out = False  # the automorphism search exceeded its node budget
     if mode == "auto":
         try:
-            generators = inv.group(node_budget).generators
+            generators = inv.group().generators
         except SearchBudgetExceeded:
             searched_out = True
             notes.append("automorphism search budget exceeded; all-pairs coverage")
@@ -599,7 +599,7 @@ def certify(
 
     if len(certified) < dd.diameter and not searched_out:
         try:
-            pair = disjoint_automorphisms(g, inv.group(node_budget).generators, node_budget)
+            pair = disjoint_automorphisms(g, inv.group().generators)
         except SearchBudgetExceeded:
             pair = None
             notes.append("automorphism search budget exceeded; no disjoint automorphisms recorded")
@@ -649,11 +649,14 @@ def transfer_certificate(cert: Certificate, g: Graph, label: str | None = None) 
     """Turn a NO_QSYM certificate for complement(g) into one for g.
 
     Sound because a graph and its complement have the same automorphisms,
-    classical and quantum alike.
+    classical and quantum alike.  The certificate may not itself be a
+    complement transfer, so transfers nest one level deep.
     """
     comp = complement(g)
     if cert.verdict != NO_QSYM:
         raise ValueError("complement transfer requires a NO_QSYM certificate")
+    if _is_transfer(cert):
+        raise ValueError("certificate is itself a complement transfer")
     if cert.graph6 != to_graph6(comp):
         raise ValueError("certificate does not describe the complement of this graph")
     dd = distances(g)
@@ -763,7 +766,8 @@ def _compare(given: dict, rebuilt: dict, source: str) -> AuditResult:
 
 def _complement_failure(app: Application, g: Graph) -> str | None:
     """Why the application is not exactly a whole-graph transfer of a NO_QSYM
-    certificate of complement(g) that passes its audit, or None."""
+    certificate of complement(g), itself no transfer, that passes its
+    audit, or None."""
     if app.m is not None or set(app.params) != {"complement"}:
         return "complement transfer records a class or params other than the complement"
     try:
@@ -772,6 +776,8 @@ def _complement_failure(app: Application, g: Graph) -> str | None:
         return f"embedded certificate malformed: {exc}"
     if inner.verdict != NO_QSYM:
         return "embedded complement certificate is not NO_QSYM"
+    if _is_transfer(inner):
+        return "embedded certificate is itself a complement transfer"
     result = audit(inner, complement(g))
     return None if result.ok else f"embedded certificate fails audit: {result.failure}"
 
@@ -792,6 +798,10 @@ def _disjoint_failure(app: Application, g: Graph) -> str | None:
     if supports[0] & supports[1]:
         return "the supports of sigma and tau meet"
     return None
+
+
+def _is_transfer(cert: Certificate) -> bool:
+    return any(a.rule == RULE_COMPLEMENT for a in cert.applications)
 
 
 def _is_int(x) -> bool:

@@ -150,7 +150,4 @@ def _family_fact(spec: FamilySpec) -> QsymFact | None:
         k = params[0]
         return QsymFact(NO_QSYM, f"odd graph O_{k} with k >= 2", "Aut(G)")
 
-    if fam == "paley":
-        return None
-
     return None

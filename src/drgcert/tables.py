@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .autgroup import DEFAULT_NODE_BUDGET
 from .certify import INCONCLUSIVE, _Invariants, audit, certify
 from .drg import IntersectionArray, intersection_array
 from .expected import HAS_QSYM, NO_QSYM, UNKNOWN, FamilyRow, GraphRow, load_tables
@@ -40,8 +39,6 @@ def family_array(family: str, value: int) -> IntersectionArray:
     if family == "complete":
         return IntersectionArray((n - 1,), (1,))
     if family == "cycle":
-        if n == 3:
-            return family_array("complete", 3)
         t = n // 2
         if n % 2 == 0:
             return IntersectionArray((2,) + (1,) * (t - 1), (1,) * (t - 1) + (2,))
@@ -70,27 +67,17 @@ def family_array(family: str, value: int) -> IntersectionArray:
     raise ValueError(f"no closed-form array for family {family!r}")
 
 
-_FAMILY_BUILD = {
-    "complete": "complete:{0}",
-    "cycle": "cycle:{0}",
-    "complete_bipartite": "complete_bipartite:{0}",
-    "crown": "crown:{0}",
-    "johnson2": "johnson:{0}:2",
-    "kneser2": "kneser:{0}:2",
-    "odd": "odd:{0}",
-    "hamming3": "hamming:{0}:3",
-}
-
-# three checked values per family, inside each formula's validity range
+# each family's build spec and three checked values, inside the formula's
+# validity range
 _FAMILY_CHECKS = {
-    "complete": (4, 5, 7),
-    "cycle": (5, 6, 9),
-    "complete_bipartite": (2, 3, 5),
-    "crown": (3, 4, 6),
-    "johnson2": (5, 6, 7),
-    "kneser2": (5, 6, 7),
-    "odd": (3, 4, 5),
-    "hamming3": (1, 2, 3),
+    "complete": ("complete:{0}", (4, 5, 7)),
+    "cycle": ("cycle:{0}", (5, 6, 9)),
+    "complete_bipartite": ("complete_bipartite:{0}", (2, 3, 5)),
+    "crown": ("crown:{0}", (3, 4, 6)),
+    "johnson2": ("johnson:{0}:2", (5, 6, 7)),
+    "kneser2": ("kneser:{0}:2", (5, 6, 7)),
+    "odd": ("odd:{0}", (3, 4, 5)),
+    "hamming3": ("hamming:{0}:3", (1, 2, 3)),
 }
 
 
@@ -242,7 +229,7 @@ def reproduce_row(row: GraphRow) -> RowReport:
     if array_computed != row.array:
         problems.append(f"array: computed {array_computed}, table says {row.array}")
 
-    aut_order_computed = inv.group(DEFAULT_NODE_BUDGET).order
+    aut_order_computed = inv.group().order
     if row.aut_order is not None and aut_order_computed != row.aut_order:
         problems.append(f"aut order: computed {aut_order_computed}, table says {row.aut_order}")
 
@@ -276,10 +263,10 @@ def reproduce_row(row: GraphRow) -> RowReport:
 
 def check_family(row: FamilyRow) -> FamilyReport:
     problems = []
-    values = _FAMILY_CHECKS[row.key]
+    spec, values = _FAMILY_CHECKS[row.key]
     for value in values:
         expected = family_array(row.key, value)
-        g = build(_FAMILY_BUILD[row.key].format(value))
+        g = build(spec.format(value))
         arr = intersection_array(g)
         if not arr:
             problems.append(f"{row.parameter}={value}: graph is not distance-regular ({arr.reason})")

@@ -485,22 +485,25 @@ def test_search_budget_exhaustion_is_honest():
     assert audit(cert, g)
 
 
-def test_node_budget_exhaustion_falls_back_to_all_pairs():
+def test_node_budget_exhaustion_falls_back_to_all_pairs(monkeypatch):
     # an automorphism search over its node budget leaves no generators, so
     # every ordered pair of each class is covered, as in mode "all-pairs"
     g = build("hamming:3:3")
-    cert = certify(g, node_budget=1)
+    all_pairs = certify(g, mode="all-pairs")
+    monkeypatch.setattr(certify_module, "DEFAULT_NODE_BUDGET", 1)
+    cert = certify(g)
     assert cert.notes == ("automorphism search budget exceeded; all-pairs coverage",)
     assert cert.generators == ()
-    assert cert.applications == certify(g, mode="all-pairs").applications
+    assert cert.applications == all_pairs.applications
     assert audit(cert, g)
 
 
-def test_node_budget_exhaustion_records_no_pair():
+def test_node_budget_exhaustion_records_no_pair(monkeypatch):
     # K_12 has quantum symmetry, but past the node budget no pair is sought
     g = build("complete:12")
+    monkeypatch.setattr(certify_module, "DEFAULT_NODE_BUDGET", 1)
     for mode, why in (("auto", "all-pairs coverage"), ("all-pairs", "no disjoint automorphisms recorded")):
-        cert = certify(g, mode=mode, node_budget=1)
+        cert = certify(g, mode=mode)
         assert cert.verdict == INCONCLUSIVE and cert.applications == (), mode
         assert cert.notes == (f"automorphism search budget exceeded; {why}",), mode
         assert audit(cert, g), mode
@@ -508,7 +511,7 @@ def test_node_budget_exhaustion_records_no_pair():
 
 @pytest.mark.parametrize(
     "name,value",
-    [("search_budget", -5), ("search_budget", True), ("search_budget", 2.5), ("node_budget", -1)],
+    [("search_budget", -5), ("search_budget", True), ("search_budget", 2.5)],
 )
 def test_certify_refuses_invalid_budgets(name, value):
     # the pair search divides what is left of a budget by a set's cost, so
@@ -627,7 +630,7 @@ FIRST_PATH_DIGESTS = {
 def _reference_invariants(g):
     """g's _Invariants with the group of the reference search."""
     inv = _Invariants(g)
-    inv.group = lambda node_budget: automorphism_group_reference(g, node_budget)
+    inv.group = lambda: automorphism_group_reference(g)
     return inv
 
 
@@ -1347,3 +1350,21 @@ def test_complement_transfer_audit_is_exact(edit):
     edit(data["applications"][0])
     result = audit(Certificate.from_dict(data), j52)
     assert not result and "complement transfer" in result.failure
+
+
+def test_complement_transfers_nest_one_level():
+    # the J(5,2) transfer audits, but no transfer may embed it in turn
+    j52 = build("johnson:5:2")
+    cert = certify_via_complement(j52)
+    assert audit(cert, j52)
+    petersen = complement(j52)
+    with pytest.raises(ValueError, match="itself a complement transfer"):
+        transfer_certificate(cert, petersen)
+    data = certify(petersen).to_dict()
+    assert data["verdict"] == NO_QSYM
+    nested = {"rule": "complement-transfer", "m": None, "params": {"complement": cert.to_dict()}}
+    data["applications"] = [nested]
+    data["generators"] = []
+    result = audit(Certificate.from_dict(data), petersen)
+    assert not result
+    assert result.failure.endswith("embedded certificate is itself a complement transfer")

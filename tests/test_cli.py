@@ -320,3 +320,21 @@ def test_each_command_searches_aut_once(capsys, monkeypatch):
     calls.clear()
     reproduce_row(row)
     assert calls == [10]
+
+
+def test_only_analyze_sets_the_node_budget(capsys, monkeypatch):
+    # analyze --budget reaches the automorphism search; certify's searches,
+    # the group and then the disjoint pair of K_12, run with the default
+    budgets = []
+    search = autgroup._search_generators
+
+    def recording(*args):
+        budgets.append(args[1])
+        return search(*args)
+
+    monkeypatch.setattr(autgroup, "_search_generators", recording)
+    assert run(capsys, "certify", "--family", "complete:12")[0] == 0
+    assert budgets == [autgroup.DEFAULT_NODE_BUDGET] * 2
+    budgets.clear()
+    assert run(capsys, "analyze", "--family", "named:petersen", "--budget", "500")[0] == 0
+    assert budgets == [500]
