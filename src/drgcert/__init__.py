@@ -43,7 +43,6 @@ from .graph import (
     bipartite_complement,
     cartesian_product,
     clique_number,
-    common_neighbors,
     complement,
     distances,
     from_edge_list,
@@ -52,7 +51,6 @@ from .graph import (
     line_graph,
 )
 from .io import from_edge_text, from_graph6, read_graph, to_edge_text, to_graph6, write_graph
-from .knowledge import QsymFact, verdict_for
 from .tables import TablesReport, family_array, reproduce_tables
 
 __version__ = "1.0.0"
@@ -72,7 +70,6 @@ __all__ = [
     "IntersectionArray",
     "NO_QSYM",
     "NotDistanceRegular",
-    "QsymFact",
     "SearchBudgetExceeded",
     "SrgParams",
     "TablesReport",
@@ -85,7 +82,6 @@ __all__ = [
     "certify",
     "certify_via_complement",
     "clique_number",
-    "common_neighbors",
     "complement",
     "distances",
     "family_array",
@@ -109,7 +105,6 @@ __all__ = [
     "to_edge_text",
     "to_graph6",
     "transfer_certificate",
-    "verdict_for",
     "vertex_orbits",
     "write_graph",
 ]

@@ -52,7 +52,7 @@ def parse_family(text: str) -> FamilySpec:
     if family == "named":
         if len(parts) != 2:
             raise ValueError(f"named spec needs exactly one name: {text!r}")
-        name = _canonical_name(parts[1])
+        name = re.sub(r"[\s\-]+", "_", parts[1].strip().lower())
         if name not in _NAMED:
             known = ", ".join(sorted(_NAMED))
             raise ValueError(f"unknown graph name {parts[1]!r} (known: {known})")
@@ -69,10 +69,6 @@ def parse_family(text: str) -> FamilySpec:
     spec = FamilySpec(family, params)
     _validate_params(spec)
     return spec
-
-
-def _canonical_name(raw: str) -> str:
-    return re.sub(r"[\s\-]+", "_", raw.strip().lower())
 
 
 def _validate_params(spec: FamilySpec) -> None:

@@ -259,12 +259,6 @@ def clique_number(g: Graph, orbits: list[list[int]] | None = None) -> int:
     return best
 
 
-def common_neighbors(g: Graph, u: int, v: int) -> frozenset:
-    if u == v:
-        raise ValueError("common_neighbors requires two distinct vertices")
-    return frozenset(_bits(g.masks[u] & g.masks[v]))
-
-
 def complement(g: Graph) -> Graph:
     edges = [
         (u, v)

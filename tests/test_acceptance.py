@@ -5,6 +5,7 @@ pass/fail line per criterion.  Expected values are frozen here; the
 oracles in oracles.py recompute the quantitative ones from scratch.
 """
 
+import inspect
 import math
 import time
 from random import Random
@@ -17,14 +18,14 @@ from oracles import (
     recount_distance_regular,
 )
 
+import drgcert
 from drgcert.autgroup import automorphism_group
 from drgcert.certify import INCONCLUSIVE, Certificate, audit, certify
 from drgcert.drg import is_distance_regular
-from drgcert.expected import HAS_QSYM, NO_QSYM, UNKNOWN
+from drgcert.expected import HAS_QSYM, NO_QSYM, UNKNOWN, load_tables
 from drgcert.families import build
 from drgcert.graph import girth
 from drgcert.io import to_graph6
-from drgcert.knowledge import verdict_for
 from drgcert.tables import reproduce_tables
 
 
@@ -271,7 +272,7 @@ def test_criterion_6_honest_inconclusiveness():
             assert result, (key, result.failure)
 
     cert = certify(build("johnson:6:3"))
-    assert verdict_for("johnson:6:3").verdict == UNKNOWN
+    assert load_tables().graph("johnson:6:3").verdict == UNKNOWN
     assert cert.certified or cert.open_classes  # own class results present
     assert cert.verdict == INCONCLUSIVE
     print("criterion 6: three hard cubic graphs stay honest, "
@@ -298,3 +299,21 @@ def test_criterion_7_oracle_equivalence():
     assert aut_checked >= 50  # the seed must exercise the brute-force range
     print(f"criterion 7: {ORACLE_SAMPLES} random graphs agree with the oracles, "
           f"{aut_checked} automorphism counts brute-checked")
+
+
+# --------------------------------------------------- public names
+
+
+def test_public_names_resolve():
+    names = drgcert.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(drgcert, name)] == []
+    # every public name the package imports is listed, and nothing else
+    imported = {
+        name for name, value in vars(drgcert).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert imported == set(names)
+    namespace = {}
+    exec("from drgcert import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(names)

@@ -34,7 +34,6 @@ from drgcert.graph import (
     line_graph,
 )
 from drgcert.io import to_graph6
-from drgcert.knowledge import verdict_for
 from oracles import are_isomorphic, automorphism_group_reference, oracle_inputs
 
 # the package re-exports the function certify under the module's name
@@ -175,7 +174,7 @@ def test_hoffman_singleton_partial():
 def test_johnson_6_3_reports_open_question():
     g = build("johnson:6:3")
     cert = certify(g)
-    assert verdict_for("johnson:6:3").verdict == UNKNOWN
+    assert load_tables().graph("johnson:6:3").verdict == UNKNOWN
     assert cert.verdict == INCONCLUSIVE
     assert 3 in cert.certified  # antipodal class has a unique far vertex
     assert audit(cert, g)

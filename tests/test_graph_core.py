@@ -11,7 +11,6 @@ from drgcert.graph import (
     bipartite_complement,
     cartesian_product,
     clique_number,
-    common_neighbors,
     complement,
     distances,
     from_edge_list,
@@ -240,13 +239,6 @@ def test_clique_number_makes_no_distance_pass(monkeypatch):
     for key, g, orbits, omega in cases:
         assert clique_number(g) == omega, key
         assert clique_number(g, orbits) == omega, key
-
-
-def test_common_neighbors():
-    g = cycle(4)
-    assert common_neighbors(g, 0, 2) == frozenset({1, 3})
-    with pytest.raises(ValueError):
-        common_neighbors(g, 1, 1)
 
 
 def test_complement_involution():

@@ -8,7 +8,7 @@ import pytest
 
 from drgcert import autgroup, drg, graph, tables
 from drgcert.drg import intersection_array
-from drgcert.expected import HAS_QSYM, NO_QSYM, UNKNOWN, GraphRow, _keyed_rows, load_tables
+from drgcert.expected import HAS_QSYM, GraphRow, _keyed_rows, load_tables
 from drgcert.families import build
 from drgcert.tables import (
     TablesReport,
@@ -253,14 +253,3 @@ def test_determinism(report):
     again = reproduce_tables(1)
     assert again == TablesReport(cubic=report.cubic, small=(), families=())
 
-
-def test_verdict_catalog_consistency():
-    # stored verdicts and the knowledge base agree on every table row
-    from drgcert.knowledge import verdict_for
-
-    t = load_tables()
-    for key in set(t.cubic_keys) | set(t.small_keys):
-        row = t.graph(key)
-        fact = verdict_for(key)
-        assert fact.verdict == row.verdict, key
-        assert row.verdict in (HAS_QSYM, NO_QSYM, UNKNOWN)
