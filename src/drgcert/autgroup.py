@@ -152,14 +152,16 @@ def _orbit(generators, prefix: tuple[int, ...], starts) -> set[int]:
 
 
 def _search_generators(
-    g: Graph, node_budget: int, cells: list[list[int]] | None = None
+    g: Graph, node_budget: int, cells: list[list[int]] | None = None, first: bool = False
 ) -> tuple[list[Perm], tuple[int, ...]]:
     """Generators found by the search, and the base: the vertices
     individualized along the first root-to-leaf path.  The search starts
     from cells, nonempty and covering the vertices, or from one cell of
     all vertices; refinement keeps the parts of a cell in its place, so
     every leaf lists each starting cell's vertices at the same positions,
-    and the generators map each starting cell to itself."""
+    and the generators map each starting cell to itself.  With first, the
+    search stops at its first generator, which is the one a full search
+    finds first."""
     n = g.n
     masks, edges = g.masks, g.edges
     adj = [tuple(_bits(mask)) for mask in masks]
@@ -215,7 +217,9 @@ def _search_generators(
             rest = [u for u in cell if u != v]
             child = cells[:ti] + [[v], rest] + cells[ti + 1 :]
             # off the first path, one generator is all a subtree can add
-            if descend(*_refine(adj, child, [ti]), depth + 1, prefix + (v,)) and prefix != base[:depth]:
+            if descend(*_refine(adj, child, [ti]), depth + 1, prefix + (v,)) and (
+                first or prefix != base[:depth]
+            ):
                 return True
         return False
 
@@ -295,7 +299,8 @@ def disjoint_automorphisms(
     sigma is the first of the generators that moves the fewest vertices,
     and tau the first generator the search finds among the automorphisms
     fixing supp sigma pointwise: it starts from one singleton cell per
-    vertex sigma moves, then the cell of the others when there are any.
+    vertex sigma moves, then the cell of the others when there are any,
+    and stops at that generator.
     """
     if not generators:
         return None
@@ -303,7 +308,7 @@ def disjoint_automorphisms(
     moved = [v for v in range(g.n) if sigma[v] != v]
     fixed = [v for v in range(g.n) if sigma[v] == v]
     cells = [[v] for v in moved] + ([fixed] if fixed else [])
-    found, _ = _search_generators(g, DEFAULT_NODE_BUDGET, cells)
+    found, _ = _search_generators(g, DEFAULT_NODE_BUDGET, cells, first=True)
     return (sigma, found[0]) if found else None
 
 

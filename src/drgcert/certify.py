@@ -229,14 +229,31 @@ class _Invariants:
     the automorphism group computed on first use, the group within
     DEFAULT_NODE_BUDGET search nodes.  The engine builds one per graph per
     command and hands it on; the audit builds its own and never calls
-    group."""
+    group.
+
+    local is vertex 0's intersection numbers, intersection_array with
+    zero_only.  Once cover is given automorphisms transitive on the
+    vertices, the girth and the array computed from then on are vertex
+    0's, which are the graph's (see intersection_array and girth).  certify
+    gives it the search's generators, each checked edge by edge inside the
+    search, and the audit the recorded ones once it has checked them."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.dd = dd = distances(g)
-        self.girth = cache(lambda: girth(g, dd))
-        self.array = cache(lambda: intersection_array(g, dd))
+        self.transitive = False
+        self.girth = cache(lambda: girth(g, dd, zero_only=self.transitive))
+        self.local = cache(lambda: intersection_array(g, dd, zero_only=True))
+        self.array = cache(lambda: self.local() if self.transitive else intersection_array(g, dd))
         self.group = cache(lambda: automorphism_group(g, DEFAULT_NODE_BUDGET))
+
+    def cover(self, generators):
+        """covered_pairs of generators, automorphisms of the graph, which
+        are transitive on the vertices when they cover class 0 with the one
+        pair (0, 0): their orbit of 0 is then every vertex."""
+        covered = covered_pairs(generators, self.dd)
+        self.transitive = self.transitive or covered(0) == [(0, 0)]
+        return covered
 
 
 def _at_least(gir: int | None, bound: int) -> bool:
@@ -285,8 +302,12 @@ def _cubic_d2(inv: _Invariants, m: int, certified) -> dict | None:
 def _array_step(inv: _Invariants, m: int, certified) -> dict | None:
     """Intersection-array step from a certified class m-1 to class m, all
     variants with c_m >= 2: variant a: c_2 = 1 and b_1 + 1 = b_0; b: c_2 = 1
-    and b_1 + 2 = b_0; c: c_2 = 2, m = 2 and b_1 + 3 = b_0."""
-    arr = inv.array() if (m - 1) in certified else None
+    and b_1 + 2 = b_0; c: c_2 = 2, m = 2 and b_1 + 3 = b_0.
+
+    The test runs on vertex 0's numbers, and the array is built only when
+    they pass: a distance-regular graph's array is vertex 0's numbers, and
+    a graph that has none fails the rule whatever vertex 0's numbers are."""
+    arr = inv.local() if (m - 1) in certified else None
     if not arr or arr.c_at(m) < 2:
         return None
     b0, b1, c2 = arr.b[0], arr.b[1], arr.c_at(2)
@@ -298,25 +319,34 @@ def _array_step(inv: _Invariants, m: int, certified) -> dict | None:
         variant = "c"
     else:
         return None
+    if not inv.array():
+        return None
     return {"variant": variant, "b0": b0, "b1": b1, "c2": c2, "c_m": arr.c_at(m)}
 
 
 def _cubic_step(inv: _Invariants, m: int, certified) -> dict | None:
     """Cubic intersection-array step with classes 1..m-1 certified: variant
-    i: b_{m-1} = 1; variant ii: b_{m-1} = 2, b_m = c_m = 1 and girth >= 2m."""
-    arr = inv.array() if all(i in certified for i in range(1, m)) else None
-    if not arr or arr.degree != 3:
+    i: b_{m-1} = 1; variant ii: b_{m-1} = 2, b_m = c_m = 1 and girth >= 2m.
+
+    The degree goes first; the array is then tested and built as in
+    _array_step."""
+    if inv.g.regular_degree() != 3 or not all(i in certified for i in range(1, m)):
+        return None
+    arr = inv.local()
+    if not arr:
         return None
     if arr.b_at(m - 1) == 1:
-        return {"variant": "i", "b_prev": 1}
-    if (
+        params = {"variant": "i", "b_prev": 1}
+    elif (
         arr.b_at(m - 1) == 2
         and arr.b_at(m) == 1
         and arr.c_at(m) == 1
         and _at_least(inv.girth(), 2 * m)
     ):
-        return {"variant": "ii", "b_prev": 2, "b_m": 1, "c_m": 1, "girth": inv.girth()}
-    return None
+        params = {"variant": "ii", "b_prev": 2, "b_m": 1, "c_m": 1, "girth": inv.girth()}
+    else:
+        return None
+    return params if inv.array() else None
 
 
 def _unique_far(inv: _Invariants, m: int, certified) -> dict | None:
@@ -554,7 +584,7 @@ def certify(
         except SearchBudgetExceeded:
             searched_out = True
             notes.append("automorphism search budget exceeded; all-pairs coverage")
-    covered = covered_pairs(generators, dd)
+    covered = inv.cover(generators)
 
     certified: set = set()
     apps: list = []
@@ -678,11 +708,12 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
 
     The recorded graph6 string must be g's, and g connected.  The recorded
     generators must be automorphisms, and the applications are replayed in
-    order, on distances, girth and array computed here: a structural
-    rule's function must return exactly the recorded params, and a pair
-    rule's pivots and witnesses must pin every recorded pair, the pairs of
-    class m being exactly those covered_pairs lists for the recorded
-    generators; with none, every ordered pair of the class.  A
+    order, on distances, girth and array computed here, the last two off
+    vertex 0 when the checked generators are transitive on the vertices: a
+    structural rule's function must return exactly the recorded params,
+    and a pair rule's pivots and witnesses must pin every recorded pair,
+    the pairs of class m being exactly those covered_pairs lists for the
+    recorded generators; with none, every ordered pair of the class.  A
     disjoint-automorphisms application must come last and record exactly
     two non-identity automorphisms with disjoint supports, which are
     checked edge by edge; nothing is searched.
@@ -710,7 +741,7 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
     for p in gens:
         if not is_automorphism(g, p):
             return fail("recorded generator is not an automorphism")
-    covered = covered_pairs(gens, dd)
+    covered = inv.cover(gens)
 
     certified: set = set()
     for index, app in enumerate(cert.applications, start=1):

@@ -114,26 +114,29 @@ def _cmd_analyze(parser, args) -> int:
     degree = g.regular_degree()
     dd = distances(g)
     connected = dd.connected
-    arr = intersection_array(g, dd) if connected else None
     try:
         aut = automorphism_group(g, args.budget)
-        transitive = is_distance_transitive(g, aut=aut, dd=dd)
     except SearchBudgetExceeded:
         print("automorphism search exceeded the node budget", file=sys.stderr)
         return EXIT_BUDGET
+    # the search's generators are automorphisms; when they are transitive on
+    # the vertices, the girth and the array are vertex 0's
+    orbits = vertex_orbits(g.n, aut.generators)
+    zero_only = len(orbits) == 1
+    arr = intersection_array(g, dd, zero_only=zero_only) if connected else None
     info = {
         "label": label_for(family) if family else None,
         "family": family,
         "order": g.n,
         "degree": [min(degrees), max(degrees)] if degree is None and g.n else degree,
-        "girth": girth(g, dd),
-        "clique_number": clique_number(g, vertex_orbits(g.n, aut.generators)),
+        "girth": girth(g, dd, zero_only=zero_only),
+        "clique_number": clique_number(g, orbits),
         "connected": connected,
         "diameter": dd.diameter if connected else None,
         "array": str(arr) if arr else None,
         "distance_regular": bool(arr),
         "aut_order": aut.order,
-        "distance_transitive": transitive,
+        "distance_transitive": is_distance_transitive(g, aut=aut, dd=dd),
     }
     if args.format == "json":
         _emit(args, json.dumps(info, indent=2))

@@ -224,6 +224,8 @@ def reproduce_row(row: GraphRow) -> RowReport:
         problems.append(f"order: computed {order_computed}, table says {row.order}")
 
     inv = _Invariants(g)
+    # certify first: a group transitive on the vertices gives the array at vertex 0
+    cert = certify(inv, label=label_for(row.key))
     arr = inv.array()
     array_computed = str(arr) if arr else None
     if array_computed != row.array:
@@ -233,7 +235,6 @@ def reproduce_row(row: GraphRow) -> RowReport:
     if row.aut_order is not None and aut_order_computed != row.aut_order:
         problems.append(f"aut order: computed {aut_order_computed}, table says {row.aut_order}")
 
-    cert = certify(inv, label=label_for(row.key))
     engine_verdict = cert.verdict
     checked = audit(cert, g)
     if not checked:

@@ -363,3 +363,22 @@ def test_cli_import_does_not_load_numpy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, drgcert.cli; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("key", ["complete:12", "crown:10", "complete_bipartite:8"])
+def test_disjoint_pair_search_stops_at_its_first_generator(monkeypatch, key):
+    # tau is the first generator the full search of the stabilizer of supp
+    # sigma finds, and the search for it stops there
+    g = build(key)
+    generators = automorphism_group(g).generators
+    searches = []
+    search = autgroup._search_generators
+
+    def recording(*args, **kwargs):
+        searches.append((search(*args, **kwargs)[0], search(*args)[0]))
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(autgroup, "_search_generators", recording)
+    sigma, tau = autgroup.disjoint_automorphisms(g, generators)
+    [(found, full)] = searches
+    assert found == [tau] == full[:1] and len(full) > 1

@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import json
+from collections import Counter
 from dataclasses import fields, replace
 from random import Random
 
@@ -22,7 +23,7 @@ from drgcert.certify import (
     transfer_certificate,
 )
 from drgcert.expected import HAS_QSYM, NO_QSYM, UNKNOWN, load_tables
-from drgcert.autgroup import is_automorphism
+from drgcert.autgroup import covered_pairs, is_automorphism
 from drgcert.families import build, label_for
 from drgcert.graph import (
     DisconnectedGraphError,
@@ -34,7 +35,13 @@ from drgcert.graph import (
     line_graph,
 )
 from drgcert.io import to_graph6
-from oracles import are_isomorphic, automorphism_group_reference, oracle_inputs
+from oracles import (
+    ECCENTRIC_CUBIC,
+    LOCALLY_REGULAR_CUBIC,
+    are_isomorphic,
+    automorphism_group_reference,
+    oracle_inputs,
+)
 
 # the package re-exports the function certify under the module's name
 certify_module = importlib.import_module("drgcert.certify")
@@ -1253,13 +1260,13 @@ def test_audit_computes_invariants_lazily(monkeypatch):
     calls = {"girth": 0, "array": 0}
     girth, array = certify_module.girth, certify_module.intersection_array
 
-    def counted_girth(g, dd=None):
+    def counted_girth(g, dd=None, *, zero_only=False):
         calls["girth"] += 1
-        return girth(g, dd)
+        return girth(g, dd, zero_only=zero_only)
 
-    def counted_array(g, dd=None):
+    def counted_array(g, dd=None, *, zero_only=False):
         calls["array"] += 1
-        return array(g, dd)
+        return array(g, dd, zero_only=zero_only)
 
     foster = build("named:foster")
     cert = certify(foster)
@@ -1272,6 +1279,116 @@ def test_audit_computes_invariants_lazily(monkeypatch):
     assert calls == {"girth": 1, "array": 1}
     assert audit(open_cert, paley)
     assert calls == {"girth": 1, "array": 1}
+
+
+def _sweeps(monkeypatch, allowed: bool):
+    """Patch the girth and the array the rules read: a call that sweeps
+    every vertex is recorded, or fails the test unless allowed."""
+    swept = []
+    girth, array = certify_module.girth, certify_module.intersection_array
+
+    def watch(fn, name):
+        def watched(g, dd=None, *, zero_only=False):
+            if not zero_only:
+                assert allowed, f"{name} swept every vertex"
+                swept.append(name)
+            return fn(g, dd, zero_only=zero_only)
+
+        return watched
+
+    monkeypatch.setattr(certify_module, "girth", watch(girth, "girth"))
+    monkeypatch.setattr(certify_module, "intersection_array", watch(array, "array"))
+    return swept
+
+
+@pytest.mark.parametrize("spec", ["named:foster", "named:biggs_smith", "hamming:6:3"])
+def test_transitive_group_reads_invariants_off_vertex_0(monkeypatch, spec):
+    # the engine's group and the audit's checked generators are transitive,
+    # so neither sweeps every vertex for the girth or the array; Foster and
+    # Biggs-Smith record generators and apply array-step and cubic-step
+    g = build(spec)
+    expected = certify(g).to_json()
+    _sweeps(monkeypatch, allowed=False)
+    inv = _Invariants(g)
+    cert = certify(inv)
+    assert inv.transitive and cert.to_json() == expected
+    assert cert.generators and audit(cert, g)
+
+
+def test_foster_minus_vertex_0_keeps_the_full_sweep(monkeypatch):
+    # a group with more than one vertex orbit marks nothing transitive: the
+    # engine and the audit sweep every vertex for the girth
+    g, _ = NOT_VERTEX_TRANSITIVE["Foster-0"]
+    swept = _sweeps(monkeypatch, allowed=True)
+    inv = _Invariants(g)
+    cert = certify(inv)
+    assert not inv.transitive and cert.generators and swept == ["girth"]
+    made = []
+
+    class Recorded(_Invariants):
+        def __init__(self, g):
+            super().__init__(g)
+            made.append(self)
+
+    monkeypatch.setattr(certify_module, "_Invariants", Recorded)
+    assert audit(cert, g) and not made[0].transitive and swept == ["girth"] * 2
+
+
+def test_audit_checks_transitive_generators_before_reading_invariants(monkeypatch):
+    # a recorded generator that is no automorphism, though the recorded
+    # generators stay transitive on the vertices, fails the audit before
+    # any girth or array is computed
+    g = build("named:foster")
+    data = certify(g).to_dict()
+    rotation = list(range(1, g.n)) + [0]
+    assert not is_automorphism(g, rotation)
+    data["generators"][0] = rotation
+    cert = Certificate.from_dict(data)
+    assert covered_pairs(cert.generators, distances(g))(0) == [(0, 0)]
+
+    def unread(*args, **kwargs):
+        raise AssertionError("an invariant was computed")
+
+    monkeypatch.setattr(certify_module, "girth", unread)
+    monkeypatch.setattr(certify_module, "intersection_array", unread)
+    result = audit(cert, g)
+    assert not result and result.failure == "recorded generator is not an automorphism"
+
+
+def test_all_pairs_never_sweeps_for_the_array(monkeypatch):
+    # no group in all-pairs mode: array-step tests vertex 0's numbers, which
+    # fail on H(4,3), and builds no array
+    swept = _sweeps(monkeypatch, allowed=True)
+    g = build("hamming:4:3")
+    cert = certify(g, mode="all-pairs")
+    assert cert.verdict == NO_QSYM and audit(cert, g)
+    assert "array" not in swept
+
+
+def test_array_rules_test_vertex_0_first():
+    # array-step and cubic-step give what they gave when they tested the
+    # full array, which they now build only when vertex 0's numbers pass;
+    # on LOCALLY_REGULAR_CUBIC those numbers pass but the graph has no array
+    graphs = [(label, g) for label, g in oracle_inputs() if g.n <= 40]
+    graphs += [("eccentric", ECCENTRIC_CUBIC), ("locally regular", LOCALLY_REGULAR_CUBIC)]
+    found = Counter()
+    for label, g in graphs:
+        inv = _Invariants(g)
+        if not inv.dd.connected:
+            continue
+        full = _Invariants(g)
+        full.local = full.array  # the rules as they were: the full array first
+        for m in range(1, inv.dd.diameter + 1):
+            for rule in ("array-step", "cubic-step"):
+                test = certify_module._STRUCTURAL[rule]
+                params = test(inv, m, set(range(1, m)))
+                assert params == test(full, m, set(range(1, m))), (label, rule, m)
+                found[rule, params is not None] += 1
+    assert found[("array-step", True)] and found[("cubic-step", True)]
+    inv = _Invariants(LOCALLY_REGULAR_CUBIC)
+    assert inv.local() and not inv.array()
+    assert certify_module._cubic_step(inv, 2, {1}) is None
+    assert certify_module._array_step(inv, 3, {1, 2}) is None
 
 
 @pytest.mark.parametrize("spec", ["hamming:6:3", "named:foster"])

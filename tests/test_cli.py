@@ -328,9 +328,9 @@ def test_only_analyze_sets_the_node_budget(capsys, monkeypatch):
     budgets = []
     search = autgroup._search_generators
 
-    def recording(*args):
+    def recording(*args, **kwargs):
         budgets.append(args[1])
-        return search(*args)
+        return search(*args, **kwargs)
 
     monkeypatch.setattr(autgroup, "_search_generators", recording)
     assert run(capsys, "certify", "--family", "complete:12")[0] == 0

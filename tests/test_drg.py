@@ -13,9 +13,13 @@ from drgcert.drg import (
     k_sequence,
     srg_params,
 )
+from drgcert.autgroup import automorphism_group, vertex_orbits
+from drgcert.expected import load_tables
 from drgcert.families import build
-from drgcert.graph import DisconnectedGraphError, Graph, distances
+from drgcert.graph import DisconnectedGraphError, Graph, cartesian_product, distances, girth
 from oracles import (
+    ECCENTRIC_CUBIC,
+    LOCALLY_REGULAR_CUBIC,
     intersection_array_reference,
     oracle_inputs,
     random_connected_graph,
@@ -177,3 +181,57 @@ def test_kseq_consistency_with_distances():
     arr = intersection_array(g)
     dd = distances(g)
     assert tuple(mask.bit_count() for mask in dd.sphere_masks[0]) == k_sequence(arr)
+
+
+def test_vertex_zero_is_the_whole_graph_on_transitive_graphs():
+    # on a graph whose automorphism group is transitive on the vertices,
+    # and on every table row, vertex 0's array and girth are the full
+    # sweep's, the witness of a graph that is not distance-regular included
+    tables = load_tables()
+    rows = {row.key for row in tables.cubic_rows() + tables.small_rows()}
+    transitive = not_regular = 0
+    for label, g in oracle_inputs():
+        if not (len(vertex_orbits(g.n, automorphism_group(g).generators)) == 1 or label in rows):
+            continue
+        transitive += 1
+        dd = distances(g)
+        assert girth(g, dd, zero_only=True) == girth(g, dd), label
+        if dd.connected:
+            full = intersection_array(g, dd)
+            assert intersection_array(g, dd, zero_only=True) == full, label
+            not_regular += not full
+    assert len(rows) == 25 and transitive == 142 and not_regular == 34
+
+
+def test_vertex_zero_witness_on_the_pentagonal_prism():
+    # vertex-transitive but not distance-regular: the full sweep fails
+    # first at vertex 0, with the witness the vertex-0 walk gives
+    prism = cartesian_product(Graph(5, [(i, (i + 1) % 5) for i in range(5)]), Graph(2, [(0, 1)]))
+    assert len(vertex_orbits(prism.n, automorphism_group(prism).generators)) == 1
+    full = intersection_array(prism)
+    assert isinstance(full, NotDistanceRegular) and full.witness[0] == 0
+    assert intersection_array(prism, zero_only=True) == full
+    assert girth(prism, zero_only=True) == girth(prism) == 4
+
+
+def test_vertex_zero_numbers_of_a_distance_regular_graph_are_its_array():
+    # the fact the array rules' vertex-0 pre-check rests on, over every
+    # connected oracle input; on other graphs vertex 0's numbers may pass
+    arrays = 0
+    for label, g in oracle_inputs():
+        dd = distances(g)
+        if dd.connected:
+            full = intersection_array(g, dd)
+            if full:
+                assert intersection_array(g, dd, zero_only=True) == full, label
+                arrays += 1
+    assert arrays == 88
+    assert not intersection_array(LOCALLY_REGULAR_CUBIC)
+    assert str(intersection_array(LOCALLY_REGULAR_CUBIC, zero_only=True)) == "{3,2,1;1,1,3}"
+
+
+def test_vertex_zero_below_the_diameter():
+    res = intersection_array(ECCENTRIC_CUBIC, zero_only=True)
+    assert res == NotDistanceRegular(witness=(0, 1), reason="no vertex at distance 3 from 0")
+    assert distances(ECCENTRIC_CUBIC).d(0, 1) < 3 == distances(ECCENTRIC_CUBIC).diameter
+    assert not intersection_array(ECCENTRIC_CUBIC)
