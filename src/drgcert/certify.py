@@ -231,29 +231,20 @@ class _Invariants:
     command and hands it on; the audit builds its own and never calls
     group.
 
-    local is vertex 0's intersection numbers, intersection_array with
-    zero_only.  Once cover is given automorphisms transitive on the
-    vertices, the girth and the array computed from then on are vertex
-    0's, which are the graph's (see intersection_array and girth).  certify
-    gives it the search's generators, each checked edge by edge inside the
-    search, and the audit the recorded ones once it has checked them."""
+    transitive is set by whoever holds automorphisms of the graph, each
+    checked edge by edge, whose group is transitive on the vertices:
+    certify from the group it searched, the audit from the recorded
+    generators once it has checked them.  The girth and the array computed
+    after that are read off vertex 0, which gives the graph's (see
+    intersection_array and girth)."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.dd = dd = distances(g)
         self.transitive = False
-        self.girth = cache(lambda: girth(g, dd, zero_only=self.transitive))
-        self.local = cache(lambda: intersection_array(g, dd, zero_only=True))
-        self.array = cache(lambda: self.local() if self.transitive else intersection_array(g, dd))
+        self.girth = cache(lambda: girth(g, dd, _transitive=self.transitive))
+        self.array = cache(lambda: intersection_array(g, dd, _transitive=self.transitive))
         self.group = cache(lambda: automorphism_group(g, DEFAULT_NODE_BUDGET))
-
-    def cover(self, generators):
-        """covered_pairs of generators, automorphisms of the graph, which
-        are transitive on the vertices when they cover class 0 with the one
-        pair (0, 0): their orbit of 0 is then every vertex."""
-        covered = covered_pairs(generators, self.dd)
-        self.transitive = self.transitive or covered(0) == [(0, 0)]
-        return covered
 
 
 def _at_least(gir: int | None, bound: int) -> bool:
@@ -302,12 +293,8 @@ def _cubic_d2(inv: _Invariants, m: int, certified) -> dict | None:
 def _array_step(inv: _Invariants, m: int, certified) -> dict | None:
     """Intersection-array step from a certified class m-1 to class m, all
     variants with c_m >= 2: variant a: c_2 = 1 and b_1 + 1 = b_0; b: c_2 = 1
-    and b_1 + 2 = b_0; c: c_2 = 2, m = 2 and b_1 + 3 = b_0.
-
-    The test runs on vertex 0's numbers, and the array is built only when
-    they pass: a distance-regular graph's array is vertex 0's numbers, and
-    a graph that has none fails the rule whatever vertex 0's numbers are."""
-    arr = inv.local() if (m - 1) in certified else None
+    and b_1 + 2 = b_0; c: c_2 = 2, m = 2 and b_1 + 3 = b_0."""
+    arr = inv.array() if (m - 1) in certified else None
     if not arr or arr.c_at(m) < 2:
         return None
     b0, b1, c2 = arr.b[0], arr.b[1], arr.c_at(2)
@@ -319,34 +306,29 @@ def _array_step(inv: _Invariants, m: int, certified) -> dict | None:
         variant = "c"
     else:
         return None
-    if not inv.array():
-        return None
     return {"variant": variant, "b0": b0, "b1": b1, "c2": c2, "c_m": arr.c_at(m)}
 
 
 def _cubic_step(inv: _Invariants, m: int, certified) -> dict | None:
     """Cubic intersection-array step with classes 1..m-1 certified: variant
     i: b_{m-1} = 1; variant ii: b_{m-1} = 2, b_m = c_m = 1 and girth >= 2m.
-
-    The degree goes first; the array is then tested and built as in
-    _array_step."""
+    The degree is tested first, so a graph that is not cubic builds no
+    array here."""
     if inv.g.regular_degree() != 3 or not all(i in certified for i in range(1, m)):
         return None
-    arr = inv.local()
+    arr = inv.array()
     if not arr:
         return None
     if arr.b_at(m - 1) == 1:
-        params = {"variant": "i", "b_prev": 1}
-    elif (
+        return {"variant": "i", "b_prev": 1}
+    if (
         arr.b_at(m - 1) == 2
         and arr.b_at(m) == 1
         and arr.c_at(m) == 1
         and _at_least(inv.girth(), 2 * m)
     ):
-        params = {"variant": "ii", "b_prev": 2, "b_m": 1, "c_m": 1, "girth": inv.girth()}
-    else:
-        return None
-    return params if inv.array() else None
+        return {"variant": "ii", "b_prev": 2, "b_m": 1, "c_m": 1, "girth": inv.girth()}
+    return None
 
 
 def _unique_far(inv: _Invariants, m: int, certified) -> dict | None:
@@ -584,7 +566,9 @@ def certify(
         except SearchBudgetExceeded:
             searched_out = True
             notes.append("automorphism search budget exceeded; all-pairs coverage")
-    covered = inv.cover(generators)
+    covered = covered_pairs(generators, dd)
+    # one vertex orbit: the girth and the array are read off vertex 0
+    inv.transitive = covered(0) == [(0, 0)]
 
     certified: set = set()
     apps: list = []
@@ -741,7 +725,8 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
     for p in gens:
         if not is_automorphism(g, p):
             return fail("recorded generator is not an automorphism")
-    covered = inv.cover(gens)
+    covered = covered_pairs(gens, dd)
+    inv.transitive = covered(0) == [(0, 0)]
 
     certified: set = set()
     for index, app in enumerate(cert.applications, start=1):

@@ -122,14 +122,14 @@ def _cmd_analyze(parser, args) -> int:
     # the search's generators are automorphisms; when they are transitive on
     # the vertices, the girth and the array are vertex 0's
     orbits = vertex_orbits(g.n, aut.generators)
-    zero_only = len(orbits) == 1
-    arr = intersection_array(g, dd, zero_only=zero_only) if connected else None
+    transitive = len(orbits) == 1
+    arr = intersection_array(g, dd, _transitive=transitive) if connected else None
     info = {
         "label": label_for(family) if family else None,
         "family": family,
         "order": g.n,
         "degree": [min(degrees), max(degrees)] if degree is None and g.n else degree,
-        "girth": girth(g, dd, zero_only=zero_only),
+        "girth": girth(g, dd, _transitive=transitive),
         "clique_number": clique_number(g, orbits),
         "connected": connected,
         "diameter": dd.diameter if connected else None,

@@ -70,24 +70,21 @@ class NotDistanceRegular:
         return False
 
 
-def intersection_array(g: Graph, dd=None, *, zero_only: bool = False):
+def intersection_array(g: Graph, dd=None, *, _transitive: bool = False):
     """IntersectionArray of g, or NotDistanceRegular with a counterexample.
 
     Disconnected input is an error.  Irregular input is reported as not
     distance-regular, witnessed by two vertices of different degree.
 
-    With zero_only, only vertex 0's spheres are swept, and the result is
-    vertex 0's numbers.  They are g's own result whenever g's automorphism
-    group is transitive on the vertices.  Such a group maps 0 to every v,
-    each sphere S_i(0) onto S_i(v), and keeps the counts of neighbors on
-    the spheres next to it; so b_i and c_i constant on every S_i(0) are
-    constant on every S_i(v), and g is distance-regular with vertex 0's
-    array.  When they are not constant on some S_i(0), the full sweep
-    fails already at v = 0, on the very walk zero_only makes, and both
-    report the same witness (0, w).  On any other graph, vertex 0's
-    numbers are g's array when g is distance-regular, and a vertex 0 that
-    sees no vertex at distance diameter is reported as not
-    distance-regular.
+    _transitive is for callers in this package that hold automorphisms of
+    g, checked edge by edge, whose group is transitive on the vertices;
+    only vertex 0's spheres are then swept, with the same result.  Such a
+    group maps 0 to every v, each sphere S_i(0) onto S_i(v), and keeps the
+    counts of neighbors on the spheres next to it; so b_i and c_i constant
+    on every S_i(0) are constant on every S_i(v), and g is
+    distance-regular with vertex 0's array.  When they are not constant on
+    some S_i(0), the full sweep fails already at v = 0, on the very walk
+    the vertex-0 sweep makes, and both report the same witness (0, w).
     """
     if dd is None:
         dd = distances(g)
@@ -107,7 +104,7 @@ def intersection_array(g: Graph, dd=None, *, zero_only: bool = False):
     # of v that fail are those of a walk in w order; the least is reported.
     nbrs = g.masks
     ref = [None] * (d + 1)
-    for v, sphere in enumerate(dd.sphere_masks[:1] if zero_only else dd.sphere_masks):
+    for v, sphere in enumerate(dd.sphere_masks[:1] if _transitive else dd.sphere_masks):
         sphere += (0,)
         failures = []
         for i in range(1, d + 1):
@@ -123,9 +120,6 @@ def intersection_array(g: Graph, dd=None, *, zero_only: bool = False):
         if failures:
             w, reason = min(failures)
             return NotDistanceRegular(witness=(v, w), reason=reason)
-    if ref[d] is None:  # zero_only, and vertex 0's eccentricity is below d
-        w = next(v for v, sphere in enumerate(dd.sphere_masks) if sphere[d])
-        return NotDistanceRegular(witness=(0, w), reason=f"no vertex at distance {d} from 0")
     return IntersectionArray(b=(k, *(bc[0] for bc in ref[1:d])), c=tuple(bc[1] for bc in ref[1:]))
 
 

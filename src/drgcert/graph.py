@@ -160,7 +160,7 @@ def is_connected(g: Graph) -> bool:
     return distances(g).connected
 
 
-def girth(g: Graph, dd: DistanceData | None = None, *, zero_only: bool = False):
+def girth(g: Graph, dd: DistanceData | None = None, *, _transitive: bool = False):
     """Length of a shortest cycle, or None for acyclic graphs.
 
     Around a root r, a vertex w of sphere i bounds the girth in two ways.
@@ -176,8 +176,9 @@ def girth(g: Graph, dd: DistanceData | None = None, *, zero_only: bool = False):
     sphere i-1, else 2i+1.  The even test comes first, since one sphere
     can hold both kinds and then only 2i is the bound.
 
-    With zero_only, the only root is vertex 0.  That is the girth whenever
-    g's automorphism group is transitive on the vertices: an automorphism
+    _transitive is for callers in this package that hold automorphisms of
+    g, checked edge by edge, whose group is transitive on the vertices;
+    the only root is then vertex 0, with the same result: an automorphism
     mapping 0 to r maps the spheres around 0 onto those around r, so every
     root gives vertex 0's bound.
     """
@@ -185,7 +186,7 @@ def girth(g: Graph, dd: DistanceData | None = None, *, zero_only: bool = False):
         dd = distances(g)
     nbrs = g.masks
     best = None
-    for masks in dd.sphere_masks[:1] if zero_only else dd.sphere_masks:
+    for masks in dd.sphere_masks[:1] if _transitive else dd.sphere_masks:
         twice = 0  # the vertices with two neighbors in sphere i-1
         for i in range(1, len(masks)):
             if best is not None and 2 * i >= best:

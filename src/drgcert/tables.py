@@ -224,7 +224,8 @@ def reproduce_row(row: GraphRow) -> RowReport:
         problems.append(f"order: computed {order_computed}, table says {row.order}")
 
     inv = _Invariants(g)
-    # certify first: a group transitive on the vertices gives the array at vertex 0
+    # certify first: it marks inv transitive when the group it searches is
+    # transitive on the vertices, and the array is then read off vertex 0
     cert = certify(inv, label=label_for(row.key))
     arr = inv.array()
     array_computed = str(arr) if arr else None

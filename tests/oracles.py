@@ -181,16 +181,6 @@ BENCHMARK_GRAPHS = (
 ORACLE_SEED = 606001
 
 
-# two cubic graphs that are not vertex-transitive: vertex 0 of the first
-# sees no vertex at distance 3, the diameter, and vertex 0's numbers on the
-# second are {3,2,1;1,1,3} although the graph is not distance-regular
-ECCENTRIC_CUBIC = Graph(10, [(0, 4), (0, 5), (0, 9), (1, 3), (1, 4), (1, 7), (2, 6), (2, 7),
-                             (2, 9), (3, 4), (3, 8), (5, 6), (5, 8), (6, 8), (7, 9)])
-LOCALLY_REGULAR_CUBIC = Graph(12, [(0, 3), (0, 9), (0, 10), (1, 5), (1, 6), (1, 7), (2, 6),
-                                   (2, 10), (2, 11), (3, 4), (3, 8), (4, 7), (4, 11), (5, 8),
-                                   (5, 9), (6, 9), (7, 10), (8, 11)])
-
-
 def catalogue_keys() -> list[str]:
     """The family keys of the benchmark graphs and the table rows, once each."""
     tables = load_tables()

@@ -3,7 +3,6 @@
 import hashlib
 import importlib
 import json
-from collections import Counter
 from dataclasses import fields, replace
 from random import Random
 
@@ -35,13 +34,7 @@ from drgcert.graph import (
     line_graph,
 )
 from drgcert.io import to_graph6
-from oracles import (
-    ECCENTRIC_CUBIC,
-    LOCALLY_REGULAR_CUBIC,
-    are_isomorphic,
-    automorphism_group_reference,
-    oracle_inputs,
-)
+from oracles import are_isomorphic, automorphism_group_reference, oracle_inputs
 
 # the package re-exports the function certify under the module's name
 certify_module = importlib.import_module("drgcert.certify")
@@ -1260,13 +1253,13 @@ def test_audit_computes_invariants_lazily(monkeypatch):
     calls = {"girth": 0, "array": 0}
     girth, array = certify_module.girth, certify_module.intersection_array
 
-    def counted_girth(g, dd=None, *, zero_only=False):
+    def counted_girth(g, dd=None, **kwargs):
         calls["girth"] += 1
-        return girth(g, dd, zero_only=zero_only)
+        return girth(g, dd, **kwargs)
 
-    def counted_array(g, dd=None, *, zero_only=False):
+    def counted_array(g, dd=None, **kwargs):
         calls["array"] += 1
-        return array(g, dd, zero_only=zero_only)
+        return array(g, dd, **kwargs)
 
     foster = build("named:foster")
     cert = certify(foster)
@@ -1288,11 +1281,11 @@ def _sweeps(monkeypatch, allowed: bool):
     girth, array = certify_module.girth, certify_module.intersection_array
 
     def watch(fn, name):
-        def watched(g, dd=None, *, zero_only=False):
-            if not zero_only:
+        def watched(g, dd=None, *, _transitive=False):
+            if not _transitive:
                 assert allowed, f"{name} swept every vertex"
                 swept.append(name)
-            return fn(g, dd, zero_only=zero_only)
+            return fn(g, dd, _transitive=_transitive)
 
         return watched
 
@@ -1317,12 +1310,13 @@ def test_transitive_group_reads_invariants_off_vertex_0(monkeypatch, spec):
 
 def test_foster_minus_vertex_0_keeps_the_full_sweep(monkeypatch):
     # a group with more than one vertex orbit marks nothing transitive: the
-    # engine and the audit sweep every vertex for the girth
+    # engine takes the full path for the girth and the array, the audit for
+    # the girth, the one its replayed rules read
     g, _ = NOT_VERTEX_TRANSITIVE["Foster-0"]
     swept = _sweeps(monkeypatch, allowed=True)
     inv = _Invariants(g)
     cert = certify(inv)
-    assert not inv.transitive and cert.generators and swept == ["girth"]
+    assert not inv.transitive and cert.generators and swept == ["girth", "array"]
     made = []
 
     class Recorded(_Invariants):
@@ -1331,7 +1325,7 @@ def test_foster_minus_vertex_0_keeps_the_full_sweep(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(certify_module, "_Invariants", Recorded)
-    assert audit(cert, g) and not made[0].transitive and swept == ["girth"] * 2
+    assert audit(cert, g) and not made[0].transitive and swept == ["girth", "array", "girth"]
 
 
 def test_audit_checks_transitive_generators_before_reading_invariants(monkeypatch):
@@ -1355,40 +1349,14 @@ def test_audit_checks_transitive_generators_before_reading_invariants(monkeypatc
     assert not result and result.failure == "recorded generator is not an automorphism"
 
 
-def test_all_pairs_never_sweeps_for_the_array(monkeypatch):
-    # no group in all-pairs mode: array-step tests vertex 0's numbers, which
-    # fail on H(4,3), and builds no array
+def test_cubic_step_builds_no_array_off_a_cubic_graph(monkeypatch):
+    # the degree is tested first: H(4,3) has degree 8, and cubic-step asks
+    # for no array however many classes are certified
+    inv = _Invariants(build("hamming:4:3"))
     swept = _sweeps(monkeypatch, allowed=True)
-    g = build("hamming:4:3")
-    cert = certify(g, mode="all-pairs")
-    assert cert.verdict == NO_QSYM and audit(cert, g)
-    assert "array" not in swept
-
-
-def test_array_rules_test_vertex_0_first():
-    # array-step and cubic-step give what they gave when they tested the
-    # full array, which they now build only when vertex 0's numbers pass;
-    # on LOCALLY_REGULAR_CUBIC those numbers pass but the graph has no array
-    graphs = [(label, g) for label, g in oracle_inputs() if g.n <= 40]
-    graphs += [("eccentric", ECCENTRIC_CUBIC), ("locally regular", LOCALLY_REGULAR_CUBIC)]
-    found = Counter()
-    for label, g in graphs:
-        inv = _Invariants(g)
-        if not inv.dd.connected:
-            continue
-        full = _Invariants(g)
-        full.local = full.array  # the rules as they were: the full array first
-        for m in range(1, inv.dd.diameter + 1):
-            for rule in ("array-step", "cubic-step"):
-                test = certify_module._STRUCTURAL[rule]
-                params = test(inv, m, set(range(1, m)))
-                assert params == test(full, m, set(range(1, m))), (label, rule, m)
-                found[rule, params is not None] += 1
-    assert found[("array-step", True)] and found[("cubic-step", True)]
-    inv = _Invariants(LOCALLY_REGULAR_CUBIC)
-    assert inv.local() and not inv.array()
-    assert certify_module._cubic_step(inv, 2, {1}) is None
-    assert certify_module._array_step(inv, 3, {1, 2}) is None
+    for m in range(1, inv.dd.diameter + 1):
+        assert certify_module._cubic_step(inv, m, set(range(1, m))) is None
+    assert swept == []
 
 
 @pytest.mark.parametrize("spec", ["hamming:6:3", "named:foster"])

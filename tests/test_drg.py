@@ -18,8 +18,6 @@ from drgcert.expected import load_tables
 from drgcert.families import build
 from drgcert.graph import DisconnectedGraphError, Graph, cartesian_product, distances, girth
 from oracles import (
-    ECCENTRIC_CUBIC,
-    LOCALLY_REGULAR_CUBIC,
     intersection_array_reference,
     oracle_inputs,
     random_connected_graph,
@@ -195,10 +193,10 @@ def test_vertex_zero_is_the_whole_graph_on_transitive_graphs():
             continue
         transitive += 1
         dd = distances(g)
-        assert girth(g, dd, zero_only=True) == girth(g, dd), label
+        assert girth(g, dd, _transitive=True) == girth(g, dd), label
         if dd.connected:
             full = intersection_array(g, dd)
-            assert intersection_array(g, dd, zero_only=True) == full, label
+            assert intersection_array(g, dd, _transitive=True) == full, label
             not_regular += not full
     assert len(rows) == 25 and transitive == 142 and not_regular == 34
 
@@ -210,28 +208,5 @@ def test_vertex_zero_witness_on_the_pentagonal_prism():
     assert len(vertex_orbits(prism.n, automorphism_group(prism).generators)) == 1
     full = intersection_array(prism)
     assert isinstance(full, NotDistanceRegular) and full.witness[0] == 0
-    assert intersection_array(prism, zero_only=True) == full
-    assert girth(prism, zero_only=True) == girth(prism) == 4
-
-
-def test_vertex_zero_numbers_of_a_distance_regular_graph_are_its_array():
-    # the fact the array rules' vertex-0 pre-check rests on, over every
-    # connected oracle input; on other graphs vertex 0's numbers may pass
-    arrays = 0
-    for label, g in oracle_inputs():
-        dd = distances(g)
-        if dd.connected:
-            full = intersection_array(g, dd)
-            if full:
-                assert intersection_array(g, dd, zero_only=True) == full, label
-                arrays += 1
-    assert arrays == 88
-    assert not intersection_array(LOCALLY_REGULAR_CUBIC)
-    assert str(intersection_array(LOCALLY_REGULAR_CUBIC, zero_only=True)) == "{3,2,1;1,1,3}"
-
-
-def test_vertex_zero_below_the_diameter():
-    res = intersection_array(ECCENTRIC_CUBIC, zero_only=True)
-    assert res == NotDistanceRegular(witness=(0, 1), reason="no vertex at distance 3 from 0")
-    assert distances(ECCENTRIC_CUBIC).d(0, 1) < 3 == distances(ECCENTRIC_CUBIC).diameter
-    assert not intersection_array(ECCENTRIC_CUBIC)
+    assert intersection_array(prism, _transitive=True) == full
+    assert girth(prism, _transitive=True) == girth(prism) == 4

@@ -153,15 +153,14 @@ def test_reproduce_row_full():
 def test_reproduce_row_computes_each_invariant_once(monkeypatch):
     # one distances, one array and one Aut search on the engine side, the
     # array read off vertex 0 as the group is transitive; the audit computes
-    # its own distances and searches nothing.  Heawood's certificate records
-    # no generators, so the audit's cubic-step reads vertex 0's numbers
-    # first and then sweeps every vertex for the array
+    # its own distances and array and searches nothing, and sweeps every
+    # vertex for the array, as Heawood's certificate records no generators
     counts = Counter()
     originals = {"distances": graph.distances, "intersection_array": drg.intersection_array}
 
     def counting(name):
         def wrapped(*args, **kwargs):
-            counts[name + " at 0" if kwargs.get("zero_only") else name] += 1
+            counts[name + " at 0" if kwargs.get("_transitive") else name] += 1
             return originals[name](*args, **kwargs)
 
         return wrapped
@@ -180,7 +179,7 @@ def test_reproduce_row_computes_each_invariant_once(monkeypatch):
     monkeypatch.setattr(autgroup, "_search_generators", counting_search)
     row = reproduce_row(load_tables().graph("named:heawood"))
     assert row.ok
-    assert counts == {"distances": 2, "intersection_array at 0": 2, "intersection_array": 1}
+    assert counts == {"distances": 2, "intersection_array at 0": 1, "intersection_array": 1}
     assert searched == [14]
 
 
