@@ -5,16 +5,20 @@ refinement.  The refinement is incremental: each round recounts
 neighbors only against the cells the last round split, less the last
 part of each, and a child node starts from its one new singleton cell;
 yet it gives the cells, their order and the invariant that recounting
-against every cell gives.  The search prunes branches whose refinement
-invariant differs from the invariant along the first root-to-leaf path,
-prunes candidate vertices lying in the orbit of an already explored
-sibling under the generators found so far, and returns to the first path
-as soon as a subtree off it yields a generator (McKay and Piperno,
-arXiv:1301.1493).  It records at most one generator per explored child
-of a first-path node.  The first root-to-leaf path is a base and the
-generators found are a strong generating set for it, so the exact group
-order and distance-transitivity are read off orbits of the generators;
-no stabilizer chain is built.
+against every cell gives.  A round counts by walking the neighbor lists
+of those cells or by popcounts of neighbor masks against a mask per
+cell, whichever its sizes say is cheaper, with the same result; a
+discrete partition gets no invariant, since the edge test at a leaf
+decides what comparing one would.  The search prunes branches whose
+refinement invariant differs from the invariant along the first
+root-to-leaf path, prunes candidate vertices lying in the orbit of an
+already explored sibling under the generators found so far, and returns
+to the first path as soon as a subtree off it yields a generator
+(McKay and Piperno, arXiv:1301.1493).  It records at most one generator
+per explored child of a first-path node.  The first root-to-leaf path is
+a base and the generators found are a strong generating set for it, so
+the exact group order and distance-transitivity are read off orbits of
+the generators; no stabilizer chain is built.
 
 Permutations are tuples p of length n with p[i] the image of i.
 """
@@ -27,7 +31,7 @@ from itertools import compress
 from math import prod
 from operator import ne
 
-from .graph import DistanceData, Graph, _bits, distances
+from .graph import DistanceData, Graph, _adjacency, _bits, distances
 
 Perm = tuple[int, ...]
 
@@ -57,12 +61,55 @@ def is_automorphism(g: Graph, perm) -> bool:
 # ------------------------------------------------------------- refinement
 
 
+def _split_by_walk(
+    adj: tuple, cells: list[list[int]], cell_of: list[int], pushed: list[int]
+) -> dict:
+    """One round's splits, counted sparsely: -p is appended, for each pushed
+    p in turn, to the hit list of every neighbor of every vertex of cell p,
+    so a vertex's hit list is its count vector over the pushed cells in the
+    sparse form _refine describes.  Only a cell holding a hit vertex is
+    grouped; the others cannot split."""
+    hits: dict[int, list[int]] = defaultdict(list)
+    for p in pushed:
+        key = -p
+        for u in cells[p]:
+            for w in adj[u]:
+                hits[w].append(key)
+    splits: dict[int, list[list[int]]] = {}
+    for i in {-cell_of[w] for w in hits}:
+        if len(cells[i]) > 1:
+            groups: dict[tuple, list[int]] = {}
+            for v in cells[i]:
+                groups.setdefault(tuple(hits.get(v, ())), []).append(v)
+            if len(groups) > 1:
+                splits[i] = [groups[sig] for sig in sorted(groups)]
+    return splits
+
+
+def _split_by_count(masks: tuple, cells: list[list[int]], pushed: list[int]) -> dict:
+    """One round's splits, counted densely: each pushed cell gets a
+    bitmask, and each vertex of a cell of two or more vertices is keyed by
+    the popcounts of its neighbor mask ANDed with those, in pushed order."""
+    pushed_masks = [sum(1 << u for u in cells[p]) for p in pushed]
+    splits: dict[int, list[list[int]]] = {}
+    for i, c in enumerate(cells):
+        if len(c) > 1:
+            groups: dict[tuple, list[int]] = {}
+            for v in c:
+                mask = masks[v]
+                key = tuple([(mask & pm).bit_count() for pm in pushed_masks])
+                groups.setdefault(key, []).append(v)
+            if len(groups) > 1:
+                splits[i] = [groups[key] for key in sorted(groups)]
+    return splits
+
+
 def _refine(
-    adj: list, cells: list[list[int]], pushed: list[int]
-) -> tuple[list[list[int]], tuple]:
-    """Refine to an equitable partition: every vertex of a cell has the
-    same number of neighbors in every cell.  Splitting is driven only by
-    those counts, so the procedure commutes with relabeling.
+    g: Graph, cells: list[list[int]], pushed: list[int]
+) -> tuple[list[list[int]], tuple | None]:
+    """Refine to an equitable partition of g: every vertex of a cell has
+    the same number of neighbors in every cell.  Splitting is driven only
+    by those counts, so the procedure commutes with relabeling.
 
     Each round splits every cell by the vertices' counts of neighbors in
     each current cell, the parts in place and in increasing order of the
@@ -72,7 +119,8 @@ def _refine(
     vertices share, kept sparse as the negated cell indices of its
     neighbors in increasing cell order (at the first cell where two counts
     differ, the smaller count runs into a later cell, or the end, first,
-    so these tuples compare as the dense vectors do).
+    so these tuples compare as the dense vectors do).  A discrete
+    partition, every cell a singleton, has the invariant None.
 
     A round recounts only against the cells in pushed, given in increasing
     order.  A round splits the cells by the counts into the cells before it,
@@ -85,48 +133,61 @@ def _refine(
     pushes the parts of each split cell but the last.  The vectors
     restricted to the pushed cells then differ first at the same cell, by
     the same counts, so they group and order the vertices of a cell exactly
-    as the full vectors do.  A round appends -p, for each pushed p in turn,
-    to the hit list of every neighbor of every vertex of cell p, which makes
-    a hit list the restricted vector in the sparse form above; a cell with
-    no hit vertex cannot split.  The first round needs the same fact from
-    the caller.  One that individualizes v in cell i of an equitable
-    partition, as cells[:i] + [[v], rest] + cells[i+1:], passes [i]: each
-    new cell has constant counts into the old ones, of which cell i alone
-    was split, into [v] and the last part rest.  The search root pushes
-    every one of its starting cells, which recounts against all of them.
+    as the full vectors do.  The first round needs the same fact from the
+    caller.  One that individualizes v in cell i of an equitable partition,
+    as cells[:i] + [[v], rest] + cells[i+1:], passes [i]: each new cell has
+    constant counts into the old ones, of which cell i alone was split,
+    into [v] and the last part rest.  The search root pushes every one of
+    its starting cells, which recounts against all of them.
+
+    A round counts in one of two ways.  _split_by_walk builds each
+    vertex's restricted vector in the sparse form above, _split_by_count
+    builds it densely, as a tuple of popcounts; the sparse tuples compare
+    as the dense ones do, so both give the same parts in the same order.
+    Walking costs an append per neighbor of a vertex of a pushed cell,
+    counting a popcount per vertex of a cell of two or more and pushed
+    cell; each round takes the cheaper, estimated from its sizes and g's
+    mean degree.
+
+    The invariant of a discrete partition would be g relabeled by
+    positions, so two such invariants are equal exactly when the map
+    between the two leaves is an automorphism, which the search tests
+    edge by edge anyway.  None loses nothing else: it equals no tuple,
+    and a tuple of fewer cells than vertices never equaled a discrete
+    partition's invariant either.
     """
+    adj, masks, n = _adjacency(g), g.masks, g.n
+    degree = 2 * len(g.edges) / n if n else 0
     cells = [c for c in cells if c]
-    cell_of = [0] * len(adj)  # minus the index of the vertex's cell
+    cell_of = [0] * n  # minus the index of the vertex's cell
     for i, c in enumerate(cells):
         for v in c:
             cell_of[v] = -i
-    while pushed:
-        hits: dict[int, list[int]] = defaultdict(list)
-        for p in pushed:
-            key = -p
-            for u in cells[p]:
-                for w in adj[u]:
-                    hits[w].append(key)
-        splits: dict[int, list[list[int]]] = {}
-        for i in {-cell_of[w] for w in hits}:
-            if len(cells[i]) > 1:
-                groups: dict[tuple, list[int]] = {}
-                for v in cells[i]:
-                    groups.setdefault(tuple(hits.get(v, ())), []).append(v)
-                if len(groups) > 1:
-                    splits[i] = [groups[sig] for sig in sorted(groups)]
+    free = sum(len(c) for c in cells if len(c) > 1)  # vertices not yet singletons
+    reach = sum(len(cells[p]) for p in pushed)  # vertices of the pushed cells
+    while pushed and free:
+        if reach * degree > free * len(pushed):
+            splits = _split_by_count(masks, cells, pushed)
+        else:
+            splits = _split_by_walk(adj, cells, cell_of, pushed)
         new_cells: list[list[int]] = []
         pushed = []
-        done = 0
+        done = reach = 0
         for i in sorted(splits):
+            parts = splits[i]
+            sizes = list(map(len, parts))
             new_cells += cells[done:i]
-            pushed += range(len(new_cells), len(new_cells) + len(splits[i]) - 1)
-            new_cells += splits[i]
+            pushed += range(len(new_cells), len(new_cells) + len(parts) - 1)
+            new_cells += parts
+            free -= sizes.count(1)
+            reach += sum(sizes) - sizes[-1]
             done = i + 1
         cells = new_cells + cells[done:]
         for i in range(min(splits, default=len(cells)), len(cells)):
             for v in cells[i]:
                 cell_of[v] = -i
+    if len(cells) == n:
+        return cells, None
     return cells, tuple(
         (len(c), tuple(sorted(map(cell_of.__getitem__, adj[c[0]]), reverse=True))) for c in cells
     )
@@ -164,10 +225,9 @@ def _search_generators(
     finds first."""
     n = g.n
     masks, edges = g.masks, g.edges
-    adj = [tuple(_bits(mask)) for mask in masks]
     ident = tuple(range(n))
     generators: list[Perm] = []
-    guide: dict[int, tuple] = {}
+    guide: dict[int, tuple | None] = {}
     first_leaf: Perm | None = None
     base: tuple[int, ...] = ()
     nodes = [0]
@@ -179,8 +239,11 @@ def _search_generators(
                 best = i
         return best
 
-    def descend(cells: list[list[int]], inv: tuple, depth: int, prefix: tuple[int, ...]) -> bool:
-        """Search below prefix; True when the subtree yielded a generator."""
+    def descend(
+        cells: list[list[int]], inv: tuple | None, depth: int, prefix: tuple[int, ...]
+    ) -> bool:
+        """Search below prefix; True when the subtree yielded a generator.
+        A leaf's invariant is None, so the edge test alone decides it."""
         nonlocal first_leaf, base
         nodes[0] += 1
         if nodes[0] > node_budget:
@@ -217,7 +280,7 @@ def _search_generators(
             rest = [u for u in cell if u != v]
             child = cells[:ti] + [[v], rest] + cells[ti + 1 :]
             # off the first path, one generator is all a subtree can add
-            if descend(*_refine(adj, child, [ti]), depth + 1, prefix + (v,)) and (
+            if descend(*_refine(g, child, [ti]), depth + 1, prefix + (v,)) and (
                 first or prefix != base[:depth]
             ):
                 return True
@@ -225,7 +288,7 @@ def _search_generators(
 
     if cells is None:
         cells = [list(range(n))] if n else []  # the empty graph has no cell
-    descend(*_refine(adj, cells, list(range(len(cells)))), 0, ())
+    descend(*_refine(g, cells, list(range(len(cells)))), 0, ())
     return generators, base
 
 

@@ -160,9 +160,23 @@ def hamming_graph(d: int, q: int) -> Graph:
 
 
 def _meet_graph(sets: list[frozenset], size: int) -> Graph:
-    """Graph on a list of sets, adjacent when two meet in exactly size elements."""
-    pairs = combinations(enumerate(sets), 2)
-    return from_edge_list(len(sets), [(i, j) for (i, s), (j, t) in pairs if len(s & t) == size])
+    """Graph on a list of distinct sets of one size k, adjacent when two
+    meet in exactly size elements.  The sets of size k that meet s so are
+    the unions of size of its elements with k - size of the others in the
+    union of all the sets, so each set's partners are enumerated from
+    those and looked up by index; a union that is not in the list is no
+    partner."""
+    index = {s: i for i, s in enumerate(sets)}
+    ground = frozenset().union(*sets)
+    edges = []
+    for i, s in enumerate(sets):
+        others = sorted(ground - s)
+        for kept in combinations(sorted(s), size):
+            for added in combinations(others, len(s) - size):
+                j = index.get(frozenset(kept + added), -1)
+                if j > i:
+                    edges.append((i, j))
+    return from_edge_list(len(sets), edges)
 
 
 def johnson_graph(n: int, k: int) -> Graph:

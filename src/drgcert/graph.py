@@ -22,10 +22,11 @@ class Graph:
     pairs with u < v; self-loops and out-of-range endpoints are rejected.
     Instances compare and hash by (n, edges) and are treated as immutable.
     Adjacency is stored once more, as one neighbor bitmask per vertex:
-    bit w of masks[v] is set exactly when v and w are adjacent.
+    bit w of masks[v] is set exactly when v and w are adjacent; and the
+    neighbor lists that _adjacency builds on first use are kept in _adj.
     """
 
-    __slots__ = ("n", "edges", "masks", "_hash")
+    __slots__ = ("n", "edges", "masks", "_hash", "_adj")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -45,6 +46,7 @@ class Graph:
         self.edges = frozenset(norm)
         self.masks = tuple(masks)
         self._hash = hash((n, self.edges))
+        self._adj = None
 
     @property
     def num_edges(self) -> int:
@@ -111,6 +113,14 @@ def _bits(x: int):
     return compress(range(len(digits)), digits)
 
 
+def _adjacency(g: Graph) -> tuple:
+    """Each vertex's neighbors in increasing order, as a tuple per vertex:
+    built from g.masks on the first call and kept on g."""
+    if g._adj is None:
+        g._adj = tuple(tuple(_bits(mask)) for mask in g.masks)
+    return g._adj
+
+
 @dataclass(frozen=True)
 class DistanceData:
     """All-pairs distances, stored once: bit w of sphere_masks[v][m] is set
@@ -142,7 +152,7 @@ def distances(g: Graph) -> DistanceData:
     at distance m-1, m or m+1 from v, and each at m+1 is one of them; so
     sphere m+1 around v is the OR of the spheres m around its neighbors,
     minus v's spheres m-1 and m."""
-    adj = [tuple(_bits(mask)) for mask in g.masks]
+    adj = _adjacency(g)
     levels = [[0] * g.n, [1 << v for v in range(g.n)]]  # spheres -1 and 0
     while any(levels[-1]):
         prev, last = levels[-2:]

@@ -300,9 +300,8 @@ def _is_equitable(g, cells):
 def test_refine_equitable_at_high_degree(spec):
     # neighbor counts of 128 and more, which a narrow integer type wraps
     g = build(spec)
-    adj = [g.neighbors(v) for v in range(g.n)]
     for start in ([list(range(g.n))], [[0], list(range(1, g.n))]):
-        cells, _ = _refine(adj, start, [0])
+        cells, _ = _refine(g, start, [0])
         assert sorted(v for c in cells for v in c) == list(range(g.n))
         assert _is_equitable(g, cells)
 
@@ -310,25 +309,72 @@ def test_refine_equitable_at_high_degree(spec):
 def test_refine_orders_parts_by_true_counts():
     # the star's leaves (1 neighbor) come before its centre (130)
     star = Graph(131, [(0, v) for v in range(1, 131)])
-    cells, _ = _refine([star.neighbors(v) for v in range(131)], [list(range(131))], [0])
+    cells, _ = _refine(star, [list(range(131))], [0])
     assert cells == [list(range(1, 131)), [0]]
 
 
-def test_refine_matches_reference_on_oracle_inputs():
-    # the root partition, and every child of its fixpoint with the hint the
-    # search passes: the same cells in the same order, the same invariant
-    children = 0
+def _oracle_refinements():
+    """(label, graph, neighbor sets, cells, pushed): the root partition of
+    every oracle graph, and every child of its fixpoint with the hint the
+    search passes."""
     for label, g in oracle_inputs():
         adj = [g.neighbors(v) for v in range(g.n)]
         root = [list(range(g.n))]
-        cells, inv = _refine(adj, root, [0])
-        assert (cells, inv) == refine_reference(adj, root), label
+        yield label, g, adj, root, [0]
+        cells, _ = refine_reference(adj, root)
         for ti, cell in enumerate(cells):
             for v in cell if len(cell) > 1 else ():
                 child = cells[:ti] + [[v], [u for u in cell if u != v]] + cells[ti + 1 :]
-                assert _refine(adj, child, [ti]) == refine_reference(adj, child), (label, ti, v)
-                children += 1
-    assert children > 3000
+                yield (label, ti, v), g, adj, child, [ti]
+
+
+def test_refine_matches_reference_on_oracle_inputs():
+    # the same cells in the same order, and the same invariant but at a
+    # discrete partition, which has none: the search's edge test decides it
+    children = discrete = 0
+    for label, g, adj, cells, pushed in _oracle_refinements():
+        got_cells, got_inv = _refine(g, cells, pushed)
+        want_cells, want_inv = refine_reference(adj, cells)
+        assert got_cells == want_cells, label
+        if len(want_cells) == g.n:
+            assert got_inv is None, label
+            discrete += 1
+        else:
+            assert got_inv == want_inv, label
+        children += len(cells) > 1
+    assert children > 3000 and discrete > 500
+
+
+def test_refine_kernels_agree_on_every_round(monkeypatch):
+    # every round of the sweep is counted both ways, whichever way the
+    # round's sizes pick: the same cells split into the same parts in the
+    # same order
+    walk, count = autgroup._split_by_walk, autgroup._split_by_count
+    picked = {"walk": 0, "count": 0}
+
+    def by_walk(adj, cells, cell_of, pushed):
+        splits = walk(adj, cells, cell_of, pushed)
+        masks = [sum(1 << w for w in nbrs) for nbrs in adj]
+        assert splits == count(masks, cells, pushed), (cells, pushed)
+        picked["walk"] += 1
+        return splits
+
+    def by_count(masks, cells, pushed):
+        splits = count(masks, cells, pushed)
+        adj = [[w for w in range(len(masks)) if mask >> w & 1] for mask in masks]
+        cell_of = [0] * len(masks)
+        for i, c in enumerate(cells):
+            for v in c:
+                cell_of[v] = -i
+        assert splits == walk(adj, cells, cell_of, pushed), (cells, pushed)
+        picked["count"] += 1
+        return splits
+
+    monkeypatch.setattr(autgroup, "_split_by_walk", by_walk)
+    monkeypatch.setattr(autgroup, "_split_by_count", by_count)
+    for label, g, adj, cells, pushed in _oracle_refinements():
+        assert _refine(g, cells, pushed)[0] == refine_reference(adj, cells)[0], label
+    assert min(picked.values()) > 1000, picked
 
 
 def _search_nodes(monkeypatch, g, refine):
@@ -336,9 +382,9 @@ def _search_nodes(monkeypatch, g, refine):
     node count, which is the least node budget that does not raise."""
     calls = [0]
 
-    def counting(adj, cells, pushed):
+    def counting(g, cells, pushed):
         calls[0] += 1
-        return refine(adj, cells, pushed)
+        return refine(g, cells, pushed)
 
     monkeypatch.setattr(autgroup, "_refine", counting)
     aut = automorphism_group(g)
@@ -352,9 +398,10 @@ def _search_nodes(monkeypatch, g, refine):
 @pytest.mark.parametrize("key", catalogue_keys())
 def test_search_same_with_reference_refinement(monkeypatch, key):
     g = build(key)
+    adj = [g.neighbors(v) for v in range(g.n)]
     refine = autgroup._refine
     got = _search_nodes(monkeypatch, g, refine)
-    want = _search_nodes(monkeypatch, g, lambda adj, cells, pushed: refine_reference(adj, cells))
+    want = _search_nodes(monkeypatch, g, lambda g, cells, pushed: refine_reference(adj, cells))
     assert got == want
 
 

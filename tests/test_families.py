@@ -1,6 +1,7 @@
 """Family constructors: orders, degrees, and frozen graph identities."""
 
 import hashlib
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -13,7 +14,7 @@ from drgcert.families import (
     parse_family,
 )
 from drgcert.drg import intersection_array
-from drgcert.graph import complement, distances, girth, line_graph
+from drgcert.graph import Graph, complement, distances, girth, line_graph
 from drgcert.io import to_graph6
 from oracles import are_isomorphic
 
@@ -71,6 +72,20 @@ def test_kneser_parameters():
         g = build(f"kneser:{n}:{k}")
         assert g.n == comb(n, k)
         assert g.regular_degree() == comb(n - k, k)
+
+
+@pytest.mark.parametrize(
+    "key, ground, k, size",
+    [(f"johnson:{n}:{k}", n, k, k - 1) for n, k in [(4, 2), (7, 2), (10, 2), (7, 3), (9, 4)]]
+    + [(f"kneser:{n}:{k}", n, k, 0) for n, k in [(5, 2), (10, 2), (8, 3), (9, 3)]]
+    + [(f"odd:{k}", 2 * k - 1, k - 1, 0) for k in (2, 3, 4, 5, 6)],
+)
+def test_meet_graphs_match_the_pairwise_definition(key, ground, k, size):
+    # the same labelled graph as testing every pair of k-subsets, in
+    # lexicographic order, for an intersection of the given size
+    sets = [set(c) for c in combinations(range(ground), k)]
+    edges = [(i, j) for i, j in combinations(range(len(sets)), 2) if len(sets[i] & sets[j]) == size]
+    assert build(key) == Graph(len(sets), edges)
 
 
 def test_paley_parameters():
