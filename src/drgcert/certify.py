@@ -231,19 +231,19 @@ class _Invariants:
     command and hands it on; the audit builds its own and never calls
     group.
 
-    transitive is set by whoever holds automorphisms of the graph, each
-    checked edge by edge, whose group is transitive on the vertices:
-    certify from the group it searched, the audit from the recorded
-    generators once it has checked them.  The girth and the array computed
-    after that are read off vertex 0, which gives the graph's (see
-    intersection_array and girth)."""
+    roots, None for every vertex, is set by whoever holds automorphisms of
+    the graph, each checked edge by edge, to the least vertex of each of
+    their vertex orbits: by certify from the group it searched, by the
+    audit from the recorded generators once it has checked them.  The
+    girth, the array and unique-at-distance then sweep the roots alone,
+    which gives the graph's (see intersection_array and girth)."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.dd = dd = distances(g)
-        self.transitive = False
-        self.girth = cache(lambda: girth(g, dd, _transitive=self.transitive))
-        self.array = cache(lambda: intersection_array(g, dd, _transitive=self.transitive))
+        self.roots = None
+        self.girth = cache(lambda: girth(g, dd, _roots=self.roots))
+        self.array = cache(lambda: intersection_array(g, dd, _roots=self.roots))
         self.group = cache(lambda: automorphism_group(g, DEFAULT_NODE_BUDGET))
 
 
@@ -332,8 +332,9 @@ def _cubic_step(inv: _Invariants, m: int, certified) -> dict | None:
 
 
 def _unique_far(inv: _Invariants, m: int, certified) -> dict | None:
-    """Every vertex has exactly one vertex at distance m."""
-    if all(masks[m].bit_count() == 1 for masks in inv.dd.sphere_masks):
+    """Every vertex has exactly one vertex at distance m: every root does,
+    as automorphisms keep the sphere sizes."""
+    if all(inv.dd.sphere_masks[r][m].bit_count() == 1 for r in inv.roots):
         return {"count": 1}
     return None
 
@@ -567,8 +568,7 @@ def certify(
             searched_out = True
             notes.append("automorphism search budget exceeded; all-pairs coverage")
     covered = covered_pairs(generators, dd)
-    # one vertex orbit: the girth and the array are read off vertex 0
-    inv.transitive = covered(0) == [(0, 0)]
+    inv.roots = [r for r, _ in covered(0)]
 
     certified: set = set()
     apps: list = []
@@ -693,11 +693,11 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
     The recorded graph6 string must be g's, and g connected.  The recorded
     generators must be automorphisms, and the applications are replayed in
     order, on distances, girth and array computed here, the last two off
-    vertex 0 when the checked generators are transitive on the vertices: a
-    structural rule's function must return exactly the recorded params,
-    and a pair rule's pivots and witnesses must pin every recorded pair,
-    the pairs of class m being exactly those covered_pairs lists for the
-    recorded generators; with none, every ordered pair of the class.  A
+    one root per vertex orbit of the checked generators: a structural
+    rule's function must return exactly the recorded params, and a pair
+    rule's pivots and witnesses must pin every recorded pair, the pairs of
+    class m being exactly those covered_pairs lists for the recorded
+    generators; with none, every ordered pair of the class.  A
     disjoint-automorphisms application must come last and record exactly
     two non-identity automorphisms with disjoint supports, which are
     checked edge by edge; nothing is searched.
@@ -726,7 +726,7 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
         if not is_automorphism(g, p):
             return fail("recorded generator is not an automorphism")
     covered = covered_pairs(gens, dd)
-    inv.transitive = covered(0) == [(0, 0)]
+    inv.roots = [r for r, _ in covered(0)]
 
     certified: set = set()
     for index, app in enumerate(cert.applications, start=1):

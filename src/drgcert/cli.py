@@ -119,17 +119,17 @@ def _cmd_analyze(parser, args) -> int:
     except SearchBudgetExceeded:
         print("automorphism search exceeded the node budget", file=sys.stderr)
         return EXIT_BUDGET
-    # the search's generators are automorphisms; when they are transitive on
-    # the vertices, the girth and the array are vertex 0's
+    # the search's generators are automorphisms: the girth and the array
+    # are read off the least vertex of each of their orbits
     orbits = vertex_orbits(g.n, aut.generators)
-    transitive = len(orbits) == 1
-    arr = intersection_array(g, dd, _transitive=transitive) if connected else None
+    roots = [orbit[0] for orbit in orbits]
+    arr = intersection_array(g, dd, _roots=roots) if connected else None
     info = {
         "label": label_for(family) if family else None,
         "family": family,
         "order": g.n,
         "degree": [min(degrees), max(degrees)] if degree is None and g.n else degree,
-        "girth": girth(g, dd, _transitive=transitive),
+        "girth": girth(g, dd, _roots=roots),
         "clique_number": clique_number(g, orbits),
         "connected": connected,
         "diameter": dd.diameter if connected else None,

@@ -70,21 +70,20 @@ class NotDistanceRegular:
         return False
 
 
-def intersection_array(g: Graph, dd=None, *, _transitive: bool = False):
+def intersection_array(g: Graph, dd=None, *, _roots=None):
     """IntersectionArray of g, or NotDistanceRegular with a counterexample.
 
     Disconnected input is an error.  Irregular input is reported as not
     distance-regular, witnessed by two vertices of different degree.
 
-    _transitive is for callers in this package that hold automorphisms of
-    g, checked edge by edge, whose group is transitive on the vertices;
-    only vertex 0's spheres are then swept, with the same result.  Such a
-    group maps 0 to every v, each sphere S_i(0) onto S_i(v), and keeps the
-    counts of neighbors on the spheres next to it; so b_i and c_i constant
-    on every S_i(0) are constant on every S_i(v), and g is
-    distance-regular with vertex 0's array.  When they are not constant on
-    some S_i(0), the full sweep fails already at v = 0, on the very walk
-    the vertex-0 sweep makes, and both report the same witness (0, w).
+    _roots is for callers in this package that hold automorphisms of g,
+    checked edge by edge: the least vertex of each of their vertex orbits,
+    in increasing order, or None for every vertex.  Only the roots' spheres
+    are swept, with the same result.  An automorphism mapping a root r to
+    v maps every S_i(r) onto S_i(v) and keeps the counts of neighbors on
+    the spheres next to it, so v fails exactly when r does.  Vertex 0 is a
+    root and sets the reference counts, and the first vertex to fail is a
+    root, with the same witness (v, w).
     """
     if dd is None:
         dd = distances(g)
@@ -104,8 +103,8 @@ def intersection_array(g: Graph, dd=None, *, _transitive: bool = False):
     # of v that fail are those of a walk in w order; the least is reported.
     nbrs = g.masks
     ref = [None] * (d + 1)
-    for v, sphere in enumerate(dd.sphere_masks[:1] if _transitive else dd.sphere_masks):
-        sphere += (0,)
+    for v in range(g.n) if _roots is None else _roots:
+        sphere = dd.sphere_masks[v] + (0,)
         failures = []
         for i in range(1, d + 1):
             above, below = sphere[i + 1], sphere[i - 1]

@@ -170,7 +170,7 @@ def is_connected(g: Graph) -> bool:
     return distances(g).connected
 
 
-def girth(g: Graph, dd: DistanceData | None = None, *, _transitive: bool = False):
+def girth(g: Graph, dd: DistanceData | None = None, *, _roots=None):
     """Length of a shortest cycle, or None for acyclic graphs.
 
     Around a root r, a vertex w of sphere i bounds the girth in two ways.
@@ -186,17 +186,18 @@ def girth(g: Graph, dd: DistanceData | None = None, *, _transitive: bool = False
     sphere i-1, else 2i+1.  The even test comes first, since one sphere
     can hold both kinds and then only 2i is the bound.
 
-    _transitive is for callers in this package that hold automorphisms of
-    g, checked edge by edge, whose group is transitive on the vertices;
-    the only root is then vertex 0, with the same result: an automorphism
-    mapping 0 to r maps the spheres around 0 onto those around r, so every
-    root gives vertex 0's bound.
+    _roots is for callers in this package that hold automorphisms of g,
+    checked edge by edge: the least vertex of each of their vertex orbits,
+    in increasing order, or None for every vertex.  Only those roots are
+    swept, with the same result: an automorphism mapping a root r to v
+    maps every S_i(r) onto S_i(v), so v gives r's bound.
     """
     if dd is None:
         dd = distances(g)
     nbrs = g.masks
     best = None
-    for masks in dd.sphere_masks[:1] if _transitive else dd.sphere_masks:
+    for v in range(g.n) if _roots is None else _roots:
+        masks = dd.sphere_masks[v]
         twice = 0  # the vertices with two neighbors in sphere i-1
         for i in range(1, len(masks)):
             if best is not None and 2 * i >= best:

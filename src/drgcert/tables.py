@@ -224,8 +224,8 @@ def reproduce_row(row: GraphRow) -> RowReport:
         problems.append(f"order: computed {order_computed}, table says {row.order}")
 
     inv = _Invariants(g)
-    # certify first: it marks inv transitive when the group it searches is
-    # transitive on the vertices, and the array is then read off vertex 0
+    # certify first: it sets inv.roots from the group it searches, and the
+    # array is then read off one root per vertex orbit
     cert = certify(inv, label=label_for(row.key))
     arr = inv.array()
     array_computed = str(arr) if arr else None

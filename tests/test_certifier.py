@@ -22,7 +22,7 @@ from drgcert.certify import (
     transfer_certificate,
 )
 from drgcert.expected import HAS_QSYM, NO_QSYM, UNKNOWN, load_tables
-from drgcert.autgroup import covered_pairs, is_automorphism
+from drgcert.autgroup import covered_pairs, is_automorphism, vertex_orbits
 from drgcert.families import build, label_for
 from drgcert.graph import (
     DisconnectedGraphError,
@@ -1274,18 +1274,16 @@ def test_audit_computes_invariants_lazily(monkeypatch):
     assert calls == {"girth": 1, "array": 1}
 
 
-def _sweeps(monkeypatch, allowed: bool):
-    """Patch the girth and the array the rules read: a call that sweeps
-    every vertex is recorded, or fails the test unless allowed."""
+def _sweeps(monkeypatch):
+    """Patch the girth and the array the rules read to record each call
+    with the vertices it sweeps: its roots, or every vertex."""
     swept = []
     girth, array = certify_module.girth, certify_module.intersection_array
 
     def watch(fn, name):
-        def watched(g, dd=None, *, _transitive=False):
-            if not _transitive:
-                assert allowed, f"{name} swept every vertex"
-                swept.append(name)
-            return fn(g, dd, _transitive=_transitive)
+        def watched(g, dd=None, *, _roots=None):
+            swept.append((name, list(range(g.n)) if _roots is None else list(_roots)))
+            return fn(g, dd, _roots=_roots)
 
         return watched
 
@@ -1297,26 +1295,29 @@ def _sweeps(monkeypatch, allowed: bool):
 @pytest.mark.parametrize("spec", ["named:foster", "named:biggs_smith", "hamming:6:3"])
 def test_transitive_group_reads_invariants_off_vertex_0(monkeypatch, spec):
     # the engine's group and the audit's checked generators are transitive,
-    # so neither sweeps every vertex for the girth or the array; Foster and
+    # so both read the girth and the array off vertex 0 alone; Foster and
     # Biggs-Smith record generators and apply array-step and cubic-step
     g = build(spec)
     expected = certify(g).to_json()
-    _sweeps(monkeypatch, allowed=False)
+    swept = _sweeps(monkeypatch)
     inv = _Invariants(g)
     cert = certify(inv)
-    assert inv.transitive and cert.to_json() == expected
+    assert inv.roots == [0] and cert.to_json() == expected
     assert cert.generators and audit(cert, g)
+    assert swept and all(roots == [0] for _, roots in swept)
 
 
-def test_foster_minus_vertex_0_keeps_the_full_sweep(monkeypatch):
-    # a group with more than one vertex orbit marks nothing transitive: the
-    # engine takes the full path for the girth and the array, the audit for
-    # the girth, the one its replayed rules read
+def test_foster_minus_vertex_0_sweeps_one_root_per_vertex_orbit(monkeypatch):
+    # its group, of order 48, has 8 vertex orbits: the engine sweeps their
+    # least vertices for the girth and the array, the audit for the girth,
+    # the one its replayed rules read, and neither sweeps all 89 vertices
     g, _ = NOT_VERTEX_TRANSITIVE["Foster-0"]
-    swept = _sweeps(monkeypatch, allowed=True)
+    swept = _sweeps(monkeypatch)
     inv = _Invariants(g)
     cert = certify(inv)
-    assert not inv.transitive and cert.generators and swept == ["girth", "array"]
+    roots = [orbit[0] for orbit in vertex_orbits(g.n, cert.generators)]
+    assert g.n == 89 and inv.group().order == 48 and len(roots) == 8
+    assert inv.roots == roots and swept == [("girth", roots), ("array", roots)]
     made = []
 
     class Recorded(_Invariants):
@@ -1325,7 +1326,8 @@ def test_foster_minus_vertex_0_keeps_the_full_sweep(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(certify_module, "_Invariants", Recorded)
-    assert audit(cert, g) and not made[0].transitive and swept == ["girth", "array", "girth"]
+    assert audit(cert, g) and made[0].roots == roots
+    assert swept == [("girth", roots), ("array", roots), ("girth", roots)]
 
 
 def test_audit_checks_transitive_generators_before_reading_invariants(monkeypatch):
@@ -1353,7 +1355,7 @@ def test_cubic_step_builds_no_array_off_a_cubic_graph(monkeypatch):
     # the degree is tested first: H(4,3) has degree 8, and cubic-step asks
     # for no array however many classes are certified
     inv = _Invariants(build("hamming:4:3"))
-    swept = _sweeps(monkeypatch, allowed=True)
+    swept = _sweeps(monkeypatch)
     for m in range(1, inv.dd.diameter + 1):
         assert certify_module._cubic_step(inv, m, set(range(1, m))) is None
     assert swept == []

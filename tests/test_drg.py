@@ -14,7 +14,6 @@ from drgcert.drg import (
     srg_params,
 )
 from drgcert.autgroup import automorphism_group, vertex_orbits
-from drgcert.expected import load_tables
 from drgcert.families import build
 from drgcert.graph import DisconnectedGraphError, Graph, cartesian_product, distances, girth
 from oracles import (
@@ -181,24 +180,22 @@ def test_kseq_consistency_with_distances():
     assert tuple(mask.bit_count() for mask in dd.sphere_masks[0]) == k_sequence(arr)
 
 
-def test_vertex_zero_is_the_whole_graph_on_transitive_graphs():
-    # on a graph whose automorphism group is transitive on the vertices,
-    # and on every table row, vertex 0's array and girth are the full
-    # sweep's, the witness of a graph that is not distance-regular included
-    tables = load_tables()
-    rows = {row.key for row in tables.cubic_rows() + tables.small_rows()}
-    transitive = not_regular = 0
+def test_one_root_per_vertex_orbit_gives_the_full_sweep():
+    # on every oracle input, the least vertex of each vertex orbit of the
+    # searched group gives the full sweep's girth and array, the witness of
+    # a graph that is not distance-regular included
+    inputs = several = not_regular = 0
     for label, g in oracle_inputs():
-        if not (len(vertex_orbits(g.n, automorphism_group(g).generators)) == 1 or label in rows):
-            continue
-        transitive += 1
+        roots = [orbit[0] for orbit in vertex_orbits(g.n, automorphism_group(g).generators)]
+        inputs += 1
+        several += 1 < len(roots) < g.n
         dd = distances(g)
-        assert girth(g, dd, _transitive=True) == girth(g, dd), label
+        assert girth(g, dd, _roots=roots) == girth(g, dd), label
         if dd.connected:
             full = intersection_array(g, dd)
-            assert intersection_array(g, dd, _transitive=True) == full, label
+            assert intersection_array(g, dd, _roots=roots) == full, label
             not_regular += not full
-    assert len(rows) == 25 and transitive == 142 and not_regular == 34
+    assert inputs == 700 and several == 330 and not_regular == 418
 
 
 def test_vertex_zero_witness_on_the_pentagonal_prism():
@@ -208,5 +205,5 @@ def test_vertex_zero_witness_on_the_pentagonal_prism():
     assert len(vertex_orbits(prism.n, automorphism_group(prism).generators)) == 1
     full = intersection_array(prism)
     assert isinstance(full, NotDistanceRegular) and full.witness[0] == 0
-    assert intersection_array(prism, _transitive=True) == full
-    assert girth(prism, _transitive=True) == girth(prism) == 4
+    assert intersection_array(prism, _roots=[0]) == full
+    assert girth(prism, _roots=[0]) == girth(prism) == 4

@@ -160,7 +160,8 @@ def test_reproduce_row_computes_each_invariant_once(monkeypatch):
 
     def counting(name):
         def wrapped(*args, **kwargs):
-            counts[name + " at 0" if kwargs.get("_transitive") else name] += 1
+            roots = kwargs.get("_roots")
+            counts[name if roots is None else (name, *roots)] += 1
             return originals[name](*args, **kwargs)
 
         return wrapped
@@ -179,7 +180,11 @@ def test_reproduce_row_computes_each_invariant_once(monkeypatch):
     monkeypatch.setattr(autgroup, "_search_generators", counting_search)
     row = reproduce_row(load_tables().graph("named:heawood"))
     assert row.ok
-    assert counts == {"distances": 2, "intersection_array at 0": 1, "intersection_array": 1}
+    assert counts == {
+        "distances": 2,
+        ("intersection_array", 0): 1,
+        ("intersection_array", *range(14)): 1,
+    }
     assert searched == [14]
 
 
