@@ -13,7 +13,6 @@ from .autgroup import (
     SearchBudgetExceeded,
     automorphism_group,
     is_distance_transitive,
-    vertex_orbits,
 )
 from .certify import (
     INCONCLUSIVE,
@@ -105,6 +104,5 @@ __all__ = [
     "to_edge_text",
     "to_graph6",
     "transfer_certificate",
-    "vertex_orbits",
     "write_graph",
 ]

@@ -375,17 +375,6 @@ def disjoint_automorphisms(
     return (sigma, found[0]) if found else None
 
 
-def vertex_orbits(n: int, generators: list[Perm] | tuple[Perm, ...]) -> list[list[int]]:
-    orbits: list[list[int]] = []
-    seen: set[int] = set()
-    for v in range(n):
-        if v not in seen:
-            orbit = _orbit(generators, (), [v])
-            seen |= orbit
-            orbits.append(sorted(orbit))
-    return orbits
-
-
 def _least_mask(n: int, generators) -> int:
     """Bitmask of the least vertex of each orbit of the generators on
     0..n-1: every vertex but the other members of each orbit they move."""

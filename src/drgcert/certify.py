@@ -53,7 +53,7 @@ from .graph import (
     distances,
     girth,
 )
-from .io import _encode, _Record, to_graph6
+from .io import _check_version, _encode, _Record, to_graph6
 
 INCONCLUSIVE = "INCONCLUSIVE"
 
@@ -164,9 +164,7 @@ class Certificate(_Record):
 
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":
-        version = data.get("format_version") if isinstance(data, dict) else None
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported certificate format: {version!r}")
+        _check_version(data, FORMAT_VERSION, "unsupported certificate format: {!r}")
         return super().from_dict({k: v for k, v in data.items() if k != "format_version"})
 
     # _Record's own, entered here so that perfbench/spans.py can wrap the
@@ -225,26 +223,36 @@ class AuditResult:
 
 
 class _Invariants:
-    """A graph and its distances, with the girth, the intersection array and
-    the automorphism group computed on first use, the group within
-    DEFAULT_NODE_BUDGET search nodes.  The engine builds one per graph per
-    command and hands it on; the audit builds its own and never calls
-    group.
+    """A graph and its distances, with the girth, the intersection array,
+    the clique number and the automorphism group computed on first use, the
+    group within DEFAULT_NODE_BUDGET search nodes.  The engine builds one
+    per graph per command and hands it on; the audit builds its own and
+    never calls group.
 
-    roots, None for every vertex, is set by whoever holds automorphisms of
-    the graph, each checked edge by edge, to the least vertex of each of
-    their vertex orbits: by certify from the group it searched, by the
-    audit from the recorded generators once it has checked them.  The
-    girth, the array and unique-at-distance then sweep the roots alone,
-    which gives the graph's (see intersection_array and girth)."""
+    roots starts as every vertex; cover, the one place that changes it,
+    sets it to the least vertex of each vertex orbit of automorphisms
+    checked edge by edge: certify's searched group, the audit's recorded
+    generators once it has checked them, analyze's searched group.  The
+    girth, the array, the clique number and unique-at-distance sweep the
+    roots alone, which gives the graph's (see girth, intersection_array
+    and clique_number)."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.dd = dd = distances(g)
-        self.roots = None
+        self.roots = range(g.n)
         self.girth = cache(lambda: girth(g, dd, _roots=self.roots))
         self.array = cache(lambda: intersection_array(g, dd, _roots=self.roots))
+        self.clique = cache(lambda: clique_number(g, _roots=self.roots))
         self.group = cache(lambda: automorphism_group(g, DEFAULT_NODE_BUDGET))
+
+    def cover(self, generators):
+        """covered_pairs of generators, automorphisms of g already checked
+        edge by edge; the roots become the least vertex of each of their
+        vertex orbits, the first vertices of the pairs covering class 0."""
+        covered = covered_pairs(generators, self.dd)
+        self.roots = [r for r, _ in covered(0)]
+        return covered
 
 
 def _at_least(gir: int | None, bound: int) -> bool:
@@ -278,7 +286,7 @@ def _two_common(inv: _Invariants, m: int, certified) -> dict | None:
         (masks[u] & masks[v]).bit_count() == 2
         for u, spheres in enumerate(dd.sphere_masks)
         for v in _bits((spheres[1] | spheres[2]) >> (u + 1) << (u + 1))
-    ) and clique_number(g) == 3:
+    ) and inv.clique() == 3:
         return {"clique_number": 3, "common_neighbors": 2}
     return None
 
@@ -567,8 +575,7 @@ def certify(
         except SearchBudgetExceeded:
             searched_out = True
             notes.append("automorphism search budget exceeded; all-pairs coverage")
-    covered = covered_pairs(generators, dd)
-    inv.roots = [r for r, _ in covered(0)]
+    covered = inv.cover(generators)
 
     certified: set = set()
     apps: list = []
@@ -725,8 +732,7 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
     for p in gens:
         if not is_automorphism(g, p):
             return fail("recorded generator is not an automorphism")
-    covered = covered_pairs(gens, dd)
-    inv.roots = [r for r, _ in covered(0)]
+    covered = inv.cover(gens)
 
     certified: set = set()
     for index, app in enumerate(cert.applications, start=1):

@@ -18,12 +18,10 @@ from .autgroup import (
     SearchBudgetExceeded,
     automorphism_group,
     is_distance_transitive,
-    vertex_orbits,
 )
-from .certify import DEFAULT_SEARCH_BUDGET, Certificate, audit, certify
-from .drg import intersection_array
+from .certify import DEFAULT_SEARCH_BUDGET, Certificate, _Invariants, audit, certify
 from .families import build, label_for, parse_family
-from .graph import DisconnectedGraphError, Graph, clique_number, distances, girth
+from .graph import DisconnectedGraphError, Graph
 from .io import from_graph6, read_graph, to_edge_text, to_graph6
 from .tables import reproduce_tables
 
@@ -112,25 +110,22 @@ def _cmd_analyze(parser, args) -> int:
     g, family = _load_graph(parser, args)
     degrees = g.degrees()
     degree = g.regular_degree()
-    dd = distances(g)
-    connected = dd.connected
+    inv = _Invariants(g)
+    dd, connected = inv.dd, inv.dd.connected
     try:
         aut = automorphism_group(g, args.budget)
     except SearchBudgetExceeded:
         print("automorphism search exceeded the node budget", file=sys.stderr)
         return EXIT_BUDGET
-    # the search's generators are automorphisms: the girth and the array
-    # are read off the least vertex of each of their orbits
-    orbits = vertex_orbits(g.n, aut.generators)
-    roots = [orbit[0] for orbit in orbits]
-    arr = intersection_array(g, dd, _roots=roots) if connected else None
+    inv.cover(aut.generators)  # the search checked each generator edge by edge
+    arr = inv.array() if connected else None
     info = {
         "label": label_for(family) if family else None,
         "family": family,
         "order": g.n,
         "degree": [min(degrees), max(degrees)] if degree is None and g.n else degree,
-        "girth": girth(g, dd, _roots=roots),
-        "clique_number": clique_number(g, orbits),
+        "girth": inv.girth(),
+        "clique_number": inv.clique(),
         "connected": connected,
         "diameter": dd.diameter if connected else None,
         "array": str(arr) if arr else None,

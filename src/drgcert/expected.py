@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .io import _Record
+from .io import _check_version, _Record
 
 HAS_QSYM = "HAS_QSYM"
 NO_QSYM = "NO_QSYM"
@@ -79,8 +79,7 @@ def _keyed_rows(kind, raw: dict) -> dict:
 def load_tables() -> ExpectedTables:
     text = resources.files("drgcert").joinpath("data/expected_tables.json").read_text()
     raw = json.loads(text)
-    if raw.get("format_version") != 1:
-        raise ValueError("unsupported expected_tables.json format")
+    _check_version(raw, 1, "unsupported expected_tables.json format")
     graphs = _keyed_rows(GraphRow, raw["graphs"])
     families = _keyed_rows(FamilyRow, raw["families"])
     for row in graphs.values():

@@ -217,19 +217,20 @@ def girth(g: Graph, dd: DistanceData | None = None, *, _roots=None):
     return best
 
 
-def clique_number(g: Graph, orbits: list[list[int]] | None = None) -> int:
+def clique_number(g: Graph, *, _roots=None) -> int:
     """Exact maximum clique size: a branch and bound on neighbor bitmasks,
-    rooted at one vertex of each vertex orbit.
+    looking at each root r for a largest clique through r among the
+    neighbors of r above r.
 
-    orbits must be the vertex orbits of some group of automorphisms of g,
-    in any order; None stands for the trivial group, every vertex its own
-    orbit.  Going through the orbits O_1, O_2, ... in order, the search
-    looks for a largest clique through the least vertex r_i of O_i among
-    the neighbors of r_i in O_i, O_{i+1}, ...  That is exact: take a
-    maximum clique K, the first orbit O_i it meets and x in K and O_i.
-    Some automorphism h maps x to r_i, so h(K) is a maximum clique through
-    r_i; it misses O_1 .. O_{i-1}, as orbits are invariant under h, so its
-    other vertices are neighbors of r_i in the later orbits.
+    _roots is for callers in this package that hold automorphisms of g,
+    checked edge by edge: the least vertex of each of their vertex orbits,
+    in increasing order, or None for every vertex, when each clique is
+    found at its least vertex.  Roots are exact too: take a maximum clique
+    K, the least root r whose orbit meets K, and x in K in r's orbit.  An
+    automorphism h maps x to r, and h(K) is a maximum clique through r.
+    h keeps each orbit, so every other vertex of h(K) lies in r's orbit,
+    whose vertices other than r lie above r, or in the orbit of a later
+    root, whose vertices all lie above r.
 
     The bound is a greedy coloring of the candidate set, built by removing
     neighbor masks (Tomita's MCQ, in the bitset form of San Segundo's
@@ -263,16 +264,10 @@ def clique_number(g: Graph, orbits: list[list[int]] | None = None) -> int:
                 best = size + 1
             cand ^= 1 << v
 
-    if orbits is None:
-        orbits = [[v] for v in range(g.n)]
-    later = (1 << g.n) - 1
-    for orbit in orbits:
-        r = min(orbit)
-        cand = nbrs[r] & later
+    for r in range(g.n) if _roots is None else _roots:
+        cand = nbrs[r] >> (r + 1) << (r + 1)
         if 1 + cand.bit_count() > best:
             expand(1, cand)
-        for v in orbit:
-            later &= ~(1 << v)
     return best
 
 

@@ -147,6 +147,14 @@ def write_graph(g: Graph, path: str, fmt: str, comment: str | None = None) -> No
 _JSON_TYPES = {"str": str, "int": int, "None": type(None), "dict": dict, "tuple": list}
 
 
+def _check_version(data, version: int, message: str) -> None:
+    """Raise ValueError(message.format(found)) unless data's format_version
+    is the int version; 4.0 and true only compare equal to one."""
+    found = data.get("format_version") if isinstance(data, dict) else None
+    if not isinstance(found, int) or isinstance(found, bool) or found != version:
+        raise ValueError(message.format(found))
+
+
 def _encode(value):
     """json's hook for what it cannot encode: a record is its JSON object,
     any other object a TypeError, as without the hook."""

@@ -23,7 +23,7 @@ from .certify import INCONCLUSIVE, _Invariants, audit, certify
 from .drg import IntersectionArray, intersection_array
 from .expected import HAS_QSYM, NO_QSYM, UNKNOWN, FamilyRow, GraphRow, load_tables
 from .families import build, label_for
-from .io import _Record
+from .io import _check_version, _Record
 
 FORMAT_VERSION = 1
 
@@ -137,9 +137,7 @@ class TablesReport(_Record):
 
     @classmethod
     def from_dict(cls, data: dict) -> "TablesReport":
-        version = data.get("format_version") if isinstance(data, dict) else None
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported report format {version!r}")
+        _check_version(data, FORMAT_VERSION, "unsupported report format {!r}")
         header = ("format_version", "ok")  # ok is not read back: the rows decide it
         return super().from_dict({k: v for k, v in data.items() if k not in header})
 
@@ -224,8 +222,7 @@ def reproduce_row(row: GraphRow) -> RowReport:
         problems.append(f"order: computed {order_computed}, table says {row.order}")
 
     inv = _Invariants(g)
-    # certify first: it sets inv.roots from the group it searches, and the
-    # array is then read off one root per vertex orbit
+    # certify first: its inv.cover call roots the array at one vertex per orbit
     cert = certify(inv, label=label_for(row.key))
     arr = inv.array()
     array_computed = str(arr) if arr else None

@@ -27,6 +27,8 @@ which the reference search runs; to_graph6_reference the graph6
 encoder before it read neighbor bitmasks, one adjacency test per vertex
 pair; and from_graph6_reference the graph6 decoder before it ran the
 encoder backwards, one Python step per bit.
+vertex_orbits_reference lists a group's vertex orbits by breadth-first
+search, for the tests that sweep one root per orbit.
 oracle_inputs is the shared graph set they are checked on.
 """
 
@@ -41,7 +43,6 @@ from drgcert.autgroup import (
     SearchBudgetExceeded,
     _orbit,
     automorphism_group,
-    vertex_orbits,
 )
 from drgcert.certify import _PAIR_FIELDS, _PIVOT_SIZES, RULE_PIVOT
 from drgcert.drg import IntersectionArray, NotDistanceRegular, SrgParams
@@ -331,6 +332,25 @@ def pair_orbit(
     return seen
 
 
+def vertex_orbits_reference(n: int, generators) -> list[list[int]]:
+    """The orbits of the generated group on 0..n-1, each sorted, in order of
+    their least vertex: a breadth-first search from each unseen vertex."""
+    orbits, seen = [], set()
+    for v in range(n):
+        if v in seen:
+            continue
+        seen.add(v)
+        orbit, queue = [v], [v]
+        for u in queue:
+            for s in generators:
+                if s[u] not in seen:
+                    seen.add(s[u])
+                    orbit.append(s[u])
+                    queue.append(s[u])
+        orbits.append(sorted(orbit))
+    return orbits
+
+
 def sphere(dd, v: int, m: int) -> list[int]:
     """The vertices at distance m from v, one distance read at a time."""
     return [w for w in range(len(dd.sphere_masks)) if dd.d(v, w) == m]
@@ -365,7 +385,7 @@ def _connected_isomorphic(g: Graph, h: Graph, node_budget: int) -> bool:
     edges = list(g.edges) + [(u + shift, v + shift) for u, v in h.edges]
     union = Graph(g.n + h.n, edges)
     gens = automorphism_group(union, node_budget).generators
-    orbit = next(o for o in vertex_orbits(union.n, gens) if 0 in o)
+    orbit = next(o for o in vertex_orbits_reference(union.n, gens) if 0 in o)
     return any(v >= shift for v in orbit)
 
 

@@ -19,8 +19,8 @@ from drgcert.autgroup import (
     covered_pairs,
     is_automorphism,
     is_distance_transitive,
-    vertex_orbits,
 )
+from drgcert.certify import _Invariants
 from drgcert.families import build
 from drgcert.graph import Graph, distances
 from oracles import (
@@ -35,6 +35,7 @@ from oracles import (
     random_connected_graph,
     refine_reference,
     schreier_sims_order,
+    vertex_orbits_reference,
 )
 
 
@@ -139,11 +140,12 @@ def test_schreier_sims_known_groups():
     assert schreier_sims_order(4, [(1, 0, 3, 2), (2, 3, 0, 1)]) == 4
 
 
-def test_vertex_orbits():
+def test_cover_roots_the_vertex_orbits():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])  # path: ends and middles
-    aut = automorphism_group(g)
-    orbits = vertex_orbits(g.n, aut.generators)
-    assert sorted(sorted(o) for o in orbits) == [[0, 3], [1, 2]]
+    inv = _Invariants(g)
+    assert list(inv.roots) == [0, 1, 2, 3]
+    inv.cover(automorphism_group(g).generators)
+    assert inv.roots == [0, 1]
 
 
 def test_pair_orbit_covers_class():
@@ -223,7 +225,7 @@ def test_search_tree_order_and_transitivity_match_oracles():
         if not dd.connected:
             continue
         covered = covered_pairs(aut.generators, dd)
-        one_orbit = len(vertex_orbits(g.n, aut.generators)) == 1
+        one_orbit = len(vertex_orbits_reference(g.n, aut.generators)) == 1
         for m, pairs in enumerate(classes, start=1):
             reached = set().union(*(pair_orbit(g.n, aut.generators, p) for p in covered(m)))
             assert reached == set(pairs), (label, m)

@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import json
+import re
 from dataclasses import fields, replace
 from random import Random
 
@@ -16,13 +17,14 @@ from drgcert.certify import (
     _Budget,
     _Invariants,
     _pair_search,
+    _unique_far,
     audit,
     certify,
     certify_via_complement,
     transfer_certificate,
 )
 from drgcert.expected import HAS_QSYM, NO_QSYM, UNKNOWN, load_tables
-from drgcert.autgroup import covered_pairs, is_automorphism, vertex_orbits
+from drgcert.autgroup import covered_pairs, is_automorphism
 from drgcert.families import build, label_for
 from drgcert.graph import (
     DisconnectedGraphError,
@@ -34,7 +36,12 @@ from drgcert.graph import (
     line_graph,
 )
 from drgcert.io import to_graph6
-from oracles import are_isomorphic, automorphism_group_reference, oracle_inputs
+from oracles import (
+    are_isomorphic,
+    automorphism_group_reference,
+    oracle_inputs,
+    vertex_orbits_reference,
+)
 
 # the package re-exports the function certify under the module's name
 certify_module = importlib.import_module("drgcert.certify")
@@ -650,6 +657,16 @@ def test_format_version_checked():
     data = cert.to_dict()
     data["format_version"] = 99
     with pytest.raises(ValueError):
+        Certificate.from_dict(data)
+
+
+@pytest.mark.parametrize("version", [4.0, True])
+def test_format_version_is_the_int(version):
+    # 4.0 compares equal to 4, but is not the version: such a Petersen
+    # certificate must not load, let alone pass the audit
+    data = certify(build("named:petersen")).to_dict()
+    data["format_version"] = version
+    with pytest.raises(ValueError, match=re.escape(f"unsupported certificate format: {version!r}")):
         Certificate.from_dict(data)
 
 
@@ -1307,6 +1324,14 @@ def test_transitive_group_reads_invariants_off_vertex_0(monkeypatch, spec):
     assert swept and all(roots == [0] for _, roots in swept)
 
 
+def test_unique_far_sweeps_every_vertex_without_a_group():
+    # a fresh _Invariants roots every vertex: each vertex of the cube has
+    # one vertex at distance 3 and three at distance 2
+    inv = _Invariants(build("cube:3"))
+    assert _unique_far(inv, 3, set()) == {"count": 1}
+    assert _unique_far(inv, 2, set()) is None
+
+
 def test_foster_minus_vertex_0_sweeps_one_root_per_vertex_orbit(monkeypatch):
     # its group, of order 48, has 8 vertex orbits: the engine sweeps their
     # least vertices for the girth and the array, the audit for the girth,
@@ -1315,7 +1340,7 @@ def test_foster_minus_vertex_0_sweeps_one_root_per_vertex_orbit(monkeypatch):
     swept = _sweeps(monkeypatch)
     inv = _Invariants(g)
     cert = certify(inv)
-    roots = [orbit[0] for orbit in vertex_orbits(g.n, cert.generators)]
+    roots = [orbit[0] for orbit in vertex_orbits_reference(g.n, cert.generators)]
     assert g.n == 89 and inv.group().order == 48 and len(roots) == 8
     assert inv.roots == roots and swept == [("girth", roots), ("array", roots)]
     made = []

@@ -18,7 +18,7 @@ from drgcert.graph import (
     is_connected,
     line_graph,
 )
-from drgcert.autgroup import automorphism_group, vertex_orbits
+from drgcert.autgroup import automorphism_group
 from drgcert.families import build
 from oracles import (
     clique_number_reference,
@@ -27,6 +27,7 @@ from oracles import (
     oracle_inputs,
     pairs_at_distance,
     random_connected_graph,
+    vertex_orbits_reference,
 )
 
 
@@ -210,16 +211,21 @@ def test_clique_number_random_vs_brute():
         assert clique_number(g) == brute
 
 
+def _roots(g, gens):
+    return [orbit[0] for orbit in vertex_orbits_reference(g.n, gens)]
+
+
 def test_clique_number_matches_reference_on_oracle_inputs():
-    # the orbits of Aut, and of the subgroup generated by the generators
-    # fixing vertex 0, which are finer than those of Aut whenever it moves 0
+    # rooted at the least vertex of each orbit of Aut, and of the subgroup
+    # generated by the generators fixing vertex 0, whose orbits are finer
+    # than those of Aut whenever it moves 0
     for label, g in oracle_inputs():
         omega = clique_number_reference(g)
         gens = automorphism_group(g).generators
         assert clique_number(g) == omega, label
-        assert clique_number(g, vertex_orbits(g.n, gens)) == omega, label
+        assert clique_number(g, _roots=_roots(g, gens)) == omega, label
         fixing = [s for s in gens if s[0] == 0]
-        assert clique_number(g, vertex_orbits(g.n, fixing)) == omega, label
+        assert clique_number(g, _roots=_roots(g, fixing)) == omega, label
 
 
 def test_clique_number_makes_no_distance_pass(monkeypatch):
@@ -229,16 +235,16 @@ def test_clique_number_makes_no_distance_pass(monkeypatch):
     cases = []
     for key in ("named:petersen", "paley:29", "hamming:3:3", "named:clebsch", "johnson:7:3"):
         g = build(key)
-        orbits = vertex_orbits(g.n, automorphism_group(g).generators)
-        cases.append((key, g, orbits, clique_number_reference(g)))
+        roots = _roots(g, automorphism_group(g).generators)
+        cases.append((key, g, roots, clique_number_reference(g)))
 
     def no_distances(g):
         raise AssertionError("clique_number computed distances")
 
     monkeypatch.setattr(drgcert.graph, "distances", no_distances)
-    for key, g, orbits, omega in cases:
+    for key, g, roots, omega in cases:
         assert clique_number(g) == omega, key
-        assert clique_number(g, orbits) == omega, key
+        assert clique_number(g, _roots=roots) == omega, key
 
 
 def test_complement_involution():

@@ -2,11 +2,13 @@
 
 import hashlib
 import importlib
+import json
 from collections import Counter
+from importlib import resources
 
 import pytest
 
-from drgcert import autgroup, drg, graph, tables
+from drgcert import autgroup, drg, expected, graph, tables
 from drgcert.drg import intersection_array
 from drgcert.expected import HAS_QSYM, GraphRow, _keyed_rows, load_tables
 from drgcert.families import build
@@ -238,6 +240,11 @@ def test_report_json_roundtrip(report):
     "text,error",
     [
         ("[]", "unsupported report format None"),
+        # versions that only compare equal to 1
+        ('{"format_version": true, "ok": true, "cubic": [], "small": [], "families": []}',
+         "unsupported report format True"),
+        ('{"format_version": 1.0, "ok": true, "cubic": [], "small": [], "families": []}',
+         "unsupported report format 1.0"),
         ('{"format_version": 1, "ok": true, "cubic": [], "small": []}', "TablesReport has fields"),
         ('{"format_version": 1, "cubic": [1], "small": [], "families": []}', "RowReport has fields"),
         pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply", id="nested"),
@@ -246,6 +253,23 @@ def test_report_json_roundtrip(report):
 def test_report_from_json_checks_schema(text, error):
     with pytest.raises(ValueError, match=error):
         TablesReport.from_json(text)
+
+
+@pytest.mark.parametrize("version", [1.0, True])
+def test_load_tables_needs_the_int_version(monkeypatch, version):
+    raw = json.loads(resources.files("drgcert").joinpath("data/expected_tables.json").read_text())
+    raw["format_version"] = version
+
+    class Data:  # the package's files, with the edited data file
+        def joinpath(self, name):
+            return self
+
+        def read_text(self):
+            return json.dumps(raw)
+
+    monkeypatch.setattr(expected.resources, "files", lambda package: Data())
+    with pytest.raises(ValueError, match="unsupported expected_tables.json format"):
+        load_tables.__wrapped__()
 
 
 def test_report_text_mentions_all_rows(report):
