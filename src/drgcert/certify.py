@@ -30,9 +30,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache, reduce
-from itertools import combinations, repeat
+from itertools import chain, repeat
 from math import comb
-from operator import and_, indexOf
+from operator import and_, getitem, indexOf, itemgetter
 
 from .autgroup import (
     DEFAULT_NODE_BUDGET,
@@ -106,6 +106,7 @@ class _Budget:
 # deepest nesting of dicts and lists in an application's params (the engine
 # writes 5); json's own recursion guard stops at a depth that varies by Python
 PARAMS_DEPTH = 100
+_CONTAINERS = (dict, list)
 
 
 def _load_params(params: dict) -> dict:
@@ -115,10 +116,15 @@ def _load_params(params: dict) -> dict:
         raise ValueError("Application.params is nested too deeply") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"Application.params is not JSON: {exc}") from None
-    level, depth = [copy], 1  # the dicts and lists at this depth
+    level, depth = [copy], 1  # the dicts and lists at this depth, json's own types
     while level and depth <= PARAMS_DEPTH:
-        level = [x for c in level for x in (c.values() if isinstance(c, dict) else c)]
-        level, depth = [x for x in level if isinstance(x, (dict, list))], depth + 1
+        level = [
+            x
+            for c in level
+            for x in (c.values() if type(c) is dict else c)
+            if type(x) in _CONTAINERS
+        ]
+        depth += 1
     if level:
         raise ValueError("Application.params is nested too deeply")
     return copy
@@ -443,98 +449,122 @@ _FAR_CLASS_RULES = (
 # ------------------------------------------------------------- the engine
 
 
-def _pair_search(dd, m, j, l, certified, bud, rule) -> dict | None:
-    """Pivots and witnesses pinning j as l's partner under a pair rule.
+def _class_search(dd, m, pairs, certified, bud, rule) -> list | None:
+    """The entries [j, l, *fields] of a pair rule pinning each pair (j, l)
+    of pairs as partners, in order, in one loop over the class; None at
+    the first pair it cannot pin, where the search stops.
 
-    Where the rule allows witnesses, each rival first gets its smallest
-    witness.  Then the first pivot set, by size and then in lexicographic
-    order, that separates j from every rival without a witness is taken,
-    and the rivals it leaves are recorded with their witnesses.
+    For each pair, where the rule allows witnesses, each rival of j (the
+    other vertices at distance m from l) first gets its smallest witness.
+    Then the first pivot set, by size and then in lexicographic order,
+    that separates j from every rival without a witness is taken, and the
+    rivals it leaves are recorded with their witnesses.
 
     Neither search takes a Python step per candidate.  _first_witness
-    walks only the vertices separating j from the rival.  A pivot q's
-    agreement mask is q's sphere at j's distance from q (the masks come
-    from dd.sphere_masks), ANDed with the mask of the unkilled rivals: bit
-    p is set when unkilled rival p lies at the distance from q that j
-    does.  So a set separates j from every unkilled rival when the AND of
-    its masks is 0, and _first_meet finds the first such set, each set's
-    last member in one C-level scan.  The charges are the nominal ones of
-    testing every candidate in turn: a witness candidate as _first_witness
-    says, and each pivot set tried 2 * size * |rivals| + 1 lookups.  They
-    are charged in bulk, and the search stops at the candidate whose
-    charge exhausts the budget, having spent exactly what the one-at-a-time
-    scan would.
+    walks only the vertices separating j from the rival.  The pivots
+    eligible for l, the vertices in certified classes from l, are listed
+    once per l.  Pivot q's agreement mask is q's sphere at j's distance
+    from q, read off a list of these spheres built when j changes (the
+    pairs come grouped by j, and only the current j's list is kept): bit p
+    is set when p lies at the distance from q that j does.  So a set
+    separates j from every unkilled rival when the AND of its masks with
+    the unkilled rivals is 0, and _first_meet finds the first such set,
+    each set's last member in one C-level scan.  The charges are the
+    nominal ones of testing every candidate of every pair in turn: a
+    witness candidate as _first_witness says, the pivot-only rule n per
+    pair for its eligible list, and each pivot set tried
+    2 * size * |rivals| + 1 lookups.  They are charged in bulk, and the
+    search stops at the candidate whose charge exhausts the budget, having
+    spent exactly what the one-at-a-time scan would.
     """
     masks = dd.sphere_masks
-    n = len(masks)
-    rivals = masks[l][m] & ~(1 << j)
-    witness = {}  # each rival's least witness, in increasing order of rivals
-    if "witnesses" in _PAIR_FIELDS[rule]:
-        for p in _bits(rivals):
-            witness[p] = _first_witness(dd, m, j, l, p, bud)
-    killed = sum(1 << p for p, q in witness.items() if q is not None)
-    unkilled = rivals & ~killed
-    if rule == RULE_PIVOT:
-        bud.spend(n)  # the pivot-only rule pays for its eligible list
-
-    def pinned(pivots):
-        left = _pivots_leave(dd, m, j, l, pivots)
-        return {
-            "pivots": list(pivots),
-            "witnesses": [[p, q] for p, q in witness.items() if left >> p & 1],
-        }
-
     sizes = _PIVOT_SIZES[rule]
-    if not unkilled and 0 not in sizes:
-        return pinned(())
-    if not sizes:
-        return None  # witnesses only, and some rival has none
-    # the vertices in certified classes from l, whose spheres are disjoint
-    eligible = list(_bits(sum(masks[l][t] for t in certified)))
-    jrow = dd.row(j)
-    agree = [masks[q][jrow[q]] & unkilled for q in eligible]
-    for size in sizes:
-        cost = 2 * size * rivals.bit_count() + 1
-        sets = comb(len(eligible), size)
-        affordable = min((bud.limit - bud.used) // cost, sets)
-        found = _first_meet(agree, size, affordable, unkilled)
-        if found is None:  # none of the sets the budget pays for separates
-            bud.spend_each(sets, cost)  # raises if one was unaffordable
-            continue
-        hit, members = found
-        bud.spend((hit + 1) * cost)
-        return pinned([eligible[i] for i in members])
-    return None
+    pivoted, witnessed = (name in _PAIR_FIELDS[rule] for name in ("pivots", "witnesses"))
+    # the pivot-only rule pays n per pair for its eligible list
+    listing = len(masks) if rule == RULE_PIVOT else 0
+    eligibles = {}  # l -> the pivots eligible for l
+    last_j = same = None  # masks[q][d(j, q)] for every q, for the current j
+    found = []
+    for j, l in pairs:
+        rivals = unkilled = masks[l][m] & ~(1 << j)
+        if witnessed:
+            # each rival's least witness, in increasing order of rivals
+            witness = {p: _first_witness(dd, m, j, l, p, bud) for p in _bits(rivals)}
+            unkilled &= ~sum(1 << p for p, q in witness.items() if q is not None)
+        if listing:
+            bud.spend(listing)
+        pivots, left = [], rivals
+        if unkilled or 0 in sizes:
+            if not sizes:
+                return None  # witnesses only, and some rival has none
+            eligible = eligibles.get(l)
+            if eligible is None:
+                # the certified classes' spheres around l are disjoint
+                eligible = eligibles[l] = list(_bits(sum(masks[l][t] for t in certified)))
+            if j != last_j:
+                last_j, same = j, list(map(getitem, masks, dd.row(j)))
+            agree = list(map(same.__getitem__, eligible))
+            for size in sizes:
+                cost = 2 * size * rivals.bit_count() + 1
+                sets = comb(len(eligible), size)
+                hit = _first_meet(agree, size, min((bud.limit - bud.used) // cost, sets), unkilled)
+                if hit is None:  # none of the sets the budget pays for separates
+                    bud.spend_each(sets, cost)  # raises if one was unaffordable
+                    continue
+                bud.spend((hit[0] + 1) * cost)
+                pivots = [eligible[i] for i in hit[1]]
+                left = reduce(and_, map(same.__getitem__, pivots), rivals)
+                break
+            else:  # no pivot set of any size separates
+                return None
+        entry = [j, l, pivots] if pivoted else [j, l]
+        if witnessed:
+            entry.append([[p, witness[p]] for p in _bits(left)])
+        found.append(entry)
+    return found
+
+
+def _pair_search(dd, m, j, l, certified, bud, rule) -> dict | None:
+    """_class_search on the one pair (j, l): its pivots and witnesses."""
+    found = _class_search(dd, m, [(j, l)], certified, bud, rule)
+    return found and {"pivots": [], "witnesses": [], **dict(zip(_PAIR_FIELDS[rule], found[0][2:]))}
 
 
 def _first_meet(masks, size: int, limit: int, top: int) -> tuple | None:
-    """(rank, members) of the first size-subset of the masks, each within
-    top, among the first limit in the lexicographic order of combinations,
-    whose AND with top is 0; None when there is none.
+    """(rank, members) of the first size-subset of the masks, among the
+    first limit in the lexicographic order of combinations, whose AND with
+    top is 0; None when there is none.
 
-    The first size - 1 members run in Python, the rank counting the sets
-    passed over, and one C-level scan finds the last member."""
+    The first member runs in a plain Python loop, the rank counting the
+    sets passed over, and the rest is the first (size - 1)-subset after it
+    whose AND with top and the first member's mask is 0.  One C-level scan
+    finds the last member, so size 1 is one scan and size 2 one scan per
+    first member."""
     if size == 0:
         return (0, ()) if limit > 0 and not top else None
     if size == 1:
         try:
-            hit = masks.index(0, 0, limit)
+            hit = indexOf(map(and_, repeat(top), masks[:limit]), 0)
         except ValueError:
             return None
         return hit, (hit,)
-    rank = 0
-    for prefix in combinations(range(len(masks) - 1), size - 1):
-        start = prefix[-1] + 1
-        room = min(len(masks) - start, limit - rank)
-        if room <= 0:
+    rank, count = 0, len(masks)
+    for first in range(count - size + 1):
+        if rank >= limit:
             break
-        meet = reduce(and_, map(masks.__getitem__, prefix))
-        try:
-            last = indexOf(map(and_, repeat(meet), masks[start : start + room]), 0)
-        except ValueError:
-            rank += room
-            continue
-        return rank + last, (*prefix, start + last)
+        meet = top & masks[first]
+        if size == 2:  # the size-1 scan inline, no call or second slice: the hottest loop
+            room = min(count - 1 - first, limit - rank)
+            try:
+                last = indexOf(map(and_, repeat(meet), masks[first + 1 : first + 1 + room]), 0)
+            except ValueError:
+                rank += room
+                continue
+            return rank + last, (first, first + 1 + last)
+        found = _first_meet(masks[first + 1 :], size - 1, limit - rank, meet)
+        if found is not None:
+            return rank + found[0], (first, *[first + 1 + i for i in found[1]])
+        rank += comb(count - 1 - first, size - 1)
     return None
 
 
@@ -581,13 +611,8 @@ def certify(
     apps: list = []
 
     def pair_rule(rule_id, m, bud):
-        found = []
-        for j, l in covered(m):
-            pinned = _pair_search(dd, m, j, l, certified, bud, rule_id)
-            if pinned is None:
-                return None
-            found.append([j, l, *(pinned[k] for k in _PAIR_FIELDS[rule_id])])
-        return Application(rule_id, m, {"pairs": found})
+        found = _class_search(dd, m, covered(m), certified, bud, rule_id)
+        return None if found is None else Application(rule_id, m, {"pairs": found})
 
     def searches(m, candidates):
         bud = _Budget(search_budget)
@@ -830,53 +855,53 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_vertex(x, n: int) -> bool:
-    return _is_int(x) and 0 <= x < n
+def _vertices(xs, n: int) -> bool:
+    """Whether every x in xs is a vertex: an int, never a bool, in range(n)."""
+    for x in xs:
+        if type(x) is not int or not 0 <= x < n:
+            return False
+    return True
 
 
 def _pair_claims(app, n, covered):
-    """The (j, l, payload) list a pair rule must prove, or an error string.
+    """The (j, l, pivots, witnesses) list a pair rule must prove, or an
+    error string.
 
     The recorded pairs must be exactly the covered pairs of the class,
-    which covered_pairs lists.  Each payload maps the rule's _PAIR_FIELDS
-    to the values recorded after its pair.
+    which covered_pairs lists.  Pivots and witnesses are the values
+    recorded after the pair under the rule's _PAIR_FIELDS, and empty where
+    the rule records none.
     """
     names = _PAIR_FIELDS[app.rule]
     entries = app.params.get("pairs")
     if set(app.params) != {"pairs"} or not isinstance(entries, list):
         return f"parameters {sorted(app.params)} are not ['pairs'] holding a list"
+    width, pivoted, witnessed = 2 + len(names), "pivots" in names, "witnesses" in names
     claims = []
     for entry in entries:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2 + len(names)):
+        if not (isinstance(entry, (list, tuple)) and len(entry) == width):
             return f"entry {entry!r} is not [j, l, {', '.join(names)}]"
-        j, l, *values = entry
-        if not (_is_vertex(j, n) and _is_vertex(l, n)):
+        j, l = entry[0], entry[1]
+        if not (type(j) is int and type(l) is int and 0 <= j < n and 0 <= l < n):
             return f"pair {[j, l]!r} is not a pair of vertices"
-        claims.append((j, l, dict(zip(names, values))))
-    if [(j, l) for j, l, _ in claims] != covered:
+        claims.append((j, l, entry[2] if pivoted else (), entry[-1] if witnessed else ()))
+    if [(j, l) for j, l, _, _ in claims] != covered:
         return f"recorded pairs are not the covered pairs of class {app.m}"
     return claims
 
 
-def _replay_pair(dd, m, j, l, payload, certified) -> str | None:
+def _replay_pair(dd, m, j, l, pivots, witnesses, certified) -> str | None:
     """Why the recorded pivots and witnesses fail to pin j as l's partner,
     or None when they do: every pivot lies in a certified class from l,
     and the rivals the pivots leave are exactly the witnessed ones."""
     n = len(dd.sphere_masks)
-    pivots = payload.get("pivots", [])
-    witnesses = payload.get("witnesses", [])
-    if not (
-        isinstance(pivots, (list, tuple))
-        and len(pivots) <= 3
-        and all(_is_vertex(q, n) for q in pivots)
-    ):
+    if not (isinstance(pivots, (list, tuple)) and len(pivots) <= 3 and _vertices(pivots, n)):
         return "pivots are not a list of at most 3 vertices"
     if not (
         isinstance(witnesses, (list, tuple))
-        and all(
-            isinstance(w, (list, tuple)) and len(w) == 2 and all(_is_vertex(x, n) for x in w)
-            for w in witnesses
-        )
+        and {*map(type, witnesses)} <= {list, tuple}
+        and {*map(len, witnesses)} <= {2}
+        and _vertices(chain.from_iterable(witnesses), n)
     ):
         return "witnesses are not a list of [rival, witness] vertex pairs"
     lrow = dd.row(l)
@@ -885,10 +910,9 @@ def _replay_pair(dd, m, j, l, payload, certified) -> str | None:
         if t not in certified:
             return f"pivot {q} is at distance {t} from l, class {t} not certified"
     left = _pivots_leave(dd, m, j, l, pivots)
-    witnessed = {p for p, _ in witnesses}
-    if sum(1 << p for p in witnessed) != left:
-        rivals = [p for p in range(n) if left >> p & 1]
-        return f"pivots leave rivals {rivals} but witnesses cover {sorted(witnessed)}"
+    witnessed = {*map(itemgetter(0), witnesses)}
+    if sum(map((1).__lshift__, witnessed)) != left:
+        return f"pivots leave rivals {list(_bits(left))} but witnesses cover {sorted(witnessed)}"
     for p, q in witnesses:
         if not _witness_valid(dd, m, j, l, p, q):
             return f"witness {q} does not kill rival {p}"
@@ -908,8 +932,8 @@ def _audit_application(app, inv: _Invariants, certified, covered) -> AuditResult
         claims = _pair_claims(app, len(inv.dd.sphere_masks), covered(m))
         if isinstance(claims, str):
             return AuditResult(False, claims)
-        for j, l, payload in claims:
-            failure = _replay_pair(inv.dd, m, j, l, payload, certified)
+        for j, l, pivots, witnesses in claims:
+            failure = _replay_pair(inv.dd, m, j, l, pivots, witnesses, certified)
             if failure is not None:
                 return AuditResult(False, f"pair ({j},{l}): {failure}")
         return AuditResult(True)

@@ -115,9 +115,15 @@ def _bits(x: int):
 
 def _adjacency(g: Graph) -> tuple:
     """Each vertex's neighbors in increasing order, as a tuple per vertex:
-    built from g.masks on the first call and kept on g."""
+    built from g.edges on the first call and kept on g.  The edge walk
+    costs O(n + m) plus a sort of each list, where reading each n-bit mask
+    would cost O(n) per vertex."""
     if g._adj is None:
-        g._adj = tuple(tuple(_bits(mask)) for mask in g.masks)
+        adj = [[] for _ in range(g.n)]
+        for a, b in g.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        g._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
     return g._adj
 
 

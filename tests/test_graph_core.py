@@ -8,6 +8,8 @@ from drgcert.graph import (
     INFINITE,
     DisconnectedGraphError,
     Graph,
+    _adjacency,
+    _bits,
     bipartite_complement,
     cartesian_product,
     clique_number,
@@ -63,6 +65,33 @@ def test_graph_rejects_bad_edges():
 def test_from_edge_list_accepts_generator():
     g = from_edge_list(3, ((i, i + 1) for i in range(2)))
     assert g.num_edges == 2
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "named:petersen",
+        "named:foster",
+        "hamming:4:3",
+        "paley:17",
+        "johnson:6:3",
+        "odd:4",
+        "crown:10",
+        "complete:7",
+    ],
+)
+def test_adjacency_from_edges_matches_masks(key):
+    """The neighbour tuples built from the edges are those read off
+    the neighbour masks, also on a relabelled copy whose edges come in
+    another order; they are built once and kept."""
+    g = build(key)
+    perm = list(range(g.n))
+    Random(f"adjacency {key}").shuffle(perm)
+    for h in (g, Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])):
+        adj = _adjacency(h)
+        assert adj == tuple(tuple(_bits(mask)) for mask in h.masks)
+        assert _adjacency(h) is adj
+    assert _adjacency(Graph(3)) == ((), (), ())
 
 
 def test_irregular_degree():

@@ -5,7 +5,7 @@ exhaustion and the same charge, always."""
 
 from functools import reduce
 from itertools import combinations
-from operator import and_
+from operator import and_, or_
 from random import Random
 
 import pytest
@@ -14,6 +14,7 @@ from drgcert.certify import (
     _PAIR_FIELDS,
     _Budget,
     _BudgetExceeded,
+    _class_search,
     _first_meet,
     _first_witness,
     _pair_search,
@@ -120,6 +121,55 @@ def test_pair_search_budget_boundary(key, m, certified):
                 assert got == want, (j, l, rule, limit)
 
 
+def _class_reference(dd, m, pairs, certified, bud, rule):
+    """pair_search_reference pair by pair under the one budget, as the
+    engine once searched a class: the entries, or None at the first pair
+    it cannot pin."""
+    found = []
+    for j, l in pairs:
+        pinned = pair_search_reference(dd, m, j, l, certified, bud, rule)
+        if pinned is None:
+            return None
+        found.append([j, l, *(pinned[k] for k in _PAIR_FIELDS[rule])])
+    return found
+
+
+@pytest.mark.parametrize(
+    "key, m, certified, count",
+    [
+        ("hamming:3:3", 3, {1}, None),  # pivot-intersection needs three pivots
+        ("paley:17", 1, set(), None),  # distance-witness, every rival killed
+        ("named:foster", 3, {1, 2}, 24),  # distance-witness, the pairs of j = 0 and 1
+    ],
+)
+def test_class_search_matches_reference_pair_by_pair(key, m, certified, count):
+    """The whole class in one pass against the reference run pair by pair
+    under one shared budget, for every pair rule: at every limit from C - 3
+    to C + 1, where C is the reference's full charge of the class, the same
+    entries, the same pair where the search stops (the last one it drew)
+    and the same budget spent."""
+    dd = distances(build(key))
+    pairs = pairs_at_distance(dd, m)[:count]
+    outcomes = set()
+    for rule in _PAIR_FIELDS:
+        def runs(limit):
+            for search in (_class_search, _class_reference):
+                drawn = []
+                drawing = (drawn.append(pair) or pair for pair in pairs)
+                result = _run(lambda bud: search(dd, m, drawing, certified, bud, rule), limit)
+                yield result, drawn[-1]
+
+        full = _reference_charge(lambda bud: _class_reference(dd, m, pairs, certified, bud, rule))
+        for limit in range(max(0, full - 3), full + 2):
+            got, want = runs(limit)
+            assert got == want, (rule, limit)
+            outcomes.add((got[0][0] is None, got[0][1]))
+    # every case pins the whole class and runs out of budget; on Paley(17)
+    # and Foster some rule stops at a pair it cannot pin
+    assert outcomes >= {(False, False), (True, True)}
+    assert (True, False) in outcomes or key == "hamming:3:3"
+
+
 @pytest.mark.parametrize("key", ["hamming:3:3", "paley:13", "named:petersen", "named:foster"])
 def test_first_witness_matches_reference(key):
     """The engine's first-witness scan, over the separating vertices only,
@@ -151,18 +201,27 @@ def test_first_witness_matches_reference(key):
     assert (True, False) in outcomes or key == "paley:13"
 
 
+def _dense_bits(rng, width: int, dense: int) -> int:
+    """width random bits, each set with probability 1 - 2**-dense."""
+    return reduce(or_, (rng.getrandbits(width) for _ in range(dense)))
+
+
 @pytest.mark.parametrize("size", [0, 1, 2, 3])
 def test_first_meet_matches_combinations(size):
-    """The rank and members of the first pivot set whose AND is 0, against
-    itertools.combinations folded with functools.reduce, on seeded random
-    masks within a random top mask, at every limit from 0 to C(E, size) + 1."""
+    """The rank and members of the first pivot set whose AND with top is
+    0, against itertools.combinations folded with functools.reduce from
+    top, at every limit from 0 to C(E, size) + 1.  The seeded random masks
+    spill outside top, as _first_meet ANDs with top itself, each bit set
+    with probability 1/2, 3/4 or 7/8, so that some first sets are found
+    past the sets of the first member."""
     rng = Random(f"first meet {size}")
-    hits = misses = 0
+    hits = misses = late = 0
     for count in range(13):
         for _ in range(6):
             width = rng.randint(1, 8)
             top = rng.getrandbits(width)
-            masks = [rng.getrandbits(width) & top for _ in range(count)]
+            dense = rng.randint(1, 3)
+            masks = [_dense_bits(rng, width + 2, dense) for _ in range(count)]
             sets = list(combinations(range(count), size))
             meets = [i for i, c in enumerate(sets) if reduce(and_, map(masks.__getitem__, c), top) == 0]
             for limit in range(len(sets) + 2):
@@ -171,7 +230,9 @@ def test_first_meet_matches_combinations(size):
                 assert _first_meet(masks, size, limit, top) == want, (masks, top, limit)
                 hits += want is not None
                 misses += want is None
+                late += want is not None and size > 1 and want[1][0] > 0
     assert hits and misses
+    assert late or size < 2
 
 
 @pytest.mark.parametrize("key", ["hamming:3:3", "paley:13", "named:petersen", "named:foster"])
