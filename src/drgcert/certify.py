@@ -28,6 +28,7 @@ honest third verdict.
 from __future__ import annotations
 
 import json
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import chain, repeat
@@ -80,13 +81,18 @@ class _BudgetExceeded(Exception):
 
 
 class _Budget:
-    """Per-class allowance of elementary distance lookups."""
+    """Per-class allowance of elementary distance lookups, and the witness
+    scans of the class paid for under it: scans maps (l, j, p), j < p, to
+    the least witness killing rival p for the pair (j, l), or None, and the
+    scan's charge.  The scan and its charge are symmetric in j and p, so
+    the pair (p, l) with rival j reads the same entry."""
 
-    __slots__ = ("limit", "used")
+    __slots__ = ("limit", "used", "scans")
 
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
+        self.scans = {}
 
     def spend(self, amount: int) -> None:
         self.used += amount
@@ -109,13 +115,23 @@ PARAMS_DEPTH = 100
 _CONTAINERS = (dict, list)
 
 
+# set while Certificate.from_json loads what json has just parsed, which no
+# caller holds: _load_params then takes the params as they are
+_PARSED = ContextVar("_PARSED", default=False)
+
+
 def _load_params(params: dict) -> dict:
-    try:
-        copy = json.loads(json.dumps(params))
-    except RecursionError:
-        raise ValueError("Application.params is nested too deeply") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"Application.params is not JSON: {exc}") from None
+    """params, checked for depth, copied unless json has just parsed them
+    (see _PARSED): a certificate shares no mutable part with its caller."""
+    if _PARSED.get():
+        copy = params
+    else:
+        try:
+            copy = json.loads(json.dumps(params))
+        except RecursionError:
+            raise ValueError("Application.params is nested too deeply") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"Application.params is not JSON: {exc}") from None
     level, depth = [copy], 1  # the dicts and lists at this depth, json's own types
     while level and depth <= PARAMS_DEPTH:
         level = [
@@ -173,9 +189,15 @@ class Certificate(_Record):
         _check_version(data, FORMAT_VERSION, "unsupported certificate format: {!r}")
         return super().from_dict({k: v for k, v in data.items() if k != "format_version"})
 
-    # _Record's own, entered here so that perfbench/spans.py can wrap the
-    # certificate loads alone
-    from_json = _Record.__dict__["from_json"]
+    @classmethod
+    def from_json(cls, text: str) -> "Certificate":
+        """The certificate JSON text holds, as from_dict reads it, but with
+        the params json has just parsed taken as they are, not copied."""
+        token = _PARSED.set(True)
+        try:
+            return super().from_json(text)
+        finally:
+            _PARSED.reset(token)
 
     def to_text(self) -> str:
         lines = [f"certificate: {self.label}"]
@@ -413,6 +435,21 @@ def _first_witness(dd, m: int, j: int, l: int, p: int, bud) -> int | None:
     return None
 
 
+def _witness_of(dd, m: int, j: int, l: int, p: int, bud) -> int | None:
+    """_first_witness, read off bud.scans when the class has scanned the
+    rival before and the budget still pays the recorded charge; otherwise
+    the scan runs, and stops where the budget runs out."""
+    key = (l, j, p) if j < p else (l, p, j)
+    known = bud.scans.get(key)
+    if known is not None and known[1] <= bud.limit - bud.used:
+        bud.used += known[1]
+        return known[0]
+    used = bud.used
+    q = _first_witness(dd, m, j, l, p, bud)
+    bud.scans[key] = (q, bud.used - used)
+    return q
+
+
 def _pivots_leave(dd, m: int, j: int, l: int, pivots) -> int:
     """Bitmask of the rivals of j, the other vertices at distance m from l,
     that lie at the same distance as j from every pivot (read off j's row)."""
@@ -461,12 +498,14 @@ def _class_search(dd, m, pairs, certified, bud, rule) -> list | None:
     rivals it leaves are recorded with their witnesses.
 
     Neither search takes a Python step per candidate.  _first_witness
-    walks only the vertices separating j from the rival.  The pivots
-    eligible for l, the vertices in certified classes from l, are listed
-    once per l.  Pivot q's agreement mask is q's sphere at j's distance
-    from q, read off a list of these spheres built when j changes (the
-    pairs come grouped by j, and only the current j's list is kept): bit p
-    is set when p lies at the distance from q that j does.  So a set
+    walks only the vertices separating j from the rival, once per rival
+    pair {j, p} around l in the class: bud keeps the scans for every rule
+    tried on it, and _witness_of charges a repeat the scan's own charge.
+    The pivots eligible for l, the vertices in certified classes from l,
+    are listed once per l.  Pivot q's agreement mask is q's sphere at j's
+    distance from q, read off a list of these spheres built when j changes
+    (the pairs come grouped by j, and only the current j's list is kept):
+    bit p is set when p lies at the distance from q that j does.  So a set
     separates j from every unkilled rival when the AND of its masks with
     the unkilled rivals is 0, and _first_meet finds the first such set,
     each set's last member in one C-level scan.  The charges are the
@@ -489,7 +528,7 @@ def _class_search(dd, m, pairs, certified, bud, rule) -> list | None:
         rivals = unkilled = masks[l][m] & ~(1 << j)
         if witnessed:
             # each rival's least witness, in increasing order of rivals
-            witness = {p: _first_witness(dd, m, j, l, p, bud) for p in _bits(rivals)}
+            witness = {p: _witness_of(dd, m, j, l, p, bud) for p in _bits(rivals)}
             unkilled &= ~sum(1 << p for p, q in witness.items() if q is not None)
         if listing:
             bud.spend(listing)

@@ -154,21 +154,37 @@ class DistanceData:
 
 def distances(g: Graph) -> DistanceData:
     """Exact all-pairs distances, one distance at a time for every vertex.
-    As d is symmetric, the vertices at distance m from a neighbor of v lie
-    at distance m-1, m or m+1 from v, and each at m+1 is one of them; so
-    sphere m+1 around v is the OR of the spheres m around its neighbors,
-    minus v's spheres m-1 and m."""
-    adj = _adjacency(g)
-    levels = [[0] * g.n, [1 << v for v in range(g.n)]]  # spheres -1 and 0
-    while any(levels[-1]):
+
+    Sphere 0 around v is v and sphere 1 is g.masks[v].  As d is symmetric,
+    the vertices at distance m from a neighbor of v lie at distance m-1, m
+    or m+1 from v, and each at m+1 is one of them; so sphere m+1 around v
+    is the OR of the spheres m around its neighbors, minus v's spheres m-1
+    and m: one neighbor sweep per sphere from 2 on.
+
+    found counts the pairs (v, w) whose distance is known, the sizes of
+    the spheres so far, which are disjoint around each v.  So found == n*n
+    exactly when every vertex's spheres cover all n vertices: then no
+    later sphere holds a vertex, the last sphere is the diameter's, and g
+    is connected; a connected graph of diameter d takes d - 1 sweeps.  A
+    sphere empty around every vertex makes every later one empty too, as
+    each is built from the one before, so the sweeps stop there as well,
+    with found < n*n unless n <= 1, and that empty sphere is dropped."""
+    n, adj = g.n, _adjacency(g)
+    levels = [[1 << v for v in range(n)], list(g.masks)]  # spheres 0 and 1
+    count = 2 * len(g.edges)  # the size of the last sphere, over all vertices
+    found = n + count
+    while count and found < n * n:
         prev, last = levels[-2:]
         reach = [reduce(or_, map(last.__getitem__, nbrs), 0) for nbrs in adj]
         levels.append([x & ~(y | z) for x, y, z in zip(reach, last, prev)])
-    masks = tuple(zip(*levels[1:-1]))
+        count = sum(map(int.bit_count, levels[-1]))
+        found += count
+    if not count:
+        levels.pop()
     return DistanceData(
-        sphere_masks=masks,
-        diameter=max(len(levels) - 3, 0),
-        connected=all(sum(spheres) == (1 << g.n) - 1 for spheres in masks),
+        sphere_masks=tuple(zip(*levels)),
+        diameter=len(levels) - 1,
+        connected=found == n * n,
     )
 
 

@@ -133,6 +133,22 @@ def test_application_params_depth_is_bounded():
     Application.from_dict({"rule": "r", "m": None, "params": nested(PARAMS_DEPTH)})
     with pytest.raises(ValueError, match="Application.params is nested too deeply"):
         Application.from_dict({"rule": "r", "m": None, "params": nested(PARAMS_DEPTH + 1)})
+    # from_json, which takes the params json has parsed as they are
+    data = _cube_dict()
+    data["applications"][0]["params"] = nested(PARAMS_DEPTH + 1)
+    with pytest.raises(ValueError, match="Application.params is nested too deeply"):
+        Certificate.from_json(json.dumps(data))
+
+
+def test_from_dict_copies_the_callers_params():
+    # from_json takes the params json has just parsed as they are, and
+    # from_dict copies the caller's, which the caller may still edit
+    data = _cube_dict()
+    text = json.dumps(data)
+    cert = Certificate.from_dict(data)
+    data["applications"][0]["params"].clear()
+    assert cert.applications[0].params
+    assert cert == Certificate.from_json(text)
 
 
 def test_application_from_dict_checks_schema():

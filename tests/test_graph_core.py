@@ -1,5 +1,6 @@
 """Graph container, distances, girth, cliques, derived constructions."""
 
+from functools import reduce
 from random import Random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from drgcert.graph import (
     INFINITE,
     DisconnectedGraphError,
+    DistanceData,
     Graph,
     _adjacency,
     _bits,
@@ -162,6 +164,46 @@ def test_distances_match_floyd_warshall_on_oracle_inputs():
             for m, mask in enumerate(dd.sphere_masks[v]):
                 for w in range(g.n):
                     assert (mask >> w & 1) == (expected[v][w] == m), (label, v, m, w)
+
+
+@pytest.mark.parametrize(
+    "g, masks, diameter, connected",
+    [
+        (Graph(0), (), 0, True),
+        (Graph(1), ((1,),), 0, True),
+        (Graph(2), ((1,), (2,)), 0, False),
+        (Graph(2, [(0, 1)]), ((1, 2), (2, 1)), 1, True),
+        (path(4), ((1, 2, 4, 8), (2, 5, 8, 0), (4, 10, 1, 0), (8, 4, 2, 1)), 3, True),
+        (Graph(4, [(0, 1), (1, 2)]), ((1, 2, 4), (2, 5, 0), (4, 2, 1), (8, 0, 0)), 2, False),
+    ],
+    ids=["n=0", "n=1", "two-isolated", "K2", "path", "isolated-vertex"],
+)
+def test_distances_exact_small_cases(g, masks, diameter, connected):
+    # every vertex has diameter + 1 masks, also in a component that ends sooner
+    assert distances(g) == DistanceData(masks, diameter, connected)
+
+
+@pytest.mark.parametrize(
+    "g, diameter",
+    [
+        (build("paley:109"), 2),
+        (build("complete:5"), 1),
+        (build("named:foster"), 8),
+        (path(4), 3),
+        (Graph(1), 0),
+    ],
+    ids=["paley:109", "K5", "foster", "path", "n=1"],
+)
+def test_distances_sweep_to_the_diameter(g, diameter, monkeypatch):
+    """Sphere 1 is read off the masks and the sweeps stop once every
+    vertex's spheres cover the graph: a connected graph of diameter d
+    takes d - 1 neighbor sweeps, of one reduce per vertex each."""
+    import drgcert.graph
+
+    calls = []
+    monkeypatch.setattr(drgcert.graph, "reduce", lambda *args: calls.append(1) or reduce(*args))
+    assert distances(g).diameter == diameter
+    assert len(calls) == max(diameter - 1, 0) * g.n
 
 
 def test_sphere_masks():

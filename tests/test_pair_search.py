@@ -4,13 +4,16 @@ at a time and scan the witness's sphere: the same result, the same budget
 exhaustion and the same charge, always."""
 
 from functools import reduce
+from importlib import import_module
 from itertools import combinations
 from operator import and_, or_
 from random import Random
 
 import pytest
 
+from drgcert.autgroup import automorphism_group, covered_pairs
 from drgcert.certify import (
+    _FAR_CLASS_RULES,
     _PAIR_FIELDS,
     _Budget,
     _BudgetExceeded,
@@ -168,6 +171,68 @@ def test_class_search_matches_reference_pair_by_pair(key, m, certified, count):
     # and Foster some rule stops at a pair it cannot pin
     assert outcomes >= {(False, False), (True, True)}
     assert (True, False) in outcomes or key == "hamming:3:3"
+
+
+def _rules_in_turn(search, dd, m, pairs, certified, drawn):
+    """search(bud) trying the pair rules of a class beyond the first in
+    turn under the one budget, as certify does: (rule, entries) of the
+    first that pins every pair, or None.  drawn gets (rule, pair) for each
+    pair a rule's search draws."""
+
+    def run(bud):
+        for rule in _FAR_CLASS_RULES[1]:
+            drawing = (drawn.append((rule, pair)) or pair for pair in pairs)
+            found = search(dd, m, drawing, certified, bud, rule)
+            if found is not None:
+                return rule, found
+        return None
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "key, mode, m, certified, scans",
+    [
+        # as certify reaches it: no rule pins the one pair, and
+        # pivot-witness reads the 13 scans distance-witness made
+        ("paley:29", "auto", 2, set(), 13),
+        # distance-witness pins the class; the pair (p, l) with rival j
+        # reads the scan of (j, l) with rival p: 11880 rivals, 5940 scans
+        ("named:foster", "all-pairs", 3, {1, 2}, 5940),
+    ],
+)
+def test_class_rules_share_witness_scans(key, mode, m, certified, scans, monkeypatch):
+    """The pair rules of a class in turn under one budget, which keeps
+    each witness scan for every rule tried on the class, against the
+    reference run rule by rule and pair by pair under one budget: at every
+    limit from C - 3 to C + 1, where C is the reference's full charge, and
+    at one in the second half, the same result, the same pair where the
+    search stops and the same budget spent, also when the budget runs out
+    on a scan read back."""
+    dd = distances(g := build(key))
+    pairs = covered_pairs(automorphism_group(g).generators if mode == "auto" else (), dd)(m)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _first_witness(*args)
+
+    # the module, which the package's certify function shadows
+    monkeypatch.setattr(import_module("drgcert.certify"), "_first_witness", counted)
+
+    def run(search, limit):
+        drawn = []
+        return _run(_rules_in_turn(search, dd, m, pairs, certified, drawn), limit), drawn[-1]
+
+    full = _reference_charge(_rules_in_turn(_class_reference, dd, m, pairs, certified, []))
+    # and one in the second half, which stops inside a scan read back
+    below = Random(f"shared scans {key}").randrange(full // 2, full)
+    for limit in (below, *range(full - 3, full + 2)):
+        calls.clear()
+        got, want = run(_class_search, limit), run(_class_reference, limit)
+        assert got == want, limit
+        assert got[0][1] == (limit < full), limit
+        assert limit < full or len(calls) == scans
 
 
 @pytest.mark.parametrize("key", ["hamming:3:3", "paley:13", "named:petersen", "named:foster"])
