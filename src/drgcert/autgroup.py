@@ -4,21 +4,20 @@ The search individualizes vertices inside an equitable partition
 refinement.  The refinement is incremental: each round recounts
 neighbors only against the cells the last round split, less the last
 part of each, and a child node starts from its one new singleton cell;
-yet it gives the cells, their order and the invariant that recounting
-against every cell gives.  A round counts by walking the neighbor lists
-of those cells or by popcounts of neighbor masks against a mask per
-cell, whichever its sizes say is cheaper, with the same result; a
-discrete partition gets no invariant, since the edge test at a leaf
-decides what comparing one would.  The search prunes branches whose
-refinement invariant differs from the invariant along the first
-root-to-leaf path, prunes candidate vertices lying in the orbit of an
-already explored sibling under the generators found so far, and returns
-to the first path as soon as a subtree off it yields a generator
-(McKay and Piperno, arXiv:1301.1493).  It records at most one generator
-per explored child of a first-path node.  The first root-to-leaf path is
-a base and the generators found are a strong generating set for it, so
-the exact group order and distance-transitivity are read off orbits of
-the generators; no stabilizer chain is built.
+yet it gives the cells and their order that recounting against every
+cell gives.  A round counts by walking the neighbor lists of those cells
+or by popcounts of neighbor masks against a mask per cell, whichever its
+sizes say is cheaper, with the same result.  The search prunes nodes
+whose shape, the cell sizes in order, differs from the shape of the
+first root-to-leaf path's node at the same depth, prunes candidate
+vertices lying in the orbit of an already explored sibling under the
+generators found so far, and returns to the first path as soon as a
+subtree off it yields a generator (McKay and Piperno, arXiv:1301.1493).
+It records at most one generator per explored child of a first-path
+node.  The first root-to-leaf path is a base and the generators found
+are a strong generating set for it, so the exact group order and
+distance-transitivity are read off orbits of the generators; no
+stabilizer chain is built.
 
 Permutations are tuples p of length n with p[i] the image of i.
 """
@@ -104,23 +103,17 @@ def _split_by_count(masks: tuple, cells: list[list[int]], pushed: list[int]) -> 
     return splits
 
 
-def _refine(
-    g: Graph, cells: list[list[int]], pushed: list[int]
-) -> tuple[list[list[int]], tuple | None]:
+def _refine(g: Graph, cells: list[list[int]], pushed: list[int]) -> list[list[int]]:
     """Refine to an equitable partition of g: every vertex of a cell has
     the same number of neighbors in every cell.  Splitting is driven only
-    by those counts, so the procedure commutes with relabeling.
+    by those counts, so the procedure commutes with relabeling: relabeled
+    cells refine to the relabeled fixpoint, whose shape, the cell sizes in
+    order, is the same, and the shape is what the search compares.
 
     Each round splits every cell by the vertices' counts of neighbors in
     each current cell, the parts in place and in increasing order of the
     dense count vector, compared lexicographically in cell order.  A round
-    that splits nothing is the fixpoint.  Returns the cells and the
-    fixpoint's invariant: for each cell its size and the vector its
-    vertices share, kept sparse as the negated cell indices of its
-    neighbors in increasing cell order (at the first cell where two counts
-    differ, the smaller count runs into a later cell, or the end, first,
-    so these tuples compare as the dense vectors do).  A discrete
-    partition, every cell a singleton, has the invariant None.
+    that splits nothing is the fixpoint, whose cells are returned.
 
     A round recounts only against the cells in pushed, given in increasing
     order.  A round splits the cells by the counts into the cells before it,
@@ -141,20 +134,15 @@ def _refine(
     its starting cells, which recounts against all of them.
 
     A round counts in one of two ways.  _split_by_walk builds each
-    vertex's restricted vector in the sparse form above, _split_by_count
-    builds it densely, as a tuple of popcounts; the sparse tuples compare
-    as the dense ones do, so both give the same parts in the same order.
-    Walking costs an append per neighbor of a vertex of a pushed cell,
-    counting a popcount per vertex of a cell of two or more and pushed
-    cell; each round takes the cheaper, estimated from its sizes and g's
-    mean degree.
-
-    The invariant of a discrete partition would be g relabeled by
-    positions, so two such invariants are equal exactly when the map
-    between the two leaves is an automorphism, which the search tests
-    edge by edge anyway.  None loses nothing else: it equals no tuple,
-    and a tuple of fewer cells than vertices never equaled a discrete
-    partition's invariant either.
+    vertex's restricted vector sparsely, as the negated indices of the
+    pushed cells of its neighbors in increasing cell order: at the first
+    cell where two counts differ, the smaller count runs into a later
+    cell, or the end, first, so these tuples compare as the dense vectors
+    do.  _split_by_count builds it densely, as a tuple of popcounts.  So
+    both give the same parts in the same order.  Walking costs an append
+    per neighbor of a vertex of a pushed cell, counting a popcount per
+    vertex of a cell of two or more and pushed cell; each round takes the
+    cheaper, estimated from its sizes and g's mean degree.
     """
     adj, masks, n = _adjacency(g), g.masks, g.n
     degree = 2 * len(g.edges) / n if n else 0
@@ -186,11 +174,7 @@ def _refine(
         for i in range(min(splits, default=len(cells)), len(cells)):
             for v in cells[i]:
                 cell_of[v] = -i
-    if len(cells) == n:
-        return cells, None
-    return cells, tuple(
-        (len(c), tuple(sorted(map(cell_of.__getitem__, adj[c[0]]), reverse=True))) for c in cells
-    )
+    return cells
 
 
 # ----------------------------------------------------------------- search
@@ -222,39 +206,34 @@ def _search_generators(
     every leaf lists each starting cell's vertices at the same positions,
     and the generators map each starting cell to itself.  With first, the
     search stops at its first generator, which is the one a full search
-    finds first."""
+    finds first.
+
+    A node is pruned when its shape, the sizes of its cells in order,
+    differs from the shape of the first path's node at the same depth.
+    Refinement commutes with relabeling, so an automorphism maps a node
+    to one of the same shape, and a pruned node holds no image of the
+    first leaf.  A leaf of the first path's depth has that leaf's shape,
+    so the edge test decides it."""
     n = g.n
     masks, edges = g.masks, g.edges
     ident = tuple(range(n))
     generators: list[Perm] = []
-    guide: dict[int, tuple | None] = {}
+    guide: dict[int, list[int]] = {}
     first_leaf: Perm | None = None
     base: tuple[int, ...] = ()
     nodes = [0]
 
-    def target_index(cells: list[list[int]]) -> int | None:
-        best = None
-        for i, c in enumerate(cells):
-            if len(c) > 1 and (best is None or len(c) < len(cells[best])):
-                best = i
-        return best
-
-    def descend(
-        cells: list[list[int]], inv: tuple | None, depth: int, prefix: tuple[int, ...]
-    ) -> bool:
-        """Search below prefix; True when the subtree yielded a generator.
-        A leaf's invariant is None, so the edge test alone decides it."""
+    def descend(cells: list[list[int]], depth: int, prefix: tuple[int, ...]) -> bool:
+        """Search below prefix unless the node's shape differs from the
+        guide's at its depth; True when the subtree yielded a generator."""
         nonlocal first_leaf, base
         nodes[0] += 1
         if nodes[0] > node_budget:
             raise SearchBudgetExceeded(f"automorphism search exceeded {node_budget} nodes")
-        if depth in guide:
-            if inv != guide[depth]:
-                return False
-        else:
-            guide[depth] = inv
-        ti = target_index(cells)
-        if ti is None:
+        shape = list(map(len, cells))
+        if guide.setdefault(depth, shape) != shape:
+            return False
+        if len(cells) == n:
             leaf = tuple(c[0] for c in cells)
             if first_leaf is None:
                 first_leaf, base = leaf, prefix
@@ -267,6 +246,8 @@ def _search_generators(
                 generators.append(perm)
                 return True
             return False
+        # the first of the smallest cells of two or more vertices
+        ti = shape.index(min(size for size in shape if size > 1))
         cell = cells[ti]
         done: list[int] = []
         # a subset of the orbit of done, recomputed only when it misses
@@ -280,7 +261,7 @@ def _search_generators(
             rest = [u for u in cell if u != v]
             child = cells[:ti] + [[v], rest] + cells[ti + 1 :]
             # off the first path, one generator is all a subtree can add
-            if descend(*_refine(g, child, [ti]), depth + 1, prefix + (v,)) and (
+            if descend(_refine(g, child, [ti]), depth + 1, prefix + (v,)) and (
                 first or prefix != base[:depth]
             ):
                 return True
@@ -288,7 +269,7 @@ def _search_generators(
 
     if cells is None:
         cells = [list(range(n))] if n else []  # the empty graph has no cell
-    descend(*_refine(g, cells, list(range(len(cells)))), 0, ())
+    descend(_refine(g, cells, list(range(len(cells)))), 0, ())
     return generators, base
 
 

@@ -29,11 +29,14 @@ pair; and from_graph6_reference the graph6 decoder before it ran the
 encoder backwards, one Python step per bit.
 vertex_orbits_reference lists a group's vertex orbits by breadth-first
 search, for the tests that sweep one root per orbit.
-oracle_inputs is the shared graph set they are checked on.
+oracle_inputs is the shared graph set they are checked on, and
+latin_square_inputs a set of graphs on which refinement alone splits
+nothing, so that the search's node test prunes.
 """
 
 from itertools import combinations, permutations
 from math import prod
+from operator import eq
 from random import Random
 
 from drgcert.autgroup import (
@@ -211,6 +214,56 @@ def oracle_inputs():
         yield f"circulant {i}", Graph(n, sorted(edges))
     yield "K_1", Graph(1)
     yield "K_2", Graph(2, [(0, 1)])
+
+
+LATIN_SEED = 20261020
+
+
+def random_latin_square(rng: Random, n: int) -> list[list[int]]:
+    """A Latin square of order n, filled row by row, cell by cell, with
+    the symbols the row and column leave free in random order, backtracking
+    where none is left."""
+    square = [[-1] * n for _ in range(n)]
+
+    def fill(k: int) -> bool:
+        if k == n * n:
+            return True
+        r, c = divmod(k, n)
+        used = set(square[r][:c]) | {square[i][c] for i in range(r)}
+        free = [s for s in range(n) if s not in used]
+        rng.shuffle(free)
+        for s in free:
+            square[r][c] = s
+            if fill(k + 1):
+                return True
+        square[r][c] = -1
+        return False
+
+    fill(0)
+    return square
+
+
+def latin_square_graph(square) -> Graph:
+    """The Latin-square graph: vertex n*r + c is the cell (r, c), and two
+    cells are adjacent when they share a row, a column or a symbol.  It is
+    strongly regular, SRG(n^2, 3(n - 1), n, 6), so refinement splits
+    nothing at the root."""
+    n = len(square)
+    cells = [(r, c, square[r][c]) for r in range(n) for c in range(n)]
+    return Graph(
+        n * n,
+        [(u, v) for v in range(n * n) for u in range(v) if any(map(eq, cells[u], cells[v]))],
+    )
+
+
+def latin_square_inputs():
+    """(label, graph): the Latin-square graphs of seeded random Latin
+    squares, three each of orders 5 and 6 and two of order 7, whose
+    searches take longest."""
+    rng = Random(LATIN_SEED)
+    for n, count in ((5, 3), (6, 3), (7, 2)):
+        for i in range(count):
+            yield f"latin {n} {i}", latin_square_graph(random_latin_square(rng, n))
 
 
 def _mul(a, b):
