@@ -53,6 +53,12 @@ def is_automorphism(g: Graph, perm) -> bool:
         and sorted(perm) == list(range(g.n))
     ):
         return False
+    return _maps_edges(g, perm)
+
+
+def _maps_edges(g: Graph, perm) -> bool:
+    """Whether the permutation perm of g's vertices maps every edge of g
+    to an edge, tested on the neighbor bitmasks."""
     masks = g.masks
     return all(masks[perm[u]] >> perm[v] & 1 for u, v in g.edges)
 
@@ -215,7 +221,6 @@ def _search_generators(
     first leaf.  A leaf of the first path's depth has that leaf's shape,
     so the edge test decides it."""
     n = g.n
-    masks, edges = g.masks, g.edges
     ident = tuple(range(n))
     generators: list[Perm] = []
     guide: dict[int, list[int]] = {}
@@ -242,7 +247,7 @@ def _search_generators(
             for src, dst in zip(first_leaf, leaf):
                 sigma[src] = dst
             perm = tuple(sigma)
-            if perm != ident and all(masks[perm[u]] >> perm[v] & 1 for u, v in edges):
+            if perm != ident and _maps_edges(g, perm):
                 generators.append(perm)
                 return True
             return False

@@ -474,12 +474,12 @@ _PAIR_FIELDS = {
 # pivot-set sizes each pair rule tries, in order
 _PIVOT_SIZES = {RULE_PIVOT: (1, 2, 3), RULE_KRIT: (), RULE_PIVOT_KRIT: (0, 1, 2, 3)}
 
-# (structural rules, pair rules) the engine tries, in order, on class 1
-# and on each class beyond it
-_CLASS_ONE_RULES = ((RULE_GIRTH5, RULE_ONE_COMMON, RULE_TWO_COMMON), (RULE_KRIT,))
-_FAR_CLASS_RULES = (
-    (RULE_ARRAY_STEP, RULE_CUBIC_D2, RULE_CUBIC_STEP, RULE_UNIQUE_FAR),
-    (RULE_PIVOT, RULE_KRIT, RULE_PIVOT_KRIT),
+# the rules the engine tries, in order, on class 1 and on each class beyond
+# it: the structural rules first, then the pair rules
+_CLASS_RULES = (
+    (RULE_GIRTH5, RULE_ONE_COMMON, RULE_TWO_COMMON, RULE_KRIT),
+    (RULE_ARRAY_STEP, RULE_CUBIC_D2, RULE_CUBIC_STEP, RULE_UNIQUE_FAR)
+    + (RULE_PIVOT, RULE_KRIT, RULE_PIVOT_KRIT),
 )
 
 
@@ -563,12 +563,6 @@ def _class_search(dd, m, pairs, certified, bud, rule) -> list | None:
     return found
 
 
-def _pair_search(dd, m, j, l, certified, bud, rule) -> dict | None:
-    """_class_search on the one pair (j, l): its pivots and witnesses."""
-    found = _class_search(dd, m, [(j, l)], certified, bud, rule)
-    return found and {"pivots": [], "witnesses": [], **dict(zip(_PAIR_FIELDS[rule], found[0][2:]))}
-
-
 def _first_meet(masks, size: int, limit: int, top: int) -> tuple | None:
     """(rank, members) of the first size-subset of the masks, among the
     first limit in the lexicographic order of combinations, whose AND with
@@ -648,39 +642,23 @@ def certify(
 
     certified: set = set()
     apps: list = []
-
-    def pair_rule(rule_id, m, bud):
-        found = _class_search(dd, m, covered(m), certified, bud, rule_id)
-        return None if found is None else Application(rule_id, m, {"pairs": found})
-
-    def searches(m, candidates):
-        bud = _Budget(search_budget)
-        for rule_id in candidates:
-            try:
-                app = pair_rule(rule_id, m, bud)
-            except _BudgetExceeded:
-                notes.append(
-                    f"class {m}: search budget of {search_budget} distance "
-                    "lookups exhausted"
-                )
-                return None
-            if app is not None:
-                return app
-        return None
-
-    def structural(m, rules):
-        for rule_id in rules:
-            params = _STRUCTURAL[rule_id](inv, m, certified)
-            if params is not None:
-                return Application(rule_id, m, params)
-        return None
-
     for m in range(1, dd.diameter + 1):
-        rules, pair_rules = _CLASS_ONE_RULES if m == 1 else _FAR_CLASS_RULES
-        app = structural(m, rules) or searches(m, pair_rules)
-        if app is not None:
-            apps.append(app)
-            certified.add(m)
+        bud = _Budget(search_budget)  # the class's pair rules share it
+        for rule_id in _CLASS_RULES[m > 1]:
+            check = _STRUCTURAL.get(rule_id)
+            if check is not None:
+                params = check(inv, m, certified)
+            else:
+                try:
+                    found = _class_search(dd, m, covered(m), certified, bud, rule_id)
+                except _BudgetExceeded:
+                    notes.append(f"class {m}: search budget of {search_budget} distance lookups exhausted")
+                    break
+                params = None if found is None else {"pairs": found}
+            if params is not None:
+                apps.append(Application(rule_id, m, params))
+                certified.add(m)
+                break
 
     if len(certified) < dd.diameter and not searched_out:
         try:
@@ -780,60 +758,56 @@ def audit(cert: Certificate, g: Graph) -> AuditResult:
     failure.  A certificate built in Python skips from_dict's schema, and
     its fields are trusted to have the types from_dict enforces.
     """
+    failure = _audit_failure(cert, g)
+    return AuditResult(failure is None, failure)
 
-    def fail(msg: str) -> AuditResult:
-        return AuditResult(False, msg)
 
+def _audit_failure(cert: Certificate, g: Graph) -> str | None:
+    """The first failure audit finds, or None."""
     graph6 = to_graph6(g)
     if cert.graph6 != graph6:
-        return fail("graph6 string does not match the graph")
+        return "graph6 string does not match the graph"
     inv = _Invariants(g)
     dd = inv.dd
     if not dd.connected:
-        return fail("graph is disconnected")
-
+        return "graph is disconnected"
     gens = cert.generators
-    for p in gens:
-        if not is_automorphism(g, p):
-            return fail("recorded generator is not an automorphism")
+    if not all(is_automorphism(g, p) for p in gens):
+        return "recorded generator is not an automorphism"
     covered = inv.cover(gens)
 
     certified: set = set()
     for index, app in enumerate(cert.applications, start=1):
-        where = f"application {index} ({app.rule}, m={app.m})"
+        m = app.m
         if app.rule == RULE_COMPLEMENT:
             failure = _complement_failure(app, g)
-            if failure is not None:
-                return fail(f"{where}: {failure}")
-            certified.update(range(1, dd.diameter + 1))
-            continue
-        if app.rule == RULE_DISJOINT:
+        elif app.rule == RULE_DISJOINT:
             failure = _disjoint_failure(app, g)
             if failure is None and index < len(cert.applications):
                 failure = "disjoint automorphisms are not the last application"
-            if failure is not None:
-                return fail(f"{where}: {failure}")
-            continue
-        m = app.m
-        if not _is_int(m) or not 1 <= m <= dd.diameter:
-            return fail(f"{where}: class out of range")
-        if m in certified:
-            return fail(f"{where}: class {m} certified twice")
-        result = _audit_application(app, inv, certified, covered)
-        if not result.ok:
-            return fail(f"{where}: {result.failure}")
-        certified.add(m)
+        elif not _is_int(m) or not 1 <= m <= dd.diameter:
+            failure = "class out of range"
+        elif m in certified:
+            failure = f"class {m} certified twice"
+        else:
+            failure = _class_failure(app, inv, certified, covered)
+        if failure is not None:
+            return f"application {index} ({app.rule}, m={m}): {failure}"
+        if app.rule == RULE_COMPLEMENT:
+            certified.update(range(1, dd.diameter + 1))
+        elif app.rule != RULE_DISJOINT:
+            certified.add(m)
 
     header = _header(g, dd, cert.label, graph6)
     rebuilt = _certificate(header, certified, cert.applications, gens, cert.notes)._json_object()
     return _compare(cert._json_object(), rebuilt, "the certificate the replay rebuilds")
 
 
-def _compare(given: dict, rebuilt: dict, source: str) -> AuditResult:
-    """Whether the values of given are those of rebuilt as JSON, so a true
-    never stands for a 1; a failure names the keys whose values differ.  A
-    value that is the rebuilt one itself is not encoded: the applications
-    of an all-pairs certificate run to 100 KB."""
+def _compare(given: dict, rebuilt: dict, source: str) -> str | None:
+    """Why the values of given are not those of rebuilt as JSON, so a true
+    never stands for a 1, or None: a failure names the keys whose values
+    differ.  A value that is the rebuilt one itself is not encoded: the
+    applications of an all-pairs certificate run to 100 KB."""
 
     def text(value) -> str:
         return json.dumps(value, default=_encode, sort_keys=True)
@@ -845,9 +819,7 @@ def _compare(given: dict, rebuilt: dict, source: str) -> AuditResult:
         or key not in rebuilt
         or (given[key] is not rebuilt[key] and text(given[key]) != text(rebuilt[key]))
     )
-    if differ:
-        return AuditResult(False, f"fields {differ} differ from {source}")
-    return AuditResult(True)
+    return f"fields {differ} differ from {source}" if differ else None
 
 
 def _complement_failure(app: Application, g: Graph) -> str | None:
@@ -864,8 +836,8 @@ def _complement_failure(app: Application, g: Graph) -> str | None:
         return "embedded complement certificate is not NO_QSYM"
     if _is_transfer(inner):
         return "embedded certificate is itself a complement transfer"
-    result = audit(inner, complement(g))
-    return None if result.ok else f"embedded certificate fails audit: {result.failure}"
+    failure = _audit_failure(inner, complement(g))
+    return None if failure is None else f"embedded certificate fails audit: {failure}"
 
 
 def _disjoint_failure(app: Application, g: Graph) -> str | None:
@@ -958,23 +930,24 @@ def _replay_pair(dd, m, j, l, pivots, witnesses, certified) -> str | None:
     return None
 
 
-def _audit_application(app, inv: _Invariants, certified, covered) -> AuditResult:
-    m, rule, params = app.m, app.rule, app.params
+def _class_failure(app: Application, inv: _Invariants, certified, covered) -> str | None:
+    """Why the application does not certify its class m, or None: a
+    structural rule's function must return exactly the recorded params,
+    and a pair rule's pivots and witnesses must pin every covered pair."""
+    m, rule = app.m, app.rule
     check = _STRUCTURAL.get(rule)
     if check is not None:
         actual = check(inv, m, certified)
         if actual is None:
-            return AuditResult(False, f"{rule} does not hold for class {m}")
-        return _compare(params, actual, f"the recomputed params {actual}")
-
-    if rule in _PAIR_FIELDS:
-        claims = _pair_claims(app, len(inv.dd.sphere_masks), covered(m))
-        if isinstance(claims, str):
-            return AuditResult(False, claims)
-        for j, l, pivots, witnesses in claims:
-            failure = _replay_pair(inv.dd, m, j, l, pivots, witnesses, certified)
-            if failure is not None:
-                return AuditResult(False, f"pair ({j},{l}): {failure}")
-        return AuditResult(True)
-
-    return AuditResult(False, f"unknown rule {rule!r}")
+            return f"{rule} does not hold for class {m}"
+        return _compare(app.params, actual, f"the recomputed params {actual}")
+    if rule not in _PAIR_FIELDS:
+        return f"unknown rule {rule!r}"
+    claims = _pair_claims(app, len(inv.dd.sphere_masks), covered(m))
+    if isinstance(claims, str):
+        return claims
+    for j, l, pivots, witnesses in claims:
+        failure = _replay_pair(inv.dd, m, j, l, pivots, witnesses, certified)
+        if failure is not None:
+            return f"pair ({j},{l}): {failure}"
+    return None

@@ -16,7 +16,7 @@ from drgcert.certify import (
     Certificate,
     _Budget,
     _Invariants,
-    _pair_search,
+    _class_search,
     _unique_far,
     audit,
     certify,
@@ -488,6 +488,27 @@ def test_search_budget_exhaustion_is_honest():
     assert cert.verdict == INCONCLUSIVE
     assert cert.open_classes == (1, 2)
     assert any("budget" in note for note in cert.notes)
+    assert audit(cert, g)
+
+
+@pytest.mark.parametrize(
+    "key, budget, certified, exhausted",
+    [
+        # classes 3-7 each run out of their own allowance, and class 8,
+        # under a fresh one, is pinned by distance-witness
+        ("named:foster", 1000, (1, 2, 8), (3, 4, 5, 6, 7)),
+        # class 1's witness search fails within budget, so it stays open
+        # with no note; class 2's runs out
+        ("paley:29", 12345, (), (2,)),
+    ],
+)
+def test_search_budget_is_per_class(key, budget, certified, exhausted):
+    g = build(key)
+    cert = certify(g, search_budget=budget)
+    assert cert.certified == certified
+    assert cert.notes == tuple(
+        f"class {m}: search budget of {budget} distance lookups exhausted" for m in exhausted
+    )
     assert audit(cert, g)
 
 
@@ -1163,16 +1184,16 @@ def test_pivot_witness_application_replays():
     # re-proved with it: pivot 1 separates j=0 from every rival of l=4
     # except 2, 10 and 19, which are killed by witnesses
     g = build("hamming:3:3")
-    pinned = _pair_search(
-        distances(g), 2, 0, 4, {1}, _Budget(DEFAULT_SEARCH_BUDGET), "pivot-witness"
+    found = _class_search(
+        distances(g), 2, [(0, 4)], {1}, _Budget(DEFAULT_SEARCH_BUDGET), "pivot-witness"
     )
-    assert pinned == {"pivots": [1], "witnesses": [[2, 3], [10, 5], [19, 5]]}
+    assert found == [[0, 4, [1], [[2, 3], [10, 5], [19, 5]]]]
     data = certify(g).to_dict()
     app = data["applications"][1]
     assert (app["rule"], app["m"]) == ("pivot-intersection", 2)
     app["rule"] = "pivot-witness"
-    entry = [0, 4, pinned["pivots"], pinned["witnesses"]]
-    app["params"] = {"pairs": [entry]}
+    entry, witnesses = found[0], found[0][3]
+    app["params"] = {"pairs": found}
     assert audit(Certificate.from_dict(data), g)
 
     entry[2] = []
@@ -1180,7 +1201,7 @@ def test_pivot_witness_application_replays():
     assert not result and "rivals" in result.failure
     for drop in range(3):
         entry[2] = [1]
-        entry[3] = [w for i, w in enumerate(pinned["witnesses"]) if i != drop]
+        entry[3] = [w for i, w in enumerate(witnesses) if i != drop]
         result = audit(Certificate.from_dict(data), g)
         assert not result and "rivals" in result.failure
 

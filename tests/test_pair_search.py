@@ -13,14 +13,13 @@ import pytest
 
 from drgcert.autgroup import automorphism_group, covered_pairs
 from drgcert.certify import (
-    _FAR_CLASS_RULES,
+    _CLASS_RULES,
     _PAIR_FIELDS,
     _Budget,
     _BudgetExceeded,
     _class_search,
     _first_meet,
     _first_witness,
-    _pair_search,
     _witness_valid,
 )
 from drgcert.families import build
@@ -43,6 +42,19 @@ def _run(call, limit):
         return call(bud), False, bud.used
     except _BudgetExceeded:
         return None, True, bud.used
+
+
+def _class_reference(dd, m, pairs, certified, bud, rule):
+    """pair_search_reference pair by pair under the one budget, as the
+    engine once searched a class: the entries, or None at the first pair
+    it cannot pin."""
+    found = []
+    for j, l in pairs:
+        pinned = pair_search_reference(dd, m, j, l, certified, bud, rule)
+        if pinned is None:
+            return None
+        found.append([j, l, *(pinned[k] for k in _PAIR_FIELDS[rule])])
+    return found
 
 
 def _cases(dd, rng):
@@ -82,8 +94,8 @@ def test_pair_search_matches_reference(key):
         for rule in _PAIR_FIELDS:
             for limit in BUDGETS:
                 got, want = (
-                    _run(lambda bud: search(dd, m, j, l, certified, bud, rule), limit)
-                    for search in (_pair_search, pair_search_reference)
+                    _run(lambda bud: search(dd, m, [(j, l)], certified, bud, rule), limit)
+                    for search in (_class_search, _class_reference)
                 )
                 assert got == want, (m, j, l, sorted(certified), rule, limit)
                 checked += 1
@@ -115,26 +127,13 @@ def test_pair_search_budget_boundary(key, m, certified):
     for j, l in rng.sample(pairs_at_distance(dd, m), 6):
         for rule in _PAIR_FIELDS:
             searches = [
-                lambda bud, search=search: search(dd, m, j, l, certified, bud, rule)
-                for search in (_pair_search, pair_search_reference)
+                lambda bud, search=search: search(dd, m, [(j, l)], certified, bud, rule)
+                for search in (_class_search, _class_reference)
             ]
             full = _reference_charge(searches[1])
             for limit in range(max(0, full - 3), full + 2):
                 got, want = (_run(search, limit) for search in searches)
                 assert got == want, (j, l, rule, limit)
-
-
-def _class_reference(dd, m, pairs, certified, bud, rule):
-    """pair_search_reference pair by pair under the one budget, as the
-    engine once searched a class: the entries, or None at the first pair
-    it cannot pin."""
-    found = []
-    for j, l in pairs:
-        pinned = pair_search_reference(dd, m, j, l, certified, bud, rule)
-        if pinned is None:
-            return None
-        found.append([j, l, *(pinned[k] for k in _PAIR_FIELDS[rule])])
-    return found
 
 
 @pytest.mark.parametrize(
@@ -180,7 +179,7 @@ def _rules_in_turn(search, dd, m, pairs, certified, drawn):
     pair a rule's search draws."""
 
     def run(bud):
-        for rule in _FAR_CLASS_RULES[1]:
+        for rule in [r for r in _CLASS_RULES[1] if r in _PAIR_FIELDS]:
             drawing = (drawn.append((rule, pair)) or pair for pair in pairs)
             found = search(dd, m, drawing, certified, bud, rule)
             if found is not None:
