@@ -82,10 +82,10 @@ class _BudgetExceeded(Exception):
 
 class _Budget:
     """Per-class allowance of elementary distance lookups, and the witness
-    scans of the class paid for under it: scans maps (l, j, p), j < p, to
-    the least witness killing rival p for the pair (j, l), or None, and the
-    scan's charge.  The scan and its charge are symmetric in j and p, so
-    the pair (p, l) with rival j reads the same entry."""
+    scans of the class: scans maps (l, j, p), j < p, to the least witness
+    killing rival p for the pair (j, l), or None, and the scan's charge.
+    The scan and its charge are symmetric in j and p, so the pair (p, l)
+    with rival j reads the same entry."""
 
     __slots__ = ("limit", "used", "scans")
 
@@ -98,15 +98,6 @@ class _Budget:
         self.used += amount
         if self.used > self.limit:
             raise _BudgetExceeded
-
-    def spend_each(self, count: int, amount: int) -> None:
-        """count spends of amount > 0, stopping at the first over the limit."""
-        room = self.limit - self.used
-        if count * amount <= room:
-            self.used += count * amount
-            return
-        self.used += (room // amount + 1) * amount
-        raise _BudgetExceeded
 
 
 # deepest nesting of dicts and lists in an application's params (the engine
@@ -400,54 +391,43 @@ def _witness_valid(dd, m: int, j: int, l: int, p: int, q: int) -> bool:
     )
 
 
-def _first_witness(dd, m: int, j: int, l: int, p: int, bud) -> int | None:
-    """The least witness q killing rival p for the pair (j, l), or None.
+def _first_witness(dd, m: int, j: int, l: int, p: int) -> tuple:
+    """(q, charge): the least witness q killing rival p for the pair
+    (j, l), or None, and what testing every candidate up to it in turn
+    would charge.
 
     Only a vertex separating j from p can be one, so the scan walks the
     bits of their separator mask, all vertices but those in a sphere of
     both, in increasing order and runs _witness_valid's popcount test on
-    each.  It charges what testing every q in turn would: 2 for each
-    separation test, then 2 per vertex of q's sphere through l when q
-    separates, stopping at the first charge over the limit."""
+    each.  The charge is 2 for each separation test, then 2 per vertex of
+    q's sphere through l when q separates."""
     masks, lrow = dd.sphere_masks, dd.row(l)
     # the spheres around one vertex are disjoint, so their sum is their union
     separators = ((1 << len(lrow)) - 1) & ~sum(map(and_, masks[j], masks[p]))
     both = masks[j][m] & masks[p][m]
-    room = bud.limit - bud.used
     last, spent = -1, 0  # the last separator tested, and the charge up to it
     while separators:
         low = separators & -separators
         separators ^= low
         q = low.bit_length() - 1
         sphere = masks[q][lrow[q]]
-        charge = 2 * (q - last + sphere.bit_count())  # the skipped vertices, q's test, q's sphere
-        if spent + charge > room:  # the budget runs out at q: charge up to the stop
-            bud.used += spent
-            bud.spend_each(q - last, 2)
-            bud.spend(2 * sphere.bit_count())  # raises, if the tests before it did not
-        spent += charge
+        spent += 2 * (q - last + sphere.bit_count())  # the skipped vertices, q's test, q's sphere
         if (sphere & both).bit_count() == 1:
-            bud.used += spent
-            return q
+            return q, spent
         last = q
-    bud.used += spent
-    bud.spend_each(len(lrow) - 1 - last, 2)
-    return None
+    return None, spent + 2 * (len(lrow) - 1 - last)
 
 
 def _witness_of(dd, m: int, j: int, l: int, p: int, bud) -> int | None:
-    """_first_witness, read off bud.scans when the class has scanned the
-    rival before and the budget still pays the recorded charge; otherwise
-    the scan runs, and stops where the budget runs out."""
+    """The witness _first_witness finds, scanned once per class and kept
+    in bud.scans; every read, the first included, spends the scan's
+    charge."""
     key = (l, j, p) if j < p else (l, p, j)
-    known = bud.scans.get(key)
-    if known is not None and known[1] <= bud.limit - bud.used:
-        bud.used += known[1]
-        return known[0]
-    used = bud.used
-    q = _first_witness(dd, m, j, l, p, bud)
-    bud.scans[key] = (q, bud.used - used)
-    return q
+    scan = bud.scans.get(key)
+    if scan is None:
+        scan = bud.scans[key] = _first_witness(dd, m, j, l, p)
+    bud.spend(scan[1])
+    return scan[0]
 
 
 def _pivots_leave(dd, m: int, j: int, l: int, pivots) -> int:
@@ -500,7 +480,7 @@ def _class_search(dd, m, pairs, certified, bud, rule) -> list | None:
     Neither search takes a Python step per candidate.  _first_witness
     walks only the vertices separating j from the rival, once per rival
     pair {j, p} around l in the class: bud keeps the scans for every rule
-    tried on it, and _witness_of charges a repeat the scan's own charge.
+    tried on it, and _witness_of charges every read the scan's charge.
     The pivots eligible for l, the vertices in certified classes from l,
     are listed once per l.  Pivot q's agreement mask is q's sphere at j's
     distance from q, read off a list of these spheres built when j changes
@@ -512,9 +492,11 @@ def _class_search(dd, m, pairs, certified, bud, rule) -> list | None:
     nominal ones of testing every candidate of every pair in turn: a
     witness candidate as _first_witness says, the pivot-only rule n per
     pair for its eligible list, and each pivot set tried
-    2 * size * |rivals| + 1 lookups.  They are charged in bulk, and the
-    search stops at the candidate whose charge exhausts the budget, having
-    spent exactly what the one-at-a-time scan would.
+    2 * size * |rivals| + 1 lookups.  They are charged once per witness
+    scan read and once per pivot-set size, in the order the one-at-a-time
+    search meets them, so the search runs out at the scan or size where
+    that search would, and _first_meet tries only the sets the budget
+    pays for.
     """
     masks = dd.sphere_masks
     sizes = _PIVOT_SIZES[rule]
@@ -548,7 +530,7 @@ def _class_search(dd, m, pairs, certified, bud, rule) -> list | None:
                 sets = comb(len(eligible), size)
                 hit = _first_meet(agree, size, min((bud.limit - bud.used) // cost, sets), unkilled)
                 if hit is None:  # none of the sets the budget pays for separates
-                    bud.spend_each(sets, cost)  # raises if one was unaffordable
+                    bud.spend(sets * cost)  # raises if one was unaffordable
                     continue
                 bud.spend((hit[0] + 1) * cost)
                 pivots = [eligible[i] for i in hit[1]]
@@ -713,17 +695,15 @@ def transfer_certificate(cert: Certificate, g: Graph, label: str | None = None) 
 
     Sound because a graph and its complement have the same automorphisms,
     classical and quantum alike.  The certificate may not itself be a
-    complement transfer, so transfers nest one level deep.
+    complement transfer, so transfers nest one level deep, and it must pass
+    its audit against complement(g): the transfer refuses, with a
+    ValueError naming the failure, whatever the audit of the result would.
     """
-    comp = complement(g)
-    if cert.verdict != NO_QSYM:
-        raise ValueError("complement transfer requires a NO_QSYM certificate")
-    if _is_transfer(cert):
-        raise ValueError("certificate is itself a complement transfer")
-    if cert.graph6 != to_graph6(comp):
-        raise ValueError("certificate does not describe the complement of this graph")
-    dd = distances(g)
     app = Application(RULE_COMPLEMENT, None, {"complement": cert.to_dict()})
+    failure = _complement_failure(app, g)
+    if failure is not None:
+        raise ValueError(f"cannot transfer the certificate: {failure}")
+    dd = distances(g)
     header = _header(g, dd, label or f"complement of {cert.label}", to_graph6(g))
     return _certificate(header, range(1, dd.diameter + 1), (app,))
 
@@ -834,7 +814,7 @@ def _complement_failure(app: Application, g: Graph) -> str | None:
         return f"embedded certificate malformed: {exc}"
     if inner.verdict != NO_QSYM:
         return "embedded complement certificate is not NO_QSYM"
-    if _is_transfer(inner):
+    if any(a.rule == RULE_COMPLEMENT for a in inner.applications):
         return "embedded certificate is itself a complement transfer"
     failure = _audit_failure(inner, complement(g))
     return None if failure is None else f"embedded certificate fails audit: {failure}"
@@ -856,10 +836,6 @@ def _disjoint_failure(app: Application, g: Graph) -> str | None:
     if supports[0] & supports[1]:
         return "the supports of sigma and tau meet"
     return None
-
-
-def _is_transfer(cert: Certificate) -> bool:
-    return any(a.rule == RULE_COMPLEMENT for a in cert.applications)
 
 
 def _is_int(x) -> bool:

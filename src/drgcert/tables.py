@@ -17,7 +17,7 @@ values and compared against the array computed from the built graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .certify import INCONCLUSIVE, _Invariants, audit, certify
 from .drg import IntersectionArray, intersection_array
@@ -242,18 +242,10 @@ def reproduce_row(row: GraphRow) -> RowReport:
         problems.append(f"verdict: engine says {engine_verdict}, table says {row.verdict}")
 
     return RowReport(
-        key=row.key,
-        label=row.label,
-        order=row.order,
+        **asdict(row),
         order_computed=order_computed,
-        array=row.array,
         array_computed=array_computed,
-        aut_name=row.aut_name,
-        aut_order=row.aut_order,
-        aut_order_source=row.aut_order_source,
         aut_order_computed=aut_order_computed,
-        quantum_group=row.quantum_group,
-        verdict=row.verdict,
         engine_verdict=engine_verdict,
         verdict_status=status,
         problems=tuple(problems),

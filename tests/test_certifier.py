@@ -1460,6 +1460,16 @@ def test_complement_transfer_needs_no_qsym():
         transfer_certificate(inner, complement(build("cube:3")))
 
 
+def test_complement_transfer_refuses_what_the_audit_refuses():
+    # a Petersen certificate with a forged girth is NO_QSYM and names the
+    # complement of J(5,2), but fails its own audit, so no transfer wraps it
+    data = certify(build("named:petersen")).to_dict()
+    assert data["applications"][0]["params"] == {"girth": 5}
+    data["applications"][0]["params"]["girth"] = 7
+    with pytest.raises(ValueError, match="embedded certificate fails audit"):
+        transfer_certificate(Certificate.from_dict(data), build("johnson:5:2"))
+
+
 def test_complement_transfer_audit_replays_inner():
     j52 = build("johnson:5:2")
     cert = certify_via_complement(j52)

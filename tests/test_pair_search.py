@@ -1,8 +1,9 @@
 """The engine's pair search, first-witness scan and witness test against
 the references that test one pivot combination and one candidate witness
 at a time and scan the witness's sphere: the same result, the same budget
-exhaustion and the same charge, always."""
+exhaustion and, when the search completes, the same charge, always."""
 
+from collections import Counter
 from functools import reduce
 from importlib import import_module
 from itertools import combinations
@@ -20,6 +21,7 @@ from drgcert.certify import (
     _class_search,
     _first_meet,
     _first_witness,
+    _witness_of,
     _witness_valid,
 )
 from drgcert.families import build
@@ -36,12 +38,14 @@ BUDGETS = (0, 1, 7, 50, 300, 2_000, 10**4, 10**5, 10**8)
 
 
 def _run(call, limit):
-    """(result, raised, used) of call(bud) under a fresh budget of limit."""
+    """(result, raised, used) of call(bud) under a fresh budget of limit;
+    (None, True, None) when the budget runs out, as what a class spends
+    after that is not defined."""
     bud = _Budget(limit)
     try:
         return call(bud), False, bud.used
     except _BudgetExceeded:
-        return None, True, bud.used
+        return None, True, None
 
 
 def _class_reference(dd, m, pairs, certified, bud, rule):
@@ -149,7 +153,7 @@ def test_class_search_matches_reference_pair_by_pair(key, m, certified, count):
     under one shared budget, for every pair rule: at every limit from C - 3
     to C + 1, where C is the reference's full charge of the class, the same
     entries, the same pair where the search stops (the last one it drew)
-    and the same budget spent."""
+    and, when it completes, the same budget spent."""
     dd = distances(build(key))
     pairs = pairs_at_distance(dd, m)[:count]
     outcomes = set()
@@ -206,8 +210,9 @@ def test_class_rules_share_witness_scans(key, mode, m, certified, scans, monkeyp
     reference run rule by rule and pair by pair under one budget: at every
     limit from C - 3 to C + 1, where C is the reference's full charge, and
     at one in the second half, the same result, the same pair where the
-    search stops and the same budget spent, also when the budget runs out
-    on a scan read back."""
+    search stops, also when the budget runs out on a scan read back, and
+    the same budget spent when it completes; and no key (l, j, p), j < p,
+    is scanned twice."""
     dd = distances(g := build(key))
     pairs = covered_pairs(automorphism_group(g).generators if mode == "auto" else (), dd)(m)
     calls = []
@@ -232,14 +237,18 @@ def test_class_rules_share_witness_scans(key, mode, m, certified, scans, monkeyp
         assert got == want, limit
         assert got[0][1] == (limit < full), limit
         assert limit < full or len(calls) == scans
+        keys = Counter((l, min(j, p), max(j, p)) for _, _, j, l, p in calls)
+        assert max(keys.values(), default=0) <= 1, limit
 
 
 @pytest.mark.parametrize("key", ["hamming:3:3", "paley:13", "named:petersen", "named:foster"])
 def test_first_witness_matches_reference(key):
     """The engine's first-witness scan, over the separating vertices only,
-    against the scan of every candidate: the same witness, exhaustion and
-    charge, at small budgets, around the full charge and at random limits
-    below it.  On Foster j is 0 alone, as in the witness test below."""
+    against the scan of every candidate: the same witness and full charge,
+    and, read through _witness_of under a fresh budget, the same witness
+    and exhaustion at small budgets, around the full charge and at a
+    random limit below it.  On Foster j is 0 alone, as in the witness test
+    below."""
     dd = distances(build(key))
     n = len(dd.sphere_masks)
     rng = Random(f"first witness {key}")
@@ -252,9 +261,10 @@ def test_first_witness_matches_reference(key):
                         continue
                     scans = [
                         lambda bud, scan=scan: scan(dd, m, j, l, p, bud)
-                        for scan in (_first_witness, first_witness_reference)
+                        for scan in (_witness_of, first_witness_reference)
                     ]
-                    full = _reference_charge(scans[1])
+                    witness, raised, full = _run(scans[1], 10**12)
+                    assert not raised and _first_witness(dd, m, j, l, p) == (witness, full), (m, j, l, p)
                     limits = {0, 1, 7, *range(max(0, full - 3), full + 2), rng.randrange(full)}
                     for limit in limits:
                         got, want = (_run(scan, limit) for scan in scans)
