@@ -49,7 +49,6 @@ from .graph import (
     DisconnectedGraphError,
     Graph,
     _bits,
-    clique_number,
     complement,
     distances,
     girth,
@@ -242,9 +241,9 @@ class AuditResult:
 
 
 class _Invariants:
-    """A graph and its distances, with the girth, the intersection array,
-    the clique number and the automorphism group computed on first use, the
-    group within DEFAULT_NODE_BUDGET search nodes.  The engine builds one
+    """A graph and its distances, with the girth, the intersection array
+    and the automorphism group computed on first use, the group within
+    DEFAULT_NODE_BUDGET search nodes.  The engine builds one
     per graph per command and hands it on; the audit builds its own and
     never calls group.
 
@@ -252,9 +251,9 @@ class _Invariants:
     sets it to the least vertex of each vertex orbit of automorphisms
     checked edge by edge: certify's searched group, the audit's recorded
     generators once it has checked them, analyze's searched group.  The
-    girth, the array, the clique number and unique-at-distance sweep the
-    roots alone, which gives the graph's (see girth, intersection_array
-    and clique_number)."""
+    girth, the array and unique-at-distance sweep the roots alone, which
+    gives the graph's (see girth and intersection_array); so does analyze's
+    clique number (see clique_number), which no rule reads."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -262,7 +261,6 @@ class _Invariants:
         self.roots = range(g.n)
         self.girth = cache(lambda: girth(g, dd, _roots=self.roots))
         self.array = cache(lambda: intersection_array(g, dd, _roots=self.roots))
-        self.clique = cache(lambda: clique_number(g, _roots=self.roots))
         self.group = cache(lambda: automorphism_group(g, DEFAULT_NODE_BUDGET))
 
     def cover(self, generators):
@@ -295,19 +293,26 @@ def _one_common(inv: _Invariants, m: int, certified) -> dict | None:
 
 def _two_common(inv: _Invariants, m: int, certified) -> dict | None:
     """Clique number three, and exactly two common neighbors for every pair
-    at distance one or two: class 1.  The pair sweep goes first, as it
-    often fails at the first pair and is cheaper than the clique search."""
+    at distance one or two: class 1.
+
+    The clique number is read off the same pair sweep.  Once every edge
+    has two common neighbors there is a triangle: an edge and either of
+    them.  An edge whose two common neighbors are adjacent lies in a K4;
+    and in a K4 each edge's two common neighbors are the K4's other two
+    vertices, which are adjacent.  So the clique number is three exactly
+    when no edge's two common neighbors are adjacent."""
     g, dd = inv.g, inv.dd
     if m != 1 or dd.diameter < 2:  # a complete graph's clique number is not 3
         return None
     masks = g.masks
-    if all(
-        (masks[u] & masks[v]).bit_count() == 2
-        for u, spheres in enumerate(dd.sphere_masks)
-        for v in _bits((spheres[1] | spheres[2]) >> (u + 1) << (u + 1))
-    ) and inv.clique() == 3:
-        return {"clique_number": 3, "common_neighbors": 2}
-    return None
+    for u, spheres in enumerate(dd.sphere_masks):
+        for v in _bits((spheres[1] | spheres[2]) >> (u + 1) << (u + 1)):
+            common = masks[u] & masks[v]
+            if common.bit_count() != 2:
+                return None
+            if spheres[1] >> v & 1 and common & masks[common.bit_length() - 1]:
+                return None  # u, v and their two common neighbors form a K4
+    return {"clique_number": 3, "common_neighbors": 2}
 
 
 def _cubic_d2(inv: _Invariants, m: int, certified) -> dict | None:

@@ -21,7 +21,7 @@ from .autgroup import (
 )
 from .certify import DEFAULT_SEARCH_BUDGET, Certificate, _Invariants, audit, certify
 from .families import build, label_for, parse_family
-from .graph import DisconnectedGraphError, Graph
+from .graph import DisconnectedGraphError, Graph, clique_number
 from .io import from_graph6, read_graph, to_edge_text, to_graph6
 from .tables import reproduce_tables
 
@@ -125,7 +125,7 @@ def _cmd_analyze(parser, args) -> int:
         "order": g.n,
         "degree": [min(degrees), max(degrees)] if degree is None and g.n else degree,
         "girth": inv.girth(),
-        "clique_number": inv.clique(),
+        "clique_number": clique_number(g, _roots=inv.roots),
         "connected": connected,
         "diameter": dd.diameter if connected else None,
         "array": str(arr) if arr else None,

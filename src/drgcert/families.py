@@ -7,10 +7,10 @@ A graph is addressed by a colon-separated spec string such as
     complete_bipartite:3              odd:4            crown:5
 
 Every graph is built from its definition by a constructor in this module;
-nothing is read from files.  Parametric families are registered in
-_PARAMETRIC with their arity, label and constructor, named graphs in _NAMED
-with their label and constructor.  tests/test_families.py pins each
-named graph's labelled graph6, girth, diameter and intersection array.
+nothing is read from files.  Each family is one _Family entry (arity,
+label, constructor and parameter rule), keyed by id in _PARAMETRIC, or by
+name in _NAMED for a named graph, of arity 0.  tests/test_families.py pins
+the labelled graph6 of the named graphs and of a set of parametric specs.
 """
 
 from __future__ import annotations
@@ -40,9 +40,7 @@ class FamilySpec:
         return ":".join([self.family] + [str(p) for p in self.params])
 
     def label(self) -> str:
-        if self.family == "named":
-            return _NAMED[self.name].label
-        return _PARAMETRIC[self.family].label(*self.params)
+        return _entry(self).label(*self.params)
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -59,40 +57,15 @@ def parse_family(text: str) -> FamilySpec:
         return FamilySpec("named", (), name)
     if family not in _PARAMETRIC:
         raise ValueError(f"unknown family {family!r}")
-    arity = _PARAMETRIC[family].arity
-    if len(parts) - 1 != arity:
-        raise ValueError(f"family {family} takes {arity} parameter(s), got {text!r}")
+    entry = _PARAMETRIC[family]
+    if len(parts) - 1 != entry.arity:
+        raise ValueError(f"family {family} takes {entry.arity} parameter(s), got {text!r}")
     try:
         params = tuple(int(p) for p in parts[1:])
     except ValueError:
         raise ValueError(f"non-integer parameter in {text!r}") from None
-    spec = FamilySpec(family, params)
-    _validate_params(spec)
-    return spec
-
-
-def _validate_params(spec: FamilySpec) -> None:
-    f, p = spec.family, spec.params
-    if f == "complete" and p[0] < 1:
-        raise ValueError("complete:n needs n >= 1")
-    if f == "cycle" and p[0] < 3:
-        raise ValueError("cycle:n needs n >= 3")
-    if f == "complete_bipartite" and p[0] < 1:
-        raise ValueError("complete_bipartite:n needs n >= 1")
-    if f == "crown" and p[0] < 3:
-        raise ValueError("crown:n needs n >= 3")
-    if f == "cube" and p[0] < 1:
-        raise ValueError("cube:d needs d >= 1")
-    if f == "hamming" and (p[0] < 1 or p[1] < 1):
-        raise ValueError("hamming:d:q needs d >= 1 and q >= 1")
-    if f == "johnson" and not (1 <= p[1] < p[0]):
-        raise ValueError("johnson:n:k needs 1 <= k < n")
-    if f == "kneser" and not (p[1] >= 1 and p[0] >= 2 * p[1]):
-        raise ValueError("kneser:n:k needs k >= 1 and n >= 2k")
-    if f == "odd" and p[0] < 2:
-        raise ValueError("odd:k needs k >= 2")
-    if f == "paley":
-        _paley_prime(p[0])
+    entry.rule(*params)
+    return FamilySpec(family, params)
 
 
 def build(spec: FamilySpec | str) -> Graph:
@@ -114,10 +87,13 @@ def list_named() -> list[str]:
 
 @lru_cache(maxsize=None)
 def _build_cached(key: str) -> Graph:
+    # parsing the key again refuses a FamilySpec constructed with bad values
     spec = parse_family(key)
-    if spec.family == "named":
-        return _NAMED[spec.name].build()
-    return _PARAMETRIC[spec.family].build(*spec.params)
+    return _entry(spec).build(*spec.params)
+
+
+def _entry(spec: FamilySpec) -> _Family:
+    return _NAMED[spec.name] if spec.family == "named" else _PARAMETRIC[spec.family]
 
 
 # ---------------------------------------------------------------- families
@@ -255,25 +231,51 @@ def paley_graph(q: int) -> Graph:
     return from_edge_list(q, edges)
 
 
+def _needs(test: Callable[..., bool], text: str) -> Callable[..., None]:
+    """A parameter rule: raise ValueError(text) unless test holds."""
+
+    def rule(*params: int) -> None:
+        if not test(*params):
+            raise ValueError(text)
+
+    return rule
+
+
 @dataclass(frozen=True)
 class _Family:
+    """A family's number of parameters, and its label, constructor and
+    parameter rule, each called with them; the rule raises ValueError for
+    parameters outside the family.  A named graph has arity 0."""
+
     arity: int
     label: Callable[..., str]
     build: Callable[..., Graph]
+    rule: Callable[..., None] = lambda: None
 
 
-# each parametric family's label and constructor take the spec's parameters
+# each family's label, constructor and rule take the spec's parameters
 _PARAMETRIC = {
-    "complete": _Family(1, lambda n: f"K_{n}", complete_graph),
-    "cycle": _Family(1, lambda n: f"C_{n}", cycle_graph),
-    "complete_bipartite": _Family(1, lambda n: f"K_{{{n},{n}}}", complete_bipartite_graph),
-    "crown": _Family(1, lambda n: f"crown graph on {2 * n} vertices", crown_graph),
-    "cube": _Family(1, lambda d: f"cube Q_{d}", lambda d: hamming_graph(d, 2)),
-    "hamming": _Family(2, lambda d, q: f"Hamming graph H({d},{q})", hamming_graph),
-    "johnson": _Family(2, lambda n, k: f"Johnson graph J({n},{k})", johnson_graph),
-    "kneser": _Family(2, lambda n, k: f"Kneser graph K({n},{k})", kneser_graph),
-    "odd": _Family(1, lambda k: f"odd graph O_{k}", odd_graph),
-    "paley": _Family(1, lambda q: f"Paley graph P_{q}", paley_graph),
+    "complete": _Family(1, lambda n: f"K_{n}", complete_graph,
+                        _needs(lambda n: n >= 1, "complete:n needs n >= 1")),
+    "cycle": _Family(1, lambda n: f"C_{n}", cycle_graph,
+                     _needs(lambda n: n >= 3, "cycle:n needs n >= 3")),
+    "complete_bipartite": _Family(1, lambda n: f"K_{{{n},{n}}}", complete_bipartite_graph,
+                                  _needs(lambda n: n >= 1, "complete_bipartite:n needs n >= 1")),
+    "crown": _Family(1, lambda n: f"crown graph on {2 * n} vertices", crown_graph,
+                     _needs(lambda n: n >= 3, "crown:n needs n >= 3")),
+    "cube": _Family(1, lambda d: f"cube Q_{d}", lambda d: hamming_graph(d, 2),
+                    _needs(lambda d: d >= 1, "cube:d needs d >= 1")),
+    "hamming": _Family(2, lambda d, q: f"Hamming graph H({d},{q})", hamming_graph,
+                       _needs(lambda d, q: d >= 1 and q >= 1,
+                              "hamming:d:q needs d >= 1 and q >= 1")),
+    "johnson": _Family(2, lambda n, k: f"Johnson graph J({n},{k})", johnson_graph,
+                       _needs(lambda n, k: 1 <= k < n, "johnson:n:k needs 1 <= k < n")),
+    "kneser": _Family(2, lambda n, k: f"Kneser graph K({n},{k})", kneser_graph,
+                      _needs(lambda n, k: k >= 1 and n >= 2 * k,
+                             "kneser:n:k needs k >= 1 and n >= 2k")),
+    "odd": _Family(1, lambda k: f"odd graph O_{k}", odd_graph,
+                   _needs(lambda k: k >= 2, "odd:k needs k >= 2")),
+    "paley": _Family(1, lambda q: f"Paley graph P_{q}", paley_graph, _paley_prime),
 }
 
 FAMILIES = (*_PARAMETRIC, "named")
@@ -342,31 +344,14 @@ def _dodecahedron() -> Graph:
     return _generalized_petersen(10, 2)
 
 
-def _perfect_matchings_k6() -> list[frozenset[tuple[int, int]]]:
-    def rec(rest: tuple[int, ...]) -> list[list[tuple[int, int]]]:
-        if not rest:
-            return [[]]
-        first = rest[0]
-        out = []
-        for partner in rest[1:]:
-            remainder = tuple(v for v in rest[1:] if v != partner)
-            for tail in rec(remainder):
-                out.append([(first, partner)] + tail)
-        return out
-
-    return [frozenset(m) for m in rec(tuple(range(6)))]
-
-
 def _tutte_8_cage() -> Graph:
     """Incidence graph of the 2-subsets of a 6-set versus the perfect
-    matchings of K_6.  Vertices 0..14 are the pairs, 15..29 the matchings."""
+    matchings of K_6, the triples of pairs that cover all six points, in
+    lexicographic order.  Vertices 0..14 are the pairs, 15..29 the matchings."""
     pairs = list(combinations(range(6), 2))
-    matchings = _perfect_matchings_k6()
-    edges = []
-    for j, m in enumerate(matchings):
-        for pair in m:
-            edges.append((pairs.index(pair), 15 + j))
-    return from_edge_list(30, edges)
+    triples = combinations(range(15), 3)
+    matchings = [m for m in triples if len({v for i in m for v in pairs[i]}) == 6]
+    return from_edge_list(30, [(i, 15 + j) for j, m in enumerate(matchings) for i in m])
 
 
 def _foster() -> Graph:
@@ -442,26 +427,20 @@ def _hoffman_singleton() -> Graph:
     return from_edge_list(50, edges)
 
 
-@dataclass(frozen=True)
-class _NamedEntry:
-    label: str
-    build: Callable[[], Graph]
-
-
 _NAMED = {
-    "petersen": _NamedEntry("Petersen graph", _petersen),
-    "heawood": _NamedEntry("Heawood graph", _heawood),
-    "pappus": _NamedEntry("Pappus graph", _pappus),
-    "desargues": _NamedEntry("Desargues graph", _desargues),
-    "dodecahedron": _NamedEntry("Dodecahedron", _dodecahedron),
-    "coxeter": _NamedEntry("Coxeter graph", _coxeter),
-    "tutte_8_cage": _NamedEntry("Tutte 8-cage", _tutte_8_cage),
-    "foster": _NamedEntry("Foster graph", _foster),
-    "biggs_smith": _NamedEntry("Biggs-Smith graph", _biggs_smith),
-    "icosahedron": _NamedEntry("Icosahedron", _icosahedron),
-    "co_heawood": _NamedEntry("co-Heawood graph", _co_heawood),
-    "line_petersen": _NamedEntry("line graph of Petersen graph", _line_petersen),
-    "shrikhande": _NamedEntry("Shrikhande graph", _shrikhande),
-    "clebsch": _NamedEntry("Clebsch graph", _clebsch),
-    "hoffman_singleton": _NamedEntry("Hoffman-Singleton graph", _hoffman_singleton),
+    "petersen": _Family(0, lambda: "Petersen graph", _petersen),
+    "heawood": _Family(0, lambda: "Heawood graph", _heawood),
+    "pappus": _Family(0, lambda: "Pappus graph", _pappus),
+    "desargues": _Family(0, lambda: "Desargues graph", _desargues),
+    "dodecahedron": _Family(0, lambda: "Dodecahedron", _dodecahedron),
+    "coxeter": _Family(0, lambda: "Coxeter graph", _coxeter),
+    "tutte_8_cage": _Family(0, lambda: "Tutte 8-cage", _tutte_8_cage),
+    "foster": _Family(0, lambda: "Foster graph", _foster),
+    "biggs_smith": _Family(0, lambda: "Biggs-Smith graph", _biggs_smith),
+    "icosahedron": _Family(0, lambda: "Icosahedron", _icosahedron),
+    "co_heawood": _Family(0, lambda: "co-Heawood graph", _co_heawood),
+    "line_petersen": _Family(0, lambda: "line graph of Petersen graph", _line_petersen),
+    "shrikhande": _Family(0, lambda: "Shrikhande graph", _shrikhande),
+    "clebsch": _Family(0, lambda: "Clebsch graph", _clebsch),
+    "hoffman_singleton": _Family(0, lambda: "Hoffman-Singleton graph", _hoffman_singleton),
 }

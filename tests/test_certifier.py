@@ -17,6 +17,7 @@ from drgcert.certify import (
     _Budget,
     _Invariants,
     _class_search,
+    _two_common,
     _unique_far,
     audit,
     certify,
@@ -39,6 +40,7 @@ from drgcert.io import to_graph6
 from oracles import (
     are_isomorphic,
     automorphism_group_reference,
+    clique_number_reference,
     oracle_inputs,
     vertex_orbits_reference,
 )
@@ -1351,6 +1353,40 @@ def test_unique_far_sweeps_every_vertex_without_a_group():
     inv = _Invariants(build("cube:3"))
     assert _unique_far(inv, 3, set()) == {"count": 1}
     assert _unique_far(inv, 2, set()) is None
+
+
+def _lambda_mu_two(g):
+    # not complete, and exactly two common neighbors for every pair at
+    # distance one or two: adjacent, or not adjacent with one in common
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    pairs = [(v in nbrs[u], len(nbrs[u] & nbrs[v])) for u in range(g.n) for v in range(u)]
+    return not all(adj for adj, _ in pairs) and all(c == 2 for adj, c in pairs if adj or c)
+
+
+def test_two_common_reads_the_clique_number_off_its_sweep():
+    # on every connected input whose lambda = mu = 2 sweep passes, the rule
+    # records its params exactly when the clique number is 3: H(2,4), H(3,4)
+    # and K4 x Shrikhande have a K4, Shrikhande and its square do not
+    shrikhande = build("named:shrikhande")
+    chosen = {
+        "H(2,4)": build("hamming:2:4"),
+        "H(3,4)": build("hamming:3:4"),
+        "K4 x Shrikhande": cartesian_product(build("complete:4"), shrikhande),
+        "Shrikhande": shrikhande,
+        "Shrikhande x Shrikhande": cartesian_product(shrikhande, shrikhande),
+    }
+    rng = Random(RELABEL_SEED)
+    chosen |= {f"relabelled {label}": relabelled(g, rng) for label, g in list(chosen.items())}
+    assert all(map(_lambda_mu_two, chosen.values()))
+    params = {"clique_number": 3, "common_neighbors": 2}
+    omegas = []
+    for label, g in [*chosen.items(), *oracle_inputs()]:
+        inv = _Invariants(g)
+        if inv.dd.connected and _lambda_mu_two(g):
+            omega = clique_number_reference(g)
+            assert _two_common(inv, 1, set()) == (params if omega == 3 else None), label
+            omegas.append(omega)
+    assert omegas.count(3) >= 4 and omegas.count(4) >= 6
 
 
 def test_foster_minus_vertex_0_sweeps_one_root_per_vertex_orbit(monkeypatch):

@@ -131,6 +131,16 @@ def test_named_graphs_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_parametric_graphs_are_pinned():
+    # sha256 of a set of parametric specs with their labels and labelled
+    # graph6, recorded before the families moved to one entry type
+    keys = ["complete:7", "cycle:9", "complete_bipartite:5", "crown:6", "cube:4", "hamming:3:3",
+            "hamming:2:5", "johnson:7:3", "kneser:7:2", "odd:4", "paley:13", "paley:25"]
+    text = "".join(f"{key} {label_for(key)} {to_graph6(build(key))}\n" for key in keys)
+    digest = "9c33b828f228e649fbf54614939d9d268a883944720dc16c6822d2f77a1f54d8"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_named_graph_invariants():
     checks = {
         "petersen": (10, 3, 5, 2, "{3,2;1,1}"),
@@ -207,3 +217,52 @@ def test_paley_rejects_nonpositive_orders():
     for bad in ("paley:0", "paley:-5", "paley:1"):
         with pytest.raises(ValueError):
             parse_family(bad)
+
+
+KNOWN_NAMES = (
+    "biggs_smith, clebsch, co_heawood, coxeter, desargues, dodecahedron, foster, heawood, "
+    "hoffman_singleton, icosahedron, line_petersen, pappus, petersen, shrikhande, tutte_8_cage"
+)
+
+# the exact ValueError texts parse_family gives, which the CLI reports as
+# usage errors
+PARSE_ERRORS = {
+    "": "unknown family ''",
+    "complete": "family complete takes 1 parameter(s), got 'complete'",
+    "complete:2:3": "family complete takes 1 parameter(s), got 'complete:2:3'",
+    "complete:x": "non-integer parameter in 'complete:x'",
+    "mystery:3": "unknown family 'mystery'",
+    "cycle:2": "cycle:n needs n >= 3",
+    "johnson:3:3": "johnson:n:k needs 1 <= k < n",
+    "kneser:5:3": "kneser:n:k needs k >= 1 and n >= 2k",
+    "paley:7": "paley:q needs q = 1 mod 4, got 7",
+    "paley:8": "paley:q needs q an odd prime or its square, got 8",
+    "named:zzz": f"unknown graph name 'zzz' (known: {KNOWN_NAMES})",
+    "odd:1": "odd:k needs k >= 2",
+    "paley:0": "paley:q needs q an odd prime or its square, got 0",
+    "paley:-5": "paley:q needs q an odd prime or its square, got -5",
+    "paley:1": "paley:q needs q an odd prime or its square, got 1",
+    "crown:2": "crown:n needs n >= 3",
+    "cube:0": "cube:d needs d >= 1",
+    "hamming:0:2": "hamming:d:q needs d >= 1 and q >= 1",
+    "hamming:2:0": "hamming:d:q needs d >= 1 and q >= 1",
+}
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS.items())
+def test_parse_error_texts(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_family(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [(FamilySpec("johnson", (3, 3)), "johnson:n:k needs 1 <= k < n"),
+     (FamilySpec("cycle", (2,)), "cycle:n needs n >= 3"),
+     (FamilySpec("named", (), "zzz"), f"unknown graph name 'zzz' (known: {KNOWN_NAMES})")],
+)
+def test_build_refuses_an_invalid_constructed_spec(spec, message):
+    with pytest.raises(ValueError) as err:
+        build(spec)
+    assert str(err.value) == message
