@@ -8,18 +8,21 @@ automorphism group order, and the quantum symmetry verdict.  Any
 disagreement between a computed value and the stored one is a hard
 failure; verdicts get a softer treatment because the rule engine is
 allowed to be honestly inconclusive where the recorded literature result
-needs tools beyond this package.
+needs tools beyond this package.  A graph in both tables is reproduced
+once and its report listed in both.
 
 The parametric family rows are validated through their closed-form
-intersection arrays: each formula below is evaluated at three parameter
-values and compared against the array computed from the built graph.
+intersection arrays.  One table, _FAMILY_FORMULAS, gives each family's
+build spec, its three checked values and its formula; the formula is
+evaluated at each value and compared against the array computed from the
+built graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from .certify import INCONCLUSIVE, _Invariants, audit, certify
+from .certify import INCONCLUSIVE, _Invariants, _is_int, audit, certify
 from .drg import IntersectionArray, intersection_array
 from .expected import HAS_QSYM, NO_QSYM, UNKNOWN, FamilyRow, GraphRow, load_tables
 from .families import build, label_for
@@ -31,54 +34,47 @@ FORMAT_VERSION = 1
 # --------------------------------------------------- closed-form arrays
 
 
+# each family's build spec, three checked values inside the formula's
+# validity range, and the formula giving (b, c) at a value
+_FAMILY_FORMULAS = {
+    "complete": ("complete:{0}", (4, 5, 7), lambda n: ((n - 1,), (1,))),
+    "cycle": (
+        "cycle:{0}",
+        (5, 6, 9),
+        # c ends in 2 on an even cycle
+        lambda n: ((2,) + (1,) * (n // 2 - 1), (1,) * (n // 2 - 1 + n % 2) + (2,) * (1 - n % 2)),
+    ),
+    "complete_bipartite": ("complete_bipartite:{0}", (2, 3, 5), lambda n: ((n, n - 1), (1, n))),
+    "crown": ("crown:{0}", (3, 4, 6), lambda n: ((n - 1, n - 2, 1), (1, n - 2, n - 1))),
+    "johnson2": ("johnson:{0}:2", (5, 6, 7), lambda n: ((2 * n - 4, n - 3), (1, 4))),
+    "kneser2": (
+        "kneser:{0}:2",
+        (5, 6, 7),
+        lambda n: (((n - 2) * (n - 3) // 2, 2 * n - 8), (1, (n - 3) * (n - 4) // 2)),
+    ),
+    "odd": (
+        "odd:{0}",
+        (3, 4, 5),
+        lambda k: (
+            (k,) + tuple(k - (i + 1) // 2 for i in range(1, k - 1)),
+            tuple((i + 1) // 2 for i in range(1, k)),
+        ),
+    ),
+    "hamming3": (
+        "hamming:{0}:3",
+        (1, 2, 3),
+        lambda n: (tuple(2 * (n - i) for i in range(n)), tuple(range(1, n + 1))),
+    ),
+}
+
+
 def family_array(family: str, value: int) -> IntersectionArray:
     """Closed-form intersection array of a parametric table row.  A value
     below the family's range gives numbers IntersectionArray refuses, so
     it is a ValueError there."""
-    n = value
-    if family == "complete":
-        return IntersectionArray((n - 1,), (1,))
-    if family == "cycle":
-        t = n // 2
-        if n % 2 == 0:
-            return IntersectionArray((2,) + (1,) * (t - 1), (1,) * (t - 1) + (2,))
-        return IntersectionArray((2,) + (1,) * (t - 1), (1,) * t)
-    if family == "complete_bipartite":
-        return IntersectionArray((n, n - 1), (1, n))
-    if family == "crown":
-        return IntersectionArray((n - 1, n - 2, 1), (1, n - 2, n - 1))
-    if family == "johnson2":
-        return IntersectionArray((2 * n - 4, n - 3), (1, 4))
-    if family == "kneser2":
-        return IntersectionArray(
-            ((n - 2) * (n - 3) // 2, 2 * n - 8),
-            (1, (n - 3) * (n - 4) // 2),
-        )
-    if family == "odd":
-        k = value
-        b = (k,) + tuple(k - (i + 1) // 2 for i in range(1, k - 1))
-        c = tuple((i + 1) // 2 for i in range(1, k))
-        return IntersectionArray(b, c)
-    if family == "hamming3":
-        return IntersectionArray(
-            tuple(2 * (n - i) for i in range(n)),
-            tuple(range(1, n + 1)),
-        )
-    raise ValueError(f"no closed-form array for family {family!r}")
-
-
-# each family's build spec and three checked values, inside the formula's
-# validity range
-_FAMILY_CHECKS = {
-    "complete": ("complete:{0}", (4, 5, 7)),
-    "cycle": ("cycle:{0}", (5, 6, 9)),
-    "complete_bipartite": ("complete_bipartite:{0}", (2, 3, 5)),
-    "crown": ("crown:{0}", (3, 4, 6)),
-    "johnson2": ("johnson:{0}:2", (5, 6, 7)),
-    "kneser2": ("kneser:{0}:2", (5, 6, 7)),
-    "odd": ("odd:{0}", (3, 4, 5)),
-    "hamming3": ("hamming:{0}:3", (1, 2, 3)),
-}
+    if family not in _FAMILY_FORMULAS:
+        raise ValueError(f"no closed-form array for family {family!r}")
+    return IntersectionArray(*_FAMILY_FORMULAS[family][2](value))
 
 
 # -------------------------------------------------------------- reports
@@ -254,7 +250,7 @@ def reproduce_row(row: GraphRow) -> RowReport:
 
 def check_family(row: FamilyRow) -> FamilyReport:
     problems = []
-    spec, values = _FAMILY_CHECKS[row.key]
+    spec, values, _ = _FAMILY_FORMULAS[row.key]
     for value in values:
         expected = family_array(row.key, value)
         g = build(spec.format(value))
@@ -279,13 +275,16 @@ def reproduce_tables(which: int | None = None) -> TablesReport:
     which: 1 for the cubic table, 2 for the small-graph table with the
     family formula checks, None for both.
     """
-    if which not in (None, 1, 2):
+    if not (which is None or _is_int(which) and which in (1, 2)):
         raise ValueError(f"which must be 1, 2 or None, not {which!r}")
     tables = load_tables()
-    cubic = small = families = ()
-    if which in (None, 1):
-        cubic = tuple(reproduce_row(r) for r in tables.cubic_rows())
-    if which in (None, 2):
-        small = tuple(reproduce_row(r) for r in tables.small_rows())
-        families = tuple(check_family(tables.families[k]) for k in sorted(tables.families))
-    return TablesReport(cubic=cubic, small=small, families=families)
+    cubic = tables.cubic_keys if which in (None, 1) else ()
+    small = tables.small_keys if which in (None, 2) else ()
+    # a graph in both tables is reproduced once and listed in both
+    reports = {k: reproduce_row(tables.graph(k)) for k in dict.fromkeys(cubic + small)}
+    families = sorted(tables.families) if which in (None, 2) else ()
+    return TablesReport(
+        cubic=tuple(reports[k] for k in cubic),
+        small=tuple(reports[k] for k in small),
+        families=tuple(check_family(tables.families[k]) for k in families),
+    )

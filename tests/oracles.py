@@ -11,7 +11,8 @@ these run on small graphs only.  are_isomorphic is one exception: it
 calls the package's search (see its docstring).  The references are the others:
 earlier versions of package code, kept to pin the results of the faster
 code that replaced them.  pair_search_reference is the engine's pair
-search before it went over bitmasks, with its budget charges, and
+search before it went over bitmasks, with its budget charges, reading
+each rule's pivot sizes and fields from its own table PAIR_RULES, and
 witness_valid_reference the witness test before it counted by popcount,
 a scan of the sphere around the witness;
 search_generators_reference the generator search before it returned to
@@ -47,7 +48,7 @@ from drgcert.autgroup import (
     _orbit,
     automorphism_group,
 )
-from drgcert.certify import _PAIR_FIELDS, _PIVOT_SIZES, RULE_PIVOT
+from drgcert.certify import RULE_KRIT, RULE_PIVOT, RULE_PIVOT_KRIT
 from drgcert.drg import IntersectionArray, NotDistanceRegular, SrgParams
 from drgcert.expected import load_tables
 from drgcert.families import build
@@ -509,14 +510,25 @@ def first_witness_reference(dd, m: int, j: int, l: int, p: int, bud) -> int | No
     return next((q for q in range(n) if witness_valid_reference(dd, m, j, l, p, q, bud)), None)
 
 
+# each pair rule's pivot-set sizes, tried in order, and the fields its
+# entry records after the pair, stated here rather than read off the
+# engine's tables so that an edit to those shows
+PAIR_RULES = {
+    RULE_PIVOT: ((1, 2, 3), ("pivots",)),
+    RULE_KRIT: ((), ("witnesses",)),
+    RULE_PIVOT_KRIT: ((0, 1, 2, 3), ("pivots", "witnesses")),
+}
+
+
 def pair_search_reference(dd, m, j, l, certified, bud, rule) -> dict | None:
     """The engine's pair search one pivot combination at a time: each
     combination is charged to the budget, then tested against every
     unkilled rival by distance lookups."""
     n = len(dd.sphere_masks)
+    sizes, fields = PAIR_RULES[rule]
     rivals = [p for p in sphere(dd, l, m) if p != j]
     witness = {}
-    if "witnesses" in _PAIR_FIELDS[rule]:
+    if "witnesses" in fields:
         for p in rivals:
             witness[p] = first_witness_reference(dd, m, j, l, p, bud)
     unkilled = [p for p in rivals if witness.get(p) is None]
@@ -531,7 +543,6 @@ def pair_search_reference(dd, m, j, l, certified, bud, rule) -> dict | None:
         ]
         return {"pivots": list(pivots), "witnesses": [[p, witness[p]] for p in left]}
 
-    sizes = _PIVOT_SIZES[rule]
     if not unkilled and 0 not in sizes:
         return pinned(())
     eligible = [q for q in range(n) if dd.d(q, l) in certified]

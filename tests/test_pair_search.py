@@ -27,6 +27,7 @@ from drgcert.certify import (
 from drgcert.families import build
 from drgcert.graph import distances
 from oracles import (
+    PAIR_RULES,
     first_witness_reference,
     pair_search_reference,
     pairs_at_distance,
@@ -57,7 +58,7 @@ def _class_reference(dd, m, pairs, certified, bud, rule):
         pinned = pair_search_reference(dd, m, j, l, certified, bud, rule)
         if pinned is None:
             return None
-        found.append([j, l, *(pinned[k] for k in _PAIR_FIELDS[rule])])
+        found.append([j, l, *(pinned[k] for k in PAIR_RULES[rule][1])])
     return found
 
 

@@ -113,6 +113,12 @@ def test_family_formulas_match_built_graphs():
             assert str(got) == str(family_array(fam, v)), (fam, v)
 
 
+def test_every_family_row_has_one_formula():
+    # a row without a formula could not be checked, a formula without a
+    # row would never be
+    assert load_tables().families.keys() == tables._FAMILY_FORMULAS.keys()
+
+
 def test_check_family_all_pass():
     t = load_tables()
     for key in t.families:
@@ -224,9 +230,36 @@ def test_reproduce_tables_which(report):
     assert small == TablesReport(cubic=(), small=report.small, families=report.families)
 
 
-@pytest.mark.parametrize("which", [3, "1"])
+def test_each_graph_is_reproduced_once(monkeypatch, report):
+    # six graphs sit in both tables: each is reproduced once, in first-seen
+    # order, and its one report is listed in both
+    t = load_tables()
+    shared = [k for k in t.cubic_keys if k in t.small_keys]
+    assert shared == [
+        "cube:3",
+        "named:petersen",
+        "named:heawood",
+        "named:pappus",
+        "named:desargues",
+        "named:dodecahedron",
+    ]
+    calls = []
+    reproduce = tables.reproduce_row
+
+    def counting(row):
+        calls.append(row.key)
+        return reproduce(row)
+
+    monkeypatch.setattr(tables, "reproduce_row", counting)
+    assert reproduce_tables() == report
+    assert len(calls) == 25
+    assert calls == list(dict.fromkeys(t.cubic_keys + t.small_keys))
+
+
+@pytest.mark.parametrize("which", [3, "1", True, 1.0, 2.0])
 def test_reproduce_tables_rejects_bad_selector(which):
-    # a selector naming no table must not report every row reproduced
+    # a selector naming no table must not report every row reproduced, and
+    # a bool or a float is refused though it compares equal to 1 or 2
     with pytest.raises(ValueError):
         reproduce_tables(which)
 
