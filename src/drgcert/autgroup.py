@@ -3,11 +3,13 @@
 The search individualizes vertices inside an equitable partition
 refinement.  The refinement is incremental: each round recounts
 neighbors only against the cells the last round split, less the last
-part of each, and a child node starts from its one new singleton cell;
-yet it gives the cells and their order that recounting against every
-cell gives.  A round counts by walking the neighbor lists of those cells
-or by popcounts of neighbor masks against a mask per cell, whichever its
-sizes say is cheaper, with the same result.  The search prunes nodes
+part of each, and a child node for vertex v starts from its parent's
+cells, each split by distance from v, recounting against the new parts
+less the last of each cell; yet it gives the cells and their order that
+recounting against every cell gives.  A round counts by walking the
+neighbor lists of those cells or by popcounts of neighbor masks against
+a mask per cell, whichever its sizes say is cheaper, with the same
+result.  The search prunes nodes
 whose shape, the cell sizes in order, differs from the shape of the
 first root-to-leaf path's node at the same depth, prunes candidate
 vertices lying in the orbit of an already explored sibling under the
@@ -133,11 +135,13 @@ def _refine(g: Graph, cells: list[list[int]], pushed: list[int]) -> list[list[in
     restricted to the pushed cells then differ first at the same cell, by
     the same counts, so they group and order the vertices of a cell exactly
     as the full vectors do.  The first round needs the same fact from the
-    caller.  One that individualizes v in cell i of an equitable partition,
-    as cells[:i] + [[v], rest] + cells[i+1:], passes [i]: each new cell has
-    constant counts into the old ones, of which cell i alone was split,
-    into [v] and the last part rest.  The search root pushes every one of
-    its starting cells, which recounts against all of them.
+    caller.  The search's child for v splits cells of an equitable
+    partition, each into its parts by distance from v, and passes the
+    indices of the parts of each split cell but the last (see _seed): each
+    new cell has constant counts into every old cell, and a count into a
+    last part is a count into its old cell less those into the pushed
+    parts before it.  The search root pushes every one of its starting
+    cells, which recounts against all of them.
 
     A round counts in one of two ways.  _split_by_walk builds each
     vertex's restricted vector sparsely, as the negated indices of the
@@ -202,25 +206,75 @@ def _orbit(generators, prefix: tuple[int, ...], starts) -> set[int]:
     return reach
 
 
+def _seed(cells: list[list[int]], spheres: tuple, n: int) -> tuple[list[list[int]], list[int]]:
+    """The search's child of the equitable partition cells of n vertices
+    for the vertex v whose sphere masks are spheres, and the cells its
+    first refinement round pushes.  Each cell that meets two spheres of v
+    is replaced, in place, by its parts in increasing distance from v, the
+    vertices v does not reach last; each other cell is kept.  pushed lists
+    every part of a split cell but its last, which _refine needs.
+
+    The child refines to the cells that [v] and the rest of v's cell
+    refine to, possibly in another order.  An equitable partition with
+    the cell [v] is finer than v's distance partition: by induction on m,
+    once each cell within distance m of v lies in one sphere, a vertex
+    lies at distance m + 1 when it lies in none of those cells and has a
+    neighbor at distance m, and both are constant on each cell.  So the
+    coarsest equitable refinement of the cells with v individualized is
+    finer than the child, which is finer than those cells, and it is the
+    coarsest equitable refinement of the child too."""
+    dist = [len(spheres)] * n  # past every distance where v does not reach
+    for m, sphere in enumerate(spheres):
+        for w in _bits(sphere):
+            dist[w] = m
+    child: list[list[int]] = []
+    pushed: list[int] = []
+    for c in cells:
+        parts: dict[int, list[int]] = {}
+        if len(c) > 1:
+            for u in c:
+                parts.setdefault(dist[u], []).append(u)
+        if len(parts) > 1:
+            pushed += range(len(child), len(child) + len(parts) - 1)
+            child += [parts[m] for m in sorted(parts)]
+        else:
+            child.append(c)
+    return child, pushed
+
+
 def _search_generators(
-    g: Graph, node_budget: int, cells: list[list[int]] | None = None, first: bool = False
+    g: Graph,
+    node_budget: int,
+    dd: DistanceData,
+    cells: list[list[int]] | None = None,
+    first: bool = False,
 ) -> tuple[list[Perm], tuple[int, ...]]:
     """Generators found by the search, and the base: the vertices
-    individualized along the first root-to-leaf path.  The search starts
-    from cells, nonempty and covering the vertices, or from one cell of
-    all vertices; refinement keeps the parts of a cell in its place, so
-    every leaf lists each starting cell's vertices at the same positions,
-    and the generators map each starting cell to itself.  With first, the
-    search stops at its first generator, which is the one a full search
-    finds first.
+    individualized along the first root-to-leaf path; dd holds g's
+    distances.  The search starts from cells, nonempty and covering the
+    vertices, or from one cell of all vertices; refinement and the split
+    of a child's cells by distance keep the parts of a cell in its place,
+    so every leaf lists each starting cell's vertices at the same
+    positions, and the generators map each starting cell to itself.  With
+    first, the search stops at its first generator, which is the one a
+    full search finds first.
+
+    A child for v starts from its parent's cells split by distance from v
+    (see _seed), so it need not peel v's spheres one refinement round at a
+    time.  Its first round pushes the parts of each split cell but the
+    last, and gives the cells and order that recounting against every cell
+    gives (see _refine): the parent is equitable, so counts into each old
+    cell are constant on every cell, and a count into a last part is the
+    count into its old cell less those into the parts before it.
 
     A node is pruned when its shape, the sizes of its cells in order,
     differs from the shape of the first path's node at the same depth.
-    Refinement commutes with relabeling, so an automorphism maps a node
-    to one of the same shape, and a pruned node holds no image of the
-    first leaf.  A leaf of the first path's depth has that leaf's shape,
-    so the edge test decides it."""
-    n = g.n
+    Refinement commutes with relabeling, and so does the split by
+    distance, as an automorphism maps the spheres of v to those of its
+    image; so an automorphism maps a node to one of the same shape, and a
+    pruned node holds no image of the first leaf.  A leaf of the first
+    path's depth has that leaf's shape, so the edge test decides it."""
+    n, spheres = g.n, dd.sphere_masks
     ident = tuple(range(n))
     generators: list[Perm] = []
     guide: dict[int, list[int]] = {}
@@ -263,10 +317,9 @@ def _search_generators(
             if v in covered:
                 continue
             done.append(v)
-            rest = [u for u in cell if u != v]
-            child = cells[:ti] + [[v], rest] + cells[ti + 1 :]
+            child, pushed = _seed(cells, spheres[v], n)
             # off the first path, one generator is all a subtree can add
-            if descend(_refine(g, child, [ti]), depth + 1, prefix + (v,)) and (
+            if descend(_refine(g, child, pushed), depth + 1, prefix + (v,)) and (
                 first or prefix != base[:depth]
             ):
                 return True
@@ -295,8 +348,11 @@ class AutGroup:
     order: int
 
 
-def automorphism_group(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> AutGroup:
-    """The automorphism group, read off one search tree.
+def automorphism_group(
+    g: Graph, node_budget: int = DEFAULT_NODE_BUDGET, dd: DistanceData | None = None
+) -> AutGroup:
+    """The automorphism group, read off one search tree; dd, g's distances
+    when the caller holds them, seeds the search's children.
 
     The order is the product over i of the orbit length of base[i] under
     the generators fixing base[:i].  It is exact because those generators
@@ -324,16 +380,17 @@ def automorphism_group(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> AutG
     early only after it has yielded a generator, so the search of a
     subtree still yields one whenever it holds an image of the first leaf.
     """
-    gens, base = _search_generators(g, node_budget)
+    gens, base = _search_generators(g, node_budget, dd or distances(g))
     order = prod(len(_orbit(gens, base[:i], [b])) for i, b in enumerate(base))
     return AutGroup(n=g.n, generators=tuple(gens), base=base, order=order)
 
 
 def disjoint_automorphisms(
-    g: Graph, generators: list[Perm] | tuple[Perm, ...]
+    g: Graph, generators: list[Perm] | tuple[Perm, ...], dd: DistanceData | None = None
 ) -> tuple[Perm, Perm] | None:
     """Two non-identity automorphisms of g with disjoint supports, or None;
-    raises SearchBudgetExceeded past DEFAULT_NODE_BUDGET search nodes.
+    raises SearchBudgetExceeded past DEFAULT_NODE_BUDGET search nodes.  dd
+    is g's distances, computed when not given.
 
     Such a pair proves that g has quantum symmetry (S. Schmidt, Quantum
     automorphisms of folded cube graphs, Ann. Inst. Fourier 2020).  Take
@@ -357,7 +414,7 @@ def disjoint_automorphisms(
     moved = [v for v in range(g.n) if sigma[v] != v]
     fixed = [v for v in range(g.n) if sigma[v] == v]
     cells = [[v] for v in moved] + ([fixed] if fixed else [])
-    found, _ = _search_generators(g, DEFAULT_NODE_BUDGET, cells, first=True)
+    found, _ = _search_generators(g, DEFAULT_NODE_BUDGET, dd or distances(g), cells, first=True)
     return (sigma, found[0]) if found else None
 
 
@@ -421,6 +478,6 @@ def is_distance_transitive(
     if not dd.connected or g.n <= 1:
         return False
     if aut is None:
-        aut = automorphism_group(g)
+        aut = automorphism_group(g, dd=dd)
     pairs = covered_pairs(aut.generators, dd)
     return all(len(pairs(m)) == 1 for m in range(dd.diameter + 1))

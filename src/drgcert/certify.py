@@ -261,7 +261,7 @@ class _Invariants:
         self.roots = range(g.n)
         self.girth = cache(lambda: girth(g, dd, _roots=self.roots))
         self.array = cache(lambda: intersection_array(g, dd, _roots=self.roots))
-        self.group = cache(lambda: automorphism_group(g, DEFAULT_NODE_BUDGET))
+        self.group = cache(lambda: automorphism_group(g, DEFAULT_NODE_BUDGET, dd))
 
     def cover(self, generators):
         """covered_pairs of generators, automorphisms of g already checked
@@ -649,7 +649,7 @@ def certify(
 
     if len(certified) < dd.diameter and not searched_out:
         try:
-            pair = disjoint_automorphisms(g, inv.group().generators)
+            pair = disjoint_automorphisms(g, inv.group().generators, dd)
         except SearchBudgetExceeded:
             pair = None
             notes.append("automorphism search budget exceeded; no disjoint automorphisms recorded")

@@ -113,7 +113,7 @@ def _cmd_analyze(parser, args) -> int:
     inv = _Invariants(g)
     dd, connected = inv.dd, inv.dd.connected
     try:
-        aut = automorphism_group(g, args.budget)
+        aut = automorphism_group(g, args.budget, dd)
     except SearchBudgetExceeded:
         print("automorphism search exceeded the node budget", file=sys.stderr)
         return EXIT_BUDGET

@@ -60,12 +60,6 @@ class ExpectedTables:
     def graph(self, key: str) -> GraphRow:
         return self.graphs[key]
 
-    def cubic_rows(self) -> list[GraphRow]:
-        return [self.graphs[k] for k in self.cubic_keys]
-
-    def small_rows(self) -> list[GraphRow]:
-        return [self.graphs[k] for k in self.small_keys]
-
 
 def _keyed_rows(kind, raw: dict) -> dict:
     """kind's records from a map of key to row; a row does not repeat its key."""

@@ -24,10 +24,11 @@ clique_number_reference the clique search before it went over neighbor
 bitmasks and one root per vertex orbit, a set-based branch and bound
 over the whole graph; refine_reference the equitable refinement before it
 went incremental, each round recounting every vertex against every cell,
-which the reference search runs; to_graph6_reference the graph6
-encoder before it read neighbor bitmasks, one adjacency test per vertex
-pair; and from_graph6_reference the graph6 decoder before it ran the
-encoder backwards, one Python step per bit.
+which the reference search runs on children seeded by seed_reference,
+each cell split by distance from the child's vertex; to_graph6_reference
+the graph6 encoder before it read neighbor bitmasks, one adjacency test
+per vertex pair; and from_graph6_reference the graph6 decoder before it
+ran the encoder backwards, one Python step per bit.
 vertex_orbits_reference lists a group's vertex orbits by breadth-first
 search, for the tests that sweep one root per orbit.
 oracle_inputs is the shared graph set they are checked on, and
@@ -189,7 +190,7 @@ ORACLE_SEED = 606001
 def catalogue_keys() -> list[str]:
     """The family keys of the benchmark graphs and the table rows, once each."""
     tables = load_tables()
-    rows = [row.key for row in tables.cubic_rows() + tables.small_rows()]
+    rows = [tables.graph(key).key for key in tables.cubic_keys + tables.small_keys]
     return list(dict.fromkeys(BENCHMARK_GRAPHS + tuple(rows)))
 
 
@@ -598,16 +599,32 @@ def refine_reference(adj: list, cells: list[list[int]]) -> tuple[list[list[int]]
             return cells, tuple((len(c), vector(c[0])) for c in cells)
 
 
+def seed_reference(cells: list[list[int]], row) -> list[list[list[int]]]:
+    """The parts of each cell by distance from a vertex v whose distances
+    row lists (INF where v does not reach), in increasing distance: the
+    search's child for v is the run of all of them, and a cell with two
+    or more parts is one the child splits."""
+    seeded = []
+    for c in cells:
+        parts: dict = {}
+        for u in c:
+            parts.setdefault(row[u], []).append(u)
+        seeded.append([parts[d] for d in sorted(parts)])
+    return seeded
+
+
 def search_generators_reference(
     g: Graph, node_budget: int
 ) -> tuple[list[Perm], tuple[int, ...]]:
     """The package's generator search as it was before it returned to the
     first path: a subtree off the first path is searched to the end, so it
-    may yield many generators where one suffices.  Returns the generators
-    and the base, the vertices individualized along the first
-    root-to-leaf path."""
+    may yield many generators where one suffices.  A child starts, as the
+    package's does, from its parent's cells split by distance from its
+    vertex, here read off floyd_warshall.  Returns the generators and the
+    base, the vertices individualized along the first root-to-leaf path."""
     n = g.n
     adj = [g.neighbors(v) for v in range(n)]
+    dist = floyd_warshall(g)
     ident = tuple(range(n))
     generators: list[Perm] = []
     guide: dict[int, tuple] = {}
@@ -655,8 +672,7 @@ def search_generators_reference(
             if v in covered:
                 continue
             done.append(v)
-            rest = [u for u in cell if u != v]
-            child = cells[:ti] + [[v], rest] + cells[ti + 1 :]
+            child = [part for parts in seed_reference(cells, dist[v]) for part in parts]
             descend(*refine_reference(adj, child), depth + 1, prefix + (v,))
 
     descend(*refine_reference(adj, [list(range(n))]), 0, ())

@@ -29,6 +29,7 @@ from oracles import (
     automorphism_group_reference,
     brute_automorphism_count,
     catalogue_keys,
+    floyd_warshall,
     latin_square_graph,
     latin_square_inputs,
     oracle_inputs,
@@ -37,6 +38,7 @@ from oracles import (
     random_connected_graph,
     refine_reference,
     schreier_sims_order,
+    seed_reference,
     vertex_orbits_reference,
 )
 
@@ -341,10 +343,10 @@ def test_refine_matches_reference_on_oracle_inputs():
     assert children > 3000
 
 
-def test_refine_kernels_agree_on_every_round(monkeypatch):
-    # every round of the sweep is counted both ways, whichever way the
-    # round's sizes pick: the same cells split into the same parts in the
-    # same order
+def _both_kernels(monkeypatch) -> dict:
+    """Count every round of _refine both ways, whichever way the round's
+    sizes pick, and assert that the same cells split into the same parts
+    in the same order; returns how often each way was picked."""
     walk, count = autgroup._split_by_walk, autgroup._split_by_count
     picked = {"walk": 0, "count": 0}
 
@@ -368,9 +370,59 @@ def test_refine_kernels_agree_on_every_round(monkeypatch):
 
     monkeypatch.setattr(autgroup, "_split_by_walk", by_walk)
     monkeypatch.setattr(autgroup, "_split_by_count", by_count)
+    return picked
+
+
+def test_refine_kernels_agree_on_every_round(monkeypatch):
+    # every round of the sweep is counted both ways
+    picked = _both_kernels(monkeypatch)
     for label, g, adj, cells, pushed in _oracle_refinements():
         assert _refine(g, cells, pushed) == refine_reference(adj, cells)[0], label
     assert min(picked.values()) > 1000, picked
+
+
+def _first_path_children():
+    """(label, graph, neighbor sets, distance rows, sphere masks, cells,
+    ti, v): the root fixpoint and each node of the first path of the search
+    on every oracle input and Latin-square graph, with every vertex v of
+    the cell ti the node individualizes from; the first path takes the
+    least v.  The rows are floyd_warshall's, the masks the package's."""
+    for label, g in [*oracle_inputs(), *latin_square_inputs()]:
+        adj = [g.neighbors(v) for v in range(g.n)]
+        dist, spheres = floyd_warshall(g), distances(g).sphere_masks
+        cells, _ = refine_reference(adj, [list(range(g.n))])
+        while len(cells) < g.n:
+            size = min(len(c) for c in cells if len(c) > 1)
+            ti = next(i for i, c in enumerate(cells) if len(c) == size)
+            for v in sorted(cells[ti]):
+                yield label, g, adj, dist, spheres, cells, ti, v
+            seeded = seed_reference(cells, dist[min(cells[ti])])
+            cells, _ = refine_reference(adj, [part for parts in seeded for part in parts])
+
+
+def test_seeded_children_refine_as_individualized(monkeypatch):
+    # a child split by distance from v refines, in one incremental sweep
+    # whose rounds both kernels count alike, to the cells that recounting
+    # against every cell gives, and to the cells of [v] and the rest of its
+    # cell; the first round pushes each split cell's parts but the last
+    picked = _both_kernels(monkeypatch)
+    children = 0
+    for label, g, adj, dist, spheres, cells, ti, v in _first_path_children():
+        child, pushed = autgroup._seed(cells, spheres[v], g.n)
+        seeded = seed_reference(cells, dist[v])
+        assert child == [part for parts in seeded for part in parts], (label, v)
+        # a cell's parts start where the parts of the cells before it end
+        starts = [sum(map(len, seeded[:i])) for i in range(len(seeded))]
+        assert pushed == [
+            start + k for start, parts in zip(starts, seeded) for k in range(len(parts) - 1)
+        ], (label, v)
+        got = _refine(g, child, pushed)
+        assert got == refine_reference(adj, child)[0], (label, v)
+        rest = [u for u in cells[ti] if u != v]
+        alone, _ = refine_reference(adj, cells[:ti] + [[v], rest] + cells[ti + 1 :])
+        assert sorted(map(sorted, got)) == sorted(map(sorted, alone)), (label, v)
+        children += 1
+    assert children > 4000 and min(picked.values()) > 1000, (children, picked)
 
 
 def _search_nodes(monkeypatch, g, refine):
@@ -404,10 +456,10 @@ def test_search_same_with_reference_refinement(monkeypatch, key):
     assert got == want
 
 
-# the search's node counts; without a node test every one is larger (83,
-# 82, 52, 393, 448, 228, 2228 and 1129 nodes)
+# the search's node counts; without a node test every one is larger (62,
+# 74, 39, 393, 448, 228, 2228 and 1129 nodes)
 LATIN_SQUARE_NODES = {
-    "latin 5 0": 27, "latin 5 1": 27, "latin 5 2": 30,
+    "latin 5 0": 30, "latin 5 1": 66, "latin 5 2": 38,
     "latin 6 0": 202, "latin 6 1": 198, "latin 6 2": 93,
     "latin 7 0": 932, "latin 7 1": 515,
 }

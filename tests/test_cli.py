@@ -304,9 +304,9 @@ def test_each_command_searches_aut_once(capsys, monkeypatch):
     calls = []
     search = autgroup._search_generators
 
-    def counting(g, node_budget):
+    def counting(g, node_budget, dd):
         calls.append(g.n)
-        return search(g, node_budget)
+        return search(g, node_budget, dd)
 
     monkeypatch.setattr(autgroup, "_search_generators", counting)
     for argv in (

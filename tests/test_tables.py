@@ -28,10 +28,10 @@ def test_loaded_tables_shape():
     t = load_tables()
     assert len(t.cubic_keys) == 12
     assert len(t.small_keys) == 19
-    for row in t.cubic_rows():
-        assert build(row.key).regular_degree() == 3
-    for row in t.small_rows():
-        assert row.order <= 50
+    for key in t.cubic_keys:
+        assert build(t.graph(key).key).regular_degree() == 3
+    for key in t.small_keys:
+        assert t.graph(key).order <= 50
 
 
 @pytest.mark.parametrize(
@@ -181,9 +181,9 @@ def test_reproduce_row_computes_each_invariant_once(monkeypatch):
     searched = []
     search = autgroup._search_generators
 
-    def counting_search(g, node_budget):
+    def counting_search(g, node_budget, dd):
         searched.append(g.n)
-        return search(g, node_budget)
+        return search(g, node_budget, dd)
 
     monkeypatch.setattr(autgroup, "_search_generators", counting_search)
     row = reproduce_row(load_tables().graph("named:heawood"))
